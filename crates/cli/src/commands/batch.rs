@@ -1,9 +1,10 @@
 //! `ja batch` — run a scenario grid in parallel, emit the batch report.
 //!
-//! Two output formats share one execution engine: the default `json`
-//! format buffers every outcome and writes one pretty-printed report
-//! document, while `--format ndjson` streams one compact record per grid
-//! entry as workers finish (memory stays flat in the grid size) and can
+//! Two output formats share one execution engine, and both render every
+//! entry on its worker (memory stays flat in the samples per entry): the
+//! default `json` format buffers the rendered entries and writes one
+//! pretty-printed report document, while `--format ndjson` streams one
+//! compact record per grid entry as workers finish and can
 //! checkpoint/resume long runs — see `docs/SCHEMA.md` for the record,
 //! manifest and checkpoint schemas.
 
@@ -11,7 +12,7 @@ use std::fs;
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 
 use hdl_models::exec::BatchRunner;
-use hdl_models::report::{batch_report_value, write_ndjson_batch, StreamCheckpoint};
+use hdl_models::report::{run_batch_report, write_ndjson_batch, StreamCheckpoint};
 use hdl_models::scenario::Scenario;
 
 use crate::common::{read_input, write_output};
@@ -31,15 +32,19 @@ OPTIONS:
                        scenarios are reported as status \"cancelled\")
     --routing MODE     how same-shaped scenarios are executed [default: auto]
                          auto    groups of >= 2 timeless non-circuit
-                                 scenarios sharing a config and excitation
-                                 run as one structure-of-arrays lockstep
-                                 sweep; everything else runs scalar
+                                 scenarios sharing a config, an excitation
+                                 and an operating point (temperature,
+                                 geometry) run as one structure-of-arrays
+                                 lockstep sweep; everything else runs
+                                 scalar
                          soa     lockstep even for singleton groups
                          scalar  always one scenario at a time
                        Routing never changes report content: SoA f64 lanes
                        are bit-identical to scalar runs.
     --format FMT       report format                           [default: json]
-                         json    one pretty-printed kind:\"batch\" document,
+                         json    one pretty-printed kind:\"batch\" document;
+                                 each entry is rendered as it completes
+                                 and only the rendered entries are
                                  buffered until the whole grid has run
                          ndjson  streaming: one compact record per grid
                                  entry as it completes, then a final
@@ -153,13 +158,9 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
                     return Err(CliError::usage(format!("--{opt} requires --format ndjson")));
                 }
             }
-            let report = runner.run(scenarios);
-            let doc = batch_report_value(&report, parsed.flag("timings"));
+            let (doc, summary) = run_batch_report(&runner, &scenarios, parsed.flag("timings"));
             write_output(out_path, &doc.to_pretty_string())?;
-            scenarios_failed(
-                report.entries.len() - report.successes().count(),
-                report.entries.len(),
-            )
+            scenarios_failed(summary.failed, summary.scenarios)
         }
         "ndjson" => run_ndjson(&parsed, &runner, &scenarios, out_path),
         other => Err(CliError::usage(format!(

@@ -165,27 +165,25 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         .scenarios()
         .map_err(|err| CliError::usage(err.to_string()))?;
 
-    let report = BatchRunner::new()
+    let runner = BatchRunner::new()
         .workers(parsed.usize_or("workers", 0)?)
-        .soa_routing(routing_by_name(parsed.value("routing").unwrap_or("auto"))?)
-        .run(scenarios);
+        .soa_routing(routing_by_name(parsed.value("routing").unwrap_or("auto"))?);
 
     // Expansion order is excitation -> material -> operating point, so the
     // (amplitude, material) labels of each entry follow from its index.
+    // Each point reduces on its worker to its entry document plus the
+    // (frequency, B_pk, total loss) sample the Steinmetz fit needs.
     let per_material = temperatures.len() * frequencies.len();
     let per_amplitude = materials.len() * per_material;
-    let mut entries = Vec::with_capacity(report.entries.len());
-    let mut fit_points: Vec<Vec<(f64, f64, f64)>> = vec![Vec::new(); materials.len()];
-    let mut failed = 0usize;
-    for (index, entry) in report.entries.iter().enumerate() {
-        let amplitude = amplitudes[index / per_amplitude];
+    let (points, summary) = runner.run_reduced(&scenarios, |index, outcome, _| {
         let material_index = (index % per_amplitude) / per_material;
-        let mut doc = JsonValue::object().with("scenario", entry.scenario.name.as_str());
-        match &entry.outcome {
+        let mut doc = JsonValue::object().with("scenario", scenarios[index].name.as_str());
+        let mut fit_point = None;
+        match outcome {
             Ok(outcome) => {
                 doc.push("status", "ok");
                 doc.push("material", materials[material_index]);
-                doc.push("peak_h_a_per_m", amplitude);
+                doc.push("peak_h_a_per_m", amplitudes[index / per_amplitude]);
                 let op = outcome.operating_point.unwrap_or_default();
                 if let Some(frequency) = op.frequency_hz {
                     doc.push("frequency_hz", frequency);
@@ -199,21 +197,25 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
                 if let Some(loss) = &outcome.loss {
                     doc.push("loss", loss_value(loss));
                     if let (Some(metrics), Some(frequency)) = (&outcome.metrics, op.frequency_hz) {
-                        fit_points[material_index].push((
-                            frequency,
-                            metrics.b_max.as_tesla(),
-                            loss.total_w,
-                        ));
+                        fit_point = Some((frequency, metrics.b_max.as_tesla(), loss.total_w));
                     }
                 }
             }
             Err(err) => {
-                failed += 1;
                 doc.push("status", "error");
                 doc.push("error", err.to_string());
             }
         }
+        (doc, fit_point.map(|point| (material_index, point)))
+    });
+
+    let mut entries = Vec::with_capacity(points.len());
+    let mut fit_points: Vec<Vec<(f64, f64, f64)>> = vec![Vec::new(); materials.len()];
+    for (doc, fit_point) in points {
         entries.push(doc);
+        if let Some((material_index, point)) = fit_point {
+            fit_points[material_index].push(point);
+        }
     }
 
     let fits: Vec<JsonValue> = materials
@@ -237,7 +239,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         })
         .collect();
 
-    let total = report.entries.len();
+    let (total, failed) = (summary.scenarios, summary.failed);
     let doc = report_envelope("loss_map")
         .with("points", total)
         .with("succeeded", total - failed)

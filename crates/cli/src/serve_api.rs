@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use hdl_models::exec::{BatchRunner, SoaRouting};
 use hdl_models::fit::{fit_batch, FitJob, MultiStartOptions};
-use hdl_models::report::{batch_report_value, fit_report_value, write_ndjson_batch};
+use hdl_models::report::{fit_report_value, run_batch_report, write_ndjson_batch};
 use hdl_models::scenario::{Excitation, Scenario, ScenarioGrid};
 use hdl_models::serve::{error_response, HttpRequest, HttpResponse, ResultCache};
 use ja_hysteresis::config::JaConfig;
@@ -588,13 +588,14 @@ fn batch_eval(
     options: &RequestOptions,
 ) -> Result<String, ApiError> {
     let scenarios = batch_scenarios(doc)?;
-    let report = BatchRunner::new()
+    let runner = BatchRunner::new()
         .workers(state.eval_workers)
-        .soa_routing(options.routing)
-        .run(scenarios);
+        .soa_routing(options.routing);
     // Per-scenario failures are data, not a request failure: the report
     // carries their status — exactly like the offline exit-1-after-write.
-    Ok(batch_report_value(&report, false).to_pretty_string())
+    Ok(run_batch_report(&runner, &scenarios, false)
+        .0
+        .to_pretty_string())
 }
 
 /// `kind:"batch_request"` with `options.stream` → the exact bytes of
@@ -763,6 +764,7 @@ fn single_eval(doc: &JsonValue, report_kind: &str) -> Result<String, ApiError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hdl_models::report::batch_report_value;
 
     fn parse(text: &str) -> JsonValue {
         JsonValue::parse(text).expect("test document parses")

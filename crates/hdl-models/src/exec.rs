@@ -1,15 +1,20 @@
 //! Parallel scenario execution.
 //!
-//! [`BatchRunner`] is the engine behind [`crate::scenario::run_batch`]: it
-//! distributes a scenario list over a pool of scoped worker threads
-//! (`std::thread::scope`, no external dependencies), with chunked work
-//! stealing over an atomic cursor and a configurable error policy.  Results
-//! are tagged with their input index and re-sorted, so a
-//! [`BatchReport`] is **deterministic**: the entries come back in input
-//! order with bit-identical floating-point content regardless of the worker
-//! count (each scenario's computation is sequential and self-contained; the
-//! executor only changes *where* it runs).  The one exception is fail-fast
-//! cancellation, which depends on timing — see [`ErrorPolicy::FailFast`].
+//! [`BatchRunner`] is the engine behind [`crate::scenario::run_batch`] and
+//! every report writer: it distributes a scenario list over a pool of
+//! scoped worker threads (`std::thread::scope`, no external dependencies),
+//! with chunked work stealing over an atomic cursor and a configurable
+//! error policy.  There is one executor, [`BatchRunner::run_in_order`]: a
+//! caller-supplied **reduce** step runs on the worker right after each
+//! scenario finishes and shrinks the outcome (curve included) to what the
+//! caller keeps — a rendered entry, an NDJSON record, or the whole outcome
+//! for [`BatchRunner::run`] — and an **emit** step receives the reduced
+//! values on the calling thread in input index order.  Results are
+//! therefore **deterministic**: bit-identical floating-point content in
+//! input order regardless of the worker count (each scenario's computation
+//! is sequential and self-contained; the executor only changes *where* it
+//! runs).  The one exception is fail-fast cancellation, which depends on
+//! timing — see [`ErrorPolicy::FailFast`].
 //!
 //! Workers keep a [`RunScratch`] alive across the scenarios they execute:
 //! consecutive scenarios sharing a (backend, material, configuration)
@@ -30,12 +35,14 @@
 //! never changes report content, only throughput.
 //!
 //! The distribution machinery itself (chunked claims over an atomic
-//! cursor, worker-local state, index-ordered results) is exposed as the
-//! generic [`parallel_map`], which also powers the multi-start fitting
-//! batches of [`crate::fit`] — any deterministic per-job workload with
-//! reusable worker scratch can ride the same pool.
+//! cursor, worker-local state, an in-order reorder buffer) is one private
+//! worker loop; the generic [`parallel_map`] is a collect over it and
+//! powers the multi-start fitting batches of [`crate::fit`] — any
+//! deterministic per-job workload with reusable worker scratch can ride
+//! the same pool.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -166,92 +173,72 @@ impl BatchRunner {
     }
 
     /// Runs every scenario and collects a [`BatchReport`] with one entry
-    /// per scenario, in input order.
+    /// per scenario, in input order — a [`run_reduced`](Self::run_reduced)
+    /// whose reduce step keeps the whole outcome, curve included.
     ///
     /// Under the default [`SoaRouting::Auto`], scenarios sharing a
-    /// (configuration, excitation) pair on the direct-timeless backend run
-    /// as one structure-of-arrays lockstep sweep instead of one scalar
-    /// sweep each — with bit-identical per-entry results, since the SoA
-    /// `f64` lanes reproduce the scalar operation sequence exactly.
+    /// (configuration, excitation, operating point) triple on the
+    /// direct-timeless backend run as one structure-of-arrays lockstep
+    /// sweep instead of one scalar sweep each — with bit-identical
+    /// per-entry results, since the SoA `f64` lanes reproduce the scalar
+    /// operation sequence exactly.
     pub fn run(&self, scenarios: impl IntoIterator<Item = Scenario>) -> BatchReport {
         let scenarios: Vec<Scenario> = scenarios.into_iter().collect();
-        let workers = self.resolved_workers(scenarios.len());
-        let chunk = self.chunk_size.map_or(1, NonZeroUsize::get);
         let started = Instant::now();
-
-        let jobs = route_jobs(&scenarios, self.routing);
-        let abort = AtomicBool::new(false);
-        let job_results = parallel_map(&jobs, workers, chunk, RunScratch::new, |job, scratch| {
-            let cancelled = self.policy == ErrorPolicy::FailFast && abort.load(Ordering::Relaxed);
-            match job {
-                Job::Scalar(index) => {
-                    let result = if cancelled {
-                        (Err(JaError::Cancelled), Duration::ZERO)
-                    } else {
-                        let t0 = Instant::now();
-                        let outcome = scenarios[*index].run_with_scratch(scratch);
-                        if outcome.is_err() {
-                            abort.store(true, Ordering::Relaxed);
-                        }
-                        (outcome, t0.elapsed())
-                    };
-                    vec![(*index, result)]
-                }
-                Job::Lockstep(members) => {
-                    if cancelled {
-                        members
-                            .iter()
-                            .map(|&index| (index, (Err(JaError::Cancelled), Duration::ZERO)))
-                            .collect()
-                    } else {
-                        let results = run_lockstep_group(&scenarios, members, scratch);
-                        if results.iter().any(|(outcome, _)| outcome.is_err()) {
-                            abort.store(true, Ordering::Relaxed);
-                        }
-                        members.iter().copied().zip(results).collect()
-                    }
-                }
-            }
-        });
-
-        let mut slots: Vec<Option<(Result<ScenarioOutcome, JaError>, Duration)>> =
-            (0..scenarios.len()).map(|_| None).collect();
-        for (index, result) in job_results.into_iter().flatten() {
-            slots[index] = Some(result);
-        }
+        let (results, summary) =
+            self.run_reduced(&scenarios, |_, outcome, wall_clock| (outcome, wall_clock));
         let entries = scenarios
             .into_iter()
-            .zip(slots)
-            .map(|(scenario, slot)| {
-                let (outcome, wall_clock) =
-                    slot.expect("every scenario produced exactly one result");
-                BatchEntry {
-                    scenario,
-                    outcome,
-                    wall_clock,
-                }
+            .zip(results)
+            .map(|(scenario, (outcome, wall_clock))| BatchEntry {
+                scenario,
+                outcome,
+                wall_clock,
             })
             .collect();
         BatchReport {
             entries,
-            workers,
+            workers: summary.workers,
             elapsed: started.elapsed(),
         }
     }
 
-    /// Runs `scenarios[skip..]` and hands each outcome to `emit` **in input
-    /// index order**, as soon as it and all its predecessors have finished —
-    /// the executor half of the streaming report path.
+    /// Runs every scenario, reduces each outcome with `reduce` on its
+    /// worker, and returns the reduced values in input order — the collect
+    /// form of [`run_in_order`](Self::run_in_order).
+    pub fn run_reduced<R: Send>(
+        &self,
+        scenarios: &[Scenario],
+        reduce: impl Fn(usize, Result<ScenarioOutcome, JaError>, Duration) -> R + Sync,
+    ) -> (Vec<R>, StreamSummary) {
+        let mut reduced = Vec::with_capacity(scenarios.len());
+        let summary = self
+            .run_in_order(scenarios, 0, reduce, |_, value| {
+                reduced.push(value);
+                Ok::<(), Infallible>(())
+            })
+            .unwrap_or_else(|never| match never {});
+        (reduced, summary)
+    }
+
+    /// Runs `scenarios[skip..]`, reduces each outcome **on its worker**, and
+    /// hands the reduced values to `emit` **in input index order** — the one
+    /// scenario executor every batch path is built on.
     ///
-    /// Unlike [`run`](Self::run), no [`BatchReport`] is accumulated: an
-    /// outcome (and the `BhCurve` inside it) is dropped right after `emit`
-    /// returns, so peak memory is bounded by worker-completion skew (the
-    /// small reorder buffer holding finished-but-not-yet-contiguous
-    /// entries), not by grid size.  Workers deliver results over a channel
-    /// to an in-order collector on the calling thread; because each
-    /// scenario's computation is sequential and self-contained, the emitted
-    /// sequence is **bit-identical for any worker count** — the property the
-    /// NDJSON writer's byte-determinism rests on.
+    /// `reduce` receives `(index, outcome, wall_clock)` right after the
+    /// scenario (or its lockstep lane) finishes, where `wall_clock` is the
+    /// time the entry spent on its worker (backend construction, sweep and
+    /// metric extraction; an equal share of the group for lockstep lanes;
+    /// zero for cancelled entries).  It returns something small — a
+    /// rendered entry, an NDJSON record — so the outcome and the
+    /// [`BhCurve`] inside it are dropped on the worker.  `emit` runs on the
+    /// calling thread as soon as an entry and all its predecessors have
+    /// been reduced.  Peak memory is therefore bounded by the jobs in
+    /// flight plus the reorder buffer of reduced values, not by grid size.
+    /// Because each scenario's computation is sequential and
+    /// self-contained, the emitted sequence is **bit-identical for any
+    /// worker count** — the property the report writers' byte-determinism
+    /// rests on.
     ///
     /// `skip` supports checkpoint/resume: entries `0..skip` are neither run
     /// nor emitted.  Skipping cannot change the remaining outcomes — every
@@ -262,11 +249,12 @@ impl BatchRunner {
     ///
     /// Returns the first error produced by `emit`; remaining outcomes are
     /// still computed (workers drain) but no longer emitted.
-    pub fn run_streamed<E>(
+    pub fn run_in_order<R: Send, E>(
         &self,
         scenarios: &[Scenario],
         skip: usize,
-        mut emit: impl FnMut(usize, &Result<ScenarioOutcome, JaError>) -> Result<(), E>,
+        reduce: impl Fn(usize, Result<ScenarioOutcome, JaError>, Duration) -> R + Sync,
+        mut emit: impl FnMut(usize, R) -> Result<(), E>,
     ) -> Result<StreamSummary, E> {
         let skip = skip.min(scenarios.len());
         let pending = &scenarios[skip..];
@@ -274,115 +262,54 @@ impl BatchRunner {
         let chunk = self.chunk_size.map_or(1, NonZeroUsize::get);
         let jobs = route_jobs(pending, self.routing);
         let abort = AtomicBool::new(false);
-
-        let run_job = |job: &Job,
-                       scratch: &mut RunScratch|
-         -> Vec<(usize, Result<ScenarioOutcome, JaError>)> {
-            let cancelled = self.policy == ErrorPolicy::FailFast && abort.load(Ordering::Relaxed);
-            match job {
-                Job::Scalar(index) => {
-                    let outcome = if cancelled {
-                        Err(JaError::Cancelled)
-                    } else {
-                        let outcome = pending[*index].run_with_scratch(scratch);
-                        if outcome.is_err() {
-                            abort.store(true, Ordering::Relaxed);
-                        }
-                        outcome
-                    };
-                    vec![(*index, outcome)]
-                }
-                Job::Lockstep(members) => {
-                    if cancelled {
-                        members
-                            .iter()
-                            .map(|&index| (index, Err(JaError::Cancelled)))
-                            .collect()
-                    } else {
-                        let results = run_lockstep_group(pending, members, scratch);
-                        if results.iter().any(|(outcome, _)| outcome.is_err()) {
-                            abort.store(true, Ordering::Relaxed);
-                        }
-                        members
-                            .iter()
-                            .copied()
-                            .zip(results.into_iter().map(|(outcome, _)| outcome))
-                            .collect()
-                    }
-                }
-            }
-        };
-
-        // The in-order collector: finished entries park in `buffered` until
-        // every lower index has been emitted, then flush contiguously.
-        let mut buffered: BTreeMap<usize, Result<ScenarioOutcome, JaError>> = BTreeMap::new();
-        let mut next = 0_usize;
         let mut succeeded = 0_usize;
         let mut failed = 0_usize;
-        let mut emit_error: Option<E> = None;
-        let mut collect =
-            |index: usize, outcome: Result<ScenarioOutcome, JaError>, emit: EmitSink<'_, E>| {
-                buffered.insert(index, outcome);
-                while let Some(outcome) = buffered.remove(&next) {
-                    if outcome.is_ok() {
-                        succeeded += 1;
-                    } else {
-                        failed += 1;
+        in_order(
+            &jobs,
+            workers,
+            chunk,
+            RunScratch::new,
+            |_, job, scratch, sink| {
+                let mut deliver = |index: usize,
+                                   outcome: Result<ScenarioOutcome, JaError>,
+                                   wall_clock: Duration| {
+                    let ok = outcome.is_ok();
+                    if !ok {
+                        abort.store(true, Ordering::Relaxed);
                     }
-                    if emit_error.is_none() {
-                        if let Err(error) = emit(skip + next, &outcome) {
-                            emit_error = Some(error);
+                    sink(index, (ok, reduce(skip + index, outcome, wall_clock)));
+                };
+                let cancelled =
+                    self.policy == ErrorPolicy::FailFast && abort.load(Ordering::Relaxed);
+                match job {
+                    Job::Scalar(index) if cancelled => {
+                        deliver(*index, Err(JaError::Cancelled), Duration::ZERO);
+                    }
+                    Job::Scalar(index) => {
+                        let t0 = Instant::now();
+                        let outcome = pending[*index].run_with_scratch(scratch);
+                        deliver(*index, outcome, t0.elapsed());
+                    }
+                    Job::Lockstep(members) if cancelled => {
+                        for &index in members {
+                            deliver(index, Err(JaError::Cancelled), Duration::ZERO);
                         }
                     }
-                    next += 1;
+                    Job::Lockstep(members) => {
+                        run_lockstep_group(pending, members, scratch, &mut deliver);
+                    }
                 }
-            };
-
-        if workers <= 1 {
-            let mut scratch = RunScratch::new();
-            for job in &jobs {
-                for (index, outcome) in run_job(job, &mut scratch) {
-                    collect(index, outcome, &mut emit);
+            },
+            |index, (ok, value)| {
+                if ok {
+                    succeeded += 1;
+                } else {
+                    failed += 1;
                 }
-            }
-        } else {
-            let (tx, rx) = mpsc::channel::<(usize, Result<ScenarioOutcome, JaError>)>();
-            let cursor = AtomicUsize::new(0);
-            thread::scope(|scope| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let jobs = &jobs;
-                    let cursor = &cursor;
-                    let run_job = &run_job;
-                    scope.spawn(move || {
-                        let mut scratch = RunScratch::new();
-                        loop {
-                            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                            if start >= jobs.len() {
-                                break;
-                            }
-                            let end = start.saturating_add(chunk).min(jobs.len());
-                            for job in &jobs[start..end] {
-                                for item in run_job(job, &mut scratch) {
-                                    if tx.send(item).is_err() {
-                                        return;
-                                    }
-                                }
-                            }
-                        }
-                    });
-                }
-                drop(tx);
-                for (index, outcome) in rx {
-                    collect(index, outcome, &mut emit);
-                }
-            });
-        }
-
-        if let Some(error) = emit_error {
-            return Err(error);
-        }
-        debug_assert_eq!(next, pending.len());
+                emit(skip + index, value)
+            },
+        )?;
+        debug_assert_eq!(succeeded + failed, pending.len());
         Ok(StreamSummary {
             scenarios: scenarios.len(),
             emitted: pending.len(),
@@ -393,11 +320,7 @@ impl BatchRunner {
     }
 }
 
-/// The sink the streaming collector flushes contiguous outcomes into —
-/// named so the collector closure's signature stays readable.
-type EmitSink<'a, E> = &'a mut dyn FnMut(usize, &Result<ScenarioOutcome, JaError>) -> Result<(), E>;
-
-/// What a [`BatchRunner::run_streamed`] call did, counted over the entries
+/// What a [`BatchRunner::run_in_order`] call did, counted over the entries
 /// it emitted (a resumed run reports only its own tail; the caller folds in
 /// the checkpointed counts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -430,8 +353,9 @@ fn route_jobs(scenarios: &[Scenario], routing: SoaRouting) -> Vec<Job> {
         return (0..scenarios.len()).map(Job::Scalar).collect();
     }
     let mut scalar: Vec<usize> = Vec::new();
-    // (representative index, members): few distinct (config, excitation)
-    // pairs per grid, so a linear scan beats hashing the float-laden keys.
+    // (representative index, members): few distinct (config, excitation,
+    // operating point) triples per grid, so a linear scan beats hashing
+    // the float-laden keys.
     let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
     for (index, scenario) in scenarios.iter().enumerate() {
         let groupable = scenario.backend == BackendKind::DirectTimeless
@@ -465,20 +389,26 @@ fn route_jobs(scenarios: &[Scenario], routing: SoaRouting) -> Vec<Job> {
     jobs
 }
 
+/// Where a lockstep group hands each member's `(index, outcome,
+/// wall_clock)` as soon as it is ready.
+type Deliver<'a> = &'a mut dyn FnMut(usize, Result<ScenarioOutcome, JaError>, Duration);
+
 /// Runs one groupable scenario set as a single SoA lockstep sweep, one lane
-/// per scenario, and fans the per-lane results back out in member order.
+/// per scenario, and delivers the per-lane results in member order.
 ///
 /// Lane outcomes are bit-identical to the scalar path (the batch runs `f64`
 /// columns); only the timing fields differ — each member is attributed an
 /// equal share of the group's wall clock, since the lanes genuinely ran
-/// together.  A group whose shared configuration fails validation falls
-/// back to the scalar path, which reports the same per-scenario error the
-/// group would have masked.
+/// together.  A group whose shared configuration fails validation, or one
+/// of whose members has an operating point that does not resolve, falls
+/// back to the scalar path, which reports the exact per-scenario error the
+/// group would have masked (and still succeeds the valid members).
 fn run_lockstep_group(
     scenarios: &[Scenario],
     members: &[usize],
     scratch: &mut RunScratch,
-) -> Vec<(Result<ScenarioOutcome, JaError>, Duration)> {
+    deliver: Deliver<'_>,
+) {
     let first = &scenarios[members[0]];
     let reusable = scratch
         .soa
@@ -487,40 +417,18 @@ fn run_lockstep_group(
     if !reusable {
         match SoaBatch::new(first.config, SoaPrecision::F64) {
             Ok(batch) => scratch.soa = Some(batch),
-            Err(_) => {
-                // Invalid shared configuration: every member fails the same
-                // way; the scalar path produces the exact error.
-                return members
-                    .iter()
-                    .map(|&index| {
-                        let t0 = Instant::now();
-                        let outcome = scenarios[index].run_with_scratch(scratch);
-                        (outcome, t0.elapsed())
-                    })
-                    .collect();
-            }
+            Err(_) => return run_members_scalar(scenarios, members, scratch, deliver),
         }
     }
 
     // Thermal derivation happens here through the same `resolved_params`
     // the scalar path runs — the lanes and the scalar model must consume
-    // bit-identical parameters.  A member whose operating point is out of
-    // range sends the whole group down the scalar path, which reports the
-    // exact per-scenario error (and still succeeds the valid members).
+    // bit-identical parameters.
     scratch.lane_params.clear();
     for &index in members {
         match scenarios[index].resolved_params() {
             Ok(params) => scratch.lane_params.push(params),
-            Err(_) => {
-                return members
-                    .iter()
-                    .map(|&index| {
-                        let t0 = Instant::now();
-                        let outcome = scenarios[index].run_with_scratch(scratch);
-                        (outcome, t0.elapsed())
-                    })
-                    .collect();
-            }
+            Err(_) => return run_members_scalar(scenarios, members, scratch, deliver),
         }
     }
 
@@ -547,16 +455,14 @@ fn run_lockstep_group(
     batch.run_samples_into_curves(samples, &mut lane_curves[..members.len()]);
     let share = t0.elapsed() / members.len() as u32;
 
-    members
-        .iter()
-        .enumerate()
-        .map(|(lane, &index)| match batch.lane_error(lane) {
-            Some(err) => (Err(err.clone()), share),
+    for (lane, &index) in members.iter().enumerate() {
+        let outcome = match batch.lane_error(lane) {
+            Some(err) => Err(err.clone()),
             None => {
                 let curve = std::mem::take(&mut lane_curves[lane]);
                 let metrics = loop_analysis::loop_metrics(&curve).ok();
                 let loss = scenarios[index].loss_breakdown(&curve);
-                let outcome = ScenarioOutcome {
+                Ok(ScenarioOutcome {
                     name: scenarios[index].name.clone(),
                     backend: scenarios[index].backend,
                     curve,
@@ -570,11 +476,26 @@ fn run_lockstep_group(
                     transient: None,
                     runtime: share,
                     lockstep_lanes: Some(members.len()),
-                };
-                (Ok(outcome), share)
+                })
             }
-        })
-        .collect()
+        };
+        deliver(index, outcome, share);
+    }
+}
+
+/// The lockstep fallback: runs every group member on the scalar path, one
+/// at a time, timing each like a scalar job.
+fn run_members_scalar(
+    scenarios: &[Scenario],
+    members: &[usize],
+    scratch: &mut RunScratch,
+    deliver: Deliver<'_>,
+) {
+    for &index in members {
+        let t0 = Instant::now();
+        let outcome = scenarios[index].run_with_scratch(scratch);
+        deliver(index, outcome, t0.elapsed());
+    }
 }
 
 /// Resolves a configured worker count for `jobs` units of work: `0` means
@@ -590,24 +511,35 @@ pub fn resolved_workers(configured: usize, jobs: usize) -> usize {
     configured.min(jobs).max(1)
 }
 
+/// Aggregate speedup estimate of a parallel run: the summed per-job wall
+/// clocks over the run's elapsed time (0 when the run was too fast to
+/// measure).  Shared by the batch and fit reports.
+pub(crate) fn speedup_estimate(serial: Duration, elapsed: Duration) -> f64 {
+    let elapsed = elapsed.as_secs_f64();
+    if elapsed > 0.0 {
+        serial.as_secs_f64() / elapsed
+    } else {
+        0.0
+    }
+}
+
 /// Runs `run` over every job on a pool of `workers` scoped threads and
-/// returns the results **in job order** — the generic core of
-/// [`BatchRunner`], also used by the multi-start fitting batches of
-/// [`crate::fit`].
+/// returns the results **in job order** — a collect over the in-order pool
+/// that also powers [`BatchRunner`], used by the multi-start fitting
+/// batches of [`crate::fit`].
 ///
 /// Each worker claims `chunk` jobs at a time from a shared atomic cursor
 /// and keeps one instance of worker-local state (built by `make_state`)
 /// alive across all the jobs it executes — the scratch-reuse pattern that
 /// keeps per-job construction and allocator traffic off the hot path.
-/// Results are tagged with their job index and re-sorted, so as long as
-/// `run` is a pure function of the job (plus state that `run` fully resets
-/// or overwrites per job), the output is **deterministic**: identical for
-/// any worker count, including the inline `workers <= 1` path that spawns
-/// no threads at all.
+/// As long as `run` is a pure function of the job (plus state that `run`
+/// fully resets or overwrites per job), the output is **deterministic**:
+/// identical for any worker count, including the inline `workers <= 1`
+/// path that spawns no threads at all.
 ///
 /// Cross-job coordination (e.g. fail-fast abort) lives in the closure:
 /// capture an [`AtomicBool`] and consult it per job, as
-/// [`BatchRunner::run`] does.
+/// [`BatchRunner::run_in_order`] does.
 pub fn parallel_map<T, S, R, FS, F>(
     jobs: &[T],
     workers: usize,
@@ -621,19 +553,76 @@ where
     FS: Fn() -> S + Sync,
     F: Fn(&T, &mut S) -> R + Sync,
 {
+    let mut results = Vec::with_capacity(jobs.len());
+    in_order(
+        jobs,
+        workers,
+        chunk,
+        make_state,
+        |index, job, state, sink| sink(index, run(job, state)),
+        |_, result| {
+            results.push(result);
+            Ok::<(), Infallible>(())
+        },
+    )
+    .unwrap_or_else(|never| match never {});
+    results
+}
+
+/// The worker pool under every executor in this module.
+///
+/// Workers claim `chunk` jobs at a time from a shared atomic cursor, keep
+/// one `make_state` instance alive across their jobs, and pass
+/// `run(job_index, job, state, sink)` a `sink` that accepts
+/// `(output_index, value)` pairs — a job may produce any number of
+/// outputs, and the output indices of all jobs together must be exactly
+/// `0..n`.  Values travel over a channel to the calling thread, which
+/// parks them in a reorder buffer and hands them to `emit` in output-index
+/// order.  With `workers <= 1` everything runs inline, no threads spawned.
+///
+/// After the first `emit` error, remaining values are still collected (the
+/// workers drain) but no longer emitted; that error is returned.
+fn in_order<T, S, R, E>(
+    jobs: &[T],
+    workers: usize,
+    chunk: usize,
+    make_state: impl Fn() -> S + Sync,
+    run: impl Fn(usize, &T, &mut S, &mut dyn FnMut(usize, R)) + Sync,
+    mut emit: impl FnMut(usize, R) -> Result<(), E>,
+) -> Result<(), E>
+where
+    T: Sync,
+    R: Send,
+{
     let chunk = chunk.max(1);
+    let mut buffered: BTreeMap<usize, R> = BTreeMap::new();
+    let mut next = 0_usize;
+    let mut result = Ok(());
+    let mut collect = |index: usize, value: R| {
+        buffered.insert(index, value);
+        while let Some(value) = buffered.remove(&next) {
+            if result.is_ok() {
+                result = emit(next, value);
+            }
+            next += 1;
+        }
+    };
+
     if workers <= 1 {
         let mut state = make_state();
-        return jobs.iter().map(|job| run(job, &mut state)).collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, R)>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
+        for (index, job) in jobs.iter().enumerate() {
+            run(index, job, &mut state, &mut collect);
+        }
+    } else {
+        let (tx, rx) = mpsc::channel::<(usize, R)>();
+        let cursor = AtomicUsize::new(0);
+        thread::scope(|scope| {
+            for _ in 0..workers {
+                let tx = tx.clone();
+                let (cursor, make_state, run) = (&cursor, &make_state, &run);
+                scope.spawn(move || {
                     let mut state = make_state();
-                    let mut local = Vec::new();
+                    let mut closed = false;
                     loop {
                         let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                         if start >= jobs.len() {
@@ -641,27 +630,24 @@ where
                         }
                         let end = start.saturating_add(chunk).min(jobs.len());
                         for (index, job) in jobs.iter().enumerate().take(end).skip(start) {
-                            local.push((index, run(job, &mut state)));
+                            run(index, job, &mut state, &mut |output, value| {
+                                closed |= tx.send((output, value)).is_err();
+                            });
+                            if closed {
+                                return;
+                            }
                         }
                     }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("parallel_map worker panicked"))
-            .collect()
-    });
-
-    let mut results: Vec<Option<R>> = (0..jobs.len()).map(|_| None).collect();
-    for (index, result) in per_worker.into_iter().flatten() {
-        results[index] = Some(result);
+                });
+            }
+            drop(tx);
+            for (index, value) in rx {
+                collect(index, value);
+            }
+        });
     }
-    results
-        .into_iter()
-        .map(|slot| slot.expect("every job index produced exactly one result"))
-        .collect()
+    debug_assert!(buffered.is_empty(), "every output index was produced");
+    result
 }
 
 /// Worker-local reusable state for running scenarios.
@@ -1088,11 +1074,22 @@ mod tests {
     ) -> (Emitted, StreamSummary) {
         let mut collected = Vec::new();
         let summary = runner
-            .run_streamed(scenarios, skip, |index, outcome| {
-                collected.push((index, outcome.clone()));
-                Ok::<(), std::convert::Infallible>(())
-            })
-            .expect("infallible emit");
+            .run_in_order(
+                scenarios,
+                skip,
+                |index, outcome, _| {
+                    // The reduce step sees the absolute grid index.
+                    if let Ok(ok) = &outcome {
+                        assert_eq!(ok.name, scenarios[index].name);
+                    }
+                    outcome
+                },
+                |index, outcome| {
+                    collected.push((index, outcome));
+                    Ok::<(), Infallible>(())
+                },
+            )
+            .unwrap_or_else(|never| match never {});
         (collected, summary)
     }
 
@@ -1148,16 +1145,18 @@ mod tests {
         let scenarios = small_grid().scenarios().expect("grid");
         for workers in [1, 4] {
             let mut emitted = 0_usize;
-            let result =
-                BatchRunner::new()
-                    .workers(workers)
-                    .run_streamed(&scenarios, 0, |index, _| {
-                        if index >= 2 {
-                            return Err("sink full");
-                        }
-                        emitted += 1;
-                        Ok(())
-                    });
+            let result = BatchRunner::new().workers(workers).run_in_order(
+                &scenarios,
+                0,
+                |_, _, _| (),
+                |index, ()| {
+                    if index >= 2 {
+                        return Err("sink full");
+                    }
+                    emitted += 1;
+                    Ok(())
+                },
+            );
             assert_eq!(result.unwrap_err(), "sink full");
             assert_eq!(emitted, 2, "{workers} workers");
         }

@@ -222,12 +222,7 @@ impl FitReport {
     /// over [`elapsed`](Self::elapsed) (0 when the batch was empty or too
     /// fast to measure).
     pub fn speedup(&self) -> f64 {
-        let elapsed = self.elapsed.as_secs_f64();
-        if elapsed > 0.0 {
-            self.serial_runtime().as_secs_f64() / elapsed
-        } else {
-            0.0
-        }
+        crate::exec::speedup_estimate(self.serial_runtime(), self.elapsed)
     }
 }
 

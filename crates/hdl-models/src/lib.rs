@@ -24,10 +24,11 @@
 //!   samples) or circuit-driven ([`scenario::CircuitExcitation`]): a
 //!   declarative source→R→wound-core netlist whose transient solution —
 //!   fixed-step or adaptive — supplies the applied-field trajectory;
-//! * [`exec`] — the parallel batch executor behind `run_batch`:
-//!   [`exec::BatchRunner`] distributes a scenario grid over scoped worker
-//!   threads with deterministic, input-ordered reports, and exposes the
-//!   generic [`exec::parallel_map`] pool underneath;
+//! * [`exec`] — the parallel batch executor behind `run_batch` and every
+//!   report writer: [`exec::BatchRunner::run_in_order`] distributes a
+//!   scenario grid over scoped worker threads, reduces each outcome on its
+//!   worker and emits the reduced values in input order; the generic
+//!   [`exec::parallel_map`] is a collect over the same pool;
 //! * [`fit`] — multi-start parallel parameter extraction:
 //!   [`fit::fit_batch`] fans seeded starting points (and whole libraries
 //!   of measured loops) across the same worker pool and keeps the best

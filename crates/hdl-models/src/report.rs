@@ -18,8 +18,9 @@
 //!   [`JaStatistics`] field names; both are part of the schema and only
 //!   change with a [`SCHEMA_VERSION`] bump.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use ja_hysteresis::error::JaError;
 use ja_hysteresis::json::{
     content_hash, JsonValue, StreamDigest, SCHEMA_VERSION, SCHEMA_VERSION_KEY,
 };
@@ -28,8 +29,9 @@ use magnetics::loop_analysis::LoopMetrics;
 use magnetics::losses::CoreLoss;
 use magnetics::material::JaParameters;
 
+use crate::exec::{speedup_estimate, BatchRunner, StreamSummary};
 use crate::fit::{FitReport, LoopFit, StartFit};
-use crate::scenario::{AgreementReport, BatchEntry, BatchReport, ScenarioOutcome, TransientStats};
+use crate::scenario::{AgreementReport, BatchReport, Scenario, ScenarioOutcome, TransientStats};
 
 /// A fresh report object carrying the shared envelope: `schema_version`
 /// first, then `kind`.
@@ -165,44 +167,38 @@ pub fn outcome_value(outcome: &ScenarioOutcome, timings: bool) -> JsonValue {
     obj
 }
 
-/// Serialises one batch entry (outcome or failure).
+/// Serialises one batch entry (outcome or failure) from its parts — the
+/// form the reduce step of [`BatchRunner::run_in_order`] renders on the
+/// worker, right before the outcome is dropped.
 ///
 /// Failed entries get `status: "error"` (or `"cancelled"` for entries a
 /// fail-fast batch never ran) and an `error` message instead of the
 /// outcome fields.  With `timings`, adds `wall_clock_ns` (backend
 /// construction + sweep + metric extraction on the worker).
-pub fn entry_value(entry: &BatchEntry, timings: bool) -> JsonValue {
-    let mut obj = stream_entry_value(&entry.scenario.name, &entry.outcome, timings);
-    if timings {
-        obj.push("wall_clock_ns", duration_ns(entry.wall_clock));
-    }
-    obj
-}
-
-/// The entry-shaped document for a scenario outcome that is **not** stored
-/// in a [`BatchEntry`] — the form the streaming path serialises from, where
-/// the outcome is dropped right after rendering.  Identical to
-/// [`entry_value`] minus the wall-clock field (streamed records never carry
-/// timings).
-pub fn stream_entry_value(
+pub fn entry_value(
     name: &str,
-    outcome: &Result<ScenarioOutcome, ja_hysteresis::error::JaError>,
+    outcome: &Result<ScenarioOutcome, JaError>,
+    wall_clock: Duration,
     timings: bool,
 ) -> JsonValue {
-    match outcome {
+    let mut obj = match outcome {
         Ok(outcome) => outcome_value(outcome, timings),
         Err(err) => JsonValue::object()
             .with("scenario", name)
             .with(
                 "status",
-                if matches!(err, ja_hysteresis::error::JaError::Cancelled) {
+                if matches!(err, JaError::Cancelled) {
                     "cancelled"
                 } else {
                     "error"
                 },
             )
             .with("error", err.to_string()),
+    };
+    if timings {
+        obj.push("wall_clock_ns", duration_ns(wall_clock));
     }
+    obj
 }
 
 /// One NDJSON record line (newline-terminated) for grid entry `index`.
@@ -217,10 +213,10 @@ pub fn stream_entry_value(
 pub fn ndjson_record(
     index: usize,
     name: &str,
-    outcome: &Result<ScenarioOutcome, ja_hysteresis::error::JaError>,
+    outcome: &Result<ScenarioOutcome, JaError>,
 ) -> String {
     let mut obj = JsonValue::object().with("index", index);
-    if let JsonValue::Object(fields) = stream_entry_value(name, outcome, false) {
+    if let JsonValue::Object(fields) = entry_value(name, outcome, Duration::ZERO, false) {
         for (key, value) in fields {
             obj.push(key, value);
         }
@@ -261,7 +257,7 @@ pub fn ndjson_manifest(
 /// excitation/backend/config/material, so a checkpoint stamped with this
 /// digest refuses to resume against a different grid (or the same grid in
 /// a different order — index-based resume depends on order).
-pub fn grid_digest(scenarios: &[crate::scenario::Scenario]) -> u128 {
+pub fn grid_digest(scenarios: &[Scenario]) -> u128 {
     content_hash(&JsonValue::Array(
         scenarios
             .iter()
@@ -386,8 +382,8 @@ impl StreamCheckpoint {
 /// [`std::io::ErrorKind::InvalidData`]) a resume checkpoint that does not
 /// belong to `scenarios`.
 pub fn write_ndjson_batch<W>(
-    runner: &crate::exec::BatchRunner,
-    scenarios: &[crate::scenario::Scenario],
+    runner: &BatchRunner,
+    scenarios: &[Scenario],
     resume: Option<&StreamCheckpoint>,
     out: &mut W,
     mut after_record: impl FnMut(&StreamCheckpoint, &mut W) -> std::io::Result<()>,
@@ -423,20 +419,28 @@ where
         },
     };
     let mut digest = StreamDigest::from_state(state.digest_state);
-    runner.run_streamed(scenarios, state.entries, |index, outcome| {
-        let record = ndjson_record(index, &scenarios[index].name, outcome);
-        digest.update(record.as_bytes());
-        out.write_all(record.as_bytes())?;
-        state.entries = index + 1;
-        state.byte_offset += record.len() as u64;
-        if outcome.is_ok() {
-            state.succeeded += 1;
-        } else {
-            state.failed += 1;
-        }
-        state.digest_state = digest.state();
-        after_record(&state, out)
-    })?;
+    runner.run_in_order(
+        scenarios,
+        state.entries,
+        // Records render on the workers; only their bytes reach the writer.
+        |index, outcome, _| {
+            let record = ndjson_record(index, &scenarios[index].name, &outcome);
+            (record, outcome.is_ok())
+        },
+        |index, (record, ok)| {
+            digest.update(record.as_bytes());
+            out.write_all(record.as_bytes())?;
+            state.entries = index + 1;
+            state.byte_offset += record.len() as u64;
+            if ok {
+                state.succeeded += 1;
+            } else {
+                state.failed += 1;
+            }
+            state.digest_state = digest.state();
+            after_record(&state, out)
+        },
+    )?;
     let manifest = ndjson_manifest(scenarios.len(), state.succeeded, state.failed, &digest);
     out.write_all(manifest.as_bytes())?;
     out.flush()?;
@@ -450,28 +454,69 @@ where
 /// adds `workers`, `elapsed_ns`, `serial_ns` and `speedup` (all of which
 /// vary run to run, which is why they are opt-in).
 pub fn batch_report_value(report: &BatchReport, timings: bool) -> JsonValue {
+    batch_document(
+        report
+            .entries
+            .iter()
+            .map(|e| entry_value(&e.scenario.name, &e.outcome, e.wall_clock, timings))
+            .collect(),
+        report.successes().count(),
+        timings.then(|| (report.workers, report.elapsed, report.serial_runtime())),
+    )
+}
+
+/// Runs `scenarios` and serialises the run as the same `kind: "batch"`
+/// report [`batch_report_value`] builds from a [`BatchReport`] — but each
+/// entry is rendered on its worker by the reduce step of
+/// [`BatchRunner::run_in_order`], so only rendered entries are buffered
+/// and no scenario's curve outlives its job.  This is the stored-report
+/// path of `ja batch --format json` and of served `batch_request`s.
+///
+/// Returns the document and the run's [`StreamSummary`] (for the failure
+/// count that decides an exit status).
+pub fn run_batch_report(
+    runner: &BatchRunner,
+    scenarios: &[Scenario],
+    timings: bool,
+) -> (JsonValue, StreamSummary) {
+    let started = Instant::now();
+    let (reduced, summary) = runner.run_reduced(scenarios, |index, outcome, wall_clock| {
+        let entry = entry_value(&scenarios[index].name, &outcome, wall_clock, timings);
+        (entry, wall_clock)
+    });
+    let serial = reduced.iter().map(|(_, wall_clock)| *wall_clock).sum();
+    let elapsed = started.elapsed();
+    let entries = reduced.into_iter().map(|(entry, _)| entry).collect();
+    let document = batch_document(
+        entries,
+        summary.succeeded,
+        timings.then_some((summary.workers, elapsed, serial)),
+    );
+    (document, summary)
+}
+
+/// The one `kind: "batch"` document builder: the envelope, the counts,
+/// the rendered `entries` and — given `(workers, elapsed, serial)` — the
+/// opt-in `timing` object.
+fn batch_document(
+    entries: Vec<JsonValue>,
+    succeeded: usize,
+    timing: Option<(usize, Duration, Duration)>,
+) -> JsonValue {
+    let scenarios = entries.len();
     let mut obj = report_envelope("batch")
-        .with("scenarios", report.entries.len())
-        .with("succeeded", report.successes().count())
-        .with("failed", report.entries.len() - report.successes().count())
-        .with(
-            "entries",
-            JsonValue::Array(
-                report
-                    .entries
-                    .iter()
-                    .map(|entry| entry_value(entry, timings))
-                    .collect(),
-            ),
-        );
-    if timings {
+        .with("scenarios", scenarios)
+        .with("succeeded", succeeded)
+        .with("failed", scenarios - succeeded)
+        .with("entries", JsonValue::Array(entries));
+    if let Some((workers, elapsed, serial)) = timing {
         obj.push(
             "timing",
             JsonValue::object()
-                .with("workers", report.workers)
-                .with("elapsed_ns", duration_ns(report.elapsed))
-                .with("serial_ns", duration_ns(report.serial_runtime()))
-                .with("speedup", report.speedup()),
+                .with("workers", workers)
+                .with("elapsed_ns", duration_ns(elapsed))
+                .with("serial_ns", duration_ns(serial))
+                .with("speedup", speedup_estimate(serial, elapsed)),
         );
     }
     obj

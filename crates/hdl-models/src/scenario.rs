@@ -1227,12 +1227,7 @@ impl BatchReport {
     /// `batch_scaling` bench measures the real thing against a 1-worker
     /// run.
     pub fn speedup(&self) -> f64 {
-        let elapsed = self.elapsed.as_secs_f64();
-        if elapsed > 0.0 {
-            self.serial_runtime().as_secs_f64() / elapsed
-        } else {
-            0.0
-        }
+        crate::exec::speedup_estimate(self.serial_runtime(), self.elapsed)
     }
 
     /// Looks an outcome up by scenario name.
