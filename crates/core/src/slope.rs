@@ -74,15 +74,43 @@ pub fn evaluate_irreversible_slope(
     direction: FieldDirection,
     clamp_negative: bool,
 ) -> SlopeEvaluation {
+    irreversible_slope(
+        |h_effective| anhysteretic.normalised(h_effective),
+        params,
+        formulation,
+        h,
+        m_irr,
+        m_total,
+        direction.delta(),
+        clamp_negative,
+    )
+}
+
+/// [`evaluate_irreversible_slope`] with the anhysteretic law given as a
+/// closure `H_e ↦ m_an` and the direction as its sign `δ`: the one copy of
+/// Eq. 1, generic so the lockstep kernel can inline its per-lane law and
+/// evaluate many lanes branch-free.
+#[allow(clippy::too_many_arguments)] // mirrors the terms of Eq. 1 one-to-one
+#[inline(always)]
+pub(crate) fn irreversible_slope<F: FnOnce(f64) -> f64>(
+    normalised: F,
+    params: &JaParameters,
+    formulation: Formulation,
+    h: f64,
+    m_irr: f64,
+    m_total: f64,
+    delta: f64,
+    clamp_negative: bool,
+) -> SlopeEvaluation {
     let m_sat = params.m_sat.value();
     let h_effective = h + params.alpha * m_sat * m_total;
-    let m_an = anhysteretic.normalised(h_effective);
+    let m_an = normalised(h_effective);
     let m_drive = match formulation {
         Formulation::Date2006 => m_total,
         Formulation::Classic => m_irr,
     };
     let delta_m = m_an - m_drive;
-    let dk = direction.delta() * params.k;
+    let dk = delta * params.k;
     let denominator = (1.0 + params.c) * (dk - params.alpha * m_sat * delta_m);
     let raw_slope = if denominator.abs() < f64::MIN_POSITIVE {
         // Degenerate denominator: treat as an unbounded slope of the sign of

@@ -13,16 +13,20 @@
 //!
 //! * the **lockstep kernel** (arctangent anhysteretic laws, i.e. the
 //!   paper's modified Langevin and the two-parameter blend): all lanes walk
-//!   the sample sequence together, and the per-sample self-consistency
-//!   fixed point runs as a branch-light lane-inner loop over the flat
-//!   columns.  The heavy arctangents go through the shared polynomial
+//!   the sample sequence together, and both steps of each sample run as
+//!   branch-light lane-inner loops over the flat columns.  The monitorH
+//!   gate and the forward-Euler update are masked per lane and evaluate
+//!   the scalar model's own [`euler_substep`] (Heun, RK4 and subdivided
+//!   increments fall back to a per-lane [`integrate_field_increment`]
+//!   call); the self-consistency fixed point runs under a convergence mask
+//!   and stops as soon as every live lane has converged.  The heavy
+//!   arctangents go through the shared polynomial
 //!   [`magnetics::fastmath::atan`], a fixed inlineable operation sequence,
 //!   so independent lanes pipeline and auto-vectorise instead of
 //!   serialising on an opaque libm call — this is where the SoA speedup
 //!   comes from.  Per lane the operation order is exactly the scalar
-//!   model's ([`advance_state`] shares the
-//!   same constants and increment routine), which keeps `f64` lanes
-//!   bitwise equal;
+//!   model's ([`advance_state`] shares the same constants and increment
+//!   functions), which keeps `f64` lanes bitwise equal;
 //! * the **per-lane fallback** (classic Langevin law): each lane walks the
 //!   whole sequence delegating every step to
 //!   [`advance_state`] itself — trivially
@@ -54,14 +58,14 @@ use magnetics::fastmath;
 use magnetics::material::JaParameters;
 use magnetics::units::Magnetisation;
 
-use crate::config::JaConfig;
+use crate::config::{JaConfig, SlopeIntegration};
 use crate::error::JaError;
 use crate::model::JaStatistics;
 use crate::params::AnhystereticChoice;
 use crate::state::JaState;
 use crate::timeless::{
-    advance_state, integrate_field_increment, total_magnetisation, FIXED_POINT_ITERATIONS,
-    FIXED_POINT_TOLERANCE,
+    advance_state, euler_substep, integrate_field_increment, total_magnetisation,
+    FIXED_POINT_ITERATIONS, FIXED_POINT_TOLERANCE,
 };
 
 /// Numeric storage of the per-lane state columns.
@@ -199,16 +203,25 @@ pub struct SoaBatch {
     scratch: LockstepScratch,
 }
 
-/// Reusable `f64` working buffers of the lockstep kernel: the state fields
-/// every lane carries across one sample, plus the per-lane convergence mask
-/// of the fixed point.  Kept on the batch so steady-state re-runs allocate
-/// nothing.
+/// Reusable working buffers of the lockstep kernel: the `f64` state fields
+/// every lane carries across one sample, plus the per-lane masks of the
+/// update phase and of the fixed point.  Kept on the batch so steady-state
+/// re-runs allocate nothing.
 #[derive(Debug, Clone, Default)]
 struct LockstepScratch {
     m_irr: Vec<f64>,
     m_total: Vec<f64>,
     m_an: Vec<f64>,
     h_last: Vec<f64>,
+    /// The lane has no error yet.
+    live: Vec<bool>,
+    /// The lane passed this sample's monitorH gate.
+    due: Vec<bool>,
+    /// This sample's update saw a negative raw slope.
+    negative: Vec<bool>,
+    /// This sample's update was rejected by the opposing-sign guard.
+    rejected: Vec<bool>,
+    /// The lane's fixed point has converged (or the lane is not live).
     done: Vec<bool>,
 }
 
@@ -564,21 +577,28 @@ fn run_columns<T: ColumnScalar>(
 ///
 /// Per sample, three phases mirror [`advance_state`] exactly:
 ///
-/// 1. **gate + irreversible update** (per lane): when the shared field has
-///    moved by `ΔH_max` since the lane's last update, the lane's
-///    irreversible magnetisation advances through the *same*
-///    [`integrate_field_increment`] routine the scalar model calls;
+/// 1. **gate + irreversible update**: when the shared field has moved by
+///    `ΔH_max` since a lane's last update, the lane's irreversible
+///    magnetisation advances.  For single-step forward Euler (the paper's
+///    method and the default configuration) this phase is lane-inner: the
+///    gate is a mask, and every due sample evaluates the shared
+///    [`euler_substep`] — slope, clamp, `ΔH·slope` and the opposing-sign
+///    guard — over the flat columns, then bumps the per-lane counters.
+///    Heun, RK4 and subdivided increments fall back to a per-lane call of
+///    [`integrate_field_increment`], the routine the scalar model calls;
 /// 2. **self-consistency fixed point** (lane-inner, branch-light): the
 ///    [`FIXED_POINT_ITERATIONS`]-capped iteration runs over the flat
 ///    columns with a per-lane convergence mask replacing the scalar early
 ///    `break` — converged lanes keep their values through selects, so per
 ///    lane the applied operation sequence is unchanged while the loop body
 ///    stays free of data-dependent branches and the polynomial arctangents
-///    of adjacent lanes pipeline/vectorise;
-/// 3. **finalise** (per lane): rebuild the reversible part, store through
-///    the column precision (`f32` mode rounds here, exactly like the
-///    fallback path), detect divergence and append the lane's curve point
-///    from the post-rounding column values.
+///    of adjacent lanes pipeline/vectorise.  Lanes with an error start out
+///    done, and the iteration stops as soon as every lane is done: a done
+///    lane's values no longer change, so stopping early changes no bits;
+/// 3. **finalise** (per live lane): count the sample, rebuild the
+///    reversible part, store through the column precision (`f32` mode
+///    rounds here, exactly like the fallback path), detect divergence and
+///    append the lane's curve point from the post-rounding column values.
 #[allow(clippy::too_many_arguments)]
 fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
     columns: &mut StateColumns<T>,
@@ -595,8 +615,8 @@ fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
     let lanes = stats.len();
     assert_eq!(man.lanes(), lanes, "lockstep law must cover every lane");
     // Exactly-sized slices let the optimiser prove every `[lane]` access in
-    // the hot fixed-point loop is in bounds, which is what allows it to
-    // vectorise the loop across lanes.
+    // the hot lane-inner loops is in bounds, which is what allows it to
+    // vectorise them across lanes.
     let [m_sat, a, a2, k, alpha, c] = params;
     let m_sat = &m_sat[..lanes];
     let a = &a[..lanes];
@@ -604,6 +624,16 @@ fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
     let k = &k[..lanes];
     let alpha = &alpha[..lanes];
     let c = &c[..lanes];
+    let lane_params = |lane: usize| JaParameters {
+        m_sat: Magnetisation::new(m_sat[lane]),
+        a: a[lane],
+        a2: a2[lane],
+        k: k[lane],
+        alpha: alpha[lane],
+        c: c[lane],
+    };
+    let lane_inner_update =
+        config.integration == SlopeIntegration::ForwardEuler && !config.subdivide_increment;
 
     for buffer in [
         &mut work.m_irr,
@@ -620,24 +650,41 @@ fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
         work.m_an.push(columns.m_an[lane].to_f64());
         work.h_last.push(columns.h_last_update[lane].to_f64());
     }
-    work.done.clear();
-    work.done.resize(lanes, false);
+    work.live.clear();
+    work.live.extend(errors.iter().map(Option::is_none));
+    for mask in [
+        &mut work.due,
+        &mut work.negative,
+        &mut work.rejected,
+        &mut work.done,
+    ] {
+        mask.clear();
+        mask.resize(lanes, false);
+    }
     let LockstepScratch {
         m_irr: w_m_irr,
         m_total: w_m_total,
         m_an: w_m_an,
         h_last: w_h_last,
+        live: w_live,
+        due: w_due,
+        negative: w_negative,
+        rejected: w_rejected,
         done: w_done,
     } = work;
     let w_m_irr = &mut w_m_irr[..lanes];
     let w_m_total = &mut w_m_total[..lanes];
     let w_m_an = &mut w_m_an[..lanes];
     let w_h_last = &mut w_h_last[..lanes];
+    let w_live = &mut w_live[..lanes];
+    let w_due = &mut w_due[..lanes];
+    let w_negative = &mut w_negative[..lanes];
+    let w_rejected = &mut w_rejected[..lanes];
     let w_done = &mut w_done[..lanes];
 
     for (lane, curve) in curves.iter_mut().enumerate() {
         curve.clear();
-        if errors[lane].is_none() {
+        if w_live[lane] {
             curve.reserve(samples.len());
         }
     }
@@ -655,24 +702,63 @@ fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
         }
 
         // Phase 1 — the paper's monitorH gate and irreversible update.
-        for lane in 0..lanes {
-            if errors[lane].is_some() {
-                continue;
+        if lane_inner_update {
+            let mut any_due = false;
+            for lane in 0..lanes {
+                let due = w_live[lane] && (h - w_h_last[lane]).abs() >= config.dh_max;
+                w_due[lane] = due;
+                any_due |= due;
             }
-            stats[lane].samples += 1;
-            let h_last = w_h_last[lane];
-            let dh_accumulated = h - h_last;
-            if dh_accumulated.abs() >= config.dh_max {
-                let lane_params = JaParameters {
-                    m_sat: Magnetisation::new(m_sat[lane]),
-                    a: a[lane],
-                    a2: a2[lane],
-                    k: k[lane],
-                    alpha: alpha[lane],
-                    c: c[lane],
-                };
+            if any_due {
+                for lane in 0..lanes {
+                    let h_last = w_h_last[lane];
+                    let m_irr = w_m_irr[lane];
+                    // A due lane's increment is never zero (`ΔH_max > 0`),
+                    // so its sign is the scalar model's `FieldDirection`.
+                    let dh = h - h_last;
+                    let delta = if dh > 0.0 { 1.0 } else { -1.0 };
+                    let step = euler_substep(
+                        |h_effective| man.m_an(lane, h_effective),
+                        &lane_params(lane),
+                        config,
+                        delta,
+                        h_last,
+                        dh,
+                        m_irr,
+                        w_m_total[lane],
+                    );
+                    // The same `m_irr + (m_irr' − m_irr)` round trip as
+                    // `advance_state` adding `IncrementResult::dm_irr`.
+                    let due = w_due[lane];
+                    w_m_irr[lane] = if due {
+                        m_irr + (step.m_irr - m_irr)
+                    } else {
+                        m_irr
+                    };
+                    w_h_last[lane] = if due { h } else { h_last };
+                    w_negative[lane] = step.negative_slope;
+                    w_rejected[lane] = step.rejected;
+                }
+                for lane in 0..lanes {
+                    if !w_due[lane] {
+                        continue;
+                    }
+                    columns.updates[lane] += 1;
+                    let lane_stats = &mut stats[lane];
+                    lane_stats.updates += 1;
+                    lane_stats.slope_evaluations += 1;
+                    lane_stats.negative_slope_events += u64::from(w_negative[lane]);
+                    lane_stats.rejected_updates += u64::from(w_rejected[lane]);
+                }
+            }
+        } else {
+            for lane in 0..lanes {
+                let h_last = w_h_last[lane];
+                if !w_live[lane] || (h - h_last).abs() < config.dh_max {
+                    continue;
+                }
                 let result = integrate_field_increment(
-                    &lane_params,
+                    &lane_params(lane),
                     &anhysteretic[lane],
                     config,
                     w_m_irr[lane],
@@ -694,11 +780,13 @@ fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
         // Phase 2 — the paper's core(): the self-consistency fixed point,
         // in lockstep.  The convergence mask replaces the scalar early
         // break; a converged lane carries its values unchanged, so the
-        // per-lane operation sequence matches `advance_state` bit for bit.
-        for done in w_done.iter_mut() {
-            *done = false;
+        // per-lane operation sequence matches `advance_state` bit for bit,
+        // and the sweep ends once no lane is left to converge.
+        for (done, &live) in w_done.iter_mut().zip(w_live.iter()) {
+            *done = !live;
         }
         for _ in 0..FIXED_POINT_ITERATIONS {
+            let mut all_done = true;
             for lane in 0..lanes {
                 let m_total = w_m_total[lane];
                 let h_effective = h + alpha[lane] * m_sat[lane] * m_total;
@@ -709,14 +797,19 @@ fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
                 w_m_an[lane] = if done { w_m_an[lane] } else { m_an };
                 w_m_total[lane] = if done { m_total } else { next };
                 w_done[lane] = done || converged;
+                all_done &= done || converged;
+            }
+            if all_done {
+                break;
             }
         }
 
         // Phase 3 — finalise, store through the column precision, emit.
         for lane in 0..lanes {
-            if errors[lane].is_some() {
+            if !w_live[lane] {
                 continue;
             }
+            stats[lane].samples += 1;
             let state = JaState {
                 m_irr: w_m_irr[lane],
                 m_rev: w_m_total[lane] - w_m_irr[lane],
@@ -729,6 +822,7 @@ fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
             columns.store(lane, &state);
             if !state.is_finite() {
                 errors[lane] = Some(JaError::StateDiverged { at_field: h });
+                w_live[lane] = false;
                 continue;
             }
             // The next sample starts from the stored state (rounded in f32
@@ -894,6 +988,45 @@ mod tests {
         assert!(matches!(batch.lane_error(1), Some(JaError::Material(_))));
         assert_eq!(curves[0].len(), 3);
         assert!(curves[1].is_empty());
+    }
+
+    #[test]
+    fn a_non_finite_sample_mid_sweep_fails_every_live_lane_like_the_scalar_model() {
+        let mut bad = JaParameters::date2006();
+        bad.k = -1.0;
+        let params = [
+            JaParameters::date2006(),
+            bad,
+            JaParameters::hard_steel(),
+            JaParameters::soft_ferrite(),
+        ];
+        let mut samples = FieldSchedule::major_loop(5_000.0, 5.0, 1)
+            .expect("schedule")
+            .to_samples();
+        let cut = samples.len() / 2;
+        samples[cut] = f64::NAN;
+        let config = JaConfig::default();
+        let mut batch = SoaBatch::new(config, SoaPrecision::F64).expect("config");
+        batch.assign(&params);
+        let mut curves = vec![BhCurve::new(); params.len()];
+        batch.run_samples_into_curves(&samples, &mut curves);
+
+        assert!(matches!(batch.lane_error(1), Some(JaError::Material(_))));
+        assert!(curves[1].is_empty());
+        assert_eq!(batch.lane_statistics(1), JaStatistics::default());
+        for lane in [0, 2, 3] {
+            let mut scalar = JilesAtherton::with_config(params[lane], config).expect("valid");
+            let mut reference = BhCurve::new();
+            let error = scalar.run_samples_into(&samples, &mut reference);
+            assert!(matches!(error, Err(JaError::NonFiniteField { value }) if value.is_nan()));
+            assert!(matches!(
+                batch.lane_error(lane),
+                Some(JaError::NonFiniteField { value }) if value.is_nan()
+            ));
+            assert_eq!(curves[lane].len(), cut, "lane {lane} stops at the NaN");
+            assert_eq!(curve_bits(&curves[lane]), curve_bits(&reference));
+            assert_eq!(batch.lane_statistics(lane), scalar.statistics());
+        }
     }
 
     #[test]

@@ -15,7 +15,9 @@ use magnetics::material::JaParameters;
 use crate::config::{Formulation, JaConfig, SlopeIntegration};
 use crate::error::JaError;
 use crate::model::JaStatistics;
-use crate::slope::{evaluate_irreversible_slope, reject_opposing_update, FieldDirection};
+use crate::slope::{
+    evaluate_irreversible_slope, irreversible_slope, reject_opposing_update, FieldDirection,
+};
 use crate::state::JaState;
 
 /// Outcome of integrating one field increment.
@@ -51,11 +53,78 @@ pub fn total_magnetisation(formulation: Formulation, c: f64, m_an: f64, m_irr: f
     }
 }
 
+/// Outcome of one forward-Euler sub-step ([`euler_substep`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EulerSubstep {
+    /// The irreversible magnetisation after the guarded update.
+    pub m_irr: f64,
+    /// The raw slope was negative (and clamped when the guard is active).
+    pub negative_slope: bool,
+    /// The opposing-sign guard rejected the update.
+    pub rejected: bool,
+}
+
+/// Applies the opposing-sign guard to a sub-step's update `dm` and returns
+/// the advanced `m_irr` and whether the guard rejected the update.
+#[inline(always)]
+fn guarded_update(m_irr: f64, dm: f64, dh: f64, config: &JaConfig) -> (f64, bool) {
+    let dm_guarded = reject_opposing_update(dm, dh, config.reject_opposing_update);
+    (m_irr + dm_guarded, dm_guarded != dm)
+}
+
+/// One forward-Euler sub-step of the irreversible magnetisation across
+/// `h → h + dh` — the paper's update: slope, clamp, `dm = ΔH·slope` and the
+/// opposing-sign guard.  `delta` is the sign of the field change and
+/// `normalised` the lane's anhysteretic law.
+///
+/// This is the only copy of the Euler increment math: both
+/// [`integrate_field_increment`] and the lane-inner update of the lockstep
+/// kernel ([`crate::soa`]) call it, which keeps the two bit-identical by
+/// construction.  It is branch-free for a fixed configuration, so the
+/// kernel can evaluate it over all lanes under a mask.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn euler_substep<F: FnOnce(f64) -> f64>(
+    normalised: F,
+    params: &JaParameters,
+    config: &JaConfig,
+    delta: f64,
+    h: f64,
+    dh: f64,
+    m_irr: f64,
+    m_total: f64,
+) -> EulerSubstep {
+    // Mirrors the paper's process ordering: `core()` evaluates the
+    // anhysteretic at the *new* field value before `Integral()` advances
+    // M_irr with the old magnetisation.
+    let eval = irreversible_slope(
+        normalised,
+        params,
+        config.formulation,
+        h + dh,
+        m_irr,
+        m_total,
+        delta,
+        config.clamp_negative_slope,
+    );
+    let (m_irr, rejected) = guarded_update(m_irr, dh * eval.slope, dh, config);
+    EulerSubstep {
+        m_irr,
+        negative_slope: eval.raw_slope < 0.0,
+        rejected,
+    }
+}
+
 /// Integrates the irreversible magnetisation across the field increment
 /// `h_from → h_to`, starting from the normalised state (`m_irr`,
 /// `m_total`).  Returns the accumulated change of `m_irr` and the
 /// integration statistics; the caller is responsible for rebuilding
 /// `m_total` from the result.
+///
+/// Forward Euler goes through [`euler_substep`], the function the lockstep
+/// kernel evaluates lane-parallel.  With subdivision, every sub-step but
+/// the last refreshes the total-magnetisation hint the next one starts
+/// from; after the last nothing reads it, so it is not evaluated.
 pub fn integrate_field_increment(
     params: &JaParameters,
     anhysteretic: &AnhystereticKind,
@@ -82,7 +151,7 @@ pub fn integrate_field_increment(
     let mut m_total_local = m_total;
     let mut h = h_from;
 
-    for _ in 0..substeps {
+    for substep in 1..=substeps {
         let slope_at =
             |h_eval: f64, m_irr_eval: f64, m_total_eval: f64, result: &mut IncrementResult| {
                 let eval = evaluate_irreversible_slope(
@@ -102,13 +171,21 @@ pub fn integrate_field_increment(
                 eval
             };
 
-        let dm = match config.integration {
+        let (m_irr_next, rejected) = match config.integration {
             SlopeIntegration::ForwardEuler => {
-                // Mirrors the paper's process ordering: `core()` evaluates
-                // the anhysteretic at the *new* field value before
-                // `Integral()` advances M_irr with the old magnetisation.
-                let eval = slope_at(h + dh, m_irr_local, m_total_local, &mut result);
-                dh * eval.slope
+                let step = euler_substep(
+                    |h_effective| anhysteretic.normalised(h_effective),
+                    params,
+                    config,
+                    direction.delta(),
+                    h,
+                    dh,
+                    m_irr_local,
+                    m_total_local,
+                );
+                result.slope_evaluations += 1;
+                result.negative_slope_events += u32::from(step.negative_slope);
+                (step.m_irr, step.rejected)
             }
             SlopeIntegration::Heun => {
                 let k1 = slope_at(h, m_irr_local, m_total_local, &mut result);
@@ -116,7 +193,7 @@ pub fn integrate_field_increment(
                 let m_total_pred =
                     total_magnetisation(config.formulation, params.c, k1.m_an, m_irr_pred);
                 let k2 = slope_at(h + dh, m_irr_pred, m_total_pred, &mut result);
-                0.5 * dh * (k1.slope + k2.slope)
+                guarded_update(m_irr_local, 0.5 * dh * (k1.slope + k2.slope), dh, config)
             }
             SlopeIntegration::RungeKutta4 => {
                 let k1 = slope_at(h, m_irr_local, m_total_local, &mut result);
@@ -129,29 +206,29 @@ pub fn integrate_field_increment(
                 let k3 = slope_at(h + 0.5 * dh, m3, project(m3, k2.m_an), &mut result);
                 let m4 = m_irr_local + dh * k3.slope;
                 let k4 = slope_at(h + dh, m4, project(m4, k3.m_an), &mut result);
-                dh / 6.0 * (k1.slope + 2.0 * k2.slope + 2.0 * k3.slope + k4.slope)
+                let dm = dh / 6.0 * (k1.slope + 2.0 * k2.slope + 2.0 * k3.slope + k4.slope);
+                guarded_update(m_irr_local, dm, dh, config)
             }
         };
+        result.rejected_updates += u32::from(rejected);
+        m_irr_local = m_irr_next;
 
-        let dm_guarded = reject_opposing_update(dm, dh, config.reject_opposing_update);
-        if dm_guarded != dm {
-            result.rejected_updates += 1;
+        if substep < substeps {
+            // Keep the total-magnetisation hint roughly consistent for the
+            // next sub-step; the model recomputes it exactly afterwards.
+            let eval_after = evaluate_irreversible_slope(
+                params,
+                anhysteretic,
+                config.formulation,
+                h + dh,
+                m_irr_local,
+                m_total_local,
+                direction,
+                config.clamp_negative_slope,
+            );
+            m_total_local =
+                total_magnetisation(config.formulation, params.c, eval_after.m_an, m_irr_local);
         }
-        m_irr_local += dm_guarded;
-        // Keep the total-magnetisation hint roughly consistent for the next
-        // sub-step; the model recomputes it exactly afterwards.
-        let eval_after = evaluate_irreversible_slope(
-            params,
-            anhysteretic,
-            config.formulation,
-            h + dh,
-            m_irr_local,
-            m_total_local,
-            direction,
-            config.clamp_negative_slope,
-        );
-        m_total_local =
-            total_magnetisation(config.formulation, params.c, eval_after.m_an, m_irr_local);
         h += dh;
     }
 

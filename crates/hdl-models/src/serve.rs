@@ -32,9 +32,10 @@
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
@@ -217,6 +218,7 @@ impl HttpResponse {
             405 => "Method Not Allowed",
             413 => "Payload Too Large",
             422 => "Unprocessable Entity",
+            500 => "Internal Server Error",
             503 => "Service Unavailable",
             _ => "Unknown",
         }
@@ -395,10 +397,14 @@ fn read_request(
 /// `handler` is called once per successfully parsed request, from one of
 /// `options.workers` worker threads, and its response is written back
 /// verbatim; parse failures are answered with `kind:"error"` documents
-/// without reaching the handler. When the admission queue is full, new
-/// connections get an immediate `503`. Once `shutdown` is observed the
-/// listener stops accepting, queued and in-flight requests drain to
-/// completion, and the call returns.
+/// without reaching the handler. A panic is contained to its connection:
+/// a handler that panics is answered with a `500` `kind:"error"`
+/// document, and a streamed body whose producer panics after the headers
+/// went out has its connection closed (the missing manifest marks the
+/// truncation); either way the worker goes on serving. When the admission
+/// queue is full, new connections get an immediate `503`. Once `shutdown`
+/// is observed the listener stops accepting, queued and in-flight requests
+/// drain to completion, and the call returns.
 pub fn serve<H>(
     listener: TcpListener,
     options: &ServerOptions,
@@ -506,10 +512,18 @@ where
 {
     let mut reader = BufReader::new(&stream);
     let response = match read_request(&mut reader, max_body_bytes) {
-        Ok(request) => handler(&request),
+        // Nothing has been written yet, so a panicking handler can still
+        // be answered with a proper error document.
+        Ok(request) => {
+            panic::catch_unwind(AssertUnwindSafe(|| handler(&request))).unwrap_or_else(|_| {
+                error_response(500, "internal error: the request handler panicked")
+            })
+        }
         Err(err) => err.into_response(),
     };
-    let _ = response.write_to(&mut &stream);
+    // A streamed body runs its producer while writing, after the `200`
+    // headers: if it panics, closing the socket below is all that is left.
+    let _ = panic::catch_unwind(AssertUnwindSafe(|| response.write_to(&mut &stream)));
     let _ = stream.shutdown(Shutdown::Both);
 }
 
@@ -581,9 +595,22 @@ impl ResultCache {
         }
     }
 
+    /// Locks the cache state. A panic while the lock was held may have
+    /// left the map and its byte count half-updated, so a poisoned cache
+    /// drops every entry (keeping its counters) and carries on empty.
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().unwrap_or_else(|poisoned| {
+            let mut inner = poisoned.into_inner();
+            inner.map.clear();
+            inner.bytes = 0;
+            self.inner.clear_poison();
+            inner
+        })
+    }
+
     /// Looks up a response body, refreshing its recency on a hit.
     pub fn get(&self, key: u128) -> Option<Arc<String>> {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.get_mut(&key) {
@@ -608,7 +635,7 @@ impl ResultCache {
         if body.len() > self.budget_bytes {
             return body;
         }
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(previous) = inner.map.remove(&key) {
@@ -640,7 +667,7 @@ impl ResultCache {
 
     /// A snapshot of the cache counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("cache lock poisoned");
+        let inner = self.lock();
         CacheStats {
             entries: inner.map.len(),
             bytes: inner.bytes,
@@ -941,6 +968,63 @@ mod tests {
                 rejected: 1
             }
         );
+    }
+
+    #[test]
+    fn a_panicking_handler_is_isolated_to_its_connection() {
+        let options = ServerOptions {
+            workers: 1,
+            ..ServerOptions::default()
+        };
+        let server = start_server(options, |request| match request.path.as_str() {
+            "/v1/panic" => panic!("handler failure injected by the test"),
+            "/v1/stream-panic" => HttpResponse::ndjson_stream(|out| {
+                writeln!(out, "{{\"index\":0}}")?;
+                panic!("producer failure injected by the test")
+            }),
+            _ => HttpResponse::json(200, "{\"ok\":true}"),
+        });
+
+        let (status, _, body) = post(server.addr, "/v1/panic", "{}");
+        assert_eq!(status, 500);
+        assert!(body.contains("\"kind\": \"error\""));
+        assert!(body.contains("\"status\": 500"));
+        // The stream had started, so it is cut short: no manifest line.
+        let (status, _, body) = post(server.addr, "/v1/stream-panic", "{}");
+        assert_eq!(status, 200);
+        assert_eq!(body, "{\"index\":0}\n");
+        // The single worker survived both panics.
+        let (status, _, body) = post(server.addr, "/v1/eval", "{}");
+        assert_eq!(status, 200);
+        assert_eq!(body, "{\"ok\":true}");
+        assert_eq!(
+            server.stop(),
+            ServeSummary {
+                served: 3,
+                rejected: 0
+            }
+        );
+    }
+
+    #[test]
+    fn a_poisoned_cache_drops_its_entries_and_keeps_working() {
+        let cache = ResultCache::new(64);
+        cache.insert(1, "aaaa".to_string());
+        assert!(cache.get(1).is_some());
+        thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _guard = cache.inner.lock().unwrap();
+                panic!("panic while holding the cache lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert_eq!(cache.get(1), None);
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.bytes), (0, 0));
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        cache.insert(2, "bbbb".to_string());
+        assert_eq!(cache.get(2).as_deref().map(String::as_str), Some("bbbb"));
+        assert_eq!(cache.stats().bytes, 4);
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Cross-crate equivalence tests of the structure-of-arrays lockstep
 //! kernel (`ja_hysteresis::soa`): in `f64` mode every lane must be
 //! **bit-identical** to a scalar [`JilesAtherton`] run of the same
-//! parameters, configuration and samples; in `f32` state mode the flux
-//! density must stay within the documented tolerance of the scalar
+//! parameters, configuration and samples — curve, statistics and error —
+//! for every configuration the kernel branches on; in `f32` state mode the
+//! flux density must stay within the documented tolerance of the scalar
 //! reference.
 
 use ja_repro::ja_hysteresis::backend::HysteresisBackend;
-use ja_repro::ja_hysteresis::config::JaConfig;
-use ja_repro::ja_hysteresis::model::JilesAtherton;
+use ja_repro::ja_hysteresis::config::{Formulation, JaConfig, SlopeIntegration};
+use ja_repro::ja_hysteresis::error::JaError;
+use ja_repro::ja_hysteresis::model::{JaStatistics, JilesAtherton};
 use ja_repro::ja_hysteresis::params::AnhystereticChoice;
 use ja_repro::ja_hysteresis::soa::{SoaBatch, SoaPrecision};
 use ja_repro::magnetics::bh::BhCurve;
@@ -20,6 +22,80 @@ use proptest::prelude::*;
 fn scalar_curve(params: JaParameters, config: JaConfig, samples: &[f64]) -> BhCurve {
     let mut model = JilesAtherton::with_config(params, config).expect("valid material");
     model.run_samples(samples).expect("scalar sweep")
+}
+
+/// The full scalar outcome of a sweep that may fail: the curve up to the
+/// failure, the statistics and the error.
+fn scalar_outcome(
+    params: JaParameters,
+    config: JaConfig,
+    samples: &[f64],
+) -> (BhCurve, JaStatistics, Option<JaError>) {
+    let mut model = JilesAtherton::with_config(params, config).expect("valid material");
+    let mut curve = BhCurve::new();
+    let error = model.run_samples_into(samples, &mut curve).err();
+    (curve, model.statistics(), error)
+}
+
+/// Runs `materials` as lanes of one batch and asserts every lane equals its
+/// scalar outcome bit for bit: curve, statistics and error.  Returns the
+/// number of lanes that failed.
+fn assert_lanes_match_scalar(
+    materials: &[JaParameters],
+    config: JaConfig,
+    samples: &[f64],
+    label: &str,
+) -> usize {
+    let mut batch = SoaBatch::new(config, SoaPrecision::F64).expect("config");
+    batch.assign(materials);
+    let mut curves = vec![BhCurve::new(); materials.len()];
+    batch.run_samples_into_curves(samples, &mut curves);
+
+    let mut failed = 0;
+    for (lane, (params, curve)) in materials.iter().zip(&curves).enumerate() {
+        let label = format!("{label} lane {lane}");
+        let (scalar, statistics, error) = scalar_outcome(*params, config, samples);
+        assert_eq!(batch.lane_error(lane), error.as_ref(), "{label}: error");
+        assert_eq!(
+            batch.lane_statistics(lane),
+            statistics,
+            "{label}: statistics"
+        );
+        assert_curves_bit_identical(curve, &scalar, &label);
+        failed += usize::from(error.is_some());
+    }
+    failed
+}
+
+const INTEGRATIONS: [SlopeIntegration; 3] = [
+    SlopeIntegration::ForwardEuler,
+    SlopeIntegration::Heun,
+    SlopeIntegration::RungeKutta4,
+];
+
+const FORMULATIONS: [Formulation; 2] = [Formulation::Date2006, Formulation::Classic];
+
+/// One of the configurations the kernel branches on: the integration
+/// method, sub-division, the formulation and the guards (only
+/// single-step forward Euler takes the lane-inner update).
+fn kernel_config(
+    law: AnhystereticChoice,
+    integration: SlopeIntegration,
+    subdivide: bool,
+    formulation: Formulation,
+    guards: bool,
+) -> JaConfig {
+    let mut config = JaConfig::default()
+        .with_anhysteretic(law)
+        .with_integration(integration)
+        .with_formulation(formulation);
+    if subdivide {
+        config = config.with_subdivision();
+    }
+    if !guards {
+        config = config.without_guards();
+    }
+    config
 }
 
 fn assert_curves_bit_identical(soa: &BhCurve, scalar: &BhCurve, label: &str) {
@@ -83,33 +159,82 @@ fn schedule(kind: usize, peak: f64, step: f64) -> FieldSchedule {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+/// Schedules stop here: a 2 A/m step to a 30 kA/m peak would otherwise
+/// run for over 100 000 samples.
+const MAX_SAMPLES: usize = 4_000;
 
-    /// f64 lanes are bitwise equal to the scalar model, for random
-    /// materials, every anhysteretic law and every schedule shape.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// f64 lanes are bitwise equal to the scalar model — curve, statistics
+    /// and error — for random materials, every anhysteretic law, every
+    /// schedule shape and every configuration the kernel branches on.
+    /// Steps from below ΔH_max (10 A/m) make the monitorH gate skip
+    /// samples; without guards some lanes diverge.
     #[test]
     fn f64_lanes_are_bit_identical_to_scalar(
         materials in proptest::collection::vec(arbitrary_material(), 2..6),
         law in 0usize..3,
         kind in 0usize..3,
         peak in 2_000.0_f64..30_000.0,
-        step in 25.0_f64..250.0,
+        step in 2.0_f64..250.0,
+        integration in 0usize..3,
+        subdivide in 0usize..2,
+        formulation in 0usize..2,
+        guards in 0usize..2,
     ) {
-        let config = JaConfig::default().with_anhysteretic(LAWS[law]);
-        let samples = schedule(kind, peak, step).to_samples();
+        let config = kernel_config(
+            LAWS[law],
+            INTEGRATIONS[integration],
+            subdivide == 1,
+            FORMULATIONS[formulation],
+            guards == 1,
+        );
+        let mut samples = schedule(kind, peak, step).to_samples();
+        samples.truncate(MAX_SAMPLES);
+        assert_lanes_match_scalar(&materials, config, &samples, &format!("{config:?} kind {kind}"));
+    }
+}
 
-        let mut batch = SoaBatch::new(config, SoaPrecision::F64).expect("config");
-        batch.assign(&materials);
-        let mut curves = vec![BhCurve::new(); materials.len()];
-        batch.run_samples_into_curves(&samples, &mut curves);
-
-        for (lane, (params, curve)) in materials.iter().zip(&curves).enumerate() {
-            prop_assert!(batch.lane_error(lane).is_none());
-            let scalar = scalar_curve(*params, config, &samples);
-            assert_curves_bit_identical(curve, &scalar, &format!("lane {lane} law {law} kind {kind}"));
+#[test]
+fn every_kernel_configuration_matches_scalar_on_the_thermal_grid_shape() {
+    // The thermal grid's excitation: a 5 A/m step at ΔH_max 10, so the
+    // monitorH gate fires on every other sample.  The last lane pins so
+    // weakly, with no mean-field coupling, that without the guards its
+    // state overflows mid-sweep.
+    let mut fragile = JaParameters::date2006();
+    fragile.k = 1e-3;
+    fragile.alpha = 0.0;
+    let materials = [
+        JaParameters::date2006(),
+        JaParameters::jiles_atherton_1984(),
+        JaParameters::soft_ferrite(),
+        JaParameters::hard_steel(),
+        fragile,
+    ];
+    let samples = FieldSchedule::major_loop(2_500.0, 5.0, 1)
+        .expect("schedule")
+        .to_samples();
+    let mut diverged = 0;
+    for law in LAWS {
+        for integration in INTEGRATIONS {
+            for subdivide in [false, true] {
+                for formulation in FORMULATIONS {
+                    for guards in [true, false] {
+                        let config =
+                            kernel_config(law, integration, subdivide, formulation, guards);
+                        diverged += assert_lanes_match_scalar(
+                            &materials,
+                            config,
+                            &samples,
+                            &format!("{config:?}"),
+                        );
+                    }
+                }
+            }
         }
     }
+    assert!(diverged > 0, "some unguarded lane must diverge mid-sweep");
 }
 
 #[test]
