@@ -8,6 +8,10 @@
 //! (asserted in `core::soa` and `tests/soa_equivalence.rs`); this bench
 //! covers the performance side and prints the scalar-vs-SoA speedup at 16
 //! lanes, the acceptance threshold tracked by the CI bench gate.
+//!
+//! The `thermal8` pair runs one job the way `ja batch` routes a thermal
+//! grid: eight lanes of one material at neighbouring temperatures, stepped
+//! at 5 A/m, each lane's curve rebuilt from the trajectory in turn.
 
 use std::time::Instant;
 
@@ -17,10 +21,14 @@ use ja_hysteresis::config::JaConfig;
 use ja_hysteresis::soa::{SoaBatch, SoaPrecision};
 use magnetics::bh::BhCurve;
 use magnetics::material::JaParameters;
+use magnetics::thermal::ThermalCoefficients;
 use magnetics::units::Magnetisation;
 use waveform::schedule::FieldSchedule;
 
 const LANE_COUNTS: [usize; 3] = [4, 16, 64];
+
+/// Lanes of one thermal-grid job.
+const THERMAL_LANES: usize = 8;
 
 fn schedule() -> FieldSchedule {
     FieldSchedule::major_loop(10_000.0, 50.0, 2).expect("schedule")
@@ -45,6 +53,21 @@ fn lane_materials(lanes: usize) -> Vec<JaParameters> {
             params
         })
         .collect()
+}
+
+/// One thermal-grid job: the paper material at eight neighbouring
+/// temperatures, on a ±8 kA/m major loop at the grid's 5 A/m step.
+fn thermal_job() -> (Vec<JaParameters>, FieldSchedule) {
+    let thermal = ThermalCoefficients::date2006();
+    let lanes = (0..THERMAL_LANES)
+        .map(|lane| {
+            JaParameters::date2006()
+                .at_temperature(-40.0 + 5.0 * lane as f64, &thermal)
+                .expect("below the Curie point")
+        })
+        .collect();
+    let schedule = FieldSchedule::major_loop(8_000.0, 5.0, 2).expect("schedule");
+    (lanes, schedule)
 }
 
 /// The scalar grid path: one boxed backend per lane, one schedule sweep each.
@@ -114,6 +137,23 @@ fn benches(c: &mut Criterion) {
     let samples = schedule.to_samples();
     let mut group = c.benchmark_group("soa_lockstep");
     group.sample_size(10);
+    let (thermal, thermal_schedule) = thermal_job();
+    let thermal_samples = thermal_schedule.to_samples();
+    group.bench_function(format!("scalar_thermal{THERMAL_LANES}"), |b| {
+        b.iter(|| black_box(run_scalar(&thermal, &thermal_schedule)))
+    });
+    let mut batch = SoaBatch::new(JaConfig::default(), SoaPrecision::F64).expect("batch");
+    let mut curve = BhCurve::new();
+    group.bench_function(format!("soa_thermal{THERMAL_LANES}"), |b| {
+        b.iter(|| {
+            batch.assign(&thermal);
+            batch.run_samples(&thermal_samples);
+            for lane in 0..THERMAL_LANES {
+                batch.lane_curve_into(lane, &thermal_samples, &mut curve);
+                black_box(&curve);
+            }
+        })
+    });
     for lanes in LANE_COUNTS {
         let materials = lane_materials(lanes);
         group.bench_function(format!("scalar_lanes{lanes}"), |b| {

@@ -31,13 +31,15 @@ OPTIONS:
     --fail-fast        stop scheduling after the first failure (unexecuted
                        scenarios are reported as status \"cancelled\")
     --routing MODE     how same-shaped scenarios are executed [default: auto]
-                         auto    groups of >= 2 timeless non-circuit
-                                 scenarios sharing a config, an excitation
-                                 and an operating point (temperature,
-                                 geometry) run as one structure-of-arrays
-                                 lockstep sweep; everything else runs
-                                 scalar
-                         soa     lockstep even for singleton groups
+                         auto    timeless non-circuit scenarios sharing a
+                                 config and an excitation (whatever their
+                                 material and operating point) split, in
+                                 grid order, into jobs of up to 8 lanes;
+                                 each job of >= 2 runs as one
+                                 structure-of-arrays lockstep sweep (AVX2
+                                 when the CPU has it); everything else
+                                 runs scalar
+                         soa     lockstep even for 1-lane jobs
                          scalar  always one scenario at a time
                        Routing never changes report content: SoA f64 lanes
                        are bit-identical to scalar runs.

@@ -135,8 +135,9 @@ REPORT SCHEMA (schema_version 1)
     timing      object  ONLY with --timings: workers, elapsed_ns,
                         serial_ns, speedup (plus per-entry wall_clock_ns /
                         runtime_ns, and for entries executed as a
-                        structure-of-arrays lockstep group,
-                        backend_routing: \"soa\" with lockstep_lanes).
+                        structure-of-arrays lockstep lane,
+                        backend_routing: \"soa\" with lockstep_lanes,
+                        the lanes in the entry's job).
                         Omitted by default so reports are byte-identical
                         across --workers values AND across --routing
                         modes (SoA f64 lanes are bit-identical to scalar

@@ -206,17 +206,18 @@ impl FitObjective {
 /// lane and the same metric extraction over bit-identical curves.
 ///
 /// All evaluation scratch is owned and reused: the flattened sample vector,
-/// the SoA parameter/state columns, the per-lane curve buffers and the cost
-/// vector only ever grow to the high-water lane count.  After the first
-/// call at a given lane count, a cost call performs **no heap allocation**
-/// (metric extraction streams its crossings instead of collecting them) —
-/// asserted by the workspace's `tests/fit_allocation.rs`.
+/// the SoA parameter/state columns and trajectory, the one curve buffer
+/// each lane is rebuilt into in turn, and the cost vector only ever grow to
+/// the high-water lane count.  After the first call at a given lane count,
+/// a cost call performs **no heap allocation** (metric extraction streams
+/// its crossings instead of collecting them) — asserted by the workspace's
+/// `tests/fit_allocation.rs`.
 #[derive(Debug, Clone)]
 pub struct BatchObjective {
     target: LoopMetrics,
     samples: Vec<f64>,
     batch: SoaBatch,
-    curves: Vec<BhCurve>,
+    curve: BhCurve,
     costs: Vec<Result<f64, JaError>>,
     evaluations: usize,
 }
@@ -246,7 +247,7 @@ impl BatchObjective {
             target,
             samples,
             batch,
-            curves: Vec::new(),
+            curve: BhCurve::new(),
             costs: Vec::new(),
             evaluations: 0,
         })
@@ -276,20 +277,18 @@ impl BatchObjective {
         let lanes = candidates.len();
         self.evaluations += lanes;
         self.batch.assign(candidates);
-        let capacity = self.samples.len();
-        if self.curves.len() < lanes {
-            self.curves
-                .resize_with(lanes, || BhCurve::with_capacity(capacity));
-        }
-        self.batch
-            .run_samples_into_curves(&self.samples, &mut self.curves[..lanes]);
+        self.batch.run_samples(&self.samples);
         self.costs.clear();
         for lane in 0..lanes {
             let cost = match self.batch.lane_error(lane) {
                 Some(err) => Err(err.clone()),
-                None => loop_metrics(&self.curves[lane])
-                    .map(|metrics| metric_mismatch(&metrics, &self.target))
-                    .map_err(JaError::from),
+                None => {
+                    self.batch
+                        .lane_curve_into(lane, &self.samples, &mut self.curve);
+                    loop_metrics(&self.curve)
+                        .map(|metrics| metric_mismatch(&metrics, &self.target))
+                        .map_err(JaError::from)
+                }
             };
             self.costs.push(cost);
         }

@@ -67,7 +67,9 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+// Denied rather than forbidden: the run-time AVX2 dispatch of the SoA
+// lockstep kernel (`soa::run_lanes_lockstep_avx2`) allows it in one block.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

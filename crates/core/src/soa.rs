@@ -16,7 +16,7 @@
 //!   the sample sequence together, and both steps of each sample run as
 //!   branch-light lane-inner loops over the flat columns.  The monitorH
 //!   gate and the forward-Euler update are masked per lane and evaluate
-//!   the scalar model's own [`euler_substep`] (Heun, RK4 and subdivided
+//!   the scalar model's own `euler_substep` (Heun, RK4 and subdivided
 //!   increments fall back to a per-lane [`integrate_field_increment`]
 //!   call); the self-consistency fixed point runs under a convergence mask
 //!   and stops as soon as every live lane has converged.  The heavy
@@ -35,6 +35,21 @@
 //! On top of the kernel win, the batch removes everything around the math:
 //! per-sample dynamic dispatch, per-sample `Result`/sample-struct plumbing,
 //! per-lane schedule re-iteration and per-lane model construction.
+//!
+//! The lockstep kernel exists twice: the portable build, and the same
+//! source compiled with AVX2 enabled, which [`SoaBatch::run_samples`] picks
+//! at run time when the CPU has it.  The two are bit-identical: the kernel
+//! uses only operations IEEE 754 defines exactly (`+ − × ÷`, `abs`,
+//! `copysign`, compares), and Rust never contracts a multiply and an add
+//! into one FMA unless asked to, so wider registers change how many lanes
+//! one instruction steps, never a lane's result.
+//!
+//! A run does not build curves.  Every sample appends one row holding each
+//! lane's stored `m_total` to a sample-major trajectory (8 bytes per
+//! lane-sample instead of a 24-byte curve point), and
+//! [`SoaBatch::lane_curve_into`] rebuilds a lane's B–H curve from it on
+//! demand, with the scalar model's own expressions — so a caller can reduce
+//! the lanes one at a time and keep a single curve alive.
 //!
 //! The optional [`SoaPrecision::F32`] mode stores the six state columns as
 //! `f32`: every step loads the rounded state, advances it in `f64` (the
@@ -176,12 +191,42 @@ enum LaneStore {
     F32(StateColumns<f32>),
 }
 
+/// The lanes' trajectories of the last run: each lane's stored `m_total`
+/// after every sample, as one sample-major column (row `s` holds every
+/// lane's value after sample `s`), and per lane the number of leading
+/// samples its curve keeps — the whole run, or the samples before the lane
+/// failed.  Rows at or past a lane's end may hold stale values; every read
+/// stops at the end.
+#[derive(Debug, Clone, Default)]
+struct Trajectory {
+    m_total: Vec<f64>,
+    ends: Vec<usize>,
+}
+
+impl Trajectory {
+    /// Ends each of `lanes` lanes at 0: every curve is empty.
+    fn clear(&mut self, lanes: usize) {
+        self.ends.clear();
+        self.ends.resize(lanes, 0);
+    }
+
+    /// Sizes the column for `lanes` lanes over `samples` samples and ends
+    /// every lane at 0, reusing the allocation (an unchanged size writes
+    /// nothing).
+    fn reset(&mut self, lanes: usize, samples: usize) {
+        self.m_total.resize(lanes * samples, 0.0);
+        self.clear(lanes);
+    }
+}
+
 /// A batch of Jiles–Atherton lanes sharing one configuration and one
 /// applied-field sequence, laid out as structure-of-arrays columns.
 ///
 /// Lifecycle: construct once per (configuration, precision), then
-/// repeatedly [`assign`](SoaBatch::assign) parameter sets and
-/// [`run_samples_into_curves`](SoaBatch::run_samples_into_curves).  All
+/// repeatedly [`assign`](SoaBatch::assign) parameter sets,
+/// [`run_samples`](SoaBatch::run_samples) and rebuild the curves needed
+/// with [`lane_curve_into`](SoaBatch::lane_curve_into) (or do both with
+/// [`run_samples_into_curves`](SoaBatch::run_samples_into_curves)).  All
 /// columns reuse their allocations across assignments, so steady-state
 /// re-evaluation (the multi-start fitting inner loop) performs no per-call
 /// allocation.
@@ -201,6 +246,22 @@ pub struct SoaBatch {
     stats: Vec<JaStatistics>,
     errors: Vec<Option<JaError>>,
     scratch: LockstepScratch,
+    trajectory: Trajectory,
+}
+
+/// One run's view of a batch: the shared configuration and sample-invariant
+/// lane columns, and the per-lane state, statistics, errors and trajectory
+/// the kernels write.
+struct Sweep<'x, T> {
+    config: &'x JaConfig,
+    anhysteretic: &'x [AnhystereticKind],
+    /// `m_sat, a, a2, k, alpha, c`.
+    params: [&'x [f64]; 6],
+    columns: &'x mut StateColumns<T>,
+    work: &'x mut LockstepScratch,
+    stats: &'x mut [JaStatistics],
+    errors: &'x mut [Option<JaError>],
+    trajectory: &'x mut Trajectory,
 }
 
 /// Reusable working buffers of the lockstep kernel: the `f64` state fields
@@ -254,6 +315,7 @@ impl SoaBatch {
             stats: Vec::new(),
             errors: Vec::new(),
             scratch: LockstepScratch::default(),
+            trajectory: Trajectory::default(),
         })
     }
 
@@ -321,6 +383,7 @@ impl SoaBatch {
             LaneStore::F64(columns) => columns.reset(lanes),
             LaneStore::F32(columns) => columns.reset(lanes),
         }
+        self.trajectory.clear(lanes);
     }
 
     /// Reconstructs one lane's parameter set from the columns.
@@ -336,21 +399,11 @@ impl SoaBatch {
         }
     }
 
-    /// Steps every active lane through `samples` in lockstep, appending one
-    /// `(h, b, m)` point per sample to the lane's curve in `curves` (which
-    /// must hold exactly [`lanes`](SoaBatch::lanes) curves; each is cleared
-    /// first and its capacity reused).  A lane whose state diverges records
-    /// its error and stops; the remaining lanes continue.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `curves.len()` differs from the assigned lane count.
-    pub fn run_samples_into_curves(&mut self, samples: &[f64], curves: &mut [BhCurve]) {
-        assert_eq!(
-            curves.len(),
-            self.lanes(),
-            "one output curve per lane is required"
-        );
+    /// Steps every active lane through `samples` in lockstep, recording each
+    /// lane's trajectory for [`lane_curve_into`](SoaBatch::lane_curve_into).
+    /// A lane whose state diverges records its error and stops; the
+    /// remaining lanes continue.
+    pub fn run_samples(&mut self, samples: &[f64]) {
         let Self {
             config,
             m_sat,
@@ -364,35 +417,94 @@ impl SoaBatch {
             stats,
             errors,
             scratch,
+            trajectory,
             ..
         } = self;
-        let params: [&Vec<f64>; 6] = [&*m_sat, &*a, &*a2, &*k, &*alpha, &*c];
+        let lanes = stats.len();
+        trajectory.reset(lanes, samples.len());
+        if lanes == 0 {
+            return;
+        }
+        let params: [&[f64]; 6] = [m_sat, a, a2, k, alpha, c];
         let law = lockstep_law(config, anhysteretic, a, a2, errors);
         match store {
             LaneStore::F64(columns) => run_columns(
-                columns,
-                config,
-                anhysteretic,
-                &params,
+                &mut Sweep {
+                    config,
+                    anhysteretic,
+                    params,
+                    columns,
+                    work: scratch,
+                    stats,
+                    errors,
+                    trajectory,
+                },
                 law.as_ref(),
-                scratch,
-                stats,
-                errors,
                 samples,
-                curves,
             ),
             LaneStore::F32(columns) => run_columns(
-                columns,
-                config,
-                anhysteretic,
-                &params,
+                &mut Sweep {
+                    config,
+                    anhysteretic,
+                    params,
+                    columns,
+                    work: scratch,
+                    stats,
+                    errors,
+                    trajectory,
+                },
                 law.as_ref(),
-                scratch,
-                stats,
-                errors,
                 samples,
-                curves,
             ),
+        }
+    }
+
+    /// Rebuilds one lane's B–H curve of the last
+    /// [`run_samples`](SoaBatch::run_samples) into `curve`, which is cleared
+    /// first and keeps its capacity: one `(h, b, m)` point per sample the
+    /// lane stepped, from the same expressions as the scalar model (`f32`
+    /// mode rounds `h` and `m_total` as its columns store them).  A lane
+    /// that failed keeps the points before its failure, and a lane that
+    /// never ran has an empty curve.  `samples` must be the sequence the
+    /// run stepped.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane` is out of range or `samples` is shorter than the
+    /// lane's curve.
+    pub fn lane_curve_into(&self, lane: usize, samples: &[f64], curve: &mut BhCurve) {
+        let lanes = self.lanes();
+        let end = self.trajectory.ends[lane];
+        let sat = self.m_sat[lane];
+        curve.clear();
+        curve.reserve(end);
+        for (row, &h) in samples[..end].iter().enumerate() {
+            let m_total = self.trajectory.m_total[row * lanes + lane];
+            let h = match self.precision {
+                SoaPrecision::F64 => h,
+                SoaPrecision::F32 => f32::from_f64(h).to_f64(),
+            };
+            curve.push_raw(h, MU0 * (h + m_total * sat), m_total * sat);
+        }
+    }
+
+    /// [`run_samples`](SoaBatch::run_samples), then
+    /// [`lane_curve_into`](SoaBatch::lane_curve_into) for every lane:
+    /// `curves` must hold exactly [`lanes`](SoaBatch::lanes) curves, each
+    /// cleared first and its capacity reused.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `curves.len()` differs from the assigned lane count.
+    pub fn run_samples_into_curves(&mut self, samples: &[f64], curves: &mut [BhCurve]) {
+        assert_eq!(
+            curves.len(),
+            self.lanes(),
+            "one output curve per lane is required"
+        );
+        self.run_samples(samples);
+        for (lane, curve) in curves.iter_mut().enumerate() {
+            self.lane_curve_into(lane, samples, curve);
         }
     }
 
@@ -522,55 +634,72 @@ fn lockstep_law<'x>(
 
 /// Runs one precision's columns through the kernel selected by
 /// [`lockstep_law`].
-#[allow(clippy::too_many_arguments)]
 fn run_columns<T: ColumnScalar>(
-    columns: &mut StateColumns<T>,
-    config: &JaConfig,
-    anhysteretic: &[AnhystereticKind],
-    params: &[&Vec<f64>; 6],
+    sweep: &mut Sweep<'_, T>,
     law: Option<&LockstepLaw<'_>>,
-    scratch: &mut LockstepScratch,
-    stats: &mut [JaStatistics],
-    errors: &mut [Option<JaError>],
     samples: &[f64],
-    curves: &mut [BhCurve],
 ) {
     match law {
-        Some(LockstepLaw::Single(man)) => run_lanes_lockstep(
-            columns,
-            config,
-            anhysteretic,
-            params,
-            man,
-            scratch,
-            stats,
-            errors,
-            samples,
-            curves,
-        ),
-        Some(LockstepLaw::Blend(man)) => run_lanes_lockstep(
-            columns,
-            config,
-            anhysteretic,
-            params,
-            man,
-            scratch,
-            stats,
-            errors,
-            samples,
-            curves,
-        ),
-        None => run_lanes(
-            columns,
-            config,
-            anhysteretic,
-            params,
-            stats,
-            errors,
-            samples,
-            curves,
-        ),
+        Some(LockstepLaw::Single(man)) => run_lockstep(sweep, man, samples),
+        Some(LockstepLaw::Blend(man)) => run_lockstep(sweep, man, samples),
+        None => run_lanes(sweep, samples),
     }
+}
+
+/// Runs the lockstep kernel's AVX2 copy when the CPU has AVX2, and its
+/// portable copy otherwise.
+fn run_lockstep<T: ColumnScalar, M: LockstepMan>(
+    sweep: &mut Sweep<'_, T>,
+    man: &M,
+    samples: &[f64],
+) {
+    if !run_lanes_lockstep_avx2(sweep, man, samples) {
+        run_lanes_lockstep(sweep, man, samples);
+    }
+}
+
+/// Runs [`run_lanes_lockstep`] compiled with AVX2 enabled and returns
+/// `true`, or returns `false` without running anything on a CPU without
+/// AVX2 (every non-x86-64 target included).
+///
+/// The copy is bit-identical to the portable one (see the module docs): the
+/// same source, with twice the `f64` lanes per vector instruction.  This is
+/// the crate's only `unsafe` code — the call of a `#[target_feature]`
+/// function, which is undefined behaviour on a CPU without the feature —
+/// so the crate denies `unsafe_code` instead of forbidding it, and allows
+/// it here, right beside the run-time check that makes the call sound.
+fn run_lanes_lockstep_avx2<T: ColumnScalar, M: LockstepMan>(
+    sweep: &mut Sweep<'_, T>,
+    man: &M,
+    samples: &[f64],
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    {
+        /// The lockstep kernel, compiled for AVX2.
+        ///
+        /// # Safety
+        ///
+        /// The CPU running it must support AVX2.
+        #[target_feature(enable = "avx2")]
+        unsafe fn kernel<T: ColumnScalar, M: LockstepMan>(
+            sweep: &mut Sweep<'_, T>,
+            man: &M,
+            samples: &[f64],
+        ) {
+            run_lanes_lockstep(sweep, man, samples);
+        }
+
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the check above found AVX2 on this CPU, which is the
+            // only requirement of `kernel`; its body is safe code.
+            unsafe { kernel(sweep, man, samples) };
+            return true;
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (sweep, man, samples);
+    false
 }
 
 /// The lockstep kernel: all lanes advance through each sample together.
@@ -598,26 +727,34 @@ fn run_columns<T: ColumnScalar>(
 /// 3. **finalise** (per live lane): count the sample, rebuild the
 ///    reversible part, store through the column precision (`f32` mode
 ///    rounds here, exactly like the fallback path), detect divergence and
-///    append the lane's curve point from the post-rounding column values.
-#[allow(clippy::too_many_arguments)]
+///    record the stored `m_total` in the sample's trajectory row.
+///
+/// Always inlined, so each caller — the portable dispatch and the AVX2
+/// `#[target_feature]` function — compiles its own copy with its own
+/// instruction set.  Expects at least one lane and a trajectory sized by
+/// [`Trajectory::reset`] for `samples`.
+#[inline(always)]
 fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
-    columns: &mut StateColumns<T>,
-    config: &JaConfig,
-    anhysteretic: &[AnhystereticKind],
-    params: &[&Vec<f64>; 6],
+    sweep: &mut Sweep<'_, T>,
     man: &M,
-    work: &mut LockstepScratch,
-    stats: &mut [JaStatistics],
-    errors: &mut [Option<JaError>],
     samples: &[f64],
-    curves: &mut [BhCurve],
 ) {
+    let config = sweep.config;
+    let anhysteretic = sweep.anhysteretic;
+    let columns = &mut *sweep.columns;
+    let work = &mut *sweep.work;
+    let stats = &mut *sweep.stats;
+    let errors = &mut *sweep.errors;
+    let Trajectory {
+        m_total: rows,
+        ends,
+    } = &mut *sweep.trajectory;
     let lanes = stats.len();
     assert_eq!(man.lanes(), lanes, "lockstep law must cover every lane");
     // Exactly-sized slices let the optimiser prove every `[lane]` access in
     // the hot lane-inner loops is in bounds, which is what allows it to
     // vectorise them across lanes.
-    let [m_sat, a, a2, k, alpha, c] = params;
+    let [m_sat, a, a2, k, alpha, c] = sweep.params;
     let m_sat = &m_sat[..lanes];
     let a = &a[..lanes];
     let a2 = &a2[..lanes];
@@ -681,15 +818,12 @@ fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
     let w_negative = &mut w_negative[..lanes];
     let w_rejected = &mut w_rejected[..lanes];
     let w_done = &mut w_done[..lanes];
+    let ends = &mut ends[..lanes];
 
-    for (lane, curve) in curves.iter_mut().enumerate() {
-        curve.clear();
-        if w_live[lane] {
-            curve.reserve(samples.len());
-        }
-    }
-
-    for &h in samples {
+    // Live lanes end where the sweep ends: after the last sample, or at a
+    // non-finite one.
+    let mut stepped = samples.len();
+    for (row, (&h, m_totals)) in samples.iter().zip(rows.chunks_exact_mut(lanes)).enumerate() {
         if !h.is_finite() {
             // Every live lane fails this sample exactly like the scalar
             // model: no statistics, no state change, curve truncated here.
@@ -698,6 +832,7 @@ fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
                     *error = Some(JaError::NonFiniteField { value: h });
                 }
             }
+            stepped = row;
             break;
         }
 
@@ -804,7 +939,7 @@ fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
             }
         }
 
-        // Phase 3 — finalise, store through the column precision, emit.
+        // Phase 3 — finalise, store through the column precision, record.
         for lane in 0..lanes {
             if !w_live[lane] {
                 continue;
@@ -823,46 +958,48 @@ fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
             if !state.is_finite() {
                 errors[lane] = Some(JaError::StateDiverged { at_field: h });
                 w_live[lane] = false;
+                ends[lane] = row;
                 continue;
             }
             // The next sample starts from the stored state (rounded in f32
-            // mode), exactly like the fallback path's per-sample load.
+            // mode), exactly like the fallback path's per-sample load, and
+            // the lane's curve point is rebuilt from the stored `m_total`.
             w_m_irr[lane] = columns.m_irr[lane].to_f64();
             w_m_total[lane] = columns.m_total[lane].to_f64();
             w_m_an[lane] = columns.m_an[lane].to_f64();
             w_h_last[lane] = columns.h_last_update[lane].to_f64();
-            let h_out = columns.h[lane].to_f64();
-            let m_total_out = columns.m_total[lane].to_f64();
-            let sat = m_sat[lane];
-            curves[lane].push_raw(h_out, MU0 * (h_out + m_total_out * sat), m_total_out * sat);
+            m_totals[lane] = w_m_total[lane];
+        }
+    }
+    for (end, &live) in ends.iter_mut().zip(w_live.iter()) {
+        if live {
+            *end = stepped;
         }
     }
 }
 
 /// The per-lane fallback sweep: every active lane walks the whole sample
 /// sequence with its state held in locals, delegating each step to the
-/// shared [`advance_state`].  Lane-major order keeps the per-lane state and
-/// the curve append stream hot; the per-lane operation sequence is exactly
-/// the scalar model's, which is what makes `f64` lanes bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn run_lanes<T: ColumnScalar>(
-    columns: &mut StateColumns<T>,
-    config: &JaConfig,
-    anhysteretic: &[AnhystereticKind],
-    params: &[&Vec<f64>; 6],
-    stats: &mut [JaStatistics],
-    errors: &mut [Option<JaError>],
-    samples: &[f64],
-    curves: &mut [BhCurve],
-) {
-    let [m_sat, a, a2, k, alpha, c] = params;
-    for lane in 0..stats.len() {
-        let curve = &mut curves[lane];
-        curve.clear();
+/// shared [`advance_state`].  Lane-major order keeps the per-lane state
+/// hot; the per-lane operation sequence is exactly the scalar model's,
+/// which is what makes `f64` lanes bit-identical.  Expects a trajectory
+/// sized by [`Trajectory::reset`] for `samples`.
+fn run_lanes<T: ColumnScalar>(sweep: &mut Sweep<'_, T>, samples: &[f64]) {
+    let Sweep {
+        config,
+        anhysteretic,
+        params: [m_sat, a, a2, k, alpha, c],
+        columns,
+        stats,
+        errors,
+        trajectory,
+        ..
+    } = sweep;
+    let lanes = stats.len();
+    for lane in 0..lanes {
         if errors[lane].is_some() {
             continue;
         }
-        curve.reserve(samples.len());
         let lane_params = JaParameters {
             m_sat: magnetics::units::Magnetisation::new(m_sat[lane]),
             a: a[lane],
@@ -873,8 +1010,8 @@ fn run_lanes<T: ColumnScalar>(
         };
         let lane_anhysteretic = &anhysteretic[lane];
         let mut lane_stats = stats[lane];
-        let sat = lane_params.m_sat.value();
-        for &h in samples {
+        let mut end = samples.len();
+        for (row, &h) in samples.iter().enumerate() {
             let mut state = columns.load(lane);
             let step = advance_state(
                 &lane_params,
@@ -887,16 +1024,15 @@ fn run_lanes<T: ColumnScalar>(
             columns.store(lane, &state);
             if let Err(err) = step {
                 errors[lane] = Some(err);
+                end = row;
                 break;
             }
-            // The same expressions as the scalar `JilesAtherton::sample`,
-            // read back through the columns so the curve reflects exactly
+            // Read back through the columns, so the curve reflects exactly
             // what the lane stores (in f64 mode the round trip is the
             // identity).
-            let h_out = columns.h[lane].to_f64();
-            let m_total = columns.m_total[lane].to_f64();
-            curve.push_raw(h_out, MU0 * (h_out + m_total * sat), m_total * sat);
+            trajectory.m_total[row * lanes + lane] = columns.m_total[lane].to_f64();
         }
+        trajectory.ends[lane] = end;
         stats[lane] = lane_stats;
     }
 }
@@ -991,41 +1127,178 @@ mod tests {
     }
 
     #[test]
-    fn a_non_finite_sample_mid_sweep_fails_every_live_lane_like_the_scalar_model() {
-        let mut bad = JaParameters::date2006();
-        bad.k = -1.0;
+    fn lane_curves_rebuild_the_scalar_curve_up_to_each_lanes_failure() {
+        // Without pinning coupling and with a vanishing `k`, the slope
+        // overflows and the lane diverges early; an invalid lane never
+        // runs; a NaN sample mid-sweep fails every live lane like the
+        // scalar model — each curve is the scalar model's, rebuilt one lane
+        // at a time into one reused buffer.
+        let mut diverging = JaParameters::date2006();
+        diverging.k = 1e-300;
+        diverging.alpha = 0.0;
+        let mut invalid = JaParameters::date2006();
+        invalid.k = -1.0;
         let params = [
             JaParameters::date2006(),
-            bad,
+            diverging,
+            invalid,
             JaParameters::hard_steel(),
-            JaParameters::soft_ferrite(),
         ];
-        let mut samples = FieldSchedule::major_loop(5_000.0, 5.0, 1)
+        let mut samples = FieldSchedule::major_loop(2_000.0, 100.0, 1)
             .expect("schedule")
             .to_samples();
-        let cut = samples.len() / 2;
+        let cut = samples.len() * 3 / 4;
         samples[cut] = f64::NAN;
         let config = JaConfig::default();
         let mut batch = SoaBatch::new(config, SoaPrecision::F64).expect("config");
         batch.assign(&params);
-        let mut curves = vec![BhCurve::new(); params.len()];
-        batch.run_samples_into_curves(&samples, &mut curves);
+        batch.run_samples(&samples);
 
-        assert!(matches!(batch.lane_error(1), Some(JaError::Material(_))));
-        assert!(curves[1].is_empty());
-        assert_eq!(batch.lane_statistics(1), JaStatistics::default());
-        for lane in [0, 2, 3] {
-            let mut scalar = JilesAtherton::with_config(params[lane], config).expect("valid");
+        assert!(matches!(
+            batch.lane_error(1),
+            Some(JaError::StateDiverged { .. })
+        ));
+        assert!(matches!(batch.lane_error(2), Some(JaError::Material(_))));
+        let mut curve = BhCurve::new();
+        for (lane, p) in params.iter().enumerate() {
+            batch.lane_curve_into(lane, &samples, &mut curve);
             let mut reference = BhCurve::new();
-            let error = scalar.run_samples_into(&samples, &mut reference);
-            assert!(matches!(error, Err(JaError::NonFiniteField { value }) if value.is_nan()));
-            assert!(matches!(
-                batch.lane_error(lane),
-                Some(JaError::NonFiniteField { value }) if value.is_nan()
-            ));
-            assert_eq!(curves[lane].len(), cut, "lane {lane} stops at the NaN");
-            assert_eq!(curve_bits(&curves[lane]), curve_bits(&reference));
-            assert_eq!(batch.lane_statistics(lane), scalar.statistics());
+            let error = JilesAtherton::with_config(*p, config)
+                .and_then(|mut scalar| {
+                    let error = scalar.run_samples_into(&samples, &mut reference);
+                    assert_eq!(batch.lane_statistics(lane), scalar.statistics());
+                    error
+                })
+                .expect_err("every lane fails");
+            // Debug text, because a NaN field never compares equal.
+            assert_eq!(
+                format!("{:?}", batch.lane_error(lane)),
+                format!("{:?}", Some(error)),
+                "lane {lane}"
+            );
+            assert_eq!(curve_bits(&curve), curve_bits(&reference), "lane {lane}");
+        }
+        batch.lane_curve_into(0, &samples, &mut curve);
+        assert_eq!(curve.len(), cut);
+        batch.lane_curve_into(1, &samples, &mut curve);
+        assert!(!curve.is_empty() && curve.len() < cut);
+        batch.lane_curve_into(2, &samples, &mut curve);
+        assert!(curve.is_empty());
+        assert_eq!(batch.lane_statistics(2), JaStatistics::default());
+
+        // Re-assigning ends every lane's curve until the next run, as does
+        // a batch that never ran.
+        batch.assign(&params);
+        batch.lane_curve_into(3, &samples, &mut curve);
+        assert!(curve.is_empty());
+        let mut fresh = SoaBatch::new(config, SoaPrecision::F64).expect("config");
+        fresh.assign(&params);
+        fresh.lane_curve_into(3, &samples, &mut curve);
+        assert!(curve.is_empty());
+    }
+
+    /// `lanes` lanes shaped like the thermal grid's: the presets in turn,
+    /// each at its own temperature, with lane 5 invalid so the error path
+    /// is compared too.
+    fn thermal_lanes(lanes: usize) -> Vec<JaParameters> {
+        use magnetics::thermal::ThermalCoefficients;
+        let presets = [
+            (JaParameters::date2006(), ThermalCoefficients::date2006()),
+            (
+                JaParameters::jiles_atherton_1984(),
+                ThermalCoefficients::jiles_atherton_1984(),
+            ),
+            (
+                JaParameters::soft_ferrite(),
+                ThermalCoefficients::soft_ferrite(),
+            ),
+            (
+                JaParameters::hard_steel(),
+                ThermalCoefficients::hard_steel(),
+            ),
+        ];
+        (0..lanes)
+            .map(|lane| {
+                let (params, thermal) = &presets[lane % presets.len()];
+                let t_c = -40.0 + 10.0 * lane as f64;
+                let mut params = params
+                    .at_temperature(t_c, thermal)
+                    .expect("below the Curie point");
+                if lane == 5 {
+                    params.k = -1.0;
+                }
+                params
+            })
+            .collect()
+    }
+
+    /// Runs an `f64` batch's assigned lanes through the portable copy of
+    /// the lockstep kernel, or through the AVX2 copy; `false` when the AVX2
+    /// copy cannot run on this CPU.
+    fn run_kernel_copy(batch: &mut SoaBatch, samples: &[f64], avx2: bool) -> bool {
+        let SoaBatch {
+            config,
+            m_sat,
+            a,
+            a2,
+            k,
+            alpha,
+            c,
+            anhysteretic,
+            store,
+            stats,
+            errors,
+            scratch,
+            trajectory,
+            ..
+        } = batch;
+        let LaneStore::F64(columns) = store else {
+            panic!("an f64 batch")
+        };
+        trajectory.reset(stats.len(), samples.len());
+        let man = SingleAtanLanes { a };
+        let sweep = &mut Sweep {
+            config,
+            anhysteretic,
+            params: [m_sat, a, a2, k, alpha, c],
+            columns,
+            work: scratch,
+            stats,
+            errors,
+            trajectory,
+        };
+        if avx2 {
+            run_lanes_lockstep_avx2(sweep, &man, samples)
+        } else {
+            run_lanes_lockstep(sweep, &man, samples);
+            true
+        }
+    }
+
+    #[test]
+    fn avx2_copy_of_the_lockstep_kernel_is_bit_identical_to_the_portable_copy() {
+        let samples = FieldSchedule::major_loop(2_000.0, 5.0, 1)
+            .expect("schedule")
+            .to_samples();
+        // 1 to 17 lanes: an AVX2 vector body plus every remainder length.
+        for lanes in 1..=17 {
+            let params = thermal_lanes(lanes);
+            let mut portable = SoaBatch::new(JaConfig::default(), SoaPrecision::F64).expect("ok");
+            portable.assign(&params);
+            let mut avx2 = portable.clone();
+            assert!(run_kernel_copy(&mut portable, &samples, false));
+            if !run_kernel_copy(&mut avx2, &samples, true) {
+                eprintln!("note: this CPU has no AVX2, so only the portable copy ran");
+                return;
+            }
+            let bits = |batch: &SoaBatch| -> Vec<u64> {
+                let trajectory = &batch.trajectory.m_total;
+                trajectory.iter().map(|value| value.to_bits()).collect()
+            };
+            assert_eq!(bits(&avx2), bits(&portable), "{lanes} lanes: trajectory");
+            assert_eq!(avx2.trajectory.ends, portable.trajectory.ends);
+            assert_eq!(avx2.stats, portable.stats, "{lanes} lanes: statistics");
+            assert_eq!(avx2.errors, portable.errors, "{lanes} lanes: errors");
         }
     }
 

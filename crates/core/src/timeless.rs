@@ -121,7 +121,7 @@ pub(crate) fn euler_substep<F: FnOnce(f64) -> f64>(
 /// integration statistics; the caller is responsible for rebuilding
 /// `m_total` from the result.
 ///
-/// Forward Euler goes through [`euler_substep`], the function the lockstep
+/// Forward Euler goes through `euler_substep`, the function the lockstep
 /// kernel evaluates lane-parallel.  With subdivision, every sub-step but
 /// the last refreshes the total-magnetisation hint the next one starts
 /// from; after the last nothing reads it, so it is not evaluated.

@@ -24,15 +24,21 @@
 //! identity, so the parallel win is not eaten by per-scenario construction
 //! and allocator traffic.
 //!
-//! Direct-timeless scenarios that share a (configuration, excitation,
-//! operating point) triple are additionally routed — per [`SoaRouting`],
-//! default on — through the structure-of-arrays lockstep batch
-//! ([`SoaBatch`]): the whole group runs as one SoA sweep, one lane per
-//! scenario, and the per-lane results fan back into ordinary per-entry
-//! report slots.  Lane parameters are the scenarios' **resolved**
-//! (thermally derived) parameters, the same values the scalar path runs,
-//! so SoA `f64` lanes stay bit-identical to the scalar model and routing
-//! never changes report content, only throughput.
+//! Direct-timeless scenarios that share a (configuration, excitation) pair
+//! are additionally routed — per [`SoaRouting`], default on — through the
+//! structure-of-arrays lockstep batch ([`SoaBatch`]): the group is split,
+//! in input order, into jobs of at most [`LOCKSTEP_LANES`] lanes, each job
+//! runs as one SoA sweep with one lane per scenario, and the per-lane
+//! results fan back into ordinary per-entry report slots.  The operating
+//! point is not part of the key: it only feeds the per-lane resolved
+//! parameters and the per-member loss, so a grid's temperatures share a
+//! group, and since [`ScenarioGrid`](crate::scenario::ScenarioGrid) puts
+//! the operating point innermost, a job's lanes are one material at
+//! neighbouring temperatures.  The kernel runs its AVX2 build when the CPU
+//! has it.  Lane parameters are the scenarios' **resolved** (thermally
+//! derived) parameters, the same values the scalar path runs, so SoA `f64`
+//! lanes stay bit-identical to the scalar model and routing never changes
+//! report content, only throughput.
 //!
 //! The distribution machinery itself (chunked claims over an atomic
 //! cursor, worker-local state, an in-order reorder buffer) is one private
@@ -79,19 +85,22 @@ pub enum ErrorPolicy {
 /// structure-of-arrays lockstep batch ([`SoaBatch`]).
 ///
 /// Scenarios are **groupable** when they share a (configuration,
-/// excitation, operating point) triple, use the direct-timeless backend
-/// and have a prescribed (non-circuit) stimulus; a group runs as one SoA
-/// sweep with one lane per scenario.  In `f64` column mode every lane is bit-identical to the
-/// scalar run of the same scenario, so the routing decision never changes
-/// report content — only the timing fields.
+/// excitation) pair, use the direct-timeless backend and have a prescribed
+/// (non-circuit) stimulus — whatever their material and operating point.
+/// A group is split, in input order, into jobs of at most
+/// [`LOCKSTEP_LANES`] scenarios, and each job runs as one SoA sweep with
+/// one lane per scenario, on the kernel's AVX2 build when the CPU has it.
+/// In `f64` column mode every lane is bit-identical to the scalar run of
+/// the same scenario, so the routing decision never changes report content
+/// — only the timing fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SoaRouting {
-    /// Route every groupable set of two or more scenarios through the
-    /// lockstep batch; everything else runs scalar.  The default.
+    /// Run every job of two or more lanes through the lockstep batch;
+    /// everything else runs scalar.  The default.
     #[default]
     Auto,
-    /// Route every groupable scenario through the lockstep batch, even
-    /// alone in its group (useful for exercising the SoA path).
+    /// Run every groupable scenario through the lockstep batch, even alone
+    /// in its job (useful for exercising the SoA path).
     ForceSoa,
     /// Run every scenario through the scalar path.
     ForceScalar,
@@ -177,9 +186,9 @@ impl BatchRunner {
     /// whose reduce step keeps the whole outcome, curve included.
     ///
     /// Under the default [`SoaRouting::Auto`], scenarios sharing a
-    /// (configuration, excitation, operating point) triple on the
-    /// direct-timeless backend run as one structure-of-arrays lockstep
-    /// sweep instead of one scalar sweep each — with bit-identical
+    /// (configuration, excitation) pair on the direct-timeless backend run
+    /// as structure-of-arrays lockstep sweeps of up to [`LOCKSTEP_LANES`]
+    /// lanes instead of one scalar sweep each — with bit-identical
     /// per-entry results, since the SoA `f64` lanes reproduce the scalar
     /// operation sequence exactly.
     pub fn run(&self, scenarios: impl IntoIterator<Item = Scenario>) -> BatchReport {
@@ -227,9 +236,10 @@ impl BatchRunner {
     ///
     /// `reduce` receives `(index, outcome, wall_clock)` right after the
     /// scenario (or its lockstep lane) finishes, where `wall_clock` is the
-    /// time the entry spent on its worker (backend construction, sweep and
-    /// metric extraction; an equal share of the group for lockstep lanes;
-    /// zero for cancelled entries).  It returns something small — a
+    /// time the entry spent on its worker (backend construction, sweep,
+    /// metric extraction and loss; for a lockstep lane, an equal share of
+    /// the job's sweep plus the lane's own curve, metrics and loss; zero
+    /// for cancelled entries).  It returns something small — a
     /// rendered entry, an NDJSON record — so the outcome and the
     /// [`BhCurve`] inside it are dropped on the worker.  `emit` runs on the
     /// calling thread as soon as an entry and all its predecessors have
@@ -337,25 +347,33 @@ pub struct StreamSummary {
     pub workers: usize,
 }
 
-/// One unit of parallel work: a single scenario on the scalar path, or a
-/// group of scenario indices sharing one SoA lockstep sweep.
-#[derive(Debug)]
+/// The most lanes one lockstep job steps together.  AVX2 holds four `f64`
+/// values per register and LLVM unrolls the kernel's lane loops by two, so
+/// eight lanes fill the vector body exactly.  On a 2-core AVX-512 Xeon,
+/// 16-lane jobs ran the `thermal_grid` benchmark ~18% slower and kept twice
+/// the trajectory alive per worker.
+pub const LOCKSTEP_LANES: usize = 8;
+
+/// One unit of parallel work: a single scenario on the scalar path, or the
+/// scenario indices of one SoA lockstep sweep.
+#[derive(Debug, PartialEq, Eq)]
 enum Job {
     Scalar(usize),
     Lockstep(Vec<usize>),
 }
 
-/// Partitions the scenario list into jobs according to the routing policy.
-/// Jobs are ordered by their first scenario index, so a single-worker
-/// fail-fast run still cancels in input order.
+/// Partitions the scenario list into jobs according to the routing policy:
+/// each (configuration, excitation) group splits, in input order, into
+/// lockstep jobs of at most [`LOCKSTEP_LANES`] lanes.  Jobs are ordered by
+/// their first scenario index, so a single-worker fail-fast run still
+/// cancels in input order.
 fn route_jobs(scenarios: &[Scenario], routing: SoaRouting) -> Vec<Job> {
     if routing == SoaRouting::ForceScalar {
         return (0..scenarios.len()).map(Job::Scalar).collect();
     }
     let mut scalar: Vec<usize> = Vec::new();
-    // (representative index, members): few distinct (config, excitation,
-    // operating point) triples per grid, so a linear scan beats hashing
-    // the float-laden keys.
+    // (representative index, members): few distinct (config, excitation)
+    // pairs per grid, so a linear scan beats hashing the float-laden keys.
     let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
     for (index, scenario) in scenarios.iter().enumerate() {
         let groupable = scenario.backend == BackendKind::DirectTimeless
@@ -366,9 +384,7 @@ fn route_jobs(scenarios: &[Scenario], routing: SoaRouting) -> Vec<Job> {
         }
         match groups.iter_mut().find(|(representative, _)| {
             let other = &scenarios[*representative];
-            other.config == scenario.config
-                && other.excitation == scenario.excitation
-                && other.operating_point == scenario.operating_point
+            other.config == scenario.config && other.excitation == scenario.excitation
         }) {
             Some((_, members)) => members.push(index),
             None => groups.push((index, vec![index])),
@@ -376,10 +392,12 @@ fn route_jobs(scenarios: &[Scenario], routing: SoaRouting) -> Vec<Job> {
     }
     let mut jobs: Vec<Job> = scalar.into_iter().map(Job::Scalar).collect();
     for (_, members) in groups {
-        if members.len() >= 2 || routing == SoaRouting::ForceSoa {
-            jobs.push(Job::Lockstep(members));
-        } else {
-            jobs.extend(members.into_iter().map(Job::Scalar));
+        for lanes in members.chunks(LOCKSTEP_LANES) {
+            if lanes.len() >= 2 || routing == SoaRouting::ForceSoa {
+                jobs.push(Job::Lockstep(lanes.to_vec()));
+            } else {
+                jobs.extend(lanes.iter().copied().map(Job::Scalar));
+            }
         }
     }
     jobs.sort_by_key(|job| match job {
@@ -389,20 +407,23 @@ fn route_jobs(scenarios: &[Scenario], routing: SoaRouting) -> Vec<Job> {
     jobs
 }
 
-/// Where a lockstep group hands each member's `(index, outcome,
+/// Where a lockstep job hands each member's `(index, outcome,
 /// wall_clock)` as soon as it is ready.
 type Deliver<'a> = &'a mut dyn FnMut(usize, Result<ScenarioOutcome, JaError>, Duration);
 
-/// Runs one groupable scenario set as a single SoA lockstep sweep, one lane
-/// per scenario, and delivers the per-lane results in member order.
+/// Runs one lockstep job as a single SoA sweep, one lane per scenario, and
+/// delivers the per-lane results in member order.  Each lane's curve is
+/// rebuilt from the sweep's trajectory just before the lane is reduced, so
+/// one curve at a time is alive.
 ///
 /// Lane outcomes are bit-identical to the scalar path (the batch runs `f64`
-/// columns); only the timing fields differ — each member is attributed an
-/// equal share of the group's wall clock, since the lanes genuinely ran
-/// together.  A group whose shared configuration fails validation, or one
-/// of whose members has an operating point that does not resolve, falls
-/// back to the scalar path, which reports the exact per-scenario error the
-/// group would have masked (and still succeeds the valid members).
+/// columns); only the timing fields differ — each member's `runtime` is an
+/// equal share of the job's sweep, since the lanes genuinely ran together,
+/// and its `wall_clock` adds the lane's own curve, metrics and loss.  A job
+/// whose shared configuration fails validation, or one of whose members
+/// has an operating point that does not resolve, falls back to the scalar
+/// path, which reports the exact per-scenario error the job would have
+/// masked (and still succeeds the valid members).
 fn run_lockstep_group(
     scenarios: &[Scenario],
     members: &[usize],
@@ -437,7 +458,6 @@ fn run_lockstep_group(
         samples,
         soa,
         lane_params,
-        lane_curves,
         ..
     } = scratch;
     let hit = samples
@@ -450,16 +470,16 @@ fn run_lockstep_group(
     let batch = soa.as_mut().expect("constructed above");
 
     batch.assign(lane_params);
-    lane_curves.resize_with(members.len(), BhCurve::new);
-    lane_curves.truncate(members.len());
-    batch.run_samples_into_curves(samples, &mut lane_curves[..members.len()]);
+    batch.run_samples(samples);
     let share = t0.elapsed() / members.len() as u32;
 
     for (lane, &index) in members.iter().enumerate() {
+        let t_lane = Instant::now();
         let outcome = match batch.lane_error(lane) {
             Some(err) => Err(err.clone()),
             None => {
-                let curve = std::mem::take(&mut lane_curves[lane]);
+                let mut curve = BhCurve::new();
+                batch.lane_curve_into(lane, samples, &mut curve);
                 let metrics = loop_analysis::loop_metrics(&curve).ok();
                 let loss = scenarios[index].loss_breakdown(&curve);
                 Ok(ScenarioOutcome {
@@ -479,7 +499,7 @@ fn run_lockstep_group(
                 })
             }
         };
-        deliver(index, outcome, share);
+        deliver(index, outcome, share + t_lane.elapsed());
     }
 }
 
@@ -662,14 +682,13 @@ where
 /// The scratch also caches the flattened sample vector of the most recent
 /// prescribed excitation (grids repeat one excitation across many
 /// scenarios, so re-flattening per run was pure waste), the worker's SoA
-/// lockstep batch and its lane parameter/curve buffers.
+/// lockstep batch and its lane parameter buffer.
 #[derive(Default)]
 pub struct RunScratch {
     cached: Option<CachedBackend>,
     samples: Option<(Excitation, Vec<f64>)>,
     soa: Option<SoaBatch>,
     lane_params: Vec<JaParameters>,
-    lane_curves: Vec<BhCurve>,
 }
 
 struct CachedBackend {
@@ -966,9 +985,19 @@ mod tests {
         assert_outcomes_bitwise_equal(&scalar, &auto);
         assert_outcomes_bitwise_equal(&scalar, &forced);
         // Auto groups the three same-shaped scenarios into one lockstep
-        // sweep; the forced-scalar run never does.
+        // sweep; the forced-scalar run never does.  A lane's wall clock is
+        // its share of the sweep plus its own curve, metrics and loss; its
+        // runtime is the sweep share alone.
         for entry in &auto.entries {
-            assert_eq!(entry.outcome.as_ref().expect("ok").lockstep_lanes, Some(3));
+            let outcome = entry.outcome.as_ref().expect("ok");
+            assert_eq!(outcome.lockstep_lanes, Some(3));
+            assert!(
+                entry.wall_clock > outcome.runtime,
+                "{}: wall clock {:?} vs runtime {:?}",
+                entry.scenario.name,
+                entry.wall_clock,
+                outcome.runtime
+            );
         }
         for entry in &scalar.entries {
             assert_eq!(entry.outcome.as_ref().expect("ok").lockstep_lanes, None);
@@ -978,10 +1007,10 @@ mod tests {
     #[test]
     fn thermal_operating_points_route_soa_and_stay_bit_identical() {
         use crate::scenario::OperatingPoint;
-        // Two temperatures over three materials: each operating point is
-        // its own lockstep group (the routing key includes the operating
-        // point), each lane runs the thermally derived parameters, and
-        // the results stay bit-identical to the scalar path.
+        // Two temperatures over three materials: the operating point is
+        // not part of the routing key, so all six scenarios are one
+        // lockstep job, each lane runs the thermally derived parameters,
+        // and the results stay bit-identical to the scalar path.
         let grid = multi_material_grid()
             .operating_point("t-40", OperatingPoint::at_temperature(-40.0))
             .operating_point("t125", OperatingPoint::at_temperature(125.0));
@@ -997,8 +1026,8 @@ mod tests {
             let outcome = entry.outcome.as_ref().expect("ok");
             assert_eq!(
                 outcome.lockstep_lanes,
-                Some(3),
-                "one group per operating point: {}",
+                Some(6),
+                "one job across both operating points: {}",
                 entry.scenario.name
             );
         }
@@ -1007,6 +1036,45 @@ mod tests {
         let cold = &auto.entries[0].outcome.as_ref().expect("ok").curve;
         let hot = &auto.entries[1].outcome.as_ref().expect("ok").curve;
         assert_ne!(cold, hot, "temperature must change the trace");
+    }
+
+    #[test]
+    fn route_jobs_splits_groups_into_eight_lane_jobs_in_input_order() {
+        use crate::scenario::OperatingPoint;
+        // 4 materials × 34 temperatures: one (config, excitation) group of
+        // 136 members, which splits into 17 jobs of 8 in input order.
+        let grid = (0..34).fold(
+            multi_material_grid().material("ferrite", JaParameters::soft_ferrite()),
+            |grid, step| {
+                let t_c = -40.0 + 5.0 * f64::from(step);
+                grid.operating_point(format!("t{step}"), OperatingPoint::at_temperature(t_c))
+            },
+        );
+        let scenarios = grid.scenarios().expect("grid");
+        assert_eq!(scenarios.len(), 136);
+        let expected: Vec<Job> = (0..136)
+            .step_by(LOCKSTEP_LANES)
+            .map(|first| Job::Lockstep((first..first + LOCKSTEP_LANES).collect()))
+            .collect();
+        assert_eq!(expected.len(), 17);
+        assert_eq!(route_jobs(&scenarios, SoaRouting::Auto), expected);
+
+        // A job's tail shorter than two lanes runs scalar under Auto.
+        let jobs = route_jobs(&scenarios[..9], SoaRouting::Auto);
+        assert_eq!(jobs, [Job::Lockstep((0..8).collect()), Job::Scalar(8)]);
+
+        // ForceSoa keeps singleton groups as 1-lane lockstep jobs.
+        let scenarios = small_grid().scenarios().expect("grid");
+        for (index, job) in route_jobs(&scenarios, SoaRouting::ForceSoa)
+            .iter()
+            .enumerate()
+        {
+            let expected = match scenarios[index].backend {
+                BackendKind::DirectTimeless => Job::Lockstep(vec![index]),
+                _ => Job::Scalar(index),
+            };
+            assert_eq!(*job, expected);
+        }
     }
 
     #[test]

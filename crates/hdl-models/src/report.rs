@@ -110,7 +110,7 @@ pub fn loss_value(loss: &CoreLoss) -> JsonValue {
 /// `temperature_c` and/or `frequency_hz` (whichever the point sets), and a
 /// `loss` object (see [`loss_value`]) when the loss breakdown was
 /// computed.  With `timings`, adds `runtime_ns` (sweep
-/// only); for outcomes produced by a structure-of-arrays lockstep group,
+/// only); for outcomes produced by a structure-of-arrays lockstep job,
 /// `backend_routing: "soa"` plus `lockstep_lanes`; and for event-driven
 /// backends, a `kernel` object with the simulation kernel's cost counters
 /// (`delta_cycles`, `events_scheduled`, `process_activations`).

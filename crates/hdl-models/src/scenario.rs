@@ -954,8 +954,8 @@ pub struct ScenarioOutcome {
     /// metric extraction stay excluded).
     pub runtime: Duration,
     /// `Some(lane count)` when this outcome was produced by a
-    /// structure-of-arrays lockstep group of [`crate::exec::BatchRunner`],
-    /// `None` for a scalar run.  Routing never changes result content (the
+    /// structure-of-arrays lockstep job of [`crate::exec::BatchRunner`]
+    /// (the lanes in that job), `None` for a scalar run.  Routing never changes result content (the
     /// SoA `f64` lanes are bit-identical to scalar execution), so this is
     /// reported only in the opt-in timing block.
     pub lockstep_lanes: Option<usize>,

@@ -289,12 +289,12 @@ fn thermal_loss_grid_is_bit_identical_across_workers_and_routing() {
                 "{routing:?} thermal report at {workers} workers diverged from the scalar report"
             );
             if !matches!(routing, SoaRouting::ForceScalar) {
-                // Grouping keys include the operating point: the two
-                // materials of each (config, excitation, point) cell run
-                // as one two-lane lockstep group.
+                // Grouping keys leave the operating point out: both
+                // materials at all three points share the one (config,
+                // excitation) cell and run as one six-lane lockstep job.
                 for entry in &routed.entries {
                     let outcome = entry.outcome.as_ref().expect("ok");
-                    assert_eq!(outcome.lockstep_lanes, Some(2), "{}", entry.scenario.name);
+                    assert_eq!(outcome.lockstep_lanes, Some(6), "{}", entry.scenario.name);
                 }
             }
         }

@@ -63,8 +63,9 @@ fn peak_rise<T>(work: impl FnOnce() -> T) -> usize {
 }
 
 /// Four materials at `temperatures` 50 Hz operating points,
-/// all on one major loop: auto routing forms one four-lane lockstep group
-/// per temperature, and every entry carries a loss object.
+/// all on one major loop: auto routing splits the one (config, excitation)
+/// group into eight-lane lockstep jobs of neighbouring temperatures, and
+/// every entry carries a loss object.
 fn thermal_grid(temperatures: usize) -> Vec<Scenario> {
     let mut grid = ScenarioGrid::new()
         .backend(BackendKind::DirectTimeless)

@@ -149,8 +149,8 @@ fn resume_refuses_a_checkpoint_from_a_different_grid() {
 }
 
 /// A thermal loss grid: two materials at three laminated 50 Hz operating
-/// points, so auto routing forms one two-lane lockstep group per point and
-/// every entry carries temperature, frequency and a loss object.
+/// points, so auto routing runs all six as one lockstep job and every entry
+/// carries temperature, frequency and a loss object.
 fn thermal_loss_grid() -> Vec<Scenario> {
     let mut grid = ScenarioGrid::new()
         .material_with_thermal(
@@ -329,7 +329,7 @@ fn timings_report_keeps_its_exact_key_set() {
         }
         let count = |key: &str| entries.iter().filter(|e| e.get(key).is_some()).count();
         if thermal {
-            // Every point is a two-lane lockstep group carrying a loss.
+            // Every entry is a lockstep lane carrying a loss.
             assert_eq!(count("backend_routing"), entries.len());
             assert_eq!(count("loss"), entries.len());
         } else {
