@@ -163,9 +163,9 @@ impl TransientAnalysis {
         let mut stats = TransientStats::default();
         let mut x_prev = vec![0.0; layout.n_unknowns];
         let mut times = Vec::with_capacity(steps + 1);
-        let mut solutions = Vec::with_capacity(steps + 1);
+        let mut solutions = Vec::with_capacity((steps + 1) * layout.n_unknowns);
         times.push(0.0);
-        solutions.push(x_prev.clone());
+        solutions.extend_from_slice(&x_prev);
 
         // Per-step index arithmetic: t_k = k·dt with the final index pinned
         // to t_end, so no float accumulation can drift the grid and the run
@@ -183,7 +183,6 @@ impl TransientAnalysis {
                 layout,
                 &mut workspace,
                 &x_prev,
-                x_prev.clone(),
                 t_next,
                 h,
                 &mut stats,
@@ -191,17 +190,18 @@ impl TransientAnalysis {
             if !solve.converged {
                 stats.non_converged_steps += 1;
             }
-            commit_elements(circuit, layout, &solve.x, t_next, h);
+            commit_elements(circuit, layout, &workspace.x, t_next, h);
             stats.accepted_steps += 1;
-            x_prev = solve.x;
+            std::mem::swap(&mut x_prev, &mut workspace.x);
             t = t_next;
             times.push(t);
-            solutions.push(x_prev.clone());
+            solutions.extend_from_slice(&x_prev);
         }
 
         Ok(TransientResult {
             times,
             solutions,
+            n_unknowns: layout.n_unknowns,
             node_count: layout.node_count,
             branch_offsets: layout.branch_offsets.clone(),
             stats,
@@ -223,7 +223,7 @@ impl TransientAnalysis {
         let mut stats = TransientStats::default();
         let mut x_prev = vec![0.0; layout.n_unknowns];
         let mut times = vec![0.0];
-        let mut solutions = vec![x_prev.clone()];
+        let mut solutions = x_prev.clone();
         let mut max_lte: f64 = 0.0;
 
         let mut t = 0.0;
@@ -263,7 +263,6 @@ impl TransientAnalysis {
                 layout,
                 &mut workspace,
                 &x_prev,
-                x_prev.clone(),
                 t_next,
                 h_step,
                 &mut stats,
@@ -278,7 +277,7 @@ impl TransientAnalysis {
             // diagnostics and the tolerance-halving property test.
             let mut error_norm: f64 = 0.0;
             let mut step_lte: f64 = 0.0;
-            for (new, old) in solve.x.iter().zip(&x_prev) {
+            for (new, old) in workspace.x.iter().zip(&x_prev) {
                 let lte = 0.5 * (new - old).abs();
                 let magnitude = new.abs().max(old.abs());
                 let scale = options.abs_tol + options.rel_tol * magnitude;
@@ -319,14 +318,14 @@ impl TransientAnalysis {
                 if !solve.converged {
                     stats.non_converged_steps += 1;
                 }
-                commit_elements(circuit, layout, &solve.x, t_next, h_step);
+                commit_elements(circuit, layout, &workspace.x, t_next, h_step);
                 stats.accepted_steps += 1;
                 let rejected_h = last_rejected.map(|(_, h)| h);
                 last_rejected = None;
-                x_prev = solve.x;
+                std::mem::swap(&mut x_prev, &mut workspace.x);
                 t = t_next;
                 times.push(t);
-                solutions.push(x_prev.clone());
+                solutions.extend_from_slice(&x_prev);
 
                 h = if noise_accept {
                     // h-independent residual: climb from the step size the
@@ -364,6 +363,7 @@ impl TransientAnalysis {
         Ok(TransientResult {
             times,
             solutions,
+            n_unknowns: layout.n_unknowns,
             node_count: layout.node_count,
             branch_offsets: layout.branch_offsets.clone(),
             stats,
@@ -372,8 +372,10 @@ impl TransientAnalysis {
     }
 
     /// One backward-Euler step: assembles and solves the Newton iteration
-    /// for the system at `t_next` with step `h`, starting from `x_start`.
-    /// Does not mutate element state — rejection is free.
+    /// for the system at `t_next` with step `h`, starting from `x_prev`,
+    /// and leaves the final iterate in `workspace.x`.  Does not mutate
+    /// element state — rejection is free — and does not allocate: every
+    /// iteration stamps, factorises and solves inside the workspace.
     #[allow(clippy::too_many_arguments)]
     fn newton_solve(
         &self,
@@ -381,20 +383,26 @@ impl TransientAnalysis {
         layout: &SystemLayout,
         workspace: &mut Workspace,
         x_prev: &[f64],
-        x_start: Vec<f64>,
         t_next: f64,
         h: f64,
         stats: &mut TransientStats,
     ) -> Result<NewtonSolve, SolverError> {
-        let mut x_guess = x_start;
+        let Workspace {
+            matrix,
+            rhs,
+            pivots,
+            x,
+            x_new,
+        } = workspace;
+        x.copy_from_slice(x_prev);
         for iteration in 0..self.max_newton_iterations {
-            workspace.matrix.clear();
-            workspace.rhs.iter_mut().for_each(|v| *v = 0.0);
+            matrix.clear();
+            rhs.iter_mut().for_each(|v| *v = 0.0);
             for (element, &offset) in circuit.elements().iter().zip(&layout.branch_offsets) {
                 let mut ctx = StampContext {
-                    matrix: &mut workspace.matrix,
-                    rhs: &mut workspace.rhs,
-                    x_guess: &x_guess,
+                    matrix,
+                    rhs,
+                    x_guess: x,
                     x_prev,
                     node_count: layout.node_count,
                     branch_offset: offset,
@@ -403,35 +411,29 @@ impl TransientAnalysis {
                 };
                 element.stamp(&mut ctx);
             }
-            let x_new = workspace.matrix.solve(&workspace.rhs)?;
+            matrix.factorise_in_place(pivots)?;
+            matrix.solve_factored(pivots, rhs, x_new)?;
             stats.lu_solves += 1;
             stats.newton_iterations += 1;
 
             let mut max_delta: f64 = 0.0;
-            for (new, old) in x_new.iter().zip(&x_guess) {
+            for (new, old) in x_new.iter().zip(x.iter()) {
                 let scale = 1.0 + new.abs().max(old.abs());
                 max_delta = max_delta.max((new - old).abs() / scale);
             }
-            x_guess = x_new;
-            if max_delta <= self.tolerance && iteration > 0 {
+            std::mem::swap(x, x_new);
+            // Converged once an update after the first is within tolerance;
+            // a purely linear circuit converges after the first solve, which
+            // a much smaller delta detects cheaply.
+            if (max_delta <= self.tolerance && iteration > 0) || max_delta <= self.tolerance * 1e-3
+            {
                 return Ok(NewtonSolve {
-                    x: x_guess,
-                    converged: true,
-                    iterations: iteration + 1,
-                });
-            }
-            // A purely linear circuit converges after the first solve;
-            // detect that cheaply by checking the delta directly.
-            if max_delta <= self.tolerance * 1e-3 {
-                return Ok(NewtonSolve {
-                    x: x_guess,
                     converged: true,
                     iterations: iteration + 1,
                 });
             }
         }
         Ok(NewtonSolve {
-            x: x_guess,
             converged: false,
             iterations: self.max_newton_iterations,
         })
@@ -451,9 +453,9 @@ fn fixed_step_count(dt: f64, t_end: f64) -> usize {
     }
 }
 
-/// Outcome of one Newton solve.
+/// Outcome of one Newton solve (the iterate itself stays in
+/// [`Workspace::x`]).
 struct NewtonSolve {
-    x: Vec<f64>,
     converged: bool,
     iterations: usize,
 }
@@ -494,10 +496,15 @@ impl SystemLayout {
     }
 }
 
-/// Reused per-run assembly scratch.
+/// Per-run scratch of the Newton loop, sized once for the system: the
+/// assembled matrix (factorised in place), its right-hand side and pivots,
+/// and the current and next iterate.
 struct Workspace {
     matrix: Matrix,
     rhs: Vec<f64>,
+    pivots: Vec<usize>,
+    x: Vec<f64>,
+    x_new: Vec<f64>,
 }
 
 impl Workspace {
@@ -505,6 +512,9 @@ impl Workspace {
         Self {
             matrix: Matrix::zeros(n, n),
             rhs: vec![0.0; n],
+            pivots: Vec::with_capacity(n),
+            x: vec![0.0; n],
+            x_new: vec![0.0; n],
         }
     }
 }
@@ -553,7 +563,9 @@ pub struct TransientStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransientResult {
     times: Vec<f64>,
-    solutions: Vec<Vec<f64>>,
+    /// One row of `n_unknowns` values per time point, row-major.
+    solutions: Vec<f64>,
+    n_unknowns: usize,
     node_count: usize,
     branch_offsets: Vec<usize>,
     stats: TransientStats,
@@ -609,7 +621,7 @@ impl TransientResult {
         if node.is_ground() {
             return Ok(vec![0.0; self.times.len()]);
         }
-        Ok(self.solutions.iter().map(|x| x[node.0 - 1]).collect())
+        Ok(self.column(node.0 - 1))
     }
 
     /// Branch-current series of the element at `element_index` (as returned
@@ -633,7 +645,15 @@ impl TransientResult {
                     reason: format!("unknown element index {element_index}"),
                 })?;
         let idx = self.node_count - 1 + offset + local;
-        Ok(self.solutions.iter().map(|x| x[idx]).collect())
+        Ok(self.column(idx))
+    }
+
+    /// The series of one unknown over every time point.
+    fn column(&self, idx: usize) -> Vec<f64> {
+        self.solutions
+            .chunks_exact(self.n_unknowns)
+            .map(|x| x[idx])
+            .collect()
     }
 }
 

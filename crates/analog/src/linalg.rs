@@ -133,6 +133,111 @@ impl Matrix {
         let lu = LuFactorisation::new(self.clone())?;
         lu.solve(b)
     }
+
+    /// LU-factorises the matrix in place with partial pivoting: afterwards
+    /// it holds `L` (unit diagonal, below) and `U` (on and above the
+    /// diagonal) of the row-permuted input, and `pivots[i]` is the input row
+    /// that ended up in row `i`.  `pivots` is overwritten, so one buffer
+    /// serves every factorisation of a size without reallocating — the
+    /// allocation-free half of [`LuFactorisation::new`], which wraps it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolverError::DimensionMismatch`] for a non-square matrix and
+    /// [`SolverError::SingularMatrix`] when a pivot column has no usable
+    /// pivot (the matrix is then partially overwritten).
+    pub fn factorise_in_place(&mut self, pivots: &mut Vec<usize>) -> Result<(), SolverError> {
+        if self.rows != self.cols {
+            return Err(SolverError::DimensionMismatch {
+                context: "LuFactorisation::new (square matrix required)",
+                expected: self.rows,
+                actual: self.cols,
+            });
+        }
+        let n = self.rows;
+        pivots.clear();
+        pivots.extend(0..n);
+        for k in 0..n {
+            // Partial pivoting: find the largest entry in column k at or
+            // below the diagonal.
+            let mut pivot_row = k;
+            let mut pivot_val = self[(k, k)].abs();
+            for i in (k + 1)..n {
+                let v = self[(i, k)].abs();
+                if v > pivot_val {
+                    pivot_val = v;
+                    pivot_row = i;
+                }
+            }
+            if pivot_val < 1e-300 {
+                return Err(SolverError::SingularMatrix { column: k });
+            }
+            if pivot_row != k {
+                for j in 0..n {
+                    let tmp = self[(k, j)];
+                    self[(k, j)] = self[(pivot_row, j)];
+                    self[(pivot_row, j)] = tmp;
+                }
+                pivots.swap(k, pivot_row);
+            }
+            for i in (k + 1)..n {
+                let factor = self[(i, k)] / self[(k, k)];
+                self[(i, k)] = factor;
+                for j in (k + 1)..n {
+                    let delta = factor * self[(k, j)];
+                    self[(i, j)] -= delta;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Solves `A·x = b` into `x`, where `self` and `pivots` are the output
+    /// of [`Matrix::factorise_in_place`] — the allocation-free half of
+    /// [`LuFactorisation::solve`], which wraps it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolverError::DimensionMismatch`] when `b` or `x` has the
+    /// wrong length.
+    pub fn solve_factored(
+        &self,
+        pivots: &[usize],
+        b: &[f64],
+        x: &mut [f64],
+    ) -> Result<(), SolverError> {
+        let n = self.rows;
+        for len in [b.len(), x.len()] {
+            if len != n {
+                return Err(SolverError::DimensionMismatch {
+                    context: "LuFactorisation::solve",
+                    expected: n,
+                    actual: len,
+                });
+            }
+        }
+        // Apply the row permutation.
+        for (xi, &p) in x.iter_mut().zip(pivots) {
+            *xi = b[p];
+        }
+        // Forward substitution (L has unit diagonal).
+        for i in 1..n {
+            let mut sum = x[i];
+            for (j, &xj) in x.iter().enumerate().take(i) {
+                sum -= self[(i, j)] * xj;
+            }
+            x[i] = sum;
+        }
+        // Back substitution.
+        for i in (0..n).rev() {
+            let mut sum = x[i];
+            for (j, &xj) in x.iter().enumerate().take(n).skip(i + 1) {
+                sum -= self[(i, j)] * xj;
+            }
+            x[i] = sum / self[(i, i)];
+        }
+        Ok(())
+    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -178,47 +283,8 @@ impl LuFactorisation {
     /// [`SolverError::SingularMatrix`] when a pivot column has no usable
     /// pivot.
     pub fn new(mut a: Matrix) -> Result<Self, SolverError> {
-        if a.rows != a.cols {
-            return Err(SolverError::DimensionMismatch {
-                context: "LuFactorisation::new (square matrix required)",
-                expected: a.rows,
-                actual: a.cols,
-            });
-        }
-        let n = a.rows;
-        let mut pivots = (0..n).collect::<Vec<_>>();
-        for k in 0..n {
-            // Partial pivoting: find the largest entry in column k at or
-            // below the diagonal.
-            let mut pivot_row = k;
-            let mut pivot_val = a[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = a[(i, k)].abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = i;
-                }
-            }
-            if pivot_val < 1e-300 {
-                return Err(SolverError::SingularMatrix { column: k });
-            }
-            if pivot_row != k {
-                for j in 0..n {
-                    let tmp = a[(k, j)];
-                    a[(k, j)] = a[(pivot_row, j)];
-                    a[(pivot_row, j)] = tmp;
-                }
-                pivots.swap(k, pivot_row);
-            }
-            for i in (k + 1)..n {
-                let factor = a[(i, k)] / a[(k, k)];
-                a[(i, k)] = factor;
-                for j in (k + 1)..n {
-                    let delta = factor * a[(k, j)];
-                    a[(i, j)] -= delta;
-                }
-            }
-        }
+        let mut pivots = Vec::new();
+        a.factorise_in_place(&mut pivots)?;
         Ok(Self { lu: a, pivots })
     }
 
@@ -229,32 +295,8 @@ impl LuFactorisation {
     /// Returns [`SolverError::DimensionMismatch`] when `b` has the wrong
     /// length.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SolverError> {
-        let n = self.lu.rows;
-        if b.len() != n {
-            return Err(SolverError::DimensionMismatch {
-                context: "LuFactorisation::solve",
-                expected: n,
-                actual: b.len(),
-            });
-        }
-        // Apply the row permutation.
-        let mut x: Vec<f64> = self.pivots.iter().map(|&p| b[p]).collect();
-        // Forward substitution (L has unit diagonal).
-        for i in 1..n {
-            let mut sum = x[i];
-            for (j, &xj) in x.iter().enumerate().take(i) {
-                sum -= self.lu[(i, j)] * xj;
-            }
-            x[i] = sum;
-        }
-        // Back substitution.
-        for i in (0..n).rev() {
-            let mut sum = x[i];
-            for (j, &xj) in x.iter().enumerate().take(n).skip(i + 1) {
-                sum -= self.lu[(i, j)] * xj;
-            }
-            x[i] = sum / self.lu[(i, i)];
-        }
+        let mut x = vec![0.0; b.len()];
+        self.lu.solve_factored(&self.pivots, b, &mut x)?;
         Ok(x)
     }
 }
@@ -351,6 +393,15 @@ mod tests {
     fn wrong_rhs_length_rejected() {
         let a = Matrix::identity(3);
         assert!(a.solve(&[1.0, 2.0]).is_err());
+        let mut pivots = Vec::new();
+        let mut lu = a.clone();
+        lu.factorise_in_place(&mut pivots).unwrap();
+        assert!(lu
+            .solve_factored(&pivots, &[1.0, 2.0, 3.0], &mut [0.0; 2])
+            .is_err());
+        assert!(lu
+            .solve_factored(&pivots, &[1.0, 2.0], &mut [0.0; 3])
+            .is_err());
     }
 
     #[test]
@@ -428,6 +479,49 @@ mod tests {
             let x = a.solve(&b).unwrap();
             for (xs, xt) in x.iter().zip(&x_true) {
                 prop_assert!((xs - xt).abs() < 1e-8);
+            }
+        }
+
+        #[test]
+        fn prop_in_place_pair_matches_the_wrapper_bit_for_bit(
+            n in 1_usize..7,
+            entries in proptest::collection::vec(-10.0_f64..10.0, 3 * 36),
+            rhs in proptest::collection::vec(-5.0_f64..5.0, 3 * 6),
+            shifts in proptest::collection::vec(0_usize..6, 3),
+        ) {
+            // One workspace serves three systems of the same size, as the
+            // transient Newton loop reuses its buffers: stale pivots or a
+            // stale solution from the previous system must not leak.
+            let mut lu = Matrix::zeros(n, n);
+            let mut pivots = Vec::new();
+            let mut x = vec![0.0; n];
+            for system in 0..3 {
+                // Diagonally dominant rows (well conditioned), rotated by a
+                // per-system shift so partial pivoting has to swap rows.
+                let seed = &entries[system * 36..(system + 1) * 36];
+                let mut a = Matrix::zeros(n, n);
+                for i in 0..n {
+                    let row = (i + shifts[system]) % n;
+                    let mut off_diagonal = 0.0;
+                    for j in (0..n).filter(|&j| j != i) {
+                        a[(row, j)] = seed[i * 6 + j];
+                        off_diagonal += seed[i * 6 + j].abs();
+                    }
+                    a[(row, i)] = off_diagonal + 1.0 + seed[i * 6 + i].abs();
+                }
+                let b = &rhs[system * 6..system * 6 + n];
+                let wrapped = a.solve(b).unwrap();
+
+                lu.clear();
+                for i in 0..n {
+                    for j in 0..n {
+                        lu[(i, j)] = a[(i, j)];
+                    }
+                }
+                lu.factorise_in_place(&mut pivots).unwrap();
+                lu.solve_factored(&pivots, b, &mut x).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&x), bits(&wrapped));
             }
         }
     }

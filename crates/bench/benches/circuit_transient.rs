@@ -9,9 +9,19 @@
 //! adaptive controller must reach the fixed-step loop accuracy in fewer
 //! accepted steps (asserted by `hdl_models::scenario` tests; measured
 //! here).
+//!
+//! The `*_backends4` rows run the inrush circuit on all four backends as a
+//! one-worker batch: `shared` routes the four scenarios into one circuit
+//! job that solves once and replays the field samples through each
+//! backend, `scalar` solves per scenario.  Both produce the same outcomes
+//! (asserted in `tests/batch_determinism.rs`); the CI bench gate bounds
+//! the shared route's cost relative to the scalar one.
 
 use criterion::{black_box, Criterion};
-use hdl_models::scenario::{BackendKind, CircuitExcitation, Excitation, Scenario, StepControl};
+use hdl_models::exec::{BatchRunner, SoaRouting};
+use hdl_models::scenario::{
+    BackendKind, BatchReport, CircuitExcitation, Excitation, Scenario, StepControl,
+};
 use ja_hysteresis::config::JaConfig;
 use magnetics::material::JaParameters;
 
@@ -23,6 +33,19 @@ fn scenario(control: StepControl) -> Scenario {
         BackendKind::DirectTimeless,
         Excitation::Circuit(CircuitExcitation::inrush().with_step_control(control)),
     )
+}
+
+/// The fixed-step inrush circuit on every backend, one worker.
+fn run_backends4(routing: SoaRouting) -> BatchReport {
+    let scenarios = BackendKind::ALL.map(|backend| {
+        let mut scenario = scenario(StepControl::Fixed);
+        scenario.backend = backend;
+        scenario
+    });
+    BatchRunner::new()
+        .workers(1)
+        .soa_routing(routing)
+        .run(scenarios)
 }
 
 fn controls() -> [(&'static str, StepControl); 2] {
@@ -73,6 +96,18 @@ fn benches(c: &mut Criterion) {
         let scenario = scenario(control);
         group.bench_function(label, move |b| {
             b.iter(|| black_box(scenario.run().expect("scenario")))
+        });
+    }
+    for (label, routing) in [
+        ("shared_backends4", SoaRouting::Auto),
+        ("scalar_backends4", SoaRouting::ForceScalar),
+    ] {
+        group.bench_function(label, move |b| {
+            b.iter(|| {
+                let report = run_backends4(routing);
+                assert_eq!(report.failures().count(), 0);
+                black_box(report)
+            })
         });
     }
     group.finish();

@@ -37,12 +37,19 @@ OPTIONS:
                                  grid order, into jobs of up to 8 lanes;
                                  each job of >= 2 runs as one
                                  structure-of-arrays lockstep sweep (AVX2
-                                 when the CPU has it); everything else
+                                 when the CPU has it); circuit scenarios
+                                 on any backend sharing resolved material
+                                 parameters, a config and a circuit solve
+                                 the circuit once and replay its field
+                                 through each backend; everything else
                                  runs scalar
-                         soa     lockstep even for 1-lane jobs
-                         scalar  always one scenario at a time
+                         soa     lockstep even for 1-lane jobs; circuits
+                                 shared as under auto
+                         scalar  always one scenario at a time (every
+                                 circuit scenario solves its own circuit)
                        Routing never changes report content: SoA f64 lanes
-                       are bit-identical to scalar runs.
+                       are bit-identical to scalar runs, and the circuit
+                       solve does not depend on the backend.
     --format FMT       report format                           [default: json]
                          json    one pretty-printed kind:\"batch\" document;
                                  each entry is rendered as it completes

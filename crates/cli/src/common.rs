@@ -1,6 +1,8 @@
 //! Shared helpers: name → domain-object lookups, excitation construction,
 //! report envelopes and output writing.
 
+use std::io::{self, Write};
+
 use hdl_models::exec::SoaRouting;
 use hdl_models::report;
 use hdl_models::scenario::{
@@ -370,12 +372,17 @@ pub fn write_curve_csv(out: Option<&str>, curve: &magnetics::bh::BhCurve) -> Res
 ///
 /// # Errors
 ///
-/// Failure when the file cannot be written.
+/// Failure when the file cannot be written, or when stdout is closed (a
+/// reader such as `head` that exits early): that is a clean exit 1 with one
+/// `ja:` line, not a panic.
 pub fn write_output(out: Option<&str>, content: &str) -> Result<(), CliError> {
     match out {
         None => {
-            print!("{content}");
-            Ok(())
+            let mut stdout = io::stdout().lock();
+            stdout
+                .write_all(content.as_bytes())
+                .and_then(|()| stdout.flush())
+                .map_err(|err| CliError::failure(format!("cannot write to stdout: {err}")))
         }
         Some(path) => std::fs::write(path, content)
             .map_err(|err| CliError::failure(format!("cannot write `{path}`: {err}"))),

@@ -229,14 +229,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
     };
     let rest = &args[1..];
     match subcommand.as_str() {
-        "-h" | "--help" => {
-            println!("{GLOBAL_HELP}");
-            Ok(())
-        }
-        "-V" | "--version" => {
-            println!("ja {}", env!("CARGO_PKG_VERSION"));
-            Ok(())
-        }
+        "-h" | "--help" => print_line(GLOBAL_HELP),
+        "-V" | "--version" => print_line(&format!("ja {}", env!("CARGO_PKG_VERSION"))),
         "help" => {
             let topic = rest.first().map(String::as_str);
             let text = match topic {
@@ -255,8 +249,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     return Err(CliError::usage(format!("unknown subcommand `{other}`")))
                 }
             };
-            println!("{text}");
-            Ok(())
+            print_line(text)
         }
         command if wants_help(rest) => {
             let text = match command {
@@ -272,8 +265,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 "bench-serve" => commands::bench_serve::HELP,
                 other => return Err(CliError::usage(format!("unknown subcommand `{other}`"))),
             };
-            println!("{text}");
-            Ok(())
+            print_line(text)
         }
         "sweep" => commands::sweep::run(rest),
         "transient" => commands::transient::run(rest),
@@ -289,6 +281,12 @@ fn run(args: &[String]) -> Result<(), CliError> {
             "unknown subcommand `{other}` (see `ja --help`)"
         ))),
     }
+}
+
+/// Prints help or version text and a newline to stdout, failing cleanly
+/// (not panicking) when stdout is closed.
+fn print_line(text: &str) -> Result<(), CliError> {
+    common::write_output(None, &format!("{text}\n"))
 }
 
 fn wants_help(args: &[String]) -> bool {

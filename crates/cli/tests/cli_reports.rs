@@ -7,7 +7,7 @@
 //! extend through the CLI.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use ja_hysteresis::json::{JsonValue, SCHEMA_VERSION, SCHEMA_VERSION_KEY};
 
@@ -160,6 +160,66 @@ fn mixed_batch_reports_are_byte_identical_across_worker_counts() {
         accepted[1],
         accepted[0]
     );
+}
+
+#[test]
+fn circuit_grid_reports_are_byte_identical_across_routing() {
+    // Under --routing auto the scenarios of one (material, circuit) cell
+    // share one transient solve across the four backends; --routing scalar
+    // solves each on its own.  Both formats must not tell them apart.
+    let config = fixture("grid_circuits.conf");
+    let config = config.to_str().unwrap();
+    for format in ["json", "ndjson"] {
+        let shared = ja_ok(&[
+            "batch",
+            "--config",
+            config,
+            "--format",
+            format,
+            "--routing",
+            "auto",
+            "--workers",
+            "2",
+        ]);
+        let scalar = ja_ok(&[
+            "batch",
+            "--config",
+            config,
+            "--format",
+            format,
+            "--routing",
+            "scalar",
+            "--workers",
+            "1",
+        ]);
+        assert_eq!(shared, scalar, "{format} report depends on circuit sharing");
+    }
+    let doc = parse_report(
+        &ja_ok(&["batch", "--config", config, "--workers", "2"]),
+        "batch",
+    );
+    assert_eq!(doc.get("scenarios").and_then(JsonValue::as_i64), Some(16));
+    assert_eq!(doc.get("succeeded").and_then(JsonValue::as_i64), Some(16));
+}
+
+#[test]
+fn closed_stdout_is_a_clean_failure_not_a_panic() {
+    // A reader that exits early (`ja sweep ... | head -1`): the CSV is
+    // larger than a pipe buffer, so the write fails on the closed pipe
+    // whenever it happens.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ja"))
+        .args(["sweep", "--fig1", "--step", "50", "--format", "csv"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ja");
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("wait for ja");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(stderr.starts_with("ja: "), "stderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "stderr: {stderr}");
 }
 
 #[test]

@@ -40,6 +40,18 @@
 //! lanes stay bit-identical to the scalar model and routing never changes
 //! report content, only throughput.
 //!
+//! Circuit-driven scenarios are routed — under the same [`SoaRouting`]
+//! modes — into **circuit jobs**.  A scenario's transient solve
+//! ([`CircuitExcitation::simulate`](crate::scenario::CircuitExcitation::simulate))
+//! depends only on its resolved parameters, configuration and circuit,
+//! never on its backend (the in-circuit core is always the direct model),
+//! so the scenarios of a grid that differ only in backend (or in an
+//! operating point that resolves to the same parameters) share one solve:
+//! the job solves the circuit once and replays its field samples through
+//! each member's backend, and every member still carries its own copy of
+//! the transient statistics, so the report is byte-identical to solving
+//! per scenario.
+//!
 //! The distribution machinery itself (chunked claims over an atomic
 //! cursor, worker-local state, an in-order reorder buffer) is one private
 //! worker loop; the generic [`parallel_map`] is a collect over it and
@@ -74,10 +86,11 @@ pub enum ErrorPolicy {
     /// historical `run_batch` behaviour).  Reports are fully deterministic.
     #[default]
     CollectAll,
-    /// Stop scheduling new work once any scenario fails; scenarios that
-    /// were not yet executed are recorded as [`JaError::Cancelled`].  Which
-    /// scenarios get cancelled depends on worker timing, so fail-fast
-    /// reports are only deterministic for a single worker.
+    /// Stop scheduling new jobs once any scenario fails; scenarios whose
+    /// job had not yet started are recorded as [`JaError::Cancelled`], while
+    /// the rest of a started job (a lockstep or circuit job's other members)
+    /// still runs.  Which scenarios get cancelled depends on worker timing,
+    /// so fail-fast reports are only deterministic for a single worker.
     FailFast,
 }
 
@@ -93,16 +106,26 @@ pub enum ErrorPolicy {
 /// In `f64` column mode every lane is bit-identical to the scalar run of
 /// the same scenario, so the routing decision never changes report content
 /// — only the timing fields.
+///
+/// The same modes decide circuit-driven scenarios on any backend: those
+/// sharing bit-identical resolved parameters, a configuration and a circuit
+/// would run the identical transient solve, so a group of two or more
+/// becomes one circuit job that solves once and replays the field samples
+/// through each member's backend.  Solving is backend-independent, so this
+/// too changes only the timing fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SoaRouting {
-    /// Run every job of two or more lanes through the lockstep batch;
+    /// Run every lockstep job of two or more lanes through the lockstep
+    /// batch and every circuit group of two or more as one shared solve;
     /// everything else runs scalar.  The default.
     #[default]
     Auto,
-    /// Run every groupable scenario through the lockstep batch, even alone
-    /// in its job (useful for exercising the SoA path).
+    /// Run every groupable direct-timeless scenario through the lockstep
+    /// batch, even alone in its job (useful for exercising the SoA path);
+    /// circuit groups are shared exactly as under `Auto`.
     ForceSoa,
-    /// Run every scenario through the scalar path.
+    /// Run every scenario through the scalar path, one at a time: every
+    /// circuit scenario solves its own circuit.  The reference path.
     ForceScalar,
 }
 
@@ -190,7 +213,9 @@ impl BatchRunner {
     /// as structure-of-arrays lockstep sweeps of up to [`LOCKSTEP_LANES`]
     /// lanes instead of one scalar sweep each — with bit-identical
     /// per-entry results, since the SoA `f64` lanes reproduce the scalar
-    /// operation sequence exactly.
+    /// operation sequence exactly — and circuit scenarios that would run
+    /// the identical transient solve share one, with the same per-entry
+    /// results as solving per scenario.
     pub fn run(&self, scenarios: impl IntoIterator<Item = Scenario>) -> BatchReport {
         let scenarios: Vec<Scenario> = scenarios.into_iter().collect();
         let started = Instant::now();
@@ -235,16 +260,19 @@ impl BatchRunner {
     /// scenario executor every batch path is built on.
     ///
     /// `reduce` receives `(index, outcome, wall_clock)` right after the
-    /// scenario (or its lockstep lane) finishes, where `wall_clock` is the
-    /// time the entry spent on its worker (backend construction, sweep,
-    /// metric extraction and loss; for a lockstep lane, an equal share of
-    /// the job's sweep plus the lane's own curve, metrics and loss; zero
-    /// for cancelled entries).  It returns something small — a
-    /// rendered entry, an NDJSON record — so the outcome and the
-    /// [`BhCurve`] inside it are dropped on the worker.  `emit` runs on the
-    /// calling thread as soon as an entry and all its predecessors have
-    /// been reduced.  Peak memory is therefore bounded by the jobs in
-    /// flight plus the reorder buffer of reduced values, not by grid size.
+    /// scenario (or its lockstep lane, or its circuit-job member) finishes,
+    /// where `wall_clock` is the time the entry spent on its worker
+    /// (backend construction, sweep, metric extraction and loss; for a
+    /// lockstep lane, an equal share of the job's sweep plus the lane's own
+    /// curve, metrics and loss; for a circuit-job member, an equal share of
+    /// the job's circuit solve plus the member's own backend construction,
+    /// sweep, metrics and loss; zero for cancelled entries).  It returns
+    /// something small — a rendered entry, an NDJSON record — so the
+    /// outcome and the [`BhCurve`] inside it are dropped on the worker.
+    /// `emit` runs on the calling thread as soon as an entry and all its
+    /// predecessors have been reduced.  Peak memory is therefore bounded by
+    /// the jobs in flight plus the reorder buffer of reduced values, not by
+    /// grid size.
     /// Because each scenario's computation is sequential and
     /// self-contained, the emitted sequence is **bit-identical for any
     /// worker count** — the property the report writers' byte-determinism
@@ -252,8 +280,9 @@ impl BatchRunner {
     ///
     /// `skip` supports checkpoint/resume: entries `0..skip` are neither run
     /// nor emitted.  Skipping cannot change the remaining outcomes — every
-    /// scenario is independent, and SoA lockstep regrouping is
-    /// result-neutral by the lane/scalar bit-equality invariant.
+    /// scenario is independent, SoA lockstep regrouping is result-neutral
+    /// by the lane/scalar bit-equality invariant, and circuit regrouping by
+    /// the backend independence of the transient solve.
     ///
     /// # Errors
     ///
@@ -300,13 +329,16 @@ impl BatchRunner {
                         let outcome = pending[*index].run_with_scratch(scratch);
                         deliver(*index, outcome, t0.elapsed());
                     }
-                    Job::Lockstep(members) if cancelled => {
+                    Job::Lockstep(members) | Job::Circuit(members) if cancelled => {
                         for &index in members {
                             deliver(index, Err(JaError::Cancelled), Duration::ZERO);
                         }
                     }
                     Job::Lockstep(members) => {
                         run_lockstep_group(pending, members, scratch, &mut deliver);
+                    }
+                    Job::Circuit(members) => {
+                        run_circuit_group(pending, members, scratch, &mut deliver);
                     }
                 }
             },
@@ -354,19 +386,25 @@ pub struct StreamSummary {
 /// the trajectory alive per worker.
 pub const LOCKSTEP_LANES: usize = 8;
 
-/// One unit of parallel work: a single scenario on the scalar path, or the
-/// scenario indices of one SoA lockstep sweep.
+/// One unit of parallel work: a single scenario on the scalar path, the
+/// scenario indices of one SoA lockstep sweep, or the scenario indices of
+/// one shared circuit solve.
 #[derive(Debug, PartialEq, Eq)]
 enum Job {
     Scalar(usize),
     Lockstep(Vec<usize>),
+    Circuit(Vec<usize>),
 }
 
 /// Partitions the scenario list into jobs according to the routing policy:
-/// each (configuration, excitation) group splits, in input order, into
-/// lockstep jobs of at most [`LOCKSTEP_LANES`] lanes.  Jobs are ordered by
-/// their first scenario index, so a single-worker fail-fast run still
-/// cancels in input order.
+/// each direct-timeless (configuration, excitation) group splits, in input
+/// order, into lockstep jobs of at most [`LOCKSTEP_LANES`] lanes, and each
+/// group of circuit scenarios that would run the identical transient solve
+/// becomes one circuit job, however large (its members only replay the
+/// shared samples).  Jobs are ordered by their first scenario index, so a
+/// single-worker fail-fast run cancels in job order: a job that starts
+/// after the failure is cancelled whole, while the members of a job that
+/// had already started — which may sit far apart in the input — still run.
 fn route_jobs(scenarios: &[Scenario], routing: SoaRouting) -> Vec<Job> {
     if routing == SoaRouting::ForceScalar {
         return (0..scenarios.len()).map(Job::Scalar).collect();
@@ -374,24 +412,42 @@ fn route_jobs(scenarios: &[Scenario], routing: SoaRouting) -> Vec<Job> {
     let mut scalar: Vec<usize> = Vec::new();
     // (representative index, members): few distinct (config, excitation)
     // pairs per grid, so a linear scan beats hashing the float-laden keys.
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+    let mut lockstep: Vec<(usize, Vec<usize>)> = Vec::new();
+    // (resolved parameter bits, members), scanned the same way; the first
+    // member stands in for the shared configuration and circuit.
+    let mut circuits: Vec<([u64; 6], Vec<usize>)> = Vec::new();
     for (index, scenario) in scenarios.iter().enumerate() {
-        let groupable = scenario.backend == BackendKind::DirectTimeless
-            && !matches!(scenario.excitation, Excitation::Circuit(_));
-        if !groupable {
+        if matches!(scenario.excitation, Excitation::Circuit(_)) {
+            // A scenario whose parameters do not resolve runs scalar, which
+            // reports its own error.
+            let Ok(params) = scenario.resolved_params() else {
+                scalar.push(index);
+                continue;
+            };
+            let bits = param_bits(&params);
+            match circuits.iter_mut().find(|(key, members)| {
+                let other = &scenarios[members[0]];
+                *key == bits
+                    && other.config == scenario.config
+                    && other.excitation == scenario.excitation
+            }) {
+                Some((_, members)) => members.push(index),
+                None => circuits.push((bits, vec![index])),
+            }
+        } else if scenario.backend == BackendKind::DirectTimeless {
+            match lockstep.iter_mut().find(|(representative, _)| {
+                let other = &scenarios[*representative];
+                other.config == scenario.config && other.excitation == scenario.excitation
+            }) {
+                Some((_, members)) => members.push(index),
+                None => lockstep.push((index, vec![index])),
+            }
+        } else {
             scalar.push(index);
-            continue;
-        }
-        match groups.iter_mut().find(|(representative, _)| {
-            let other = &scenarios[*representative];
-            other.config == scenario.config && other.excitation == scenario.excitation
-        }) {
-            Some((_, members)) => members.push(index),
-            None => groups.push((index, vec![index])),
         }
     }
     let mut jobs: Vec<Job> = scalar.into_iter().map(Job::Scalar).collect();
-    for (_, members) in groups {
+    for (_, members) in lockstep {
         for lanes in members.chunks(LOCKSTEP_LANES) {
             if lanes.len() >= 2 || routing == SoaRouting::ForceSoa {
                 jobs.push(Job::Lockstep(lanes.to_vec()));
@@ -400,11 +456,32 @@ fn route_jobs(scenarios: &[Scenario], routing: SoaRouting) -> Vec<Job> {
             }
         }
     }
+    for (_, members) in circuits {
+        jobs.push(match members[..] {
+            [single] => Job::Scalar(single),
+            _ => Job::Circuit(members),
+        });
+    }
     jobs.sort_by_key(|job| match job {
         Job::Scalar(index) => *index,
-        Job::Lockstep(members) => members[0],
+        Job::Lockstep(members) | Job::Circuit(members) => members[0],
     });
     jobs
+}
+
+/// The bit patterns of a parameter set: two sets share a circuit solve
+/// only when every field is the same float, so `0.0` and `-0.0` never do.
+/// The exhaustive destructuring fails to compile when a field is added.
+fn param_bits(params: &JaParameters) -> [u64; 6] {
+    let JaParameters {
+        m_sat,
+        a,
+        a2,
+        k,
+        alpha,
+        c,
+    } = *params;
+    [m_sat.value(), a, a2, k, alpha, c].map(f64::to_bits)
 }
 
 /// Where a lockstep job hands each member's `(index, outcome,
@@ -515,6 +592,46 @@ fn run_members_scalar(
         let t0 = Instant::now();
         let outcome = scenarios[index].run_with_scratch(scratch);
         deliver(index, outcome, t0.elapsed());
+    }
+}
+
+/// Runs one circuit job: solves the shared drive circuit once, with the
+/// first member's resolved parameters and configuration (bit-identical to
+/// every member's, by the routing key), then replays its field samples
+/// through each member's backend in member order.
+///
+/// Outcomes are those of the scalar path: each member builds (or reuses)
+/// its backend from the scratch, sweeps the shared samples, computes its
+/// own metrics and loss, and carries its own copy of the transient
+/// statistics; a failed solve reaches a member only after its backend
+/// builds, exactly as its own solve would have failed.  Each member's
+/// `runtime` is an equal share of the solve plus its own sweep, and its
+/// `wall_clock` that share plus its own backend construction, sweep,
+/// metrics and loss.
+fn run_circuit_group(
+    scenarios: &[Scenario],
+    members: &[usize],
+    scratch: &mut RunScratch,
+    deliver: Deliver<'_>,
+) {
+    let first = &scenarios[members[0]];
+    let Excitation::Circuit(spec) = &first.excitation else {
+        unreachable!("route_jobs groups circuit scenarios only");
+    };
+    let t0 = Instant::now();
+    let solved = first
+        .resolved_params()
+        .and_then(|params| spec.simulate(params, first.config));
+    let share = t0.elapsed() / members.len() as u32;
+    for &index in members {
+        let t_member = Instant::now();
+        let outcome = scenarios[index]
+            .run_with_solve(scratch, Some(&solved))
+            .map(|mut outcome| {
+                outcome.runtime += share;
+                outcome
+            });
+        deliver(index, outcome, share + t_member.elapsed());
     }
 }
 
@@ -869,11 +986,25 @@ mod tests {
             Excitation::major_loop(10_000.0, 250.0, 1).expect("excitation"),
         );
         let good = Scenario::fig1(BackendKind::DirectTimeless, 500.0).expect("scenario");
-        let report = BatchRunner::new()
-            .workers(1)
-            .fail_fast()
-            .run([bad, good.clone(), good]);
-        assert_eq!(report.entries.len(), 3);
+        // Two backends on one circuit: a circuit job, which checks the
+        // cancel flag at its start like every other job.
+        let circuit = Scenario::new(
+            "circuit",
+            JaParameters::date2006(),
+            JaConfig::default(),
+            BackendKind::AmsTimeless,
+            Excitation::Circuit(short_inrush()),
+        );
+        let mut other_backend = circuit.clone();
+        other_backend.backend = BackendKind::TimeDomainBaseline;
+        let report = BatchRunner::new().workers(1).fail_fast().run([
+            bad,
+            good.clone(),
+            good,
+            circuit,
+            other_backend,
+        ]);
+        assert_eq!(report.entries.len(), 5);
         assert!(report.entries[0].outcome.is_err());
         for entry in &report.entries[1..] {
             assert_eq!(entry.outcome.as_ref().err(), Some(&JaError::Cancelled));
@@ -1075,6 +1206,152 @@ mod tests {
             };
             assert_eq!(*job, expected);
         }
+    }
+
+    /// A short inrush drive: the exec tests need a real solve, not a long
+    /// one.
+    fn short_inrush() -> crate::scenario::CircuitExcitation {
+        let mut spec = crate::scenario::CircuitExcitation::inrush();
+        spec.t_end = 0.005;
+        spec
+    }
+
+    #[test]
+    fn route_jobs_shares_each_circuit_solve_across_backends() {
+        use crate::scenario::{CircuitExcitation, OperatingPoint, StepControl};
+        // The mixed_backends shape: 3 materials × systemc/ams/time-domain ×
+        // 2 configs × {2 field excitations, 2 circuits} = 72 scenarios.
+        // Each circuit block of 18 holds 6 (config, material) cells whose
+        // 3 backends sit 6 indices apart: 12 circuit jobs of 3.
+        let grid = ScenarioGrid::new()
+            .material("date2006", JaParameters::date2006())
+            .material("hard-steel", JaParameters::hard_steel())
+            .material("ferrite", JaParameters::soft_ferrite())
+            .backends([
+                BackendKind::SystemC,
+                BackendKind::AmsTimeless,
+                BackendKind::TimeDomainBaseline,
+            ])
+            .config("dh10", JaConfig::default())
+            .config("dh25", JaConfig::default().with_dh_max(25.0))
+            .excitation(
+                "major",
+                Excitation::major_loop(8_000.0, 250.0, 1).expect("excitation"),
+            )
+            .excitation(
+                "biased",
+                Excitation::biased_minor_loop(1_500.0, 750.0, 1, 50.0).expect("excitation"),
+            )
+            .excitation("sine", Excitation::Circuit(CircuitExcitation::inrush()))
+            .excitation(
+                "adaptive",
+                Excitation::Circuit(CircuitExcitation::inrush().with_step_control(
+                    StepControl::Adaptive(CircuitExcitation::adaptive_defaults()),
+                )),
+            );
+        let scenarios = grid.scenarios().expect("grid");
+        assert_eq!(scenarios.len(), 72);
+        let mut expected: Vec<Job> = (0..36).map(Job::Scalar).collect();
+        for block in [36, 54] {
+            expected.extend(
+                (block..block + 6).map(|first| Job::Circuit(vec![first, first + 6, first + 12])),
+            );
+        }
+        for routing in [SoaRouting::Auto, SoaRouting::ForceSoa] {
+            assert_eq!(route_jobs(&scenarios, routing), expected, "{routing:?}");
+        }
+        let scalar = route_jobs(&scenarios, SoaRouting::ForceScalar);
+        assert_eq!(scalar, (0..72).map(Job::Scalar).collect::<Vec<_>>());
+
+        // A circuit cell with one member has nothing to share.
+        let lone = &scenarios[36..37];
+        assert_eq!(route_jobs(lone, SoaRouting::Auto), [Job::Scalar(0)]);
+        assert_eq!(route_jobs(lone, SoaRouting::ForceSoa), [Job::Scalar(0)]);
+
+        // An operating point whose temperature does not resolve (above the
+        // Curie point) stays scalar and reports its own error.
+        let unresolvable: Vec<Scenario> = [&scenarios[36], &scenarios[42]]
+            .into_iter()
+            .map(|scenario| {
+                scenario
+                    .clone()
+                    .with_operating_point(OperatingPoint::at_temperature(5_000.0))
+            })
+            .collect();
+        assert!(unresolvable[0].resolved_params().is_err());
+        assert_eq!(
+            route_jobs(&unresolvable, SoaRouting::Auto),
+            [Job::Scalar(0), Job::Scalar(1)]
+        );
+    }
+
+    #[test]
+    fn circuit_job_members_carry_a_solve_share_and_their_own_work() {
+        // Every backend over two materials on one short circuit: the direct
+        // scenarios join the circuit jobs too (circuits never run in
+        // lockstep), giving two jobs of four.  Bit-equality with the scalar
+        // path is asserted across routing modes in
+        // tests/batch_determinism.rs; here, the timing fields.
+        let grid = ScenarioGrid::new()
+            .material("date2006", JaParameters::date2006())
+            .material("hard-steel", JaParameters::hard_steel())
+            .backends(BackendKind::ALL)
+            .excitation("inrush", Excitation::Circuit(short_inrush()));
+        let scenarios = grid.scenarios().expect("grid");
+        assert_eq!(
+            route_jobs(&scenarios, SoaRouting::Auto),
+            [
+                Job::Circuit(vec![0, 2, 4, 6]),
+                Job::Circuit(vec![1, 3, 5, 7])
+            ]
+        );
+        let report = BatchRunner::new().workers(2).run(scenarios);
+        for entry in &report.entries {
+            let outcome = entry.outcome.as_ref().expect("ok");
+            assert!(outcome.transient.is_some(), "{}", entry.scenario.name);
+            assert_eq!(outcome.lockstep_lanes, None);
+            // A member's runtime is its solve share plus its own sweep; its
+            // wall clock adds its own backend build, metrics and loss.
+            assert!(outcome.runtime > Duration::ZERO, "{}", entry.scenario.name);
+            assert!(
+                entry.wall_clock >= outcome.runtime,
+                "{}",
+                entry.scenario.name
+            );
+        }
+    }
+
+    #[test]
+    fn a_failed_shared_solve_reaches_every_member_as_its_scalar_error() {
+        // dt > t_end passes CircuitExcitation::new but fails the transient
+        // engine.  Under the non-paper config the SystemC member fails to
+        // build first, exactly as on the scalar path, which never reaches
+        // the solve.
+        let mut spec = short_inrush();
+        spec.t_end = 1e-4;
+        spec.dt = 5e-4;
+        let config = JaConfig::default().with_subdivision();
+        let grid = ScenarioGrid::new()
+            .backends(BackendKind::ALL)
+            .config("paper", JaConfig::default())
+            .config("unguarded", config)
+            .excitation("too-coarse", Excitation::Circuit(spec));
+        let scenarios = grid.scenarios().expect("grid");
+        assert!(route_jobs(&scenarios, SoaRouting::Auto)
+            .iter()
+            .any(|job| matches!(job, Job::Circuit(members) if members.len() == 4)));
+        let scalar = BatchRunner::new()
+            .workers(1)
+            .soa_routing(SoaRouting::ForceScalar)
+            .run(scenarios.clone());
+        let shared = BatchRunner::new().workers(2).run(scenarios);
+        assert_eq!(shared.failures().count(), 8);
+        assert_outcomes_bitwise_equal(&scalar, &shared);
+        let errors: Vec<&JaError> = shared.failures().map(|(_, err)| err).collect();
+        assert!(errors.iter().any(|err| matches!(err, JaError::Solver(_))));
+        assert!(errors
+            .iter()
+            .any(|err| matches!(err, JaError::Backend { .. })));
     }
 
     #[test]

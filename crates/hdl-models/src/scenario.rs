@@ -877,6 +877,24 @@ impl Scenario {
     ///
     /// Propagates backend construction, reset, sweep and analysis errors.
     pub fn run_with_scratch(&self, scratch: &mut RunScratch) -> Result<ScenarioOutcome, JaError> {
+        self.run_with_solve(scratch, None)
+    }
+
+    /// The one outcome-construction path behind
+    /// [`run_with_scratch`](Self::run_with_scratch) and the executor's
+    /// circuit jobs.  A circuit-driven scenario replays `solved` — the
+    /// result of [`CircuitExcitation::simulate`] for this scenario's
+    /// resolved parameters, configuration and circuit, run once for every
+    /// backend that shares them — instead of solving the circuit itself;
+    /// `None` solves it here.  A failed solve is reported only after the
+    /// backend builds, exactly where the scenario's own solve would have
+    /// failed, so the outcome is the same either way.  The solve's time is
+    /// the caller's to attribute: `runtime` covers this scenario's work.
+    pub(crate) fn run_with_solve(
+        &self,
+        scratch: &mut RunScratch,
+        solved: Option<&Result<CircuitRun, JaError>>,
+    ) -> Result<ScenarioOutcome, JaError> {
         let (backend, cached_samples) = scratch.backend_and_samples(self)?;
         let started = Instant::now();
         let (curve, transient) = match &self.excitation {
@@ -890,7 +908,14 @@ impl Scenario {
                 // temperature is set); the solver-chosen H trajectory then
                 // drives the scenario's backend like any prescribed
                 // sample sequence.
-                let run = spec.simulate(self.resolved_params()?, self.config)?;
+                let own;
+                let run = match solved {
+                    Some(shared) => shared.as_ref().map_err(JaError::clone)?,
+                    None => {
+                        own = spec.simulate(self.resolved_params()?, self.config)?;
+                        &own
+                    }
+                };
                 (backend.run_samples(&run.field_samples)?, Some(run.stats))
             }
         };
@@ -951,7 +976,11 @@ pub struct ScenarioOutcome {
     pub transient: Option<TransientStats>,
     /// Wall-clock time of the sweep (for circuit-driven excitations this
     /// includes the transient circuit solve; backend construction and
-    /// metric extraction stay excluded).
+    /// metric extraction stay excluded).  When [`crate::exec::BatchRunner`]
+    /// ran the outcome as a lockstep lane, this is an equal share of the
+    /// job's sweep; when it shared one circuit solve across the scenarios
+    /// of a circuit job, an equal share of that solve plus this scenario's
+    /// own sweep.
     pub runtime: Duration,
     /// `Some(lane count)` when this outcome was produced by a
     /// structure-of-arrays lockstep job of [`crate::exec::BatchRunner`]

@@ -7,8 +7,9 @@
 use ja_repro::hdl_models::exec::{BatchRunner, SoaRouting};
 use ja_repro::hdl_models::scenario::{
     BackendKind, BatchReport, CircuitExcitation, Excitation, OperatingPoint, ScenarioGrid,
-    StepControl,
+    StepControl, TransientStats,
 };
+use ja_repro::ja_hysteresis::backend::KernelStatistics;
 use ja_repro::ja_hysteresis::config::JaConfig;
 use ja_repro::magnetics::geometry::CoreGeometry;
 use ja_repro::magnetics::material::JaParameters;
@@ -28,7 +29,9 @@ fn grid() -> ScenarioGrid {
 
 /// The mixed grid of the acceptance criterion: field-driven and
 /// circuit-driven scenarios (fixed and adaptive stepping) side by side on
-/// one backend.
+/// every backend, over two materials at two temperatures — the shape whose
+/// circuit scenarios share one transient solve per (material, temperature,
+/// circuit) across the four backends.
 fn mixed_grid() -> ScenarioGrid {
     let mut inrush_fixed = CircuitExcitation::inrush();
     inrush_fixed.t_end = 0.02;
@@ -36,7 +39,19 @@ fn mixed_grid() -> ScenarioGrid {
         .clone()
         .with_step_control(StepControl::Adaptive(CircuitExcitation::adaptive_defaults()));
     ScenarioGrid::new()
-        .backend(BackendKind::DirectTimeless)
+        .material_with_thermal(
+            "date2006",
+            JaParameters::date2006(),
+            ThermalCoefficients::date2006(),
+        )
+        .material_with_thermal(
+            "hard-steel",
+            JaParameters::hard_steel(),
+            ThermalCoefficients::hard_steel(),
+        )
+        .operating_point("t-40", OperatingPoint::at_temperature(-40.0))
+        .operating_point("t125", OperatingPoint::at_temperature(125.0))
+        .backends(BackendKind::ALL)
         .config("dh10", JaConfig::default())
         .excitation(
             "major",
@@ -62,7 +77,8 @@ struct OutcomeBits {
     slope_evaluations: u64,
     curve_bits: Vec<(u64, u64, u64)>,
     metric_bits: Option<(u64, u64, u64, u64)>,
-    transient: Option<(u64, u64, u64)>,
+    kernel: Option<KernelStatistics>,
+    transient: Option<TransientStats>,
     loss_bits: Option<(u64, u64, u64, u64)>,
     temperature_bits: Option<u64>,
 }
@@ -99,13 +115,8 @@ fn fingerprint(report: &BatchReport) -> Vec<Fingerprint> {
                             m.loop_area.to_bits(),
                         )
                     }),
-                    transient: outcome.transient.map(|t| {
-                        (
-                            t.accepted_steps as u64,
-                            t.rejected_steps as u64,
-                            t.newton_iterations as u64,
-                        )
-                    }),
+                    kernel: outcome.kernel,
+                    transient: outcome.transient,
                     loss_bits: outcome.loss.map(|loss| {
                         (
                             loss.hysteresis_w.to_bits(),
@@ -313,11 +324,16 @@ fn run_batch_default_matches_single_worker() {
 #[test]
 fn mixed_field_and_circuit_batch_is_bit_identical_across_worker_counts() {
     let scenarios = mixed_grid().scenarios().expect("non-empty grid");
-    assert_eq!(scenarios.len(), 3);
+    // 3 excitations x 4 backends x 2 materials x 2 temperatures.
+    assert_eq!(scenarios.len(), 48);
 
-    let single = BatchRunner::new().workers(1).run(scenarios.clone());
-    assert_eq!(single.failures().count(), 0);
-    let reference = fingerprint(&single);
+    // The reference solves every circuit scenario on its own.
+    let scalar = BatchRunner::new()
+        .workers(1)
+        .soa_routing(SoaRouting::ForceScalar)
+        .run(scenarios.clone());
+    assert_eq!(scalar.failures().count(), 0);
+    let reference = fingerprint(&scalar);
     // The circuit entries carry transient counters, the field entry none.
     assert!(reference.iter().any(|f| matches!(
         &f.payload,
@@ -328,12 +344,50 @@ fn mixed_field_and_circuit_batch_is_bit_identical_across_worker_counts() {
         Ok(bits) if bits.transient.is_none()
     )));
 
-    for workers in [2, 8] {
-        let parallel = BatchRunner::new().workers(workers).run(scenarios.clone());
-        assert_eq!(
-            fingerprint(&parallel),
-            reference,
-            "{workers}-worker mixed report diverged from the single-worker report"
-        );
+    // Why sharing one solve across backends is sound: each backend's own
+    // solve of one (material, temperature, circuit) yields the same
+    // transient run, because the in-circuit core never depends on the
+    // scenario's backend.
+    let transients = |circuit: &str, material_point: &str| -> Vec<TransientStats> {
+        scalar
+            .entries
+            .iter()
+            .filter(|e| e.scenario.name.starts_with(circuit))
+            .filter(|e| e.scenario.name.ends_with(material_point))
+            .map(|e| e.outcome.as_ref().expect("ok").transient.expect("circuit"))
+            .collect()
+    };
+    for circuit in ["inrush-fixed/", "inrush-adaptive/"] {
+        for material_point in [
+            "date2006/t-40",
+            "date2006/t125",
+            "hard-steel/t-40",
+            "hard-steel/t125",
+        ] {
+            let runs = transients(circuit, material_point);
+            assert_eq!(runs.len(), 4, "{circuit}{material_point}");
+            assert!(
+                runs.iter().all(|run| *run == runs[0]),
+                "{circuit}{material_point}: the transient solve depends on the backend: {runs:?}"
+            );
+        }
+    }
+
+    for routing in [
+        SoaRouting::Auto,
+        SoaRouting::ForceSoa,
+        SoaRouting::ForceScalar,
+    ] {
+        for workers in [1, 2, 8] {
+            let routed = BatchRunner::new()
+                .workers(workers)
+                .soa_routing(routing)
+                .run(scenarios.clone());
+            assert_eq!(
+                fingerprint(&routed),
+                reference,
+                "{routing:?} mixed report at {workers} workers diverged from the scalar report"
+            );
+        }
     }
 }
