@@ -89,6 +89,8 @@ to that axis, the grid is the cartesian product of all axes):
     excitation = fig1   step=50
     excitation = biased bias=1000 amplitude=500 cycles=1 step=10
     excitation = degauss h_start=10000 h_stop=100 decay=0.5 step=10
+                 (each of these field schedules is capped at 2^24 samples;
+                 a finer step or more cycles is a usage error)
     excitation = circuit source=sine|triangular|pwm amplitude=30
                  frequency=50 duty=0.5 r=1 turns=200 area=1e-4 path=0.1
                  t_end=0.04 dt=5e-5 control=fixed|adaptive

@@ -2,9 +2,8 @@
 
 use hdl_models::report::agreement_value;
 use hdl_models::scenario::backend_agreement;
-use ja_hysteresis::config::JaConfig;
 
-use crate::common::{backend_set_by_name, material_by_name, write_output, NamedExcitation};
+use crate::common::{backend_set_by_name, material_by_name, model_config, stimulus, write_output};
 use crate::{opts, CliError};
 
 /// Per-subcommand help (see `ja help compare`).
@@ -49,27 +48,9 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     parsed.no_positionals()?;
 
     let backends = backend_set_by_name(parsed.value("backends").unwrap_or("all"))?;
-    let params = material_by_name(parsed.value("material").unwrap_or("date2006"))?;
-    let config = JaConfig::default().with_dh_max(parsed.f64_or("dh-max", 10.0)?);
-    config
-        .validate()
-        .map_err(|err| CliError::usage(err.to_string()))?;
-    let step = parsed.f64_or("step", 50.0)?;
-    let named = if parsed.flag("fig1") {
-        if parsed.value("peak").is_some() || parsed.value("cycles").is_some() {
-            return Err(CliError::usage(
-                "--fig1 replaces the triangular stimulus; it excludes --peak and --cycles"
-                    .to_owned(),
-            ));
-        }
-        NamedExcitation::fig1(step)?
-    } else {
-        NamedExcitation::major(
-            parsed.f64_or("peak", 10_000.0)?,
-            step,
-            parsed.usize_or("cycles", 1)?,
-        )?
-    };
+    let (params, _) = material_by_name(parsed.value("material").unwrap_or("date2006"))?;
+    let (_, config) = model_config(parsed.f64_or("dh-max", 10.0)?)?;
+    let named = stimulus(&parsed, 50.0)?;
 
     let report = backend_agreement(params, config, &named.excitation, &backends)
         .map_err(|err| CliError::failure(err.to_string()))?;

@@ -91,6 +91,29 @@ struct LoopSpec {
     h_peak: Option<f64>,
 }
 
+/// The options of a `ja fit` run (and of a served `fit_request`) before
+/// any flag or option overrides them: the library defaults, except that
+/// one start — the plain initial guess — is the default.
+pub fn default_options() -> MultiStartOptions {
+    MultiStartOptions {
+        starts: 1,
+        ..MultiStartOptions::default()
+    }
+}
+
+/// A measured loop's `(h, b)` samples as a [`FitJob`], fitted at `h_peak`
+/// or, when that is `None`, at the largest |H| of the samples.
+pub fn measured_job(name: &str, h: &[f64], b: &[f64], h_peak: Option<f64>) -> FitJob {
+    let mut curve = BhCurve::with_capacity(h.len());
+    for (&h, &b) in h.iter().zip(b) {
+        curve.push_raw(h, b, 0.0);
+    }
+    match h_peak {
+        Some(h_peak) => FitJob::new(name, curve, h_peak),
+        None => FitJob::with_auto_peak(name, curve),
+    }
+}
+
 /// Reads one measured-loop CSV into a [`FitJob`].
 fn load_job(spec: &LoopSpec) -> Result<FitJob, CliError> {
     let text = read_input(&spec.path)?;
@@ -98,14 +121,7 @@ fn load_job(spec: &LoopSpec) -> Result<FitJob, CliError> {
         read_csv(&text).map_err(|err| CliError::failure(format!("`{}`: {err}", spec.path)))?;
     let h = column(&trace, &spec.h_column)?;
     let b = column(&trace, &spec.b_column)?;
-    let mut curve = BhCurve::with_capacity(h.len());
-    for (&h, &b) in h.iter().zip(b) {
-        curve.push_raw(h, b, 0.0);
-    }
-    Ok(match spec.h_peak {
-        Some(h_peak) => FitJob::new(&spec.name, curve, h_peak),
-        None => FitJob::with_auto_peak(&spec.name, curve),
-    })
+    Ok(measured_job(&spec.name, h, b, spec.h_peak))
 }
 
 /// The loop's display name: the file stem of its path.
@@ -203,15 +219,16 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     )?;
     parsed.no_positionals()?;
 
+    let defaults = default_options();
     let options = MultiStartOptions {
-        starts: parsed.usize_or("starts", 1)?,
-        seed: parsed.usize_or("seed", 42)? as u64,
-        workers: parsed.usize_or("workers", 0)?,
+        starts: parsed.usize_or("starts", defaults.starts)?,
+        seed: parsed.usize_or("seed", defaults.seed as usize)? as u64,
+        workers: parsed.usize_or("workers", defaults.workers)?,
         routing: crate::common::routing_by_name(parsed.value("routing").unwrap_or("auto"))?,
         fit: FitOptions {
-            passes: parsed.usize_or("passes", 6)?,
-            initial_step: parsed.f64_or("initial-step", 0.4)?,
-            sweep_step: parsed.f64_or("sweep-step", 50.0)?,
+            passes: parsed.usize_or("passes", defaults.fit.passes)?,
+            initial_step: parsed.f64_or("initial-step", defaults.fit.initial_step)?,
+            sweep_step: parsed.f64_or("sweep-step", defaults.fit.sweep_step)?,
         },
     };
     // Bad option values are a bad invocation (exit 2), not a runtime
@@ -222,10 +239,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
 
     let default_h = parsed.value("h-column").unwrap_or("h");
     let default_b = parsed.value("b-column").unwrap_or("b");
-    let default_peak = match parsed.value("h-peak") {
-        Some(_) => Some(parsed.f64_or("h-peak", 0.0)?),
-        None => None,
-    };
+    let default_peak = parsed.optional_f64("h-peak")?;
 
     let specs = match (parsed.value("input"), parsed.value("config")) {
         (Some(_), Some(_)) => {

@@ -1,7 +1,6 @@
 //! `ja inverse` — flux-driven solve: target B trace in, required H out.
 
 use hdl_models::report::{metrics_value, report_envelope};
-use ja_hysteresis::config::JaConfig;
 use ja_hysteresis::inverse::{FluxDrivenJa, InverseOptions};
 use ja_hysteresis::json::JsonValue;
 use ja_hysteresis::model::JilesAtherton;
@@ -9,7 +8,7 @@ use magnetics::loop_analysis::loop_metrics;
 use waveform::export::read_csv;
 
 use crate::commands::fit::column;
-use crate::common::{material_by_name, read_input, write_curve_csv, write_output};
+use crate::common::{material_by_name, model_config, read_input, write_curve_csv, write_output};
 use crate::{opts, CliError};
 
 /// Per-subcommand help (see `ja help inverse`).
@@ -69,11 +68,8 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         None => column(&input, "b")?,
     };
 
-    let params = material_by_name(parsed.value("material").unwrap_or("date2006"))?;
-    let config = JaConfig::default().with_dh_max(parsed.f64_or("dh-max", 10.0)?);
-    config
-        .validate()
-        .map_err(|err| CliError::usage(err.to_string()))?;
+    let (params, _) = material_by_name(parsed.value("material").unwrap_or("date2006"))?;
+    let (_, config) = model_config(parsed.f64_or("dh-max", 10.0)?)?;
     let model = JilesAtherton::with_config(params, config)
         .map_err(|err| CliError::failure(err.to_string()))?;
     let defaults = InverseOptions::default();

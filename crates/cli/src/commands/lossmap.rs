@@ -11,15 +11,13 @@
 
 use hdl_models::exec::BatchRunner;
 use hdl_models::report::{loss_value, report_envelope};
-use hdl_models::scenario::{BackendKind, OperatingPoint, ScenarioGrid};
-use ja_hysteresis::config::JaConfig;
+use hdl_models::scenario::OperatingPoint;
 use ja_hysteresis::json::JsonValue;
 use magnetics::geometry::CoreGeometry;
 use magnetics::losses::{fit_steinmetz_full, LaminationSpec};
 
-use crate::common::{
-    config_name, material_by_name, routing_by_name, thermal_by_name, write_output, NamedExcitation,
-};
+use crate::common::{routing_by_name, write_output, NamedExcitation};
+use crate::grid_config::GridSpec;
 use crate::{opts, CliError};
 
 /// Per-subcommand help (see `ja help lossmap`).
@@ -129,22 +127,14 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         .flag("laminated")
         .then(LaminationSpec::silicon_steel_0p35mm);
 
-    let config = JaConfig::default().with_dh_max(dh_max);
-    config
-        .validate()
-        .map_err(|err| CliError::usage(err.to_string()))?;
-    let mut grid = ScenarioGrid::new()
-        .backends([BackendKind::DirectTimeless])
-        .config(config_name(dh_max), config);
+    let mut spec = GridSpec::default().backends("direct")?.dh_max(dh_max)?;
     for name in &materials {
-        let params = material_by_name(name)?;
-        let thermal = thermal_by_name(name)?;
-        grid = grid.material_with_thermal(*name, params, thermal);
+        spec = spec.material(name)?;
     }
     for &amplitude in &amplitudes {
-        let named = NamedExcitation::major(amplitude, step, 1)?;
-        grid = grid.excitation(named.name, named.excitation);
+        spec = spec.named_excitation(NamedExcitation::major(amplitude, step, 1)?);
     }
+    let mut grid = spec.finish()?;
     // The operating-point axis carries (frequency, temperature) pairs —
     // frequency innermost, so per-material runs group by temperature and
     // the SoA router sees maximal lockstep lanes per point.

@@ -1,13 +1,7 @@
 //! `ja sweep` — run one scenario and export the BH trace.
 
-use hdl_models::scenario::Scenario;
-use ja_hysteresis::config::JaConfig;
-use waveform::export::ascii_plot;
-
-use crate::common::{
-    backend_by_name, config_name, enveloped_outcome, material_by_name, write_curve_csv,
-    write_output, NamedExcitation,
-};
+use crate::common::{run_single, stimulus};
+use crate::grid_config::GridSpec;
 use crate::{opts, CliError};
 
 /// Per-subcommand help (see `ja help sweep`).
@@ -52,87 +46,11 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     )?;
     parsed.no_positionals()?;
 
-    let backend = backend_by_name(parsed.value("backend").unwrap_or("direct"))?;
-    let material_name = parsed.value("material").unwrap_or("date2006");
-    let params = material_by_name(material_name)?;
-    let dh_max = parsed.f64_or("dh-max", 10.0)?;
-    let config = JaConfig::default().with_dh_max(dh_max);
-    config
-        .validate()
-        .map_err(|err| CliError::usage(err.to_string()))?;
-
-    let step = parsed.f64_or("step", 10.0)?;
-    let named = if parsed.flag("fig1") {
-        if parsed.value("peak").is_some() || parsed.value("cycles").is_some() {
-            return Err(CliError::usage(
-                "--fig1 replaces the triangular stimulus; it excludes --peak and --cycles"
-                    .to_owned(),
-            ));
-        }
-        NamedExcitation::fig1(step)?
-    } else {
-        NamedExcitation::major(
-            parsed.f64_or("peak", 10_000.0)?,
-            step,
-            parsed.usize_or("cycles", 1)?,
-        )?
-    };
-
-    let scenario = Scenario::new(
-        format!(
-            "{}/{}/{}/{material_name}",
-            named.name,
-            backend.label(),
-            config_name(dh_max)
-        ),
-        params,
-        config,
-        backend,
-        named.excitation,
-    );
-    let outcome = scenario
-        .run()
-        .map_err(|err| CliError::failure(err.to_string()))?;
-
-    let out = parsed.value("out");
-    match parsed.value("format").unwrap_or("ascii") {
-        "json" => write_output(
-            out,
-            &enveloped_outcome("sweep", &outcome, parsed.flag("timings")).to_pretty_string(),
-        ),
-        "csv" => write_curve_csv(out, &outcome.curve),
-        "ascii" => {
-            let h: Vec<f64> = outcome.curve.points().iter().map(|p| p.h.value()).collect();
-            let b: Vec<f64> = outcome
-                .curve
-                .points()
-                .iter()
-                .map(|p| p.b.as_tesla())
-                .collect();
-            let plot = ascii_plot(
-                &h,
-                &b,
-                parsed.usize_or("width", 72)?,
-                parsed.usize_or("height", 24)?,
-            )
-            .map_err(|err| CliError::failure(err.to_string()))?;
-            let mut text = format!(
-                "{}  [{} samples]\n{plot}",
-                outcome.name,
-                outcome.curve.len()
-            );
-            match &outcome.metrics {
-                Some(m) => {
-                    for (key, value) in m.named_values() {
-                        text.push_str(&format!("{key} = {value}\n"));
-                    }
-                }
-                None => text.push_str("(trace does not form a closable loop; no metrics)\n"),
-            }
-            write_output(out, &text)
-        }
-        other => Err(CliError::usage(format!(
-            "unknown format `{other}` (expected ascii | csv | json)"
-        ))),
-    }
+    let spec = GridSpec::cell(
+        parsed.value("material"),
+        parsed.value("backend"),
+        parsed.optional_f64("dh-max")?,
+    )?
+    .named_excitation(stimulus(&parsed, 10.0)?);
+    run_single(&parsed, "sweep", spec)
 }

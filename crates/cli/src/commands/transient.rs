@@ -1,15 +1,8 @@
 //! `ja transient` — run one circuit-driven scenario and export the BH
 //! trace with the transient engine's statistics.
 
-use hdl_models::scenario::Scenario;
-use ja_hysteresis::config::JaConfig;
-use waveform::export::ascii_plot;
-
-use crate::common::{
-    backend_by_name, circuit_excitation, config_name, enveloped_outcome, material_by_name,
-    write_curve_csv, write_output, CircuitSpecArgs,
-};
-use crate::opts::Parsed;
+use crate::common::{circuit_excitation, run_single, CircuitSpecArgs};
+use crate::grid_config::GridSpec;
 use crate::{opts, CliError};
 
 /// Per-subcommand help (see `ja help transient`).
@@ -58,13 +51,6 @@ H = N·i/l then drives --backend sample-by-sample.  The JSON report is
 `kind: \"transient\"`: the envelope plus one scenario entry including the
 deterministic `transient` step/Newton counters (see `ja --help`).";
 
-fn optional_f64(parsed: &Parsed, name: &str) -> Result<Option<f64>, CliError> {
-    match parsed.value(name) {
-        None => Ok(None),
-        Some(_) => parsed.f64_or(name, 0.0).map(Some),
-    }
-}
-
 /// Runs the subcommand.
 ///
 /// # Errors
@@ -99,101 +85,30 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     )?;
     parsed.no_positionals()?;
 
-    let backend = backend_by_name(parsed.value("backend").unwrap_or("direct"))?;
-    let material_name = parsed.value("material").unwrap_or("date2006");
-    let params = material_by_name(material_name)?;
-    let dh_max = parsed.f64_or("dh-max", 10.0)?;
-    let config = JaConfig::default().with_dh_max(dh_max);
-    config
-        .validate()
-        .map_err(|err| CliError::usage(err.to_string()))?;
-
+    let spec = GridSpec::cell(
+        parsed.value("material"),
+        parsed.value("backend"),
+        parsed.optional_f64("dh-max")?,
+    )?;
     // Omitted options fall back to the inrush preset inside
     // `circuit_excitation` — the defaults in the help text above mirror
     // `CircuitExcitation::inrush` and are applied in exactly one place.
     let spec_args = CircuitSpecArgs {
         source: parsed.value("source"),
-        amplitude: optional_f64(&parsed, "amplitude")?,
-        frequency: optional_f64(&parsed, "frequency")?,
-        duty: optional_f64(&parsed, "duty")?,
-        resistance: optional_f64(&parsed, "resistance")?,
-        turns: optional_f64(&parsed, "turns")?,
-        area: optional_f64(&parsed, "area")?,
-        path: optional_f64(&parsed, "path")?,
-        t_end: optional_f64(&parsed, "t-end")?,
-        dt: optional_f64(&parsed, "dt")?,
+        amplitude: parsed.optional_f64("amplitude")?,
+        frequency: parsed.optional_f64("frequency")?,
+        duty: parsed.optional_f64("duty")?,
+        resistance: parsed.optional_f64("resistance")?,
+        turns: parsed.optional_f64("turns")?,
+        area: parsed.optional_f64("area")?,
+        path: parsed.optional_f64("path")?,
+        t_end: parsed.optional_f64("t-end")?,
+        dt: parsed.optional_f64("dt")?,
         adaptive: parsed.flag("adaptive"),
-        rel_tol: optional_f64(&parsed, "rel-tol")?,
-        abs_tol: optional_f64(&parsed, "abs-tol")?,
-        max_step: optional_f64(&parsed, "max-step")?,
+        rel_tol: parsed.optional_f64("rel-tol")?,
+        abs_tol: parsed.optional_f64("abs-tol")?,
+        max_step: parsed.optional_f64("max-step")?,
     };
-    let named = circuit_excitation(&spec_args, "add --adaptive")?;
-
-    let scenario = Scenario::new(
-        format!(
-            "{}/{}/{}/{material_name}",
-            named.name,
-            backend.label(),
-            config_name(dh_max)
-        ),
-        params,
-        config,
-        backend,
-        named.excitation,
-    );
-    let outcome = scenario
-        .run()
-        .map_err(|err| CliError::failure(err.to_string()))?;
-
-    let out = parsed.value("out");
-    match parsed.value("format").unwrap_or("ascii") {
-        "json" => write_output(
-            out,
-            &enveloped_outcome("transient", &outcome, parsed.flag("timings")).to_pretty_string(),
-        ),
-        "csv" => write_curve_csv(out, &outcome.curve),
-        "ascii" => {
-            let h: Vec<f64> = outcome.curve.points().iter().map(|p| p.h.value()).collect();
-            let b: Vec<f64> = outcome
-                .curve
-                .points()
-                .iter()
-                .map(|p| p.b.as_tesla())
-                .collect();
-            let plot = ascii_plot(
-                &h,
-                &b,
-                parsed.usize_or("width", 72)?,
-                parsed.usize_or("height", 24)?,
-            )
-            .map_err(|err| CliError::failure(err.to_string()))?;
-            let mut text = format!(
-                "{}  [{} samples]\n{plot}",
-                outcome.name,
-                outcome.curve.len()
-            );
-            let stats = outcome.transient.expect("circuit scenarios carry stats");
-            text.push_str(&format!(
-                "accepted_steps = {}\nrejected_steps = {}\nnewton_iterations = {}\n\
-                 lu_solves = {}\nnon_converged_steps = {}\n",
-                stats.accepted_steps,
-                stats.rejected_steps,
-                stats.newton_iterations,
-                stats.lu_solves,
-                stats.non_converged_steps,
-            ));
-            match &outcome.metrics {
-                Some(m) => {
-                    for (key, value) in m.named_values() {
-                        text.push_str(&format!("{key} = {value}\n"));
-                    }
-                }
-                None => text.push_str("(trace does not form a closable loop; no metrics)\n"),
-            }
-            write_output(out, &text)
-        }
-        other => Err(CliError::usage(format!(
-            "unknown format `{other}` (expected ascii | csv | json)"
-        ))),
-    }
+    let spec = spec.named_excitation(circuit_excitation(&spec_args, "add --adaptive")?);
+    run_single(&parsed, "transient", spec)
 }

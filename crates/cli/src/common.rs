@@ -1,5 +1,5 @@
 //! Shared helpers: name → domain-object lookups, excitation construction,
-//! report envelopes and output writing.
+//! the single-scenario runner, report envelopes and output writing.
 
 use std::io::{self, Write};
 
@@ -8,26 +8,41 @@ use hdl_models::report;
 use hdl_models::scenario::{
     BackendKind, CircuitExcitation, Excitation, ScenarioOutcome, SourceWaveform, StepControl,
 };
+use ja_hysteresis::config::JaConfig;
 use ja_hysteresis::json::JsonValue;
 use magnetics::material::JaParameters;
 use magnetics::thermal::ThermalCoefficients;
+use waveform::export::ascii_plot;
 
+use crate::grid_config::GridSpec;
+use crate::opts::Parsed;
 use crate::CliError;
 
 /// Accepted material preset names (the `magnetics` crate's constructors).
 pub const MATERIALS: [&str; 4] = ["date2006", "ja1984", "soft-ferrite", "hard-steel"];
 
-/// Looks a material preset up by name.
+/// Looks a material preset up by name: its reference parameters and the
+/// thermal coefficients (Curie point, drift constants) a temperature axis
+/// resolves them through, so a preset always comes with its own pair.
 ///
 /// # Errors
 ///
 /// Usage error for an unknown name.
-pub fn material_by_name(name: &str) -> Result<JaParameters, CliError> {
+pub fn material_by_name(name: &str) -> Result<(JaParameters, ThermalCoefficients), CliError> {
     match name {
-        "date2006" => Ok(JaParameters::date2006()),
-        "ja1984" => Ok(JaParameters::jiles_atherton_1984()),
-        "soft-ferrite" => Ok(JaParameters::soft_ferrite()),
-        "hard-steel" => Ok(JaParameters::hard_steel()),
+        "date2006" => Ok((JaParameters::date2006(), ThermalCoefficients::date2006())),
+        "ja1984" => Ok((
+            JaParameters::jiles_atherton_1984(),
+            ThermalCoefficients::jiles_atherton_1984(),
+        )),
+        "soft-ferrite" => Ok((
+            JaParameters::soft_ferrite(),
+            ThermalCoefficients::soft_ferrite(),
+        )),
+        "hard-steel" => Ok((
+            JaParameters::hard_steel(),
+            ThermalCoefficients::hard_steel(),
+        )),
         other => Err(CliError::usage(format!(
             "unknown material `{other}` (expected one of: {})",
             MATERIALS.join(", ")
@@ -35,24 +50,19 @@ pub fn material_by_name(name: &str) -> Result<JaParameters, CliError> {
     }
 }
 
-/// Looks a material preset's thermal coefficients up by the same name as
-/// [`material_by_name`], so temperature-axis grids always pair a preset
-/// with its matching Curie point and drift constants.
+/// The validated model configuration for a `ΔH_max` value, with its
+/// scenario-key name (`dh10`, `dh2.5`, …): the one place a front end turns
+/// a threshold into a configuration.
 ///
 /// # Errors
 ///
-/// Usage error for an unknown name.
-pub fn thermal_by_name(name: &str) -> Result<ThermalCoefficients, CliError> {
-    match name {
-        "date2006" => Ok(ThermalCoefficients::date2006()),
-        "ja1984" => Ok(ThermalCoefficients::jiles_atherton_1984()),
-        "soft-ferrite" => Ok(ThermalCoefficients::soft_ferrite()),
-        "hard-steel" => Ok(ThermalCoefficients::hard_steel()),
-        other => Err(CliError::usage(format!(
-            "unknown material `{other}` (expected one of: {})",
-            MATERIALS.join(", ")
-        ))),
-    }
+/// Usage error when the configuration rejects the value.
+pub fn model_config(dh_max: f64) -> Result<(String, JaConfig), CliError> {
+    let config = JaConfig::default().with_dh_max(dh_max);
+    config
+        .validate()
+        .map_err(|err| CliError::usage(err.to_string()))?;
+    Ok((format!("dh{dh_max}"), config))
 }
 
 /// Looks a backend up by its label or short alias.
@@ -164,6 +174,32 @@ impl NamedExcitation {
             excitation: Excitation::demagnetisation(h_start, h_stop, decay, step)
                 .map_err(CliError::from)?,
         })
+    }
+}
+
+/// The triangular stimulus `ja sweep` and `ja compare` take from
+/// `--fig1` or `--peak`/`--cycles`, walked at `--step` (default
+/// `default_step`).
+///
+/// # Errors
+///
+/// Usage error for malformed values or `--fig1` with `--peak`/`--cycles`;
+/// failure when the schedule rejects the parameters.
+pub fn stimulus(parsed: &Parsed, default_step: f64) -> Result<NamedExcitation, CliError> {
+    let step = parsed.f64_or("step", default_step)?;
+    if parsed.flag("fig1") {
+        if parsed.value("peak").is_some() || parsed.value("cycles").is_some() {
+            return Err(CliError::usage(
+                "--fig1 replaces the triangular stimulus; it excludes --peak and --cycles",
+            ));
+        }
+        NamedExcitation::fig1(step)
+    } else {
+        NamedExcitation::major(
+            parsed.f64_or("peak", 10_000.0)?,
+            step,
+            parsed.usize_or("cycles", 1)?,
+        )
     }
 }
 
@@ -331,12 +367,6 @@ pub fn config_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
     })
 }
 
-/// The scenario-key config-axis name for a `ΔH_max` value (`dh10`,
-/// `dh2.5`, …), matching the convention of the workspace's grids.
-pub fn config_name(dh_max: f64) -> String {
-    format!("dh{dh_max}")
-}
-
 /// Prepends the shared envelope (`schema_version`, `kind`) to the fields of
 /// a serialised scenario outcome, producing a flat single-outcome report.
 pub fn enveloped_outcome(kind: &str, outcome: &ScenarioOutcome, timings: bool) -> JsonValue {
@@ -347,6 +377,68 @@ pub fn enveloped_outcome(kind: &str, outcome: &ScenarioOutcome, timings: bool) -
         }
     }
     doc
+}
+
+/// Runs the one scenario of a single-scenario command (`ja sweep`,
+/// `ja transient`) and writes it as `--format ascii | csv | json`: the
+/// enveloped `kind` report, the BH trace, or a plot followed by the
+/// transient-engine counters (circuit drives only) and the loop metrics.
+///
+/// # Errors
+///
+/// Usage errors for a bad spec or format; failures for scenario or output
+/// errors.
+pub fn run_single(parsed: &Parsed, kind: &str, spec: GridSpec) -> Result<(), CliError> {
+    let outcome = spec
+        .single()?
+        .run()
+        .map_err(|err| CliError::failure(err.to_string()))?;
+    let out = parsed.value("out");
+    match parsed.value("format").unwrap_or("ascii") {
+        "json" => write_output(
+            out,
+            &enveloped_outcome(kind, &outcome, parsed.flag("timings")).to_pretty_string(),
+        ),
+        "csv" => write_curve_csv(out, &outcome.curve),
+        "ascii" => {
+            let (h, b): (Vec<f64>, Vec<f64>) = outcome
+                .curve
+                .points()
+                .iter()
+                .map(|p| (p.h.value(), p.b.as_tesla()))
+                .unzip();
+            let plot = ascii_plot(
+                &h,
+                &b,
+                parsed.usize_or("width", 72)?,
+                parsed.usize_or("height", 24)?,
+            )
+            .map_err(|err| CliError::failure(err.to_string()))?;
+            let mut text = format!(
+                "{}  [{} samples]\n{plot}",
+                outcome.name,
+                outcome.curve.len()
+            );
+            if let Some(stats) = &outcome.transient {
+                let counters = report::transient_value(stats);
+                for (key, value) in counters.as_object().unwrap_or_default() {
+                    text.push_str(&format!("{key} = {}\n", value.to_compact_string()));
+                }
+            }
+            match &outcome.metrics {
+                Some(m) => {
+                    for (key, value) in m.named_values() {
+                        text.push_str(&format!("{key} = {value}\n"));
+                    }
+                }
+                None => text.push_str("(trace does not form a closable loop; no metrics)\n"),
+            }
+            write_output(out, &text)
+        }
+        other => Err(CliError::usage(format!(
+            "unknown format `{other}` (expected ascii | csv | json)"
+        ))),
+    }
 }
 
 /// Writes a BH trajectory as CSV (columns `h`, `b`, `m`) to `--out PATH`
@@ -409,6 +501,9 @@ mod tests {
             assert!(material_by_name(name).is_ok(), "{name}");
         }
         assert!(material_by_name("mu-metal").is_err());
+        // Every preset pairs with its own thermal coefficients.
+        let (_, thermal) = material_by_name("hard-steel").unwrap();
+        assert_eq!(thermal, ThermalCoefficients::hard_steel());
         assert_eq!(
             backend_by_name("direct").unwrap(),
             BackendKind::DirectTimeless
@@ -436,8 +531,9 @@ mod tests {
                 .name,
             "biased(bias=1000,amplitude=500,cycles=2,step=10)"
         );
-        assert_eq!(config_name(10.0), "dh10");
-        assert_eq!(config_name(2.5), "dh2.5");
+        assert_eq!(model_config(10.0).unwrap().0, "dh10");
+        assert_eq!(model_config(2.5).unwrap().0, "dh2.5");
+        assert!(model_config(-1.0).is_err());
     }
 
     #[test]
@@ -493,13 +589,5 @@ mod tests {
             Ok(named) => panic!("expected a usage error, got `{}`", named.name),
         };
         assert!(err.message.contains("duty only applies"), "{}", err.message);
-    }
-
-    #[test]
-    fn thermal_presets_pair_with_materials() {
-        for name in MATERIALS {
-            assert!(thermal_by_name(name).is_ok(), "{name}");
-        }
-        assert!(thermal_by_name("mu-metal").is_err());
     }
 }

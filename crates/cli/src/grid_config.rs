@@ -1,5 +1,6 @@
-//! The `ja batch` grid-config format: a line-oriented `key = value` TOML
-//! subset describing a [`ScenarioGrid`].
+//! Named front-end inputs → scenarios: the typed [`GridSpec`] every front
+//! end fills, and the `ja batch` grid-config format that fills it from
+//! text.
 //!
 //! ```text
 //! # Axes accumulate: repeat a key to add a value, the grid is the
@@ -30,39 +31,220 @@
 //! `#` starts a comment, blank lines are ignored.  Only axes live in the
 //! file; execution knobs (`--workers`, `--fail-fast`) stay on the command
 //! line so the same grid can be run under different policies.
+//!
+//! [`parse_grid`] fills a [`GridSpec`] line by line, `ja serve` fills one
+//! from a `batch_request` grid, and the single-scenario front ends fill a
+//! one-cell spec ([`GridSpec::cell`]), so every scenario key comes from
+//! [`ScenarioGrid`]'s one naming rule and served and offline scenarios
+//! match by construction.  Excitation and geometry parameters arrive as
+//! `(key, token)` text pairs and one parser reads them, so each number
+//! rule exists once (`cycles` is `usize::from_str` on its text).
 
 use std::collections::BTreeMap;
 
-use hdl_models::scenario::{OperatingPoint, ScenarioGrid};
-use ja_hysteresis::config::JaConfig;
+use hdl_models::scenario::{OperatingPoint, Scenario, ScenarioGrid};
 use magnetics::geometry::CoreGeometry;
 use magnetics::losses::LaminationSpec;
 
 use crate::common::{
-    backend_set_by_name, circuit_excitation, config_name, material_by_name, thermal_by_name,
-    CircuitSpecArgs, NamedExcitation,
+    backend_by_name, backend_set_by_name, circuit_excitation, config_lines, material_by_name,
+    model_config, CircuitSpecArgs, NamedExcitation,
 };
 use crate::CliError;
 
-/// A parsed `geometry = …` line: the core shape plus the optional loss
-/// inputs that ride along with it on every operating point.
-#[derive(Clone, Copy)]
-pub(crate) struct GeometrySpec {
-    /// Core cross-section and magnetic path.
-    pub geometry: CoreGeometry,
-    /// Electrical frequency for loss-power scaling (Hz).
-    pub frequency: Option<f64>,
-    /// Lamination preset enabling the eddy-current term.
-    pub lamination: Option<LaminationSpec>,
+/// A scenario grid under construction from named inputs.  Each axis
+/// method looks its value up, validates it and names it as it is added,
+/// failing with a usage error that names the value; omitted axes keep
+/// [`ScenarioGrid`]'s defaults (`date2006`, the direct backend, the
+/// `default` configuration).
+#[derive(Default)]
+pub(crate) struct GridSpec {
+    grid: ScenarioGrid,
+    temperatures: Vec<f64>,
+    /// The `geometry` operating point every temperature builds on.
+    geometry: Option<OperatingPoint>,
+}
+
+impl GridSpec {
+    /// A one-cell spec for the single-scenario front ends: one material
+    /// (default `date2006`), one backend (default `direct`; a set such as
+    /// `all` is an error) and always a ΔH_max (default 10 A/m), so their
+    /// keys read `dh10` where an omitted grid axis reads `default`.
+    pub(crate) fn cell(
+        material: Option<&str>,
+        backend: Option<&str>,
+        dh_max: Option<f64>,
+    ) -> Result<Self, CliError> {
+        let mut spec = Self::default().material(material.unwrap_or("date2006"))?;
+        spec.grid = spec
+            .grid
+            .backend(backend_by_name(backend.unwrap_or("direct"))?);
+        spec.dh_max(dh_max.unwrap_or(10.0))
+    }
+
+    /// Adds a material preset together with its thermal coefficients.
+    pub(crate) fn material(mut self, name: &str) -> Result<Self, CliError> {
+        let (params, thermal) = material_by_name(name)?;
+        self.grid = self.grid.material_with_thermal(name, params, thermal);
+        Ok(self)
+    }
+
+    /// Adds a backend set: `all`, `timeless` or one backend name.
+    pub(crate) fn backends(mut self, name: &str) -> Result<Self, CliError> {
+        self.grid = self.grid.backends(backend_set_by_name(name)?);
+        Ok(self)
+    }
+
+    /// Adds one model configuration, named `dh<value>`.
+    pub(crate) fn dh_max(mut self, dh_max: f64) -> Result<Self, CliError> {
+        let (name, config) = model_config(dh_max)?;
+        self.grid = self.grid.config(name, config);
+        Ok(self)
+    }
+
+    /// Adds an excitation from its kind and `(key, token)` parameters.
+    pub(crate) fn excitation<'a>(
+        self,
+        kind: &str,
+        params: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> Result<Self, CliError> {
+        Ok(self.named_excitation(parse_excitation(kind, params)?))
+    }
+
+    /// Adds an excitation built from command-line flags.
+    pub(crate) fn named_excitation(mut self, named: NamedExcitation) -> Self {
+        self.grid = self.grid.excitation(named.name, named.excitation);
+        self
+    }
+
+    /// Adds an operating temperature (°C); each names a `t<°C>` point.
+    pub(crate) fn temperature(mut self, t_c: f64) -> Self {
+        self.temperatures.push(t_c);
+        self
+    }
+
+    /// Sets the one core geometry every operating point carries, from
+    /// `area`, `path` and optional `frequency` and `lamination` tokens.
+    pub(crate) fn geometry<'a>(
+        mut self,
+        params: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> Result<Self, CliError> {
+        if self.geometry.is_some() {
+            return Err(CliError::usage("geometry given twice"));
+        }
+        let mut params = Params::new("geometry", params)?;
+        let area = params.required_f64("area")?;
+        let path = params.required_f64("path")?;
+        let frequency = params.f64("frequency")?;
+        let lamination = match params.take("lamination") {
+            None => None,
+            Some("silicon-steel") => Some(LaminationSpec::silicon_steel_0p35mm()),
+            Some(other) => {
+                return Err(CliError::usage(format!(
+                    "unknown lamination `{other}` (expected silicon-steel)"
+                )))
+            }
+        };
+        params.finish("geometry")?;
+        let geometry =
+            CoreGeometry::new(area, path).map_err(|err| CliError::usage(err.to_string()))?;
+        let mut point = OperatingPoint::new().with_geometry(geometry);
+        if let Some(frequency) = frequency {
+            point = point.with_frequency(frequency);
+        }
+        if let Some(lamination) = lamination {
+            point = point.with_lamination(lamination);
+        }
+        self.geometry = Some(point);
+        Ok(self)
+    }
+
+    /// Expands the operating-point axis and returns the grid.
+    /// Temperatures name the points (`t-40`, `t125`, …); a geometry with
+    /// no temperature axis yields a single `geom` point so losses can be
+    /// reported without thermal scaling.
+    pub(crate) fn finish(self) -> Result<ScenarioGrid, CliError> {
+        let points: Vec<(String, OperatingPoint)> = if self.temperatures.is_empty() {
+            self.geometry
+                .map(|point| ("geom".to_owned(), point))
+                .into_iter()
+                .collect()
+        } else {
+            let base = self.geometry.unwrap_or_default();
+            self.temperatures
+                .iter()
+                .map(|&t_c| (format!("t{t_c}"), base.with_temperature(t_c)))
+                .collect()
+        };
+        let mut grid = self.grid;
+        for (name, point) in points {
+            point
+                .validate()
+                .map_err(|err| CliError::usage(err.to_string()))?;
+            grid = grid.operating_point(name, point);
+        }
+        Ok(grid)
+    }
+
+    /// The one scenario of a [`cell`](Self::cell) spec with its
+    /// excitation added.
+    pub(crate) fn single(self) -> Result<Scenario, CliError> {
+        let mut scenarios = self
+            .finish()?
+            .scenarios()
+            .map_err(|err| CliError::usage(err.to_string()))?;
+        debug_assert_eq!(scenarios.len(), 1, "a cell spec expands to one scenario");
+        Ok(scenarios.swap_remove(0))
+    }
+}
+
+/// Parses grid-config text into a [`ScenarioGrid`].
+///
+/// # Errors
+///
+/// Usage error naming the offending line for unknown keys, malformed
+/// values, unknown excitation kinds/parameters or invalid `dh_max`.
+pub fn parse_grid(text: &str) -> Result<ScenarioGrid, CliError> {
+    let mut spec = GridSpec::default();
+    for (lineno, line) in config_lines(text) {
+        let at = |message: String| CliError::usage(format!("grid config line {lineno}: {message}"));
+        let (key, value) = line
+            .split_once('=')
+            .ok_or_else(|| at(format!("expected `key = value`, got `{line}`")))?;
+        let (key, value) = (key.trim(), value.trim());
+        spec = match key {
+            "material" => spec.material(value),
+            "backend" => spec.backends(value),
+            "dh_max" => match value.parse() {
+                Ok(dh_max) => spec.dh_max(dh_max),
+                Err(_) => Err(CliError::usage(format!("`{value}` is not a number"))),
+            },
+            "excitation" => {
+                let mut tokens = value.split_whitespace();
+                match tokens.next() {
+                    None => Err(CliError::usage("empty excitation spec")),
+                    Some(kind) => key_values(tokens, "excitation")
+                        .and_then(|params| spec.excitation(kind, params)),
+                }
+            }
+            "temperature" => parse_temperatures(value)
+                .map(|temperatures| temperatures.into_iter().fold(spec, GridSpec::temperature)),
+            "geometry" => key_values(value.split_whitespace(), "geometry")
+                .and_then(|params| spec.geometry(params)),
+            other => Err(CliError::usage(format!(
+                "unknown key `{other}` (expected material | backend | dh_max | excitation \
+                 | temperature | geometry)"
+            ))),
+        }
+        .map_err(|err| at(err.message))?;
+    }
+    spec.finish()
+        .map_err(|err| CliError::usage(format!("grid config: {}", err.message)))
 }
 
 /// Parses a colon-separated temperature list (`-40:25:125`) into Celsius
 /// values.
-///
-/// # Errors
-///
-/// Usage error when any entry is not a number.
-pub(crate) fn parse_temperatures(value: &str) -> Result<Vec<f64>, CliError> {
+fn parse_temperatures(value: &str) -> Result<Vec<f64>, CliError> {
     value
         .split(':')
         .map(|token| {
@@ -74,215 +256,73 @@ pub(crate) fn parse_temperatures(value: &str) -> Result<Vec<f64>, CliError> {
         .collect()
 }
 
-/// Parses a `geometry = area=… path=… [frequency=…] [lamination=…]` value.
-///
-/// # Errors
-///
-/// Usage error for missing/malformed parameters or unknown lamination
-/// presets.
-pub(crate) fn parse_geometry(value: &str) -> Result<GeometrySpec, CliError> {
-    let mut params: BTreeMap<&str, &str> = BTreeMap::new();
-    for token in value.split_whitespace() {
-        let (key, value) = token.split_once('=').ok_or_else(|| {
-            CliError::usage(format!("geometry parameter `{token}` is not `key=value`"))
-        })?;
-        if params.insert(key, value).is_some() {
-            return Err(CliError::usage(format!(
-                "geometry parameter `{key}` given twice"
-            )));
+/// Splits a config line's `key=value` tokens into `(key, token)` pairs.
+fn key_values<'a>(
+    tokens: impl Iterator<Item = &'a str>,
+    what: &str,
+) -> Result<Vec<(&'a str, &'a str)>, CliError> {
+    tokens
+        .map(|token| {
+            token.split_once('=').ok_or_else(|| {
+                CliError::usage(format!("{what} parameter `{token}` is not `key=value`"))
+            })
+        })
+        .collect()
+}
+
+/// The `(key, token)` parameters of one excitation or geometry: the one
+/// parameter parser behind config lines and request objects.
+struct Params<'a> {
+    /// `excitation` or `geometry`, for messages.
+    what: &'static str,
+    tokens: BTreeMap<&'a str, &'a str>,
+}
+
+impl<'a> Params<'a> {
+    fn new(
+        what: &'static str,
+        pairs: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> Result<Self, CliError> {
+        let mut tokens = BTreeMap::new();
+        for (key, value) in pairs {
+            if tokens.insert(key, value).is_some() {
+                return Err(CliError::usage(format!(
+                    "{what} parameter `{key}` given twice"
+                )));
+            }
         }
+        Ok(Self { what, tokens })
     }
-    fn required_f64(params: &mut BTreeMap<&str, &str>, name: &str) -> Result<f64, CliError> {
-        let text = params
-            .remove(name)
-            .ok_or_else(|| CliError::usage(format!("geometry needs `{name}=`")))?;
-        text.parse::<f64>().map_err(|_| {
+
+    fn take(&mut self, name: &str) -> Option<&'a str> {
+        self.tokens.remove(name)
+    }
+
+    fn f64(&mut self, name: &str) -> Result<Option<f64>, CliError> {
+        let Some(text) = self.take(name) else {
+            return Ok(None);
+        };
+        text.parse::<f64>().map(Some).map_err(|_| {
             CliError::usage(format!(
-                "geometry parameter `{name}={text}` is not a number"
+                "{} parameter `{name}={text}` is not a number",
+                self.what
             ))
         })
     }
-    let area = required_f64(&mut params, "area")?;
-    let path = required_f64(&mut params, "path")?;
-    let frequency = match params.remove("frequency") {
-        None => None,
-        Some(text) => Some(text.parse::<f64>().map_err(|_| {
-            CliError::usage(format!(
-                "geometry parameter `frequency={text}` is not a number"
-            ))
-        })?),
-    };
-    let lamination = match params.remove("lamination") {
-        None => None,
-        Some("silicon-steel") => Some(LaminationSpec::silicon_steel_0p35mm()),
-        Some(other) => {
-            return Err(CliError::usage(format!(
-                "unknown lamination `{other}` (expected silicon-steel)"
-            )))
-        }
-    };
-    if let Some((stray, _)) = params.iter().next() {
-        return Err(CliError::usage(format!(
-            "geometry does not take parameter `{stray}`"
-        )));
-    }
-    let geometry = CoreGeometry::new(area, path).map_err(|err| CliError::usage(err.to_string()))?;
-    Ok(GeometrySpec {
-        geometry,
-        frequency,
-        lamination,
-    })
-}
 
-/// Expands the `temperature` and `geometry` axes into named operating
-/// points.  Temperatures name the points (`t-40`, `t125`, …); a geometry
-/// with no temperature axis yields a single `geom` point so losses can be
-/// reported without thermal scaling.  Shared with the serve API so the two
-/// surfaces can never drift on operating-point naming.
-pub(crate) fn operating_points(
-    temperatures: &[f64],
-    geometry: Option<&GeometrySpec>,
-) -> Vec<(String, OperatingPoint)> {
-    let mut base = OperatingPoint::new();
-    if let Some(spec) = geometry {
-        base = base.with_geometry(spec.geometry);
-        if let Some(frequency) = spec.frequency {
-            base = base.with_frequency(frequency);
-        }
-        if let Some(lamination) = spec.lamination {
-            base = base.with_lamination(lamination);
-        }
+    fn f64_or(&mut self, name: &str, default: f64) -> Result<f64, CliError> {
+        Ok(self.f64(name)?.unwrap_or(default))
     }
-    if temperatures.is_empty() {
-        if geometry.is_some() {
-            vec![("geom".to_owned(), base)]
-        } else {
-            Vec::new()
-        }
-    } else {
-        temperatures
-            .iter()
-            .map(|&t_c| (format!("t{t_c}"), base.with_temperature(t_c)))
-            .collect()
-    }
-}
 
-/// Parses grid-config text into a [`ScenarioGrid`].
-///
-/// # Errors
-///
-/// Usage error naming the offending line for unknown keys, malformed
-/// values, unknown excitation kinds/parameters or invalid `dh_max`.
-pub fn parse_grid(text: &str) -> Result<ScenarioGrid, CliError> {
-    let mut grid = ScenarioGrid::new();
-    let mut temperatures: Vec<f64> = Vec::new();
-    let mut geometry: Option<GeometrySpec> = None;
-    for (lineno, line) in crate::common::config_lines(text) {
-        let at = |message: String| CliError::usage(format!("grid config line {lineno}: {message}"));
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| at(format!("expected `key = value`, got `{line}`")))?;
-        let (key, value) = (key.trim(), value.trim());
-        match key {
-            "material" => {
-                let params = material_by_name(value).map_err(|err| at(err.message))?;
-                let thermal = thermal_by_name(value).map_err(|err| at(err.message))?;
-                grid = grid.material_with_thermal(value, params, thermal);
-            }
-            "backend" => {
-                let backends = backend_set_by_name(value).map_err(|err| at(err.message))?;
-                grid = grid.backends(backends);
-            }
-            "dh_max" => {
-                let dh_max: f64 = value
-                    .parse()
-                    .map_err(|_| at(format!("`{value}` is not a number")))?;
-                let config = JaConfig::default().with_dh_max(dh_max);
-                config.validate().map_err(|err| at(err.to_string()))?;
-                grid = grid.config(config_name(dh_max), config);
-            }
-            "excitation" => {
-                let named = parse_excitation(value).map_err(|err| at(err.message))?;
-                grid = grid.excitation(named.name, named.excitation);
-            }
-            "temperature" => {
-                temperatures.extend(parse_temperatures(value).map_err(|err| at(err.message))?);
-            }
-            "geometry" => {
-                if geometry.is_some() {
-                    return Err(at("geometry given twice".to_owned()));
-                }
-                geometry = Some(parse_geometry(value).map_err(|err| at(err.message))?);
-            }
-            other => {
-                return Err(at(format!(
-                    "unknown key `{other}` (expected material | backend | dh_max | excitation \
-                     | temperature | geometry)"
-                )))
-            }
-        }
+    fn required_f64(&mut self, name: &str) -> Result<f64, CliError> {
+        self.f64(name)?
+            .ok_or_else(|| CliError::usage(format!("{} needs `{name}=`", self.what)))
     }
-    for (name, op) in operating_points(&temperatures, geometry.as_ref()) {
-        op.validate()
-            .map_err(|err| CliError::usage(format!("grid config: {err}")))?;
-        grid = grid.operating_point(name, op);
-    }
-    Ok(grid)
-}
 
-/// Parses an excitation spec: a kind token followed by `key=value`
-/// parameters, e.g. `major peak=10000 step=100 cycles=1`.  Also the
-/// backbone of the serve API's excitation objects (`serve_api` renders
-/// them to this exact format), so the two surfaces can never drift on
-/// parameter names, defaults, or scenario-key naming.
-pub(crate) fn parse_excitation(spec: &str) -> Result<NamedExcitation, CliError> {
-    let mut tokens = spec.split_whitespace();
-    let kind = tokens
-        .next()
-        .ok_or_else(|| CliError::usage("empty excitation spec".to_owned()))?;
-    let mut params: BTreeMap<&str, &str> = BTreeMap::new();
-    for token in tokens {
-        let (key, value) = token.split_once('=').ok_or_else(|| {
-            CliError::usage(format!("excitation parameter `{token}` is not `key=value`"))
-        })?;
-        if params.insert(key, value).is_some() {
-            return Err(CliError::usage(format!(
-                "excitation parameter `{key}` given twice"
-            )));
-        }
-    }
-    fn f64_param(
-        params: &mut BTreeMap<&str, &str>,
-        name: &str,
-        default: f64,
-    ) -> Result<f64, CliError> {
-        match params.remove(name) {
-            None => Ok(default),
-            Some(text) => text.parse::<f64>().map_err(|_| {
-                CliError::usage(format!(
-                    "excitation parameter `{name}={text}` is not a number"
-                ))
-            }),
-        }
-    }
-    fn optional_f64_param(
-        params: &mut BTreeMap<&str, &str>,
-        name: &str,
-    ) -> Result<Option<f64>, CliError> {
-        match params.remove(name) {
-            None => Ok(None),
-            Some(text) => text.parse::<f64>().map(Some).map_err(|_| {
-                CliError::usage(format!(
-                    "excitation parameter `{name}={text}` is not a number"
-                ))
-            }),
-        }
-    }
-    // Cycle counts are whole numbers: parse as usize directly so `cycles=1.9`
-    // is rejected instead of silently truncated (and `cycles=1e20` instead of
-    // saturating into a capacity-overflow panic downstream).
-    fn cycles_param(params: &mut BTreeMap<&str, &str>) -> Result<usize, CliError> {
-        match params.remove("cycles") {
+    /// Cycle counts are whole numbers: parsed as `usize` directly, so
+    /// `cycles=1.9` is rejected instead of silently truncated.
+    fn cycles(&mut self) -> Result<usize, CliError> {
+        match self.take("cycles") {
             None => Ok(1),
             Some(text) => text.parse::<usize>().map_err(|_| {
                 CliError::usage(format!(
@@ -291,35 +331,50 @@ pub(crate) fn parse_excitation(spec: &str) -> Result<NamedExcitation, CliError> 
             }),
         }
     }
+
+    /// Rejects any parameter nothing took; `owner` names what was parsed.
+    fn finish(self, owner: &str) -> Result<(), CliError> {
+        match self.tokens.keys().next() {
+            None => Ok(()),
+            Some(stray) => Err(CliError::usage(format!(
+                "{owner} does not take parameter `{stray}`"
+            ))),
+        }
+    }
+}
+
+/// Builds a named excitation from its kind and `(key, token)` parameters,
+/// e.g. `major` with `peak=10000 step=100 cycles=1`.
+fn parse_excitation<'a>(
+    kind: &str,
+    params: impl IntoIterator<Item = (&'a str, &'a str)>,
+) -> Result<NamedExcitation, CliError> {
+    let mut params = Params::new("excitation", params)?;
     let named = match kind {
         "major" => {
-            let cycles = cycles_param(&mut params)?;
-            let peak = f64_param(&mut params, "peak", 10_000.0)?;
-            let step = f64_param(&mut params, "step", 10.0)?;
+            let cycles = params.cycles()?;
+            let peak = params.f64_or("peak", 10_000.0)?;
+            let step = params.f64_or("step", 10.0)?;
             NamedExcitation::major(peak, step, cycles)?
         }
-        "fig1" => {
-            let step = f64_param(&mut params, "step", 10.0)?;
-            NamedExcitation::fig1(step)?
-        }
+        "fig1" => NamedExcitation::fig1(params.f64_or("step", 10.0)?)?,
         "biased" => {
-            let cycles = cycles_param(&mut params)?;
-            let bias = f64_param(&mut params, "bias", 1_000.0)?;
-            let amplitude = f64_param(&mut params, "amplitude", 500.0)?;
-            let step = f64_param(&mut params, "step", 10.0)?;
+            let cycles = params.cycles()?;
+            let bias = params.f64_or("bias", 1_000.0)?;
+            let amplitude = params.f64_or("amplitude", 500.0)?;
+            let step = params.f64_or("step", 10.0)?;
             NamedExcitation::biased(bias, amplitude, cycles, step)?
         }
         "degauss" => {
-            let h_start = f64_param(&mut params, "h_start", 10_000.0)?;
-            let h_stop = f64_param(&mut params, "h_stop", 100.0)?;
-            let decay = f64_param(&mut params, "decay", 0.5)?;
-            let step = f64_param(&mut params, "step", 10.0)?;
+            let h_start = params.f64_or("h_start", 10_000.0)?;
+            let h_stop = params.f64_or("h_stop", 100.0)?;
+            let decay = params.f64_or("decay", 0.5)?;
+            let step = params.f64_or("step", 10.0)?;
             NamedExcitation::degauss(h_start, h_stop, decay, step)?
         }
         "circuit" => {
-            let source = params.remove("source");
-            let control = params.remove("control").unwrap_or("fixed");
-            let adaptive = match control {
+            let source = params.take("source");
+            let adaptive = match params.take("control").unwrap_or("fixed") {
                 "fixed" => false,
                 "adaptive" => true,
                 other => {
@@ -333,19 +388,19 @@ pub(crate) fn parse_excitation(spec: &str) -> Result<NamedExcitation, CliError> 
             // place (`CircuitExcitation::inrush`).
             let args = CircuitSpecArgs {
                 source,
-                amplitude: optional_f64_param(&mut params, "amplitude")?,
-                frequency: optional_f64_param(&mut params, "frequency")?,
-                duty: optional_f64_param(&mut params, "duty")?,
-                resistance: optional_f64_param(&mut params, "r")?,
-                turns: optional_f64_param(&mut params, "turns")?,
-                area: optional_f64_param(&mut params, "area")?,
-                path: optional_f64_param(&mut params, "path")?,
-                t_end: optional_f64_param(&mut params, "t_end")?,
-                dt: optional_f64_param(&mut params, "dt")?,
+                amplitude: params.f64("amplitude")?,
+                frequency: params.f64("frequency")?,
+                duty: params.f64("duty")?,
+                resistance: params.f64("r")?,
+                turns: params.f64("turns")?,
+                area: params.f64("area")?,
+                path: params.f64("path")?,
+                t_end: params.f64("t_end")?,
+                dt: params.f64("dt")?,
                 adaptive,
-                rel_tol: optional_f64_param(&mut params, "rel_tol")?,
-                abs_tol: optional_f64_param(&mut params, "abs_tol")?,
-                max_step: optional_f64_param(&mut params, "max_step")?,
+                rel_tol: params.f64("rel_tol")?,
+                abs_tol: params.f64("abs_tol")?,
+                max_step: params.f64("max_step")?,
             };
             circuit_excitation(&args, "set control=adaptive")?
         }
@@ -356,17 +411,205 @@ pub(crate) fn parse_excitation(spec: &str) -> Result<NamedExcitation, CliError> 
             )))
         }
     };
-    if let Some((stray, _)) = params.iter().next() {
-        return Err(CliError::usage(format!(
-            "excitation kind `{kind}` does not take parameter `{stray}`"
-        )));
-    }
+    params.finish(&format!("excitation kind `{kind}`"))?;
     Ok(named)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use hdl_models::scenario::Scenario;
+    use proptest::collection;
+    use proptest::prelude::*;
+    use waveform::schedule::MAX_SAMPLES;
+
+    /// Number tokens that stress parsing and schedule sizes.
+    const NUMBERS: [&str; 15] = [
+        "0",
+        "-0",
+        "1e-300",
+        "1e300",
+        "nan",
+        "inf",
+        "9223372036854775807",
+        "1e-12",
+        "1",
+        "2.5",
+        "-40",
+        "0.5",
+        "50",
+        "1000",
+        "10000",
+    ];
+    /// Name tokens: values the lookups know, and some they do not.  The
+    /// first four are material values, the next four backend values.
+    const WORDS: [&str; 13] = [
+        "date2006",
+        "hard-steel",
+        "ja1984",
+        "mu-metal",
+        "direct",
+        "all",
+        "timeless",
+        "verilog",
+        "sine",
+        "pwm",
+        "adaptive",
+        "maybe",
+        "silicon-steel",
+    ];
+    /// Every grid key, plus a stray one.
+    const AXES: [&str; 7] = [
+        "material",
+        "backend",
+        "dh_max",
+        "excitation",
+        "temperature",
+        "geometry",
+        "speed",
+    ];
+    /// Every excitation kind with its parameter names, plus an unknown
+    /// kind.
+    const KINDS: [(&str, &[&str]); 6] = [
+        ("major", &["peak", "step", "cycles"]),
+        ("fig1", &["step"]),
+        ("biased", &["bias", "amplitude", "cycles", "step"]),
+        ("degauss", &["h_start", "h_stop", "decay", "step"]),
+        (
+            "circuit",
+            &[
+                "source",
+                "amplitude",
+                "frequency",
+                "duty",
+                "r",
+                "turns",
+                "area",
+                "path",
+                "t_end",
+                "dt",
+                "control",
+                "rel_tol",
+                "abs_tol",
+                "max_step",
+            ],
+        ),
+        ("sawtooth", &["step"]),
+    ];
+    const GEOMETRY: [&str; 4] = ["area", "path", "frequency", "lamination"];
+
+    /// Generated grid lines as vocabulary indices: `(axis, kind,
+    /// [(parameter, value)])`.  [`line`] reads one back.
+    pub(crate) type Lines = Vec<(usize, usize, Vec<(usize, usize)>)>;
+
+    /// One to three lines, excitation lines the likeliest, of up to three
+    /// parameters, numbers the likeliest values.
+    pub(crate) fn grid_lines() -> impl Strategy<Value = Lines> {
+        collection::vec(
+            (
+                0usize..AXES.len() + 6,
+                0usize..KINDS.len(),
+                collection::vec((0usize..20, 0usize..2 * NUMBERS.len() + WORDS.len()), 0..4),
+            ),
+            1..4,
+        )
+    }
+
+    /// A generated line's value.
+    pub(crate) enum Entry {
+        /// `material`, `backend`, `dh_max` or the stray key.
+        Token(&'static str),
+        /// `temperature` values.
+        Tokens(Vec<&'static str>),
+        /// An excitation (with its kind) or a geometry (without): named
+        /// parameters, where a `None` name is a stray token with no `=`.
+        Params(
+            Option<&'static str>,
+            Vec<(Option<&'static str>, &'static str)>,
+        ),
+    }
+
+    /// Reads a generated line back as its key and value.
+    pub(crate) fn line(
+        (axis, kind, params): &(usize, usize, Vec<(usize, usize)>),
+    ) -> (&'static str, Entry) {
+        let token = |index: usize| match index.checked_sub(2 * NUMBERS.len()) {
+            None => NUMBERS[index % NUMBERS.len()],
+            Some(word) => WORDS[word],
+        };
+        let named = |names: &[&'static str]| {
+            params
+                .iter()
+                .map(|&(name, value)| {
+                    let name = match name {
+                        18 => Some("speed"),
+                        19 => None,
+                        name => Some(names[name % names.len()]),
+                    };
+                    (name, token(value))
+                })
+                .collect()
+        };
+        let axis = AXES.get(*axis).copied().unwrap_or("excitation");
+        let entry = match axis {
+            "excitation" => Entry::Params(Some(KINDS[*kind].0), named(KINDS[*kind].1)),
+            "geometry" => Entry::Params(None, named(&GEOMETRY)),
+            "temperature" => Entry::Tokens(params.iter().map(|&(_, value)| token(value)).collect()),
+            "material" => Entry::Token(WORDS[*kind % 4]),
+            "backend" => Entry::Token(WORDS[4 + *kind % 4]),
+            _ => Entry::Token(token(params.first().map_or(*kind, |&(_, value)| value))),
+        };
+        (axis, entry)
+    }
+
+    /// Renders generated lines as grid-config text.
+    fn config_text(lines: &Lines) -> String {
+        let mut text = String::new();
+        for generated in lines {
+            let (axis, entry) = line(generated);
+            let value = match entry {
+                Entry::Token(token) => token.to_owned(),
+                Entry::Tokens(tokens) => tokens.join(":"),
+                Entry::Params(kind, params) => kind
+                    .into_iter()
+                    .map(str::to_owned)
+                    .chain(params.iter().map(|(name, token)| match name {
+                        Some(name) => format!("{name}={token}"),
+                        None => (*token).to_owned(),
+                    }))
+                    .collect::<Vec<_>>()
+                    .join(" "),
+            };
+            text.push_str(&format!("{axis} = {value}\n"));
+        }
+        text
+    }
+
+    /// Every prescribed excitation stays within the schedule ceiling.
+    pub(crate) fn assert_bounded(scenarios: &[Scenario], input: &str) {
+        for scenario in scenarios {
+            let samples = scenario.excitation.sample_count().unwrap_or(0);
+            assert!(samples <= MAX_SAMPLES, "{input}: {samples} samples");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parse_grid_yields_a_bounded_grid_or_a_usage_error(lines in grid_lines()) {
+            let text = config_text(&lines);
+            match parse_grid(&text) {
+                // Only a grid without an excitation fails to expand.
+                Ok(grid) => {
+                    if let Ok(scenarios) = grid.scenarios() {
+                        assert_bounded(&scenarios, &text);
+                    }
+                }
+                Err(err) => prop_assert_eq!(err.code, 2, "{}: {}", text, err.message),
+            }
+        }
+    }
 
     #[test]
     fn parses_a_full_grid() {

@@ -90,10 +90,19 @@ impl Parsed {
     ///
     /// Usage error when the value does not parse as a finite number.
     pub fn f64_or(&self, name: &str, default: f64) -> Result<f64, CliError> {
+        Ok(self.optional_f64(name)?.unwrap_or(default))
+    }
+
+    /// An `f64` option without a default: `None` when it was not given.
+    ///
+    /// # Errors
+    ///
+    /// Usage error when the value does not parse as a finite number.
+    pub fn optional_f64(&self, name: &str) -> Result<Option<f64>, CliError> {
         match self.value(name) {
-            None => Ok(default),
+            None => Ok(None),
             Some(text) => match text.parse::<f64>() {
-                Ok(v) if v.is_finite() => Ok(v),
+                Ok(v) if v.is_finite() => Ok(Some(v)),
                 _ => Err(CliError::usage(format!(
                     "--{name} expects a finite number, got `{text}`"
                 ))),

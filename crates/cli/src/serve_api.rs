@@ -16,30 +16,27 @@
 //! asserted by CI's cli-smoke job with `cmp`.
 //!
 //! To guarantee it, requests reuse the offline code paths rather than
-//! reimplementing them: excitation objects are rendered to the grid
-//! config's `kind key=value` spec format and parsed by
-//! [`grid_config::parse_excitation`], materials/backends/routing go
-//! through [`crate::common`]'s lookup tables, and reports are built by
-//! [`hdl_models::report`] with timings off (the serve layer never emits
-//! run-dependent fields).
+//! reimplementing them: this layer checks only the JSON shape of a
+//! request, then fills the same [`GridSpec`] the offline front ends fill
+//! (a `batch_request` grid axis by axis, a single-scenario request as a
+//! one-cell spec), so lookups, validation, defaults and scenario keys are
+//! shared by construction; routing goes through [`crate::common`]'s
+//! lookup table, and reports are built by [`hdl_models::report`] with
+//! timings off (the serve layer never emits run-dependent fields).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use hdl_models::exec::{BatchRunner, SoaRouting};
-use hdl_models::fit::{fit_batch, FitJob, MultiStartOptions};
+use hdl_models::exec::BatchRunner;
+use hdl_models::fit::{fit_batch, MultiStartOptions};
 use hdl_models::report::{fit_report_value, run_batch_report, write_ndjson_batch};
-use hdl_models::scenario::{Excitation, Scenario, ScenarioGrid};
+use hdl_models::scenario::{Excitation, Scenario};
 use hdl_models::serve::{error_response, HttpRequest, HttpResponse, ResultCache};
-use ja_hysteresis::config::JaConfig;
-use ja_hysteresis::fitting::FitOptions;
 use ja_hysteresis::json::{content_hash, JsonValue, SCHEMA_VERSION, SCHEMA_VERSION_KEY};
-use magnetics::bh::BhCurve;
 
-use crate::common::{
-    backend_by_name, backend_set_by_name, config_name, enveloped_outcome, material_by_name,
-    routing_by_name, thermal_by_name,
-};
-use crate::grid_config;
+use crate::commands::fit::{default_options, measured_job};
+use crate::common::{enveloped_outcome, routing_by_name};
+use crate::grid_config::GridSpec;
+use crate::CliError;
 
 /// Everything the request handler needs across requests.
 pub struct ServeState<'a> {
@@ -77,6 +74,13 @@ impl ApiError {
             status: 422,
             message: message.into(),
         }
+    }
+}
+
+/// A value the shared front-end code rejects is a bad request.
+impl From<CliError> for ApiError {
+    fn from(err: CliError) -> Self {
+        Self::bad(err.message)
     }
 }
 
@@ -132,30 +136,21 @@ fn health_response(state: &ServeState<'_>) -> HttpResponse {
 }
 
 /// Per-request options shared by every request kind (each kind allows a
-/// subset — see [`eval`]). Defaults mirror the offline CLI defaults, so
-/// an empty `options` object evaluates exactly like the bare subcommand.
+/// subset — see [`eval`]). Defaults are the offline CLI's, so an empty
+/// `options` object evaluates exactly like the bare subcommand.
 struct RequestOptions {
-    routing: SoaRouting,
     cache_info: bool,
     stream: bool,
-    starts: usize,
-    seed: u64,
-    passes: usize,
-    initial_step: f64,
-    sweep_step: f64,
+    /// `ja fit`'s options; its `routing` also routes batches.
+    run: MultiStartOptions,
 }
 
 impl Default for RequestOptions {
     fn default() -> Self {
         Self {
-            routing: SoaRouting::Auto,
             cache_info: false,
             stream: false,
-            starts: 1,
-            seed: 42,
-            passes: 6,
-            initial_step: 0.4,
-            sweep_step: 50.0,
+            run: default_options(),
         }
     }
 }
@@ -363,8 +358,7 @@ fn parse_options(
                 let name = value
                     .as_str()
                     .ok_or_else(|| ApiError::bad("`options.routing` must be a string"))?;
-                options.routing =
-                    routing_by_name(name).map_err(|err| ApiError::bad(err.message))?;
+                options.run.routing = routing_by_name(name)?;
             }
             "cache_info" => {
                 options.cache_info = match value {
@@ -378,11 +372,13 @@ fn parse_options(
                     _ => return Err(ApiError::bad("`options.stream` must be a boolean")),
                 };
             }
-            "starts" => options.starts = usize_field(value, "options.starts")?,
-            "seed" => options.seed = u64_field(value, "options.seed")?,
-            "passes" => options.passes = usize_field(value, "options.passes")?,
-            "initial_step" => options.initial_step = f64_field(value, "options.initial_step")?,
-            "sweep_step" => options.sweep_step = f64_field(value, "options.sweep_step")?,
+            "starts" => options.run.starts = usize_field(value, "options.starts")?,
+            "seed" => options.run.seed = u64_field(value, "options.seed")?,
+            "passes" => options.run.fit.passes = usize_field(value, "options.passes")?,
+            "initial_step" => {
+                options.run.fit.initial_step = f64_field(value, "options.initial_step")?;
+            }
+            "sweep_step" => options.run.fit.sweep_step = f64_field(value, "options.sweep_step")?,
             _ => unreachable!("allowed keys are the match arms"),
         }
     }
@@ -414,14 +410,40 @@ fn u64_field(value: &JsonValue, what: &str) -> Result<u64, ApiError> {
     }
 }
 
-/// Renders an excitation object to the grid config's `kind key=value`
-/// spec format, e.g. `{"kind": "major", "peak": 10000, "step": 100}` →
-/// `major peak=10000 step=100`. [`grid_config::parse_excitation`] then
-/// does the real parsing — names, defaults, validation, and scenario-key
-/// naming are shared with the offline CLI by construction (the `Display`
-/// form of a JSON number round-trips through the text parser onto the
-/// same `f64`, so scenario names — and therefore report bytes — match).
-fn excitation_spec(value: &JsonValue) -> Result<String, ApiError> {
+/// The `(key, token)` text pairs of a spec object's fields, for the grid
+/// parser. A finite number becomes its `Display` text (which parses back
+/// onto the same `f64`, so scenario keys — and report bytes — match the
+/// config-file form); a string is taken as is, but must have no whitespace
+/// and no `=`, like a config-line token.
+fn scalar_tokens<'doc>(
+    fields: impl Iterator<Item = &'doc (String, JsonValue)>,
+    what: &str,
+) -> Result<Vec<(&'doc str, String)>, ApiError> {
+    fields
+        .map(|(key, value)| {
+            let text = match value {
+                JsonValue::Int(v) => v.to_string(),
+                JsonValue::Number(v) if v.is_finite() => format!("{v}"),
+                JsonValue::String(s) => s.clone(),
+                _ => {
+                    return Err(ApiError::bad(format!(
+                        "{what} parameter `{key}` must be a finite number or a string"
+                    )))
+                }
+            };
+            if text.is_empty() || text.contains(char::is_whitespace) || text.contains('=') {
+                return Err(ApiError::bad(format!(
+                    "{what} parameter `{key}` has an unusable value `{text}`"
+                )));
+            }
+            Ok((key.as_str(), text))
+        })
+        .collect()
+}
+
+/// Adds one excitation object — `kind` plus parameter fields, e.g.
+/// `{"kind": "major", "peak": 10000, "step": 100}` — to `spec`.
+fn with_excitation(spec: GridSpec, value: &JsonValue) -> Result<GridSpec, ApiError> {
     let fields = value
         .as_object()
         .ok_or_else(|| ApiError::bad("`excitation` must be a JSON object"))?;
@@ -429,61 +451,8 @@ fn excitation_spec(value: &JsonValue) -> Result<String, ApiError> {
         .get("kind")
         .and_then(JsonValue::as_str)
         .ok_or_else(|| ApiError::bad("`excitation` must carry a string `kind`"))?;
-    let mut spec = kind.to_owned();
-    for (key, value) in fields {
-        if key == "kind" {
-            continue;
-        }
-        let text = scalar_token(key, value, "excitation")?;
-        spec.push(' ');
-        spec.push_str(key);
-        spec.push('=');
-        spec.push_str(&text);
-    }
-    Ok(spec)
-}
-
-/// Renders one `key: value` pair of a spec object to its `key=value`
-/// text form (the same `Display` round-trip argument as
-/// [`excitation_spec`]).
-fn scalar_token(key: &str, value: &JsonValue, what: &str) -> Result<String, ApiError> {
-    let text = match value {
-        JsonValue::Int(v) => v.to_string(),
-        JsonValue::Number(v) if v.is_finite() => format!("{v}"),
-        JsonValue::String(s) => s.clone(),
-        _ => {
-            return Err(ApiError::bad(format!(
-                "{what} parameter `{key}` must be a finite number or a string"
-            )))
-        }
-    };
-    if text.is_empty() || text.contains(char::is_whitespace) || text.contains('=') {
-        return Err(ApiError::bad(format!(
-            "{what} parameter `{key}` has an unusable value `{text}`"
-        )));
-    }
-    Ok(text)
-}
-
-/// Renders a `grid.geometry` object to the grid config's
-/// `area=… path=… [frequency=…] [lamination=…]` value format;
-/// [`grid_config::parse_geometry`] then does the real parsing, exactly
-/// like excitation objects.
-fn geometry_spec(value: &JsonValue) -> Result<String, ApiError> {
-    let fields = value
-        .as_object()
-        .ok_or_else(|| ApiError::bad("`grid.geometry` must be a JSON object"))?;
-    let mut spec = String::new();
-    for (key, value) in fields {
-        let text = scalar_token(key, value, "geometry")?;
-        if !spec.is_empty() {
-            spec.push(' ');
-        }
-        spec.push_str(key);
-        spec.push('=');
-        spec.push_str(&text);
-    }
-    Ok(spec)
+    let tokens = scalar_tokens(fields.iter().filter(|(key, _)| key != "kind"), "excitation")?;
+    Ok(spec.excitation(kind, tokens.iter().map(|(key, text)| (*key, text.as_str())))?)
 }
 
 fn str_axis<'doc>(grid: &'doc JsonValue, key: &str) -> Result<Vec<&'doc str>, ApiError> {
@@ -516,8 +485,9 @@ fn f64_axis(grid: &JsonValue, key: &str) -> Result<Vec<f64>, ApiError> {
 }
 
 /// Builds the scenario list of a `batch_request`'s `grid` object. Axis
-/// arrays accumulate in order like repeated config lines; omitted axes
-/// fall back to the same defaults as the offline grid config.
+/// arrays accumulate in order like repeated config lines into the same
+/// [`GridSpec`] `ja batch --config` fills; omitted axes keep its
+/// defaults.
 fn batch_scenarios(doc: &JsonValue) -> Result<Vec<Scenario>, ApiError> {
     let grid_doc = doc
         .get("grid")
@@ -534,49 +504,35 @@ fn batch_scenarios(doc: &JsonValue) -> Result<Vec<Scenario>, ApiError> {
         ],
         "grid",
     )?;
-    let mut grid = ScenarioGrid::new();
+    let mut spec = GridSpec::default();
     for name in str_axis(grid_doc, "material")? {
-        let params = material_by_name(name).map_err(|err| ApiError::bad(err.message))?;
-        let thermal = thermal_by_name(name).map_err(|err| ApiError::bad(err.message))?;
-        grid = grid.material_with_thermal(name, params, thermal);
+        spec = spec.material(name)?;
     }
     for name in str_axis(grid_doc, "backend")? {
-        let backends = backend_set_by_name(name).map_err(|err| ApiError::bad(err.message))?;
-        grid = grid.backends(backends);
+        spec = spec.backends(name)?;
     }
     for dh_max in f64_axis(grid_doc, "dh_max")? {
-        let config = JaConfig::default().with_dh_max(dh_max);
-        config
-            .validate()
-            .map_err(|err| ApiError::bad(err.to_string()))?;
-        grid = grid.config(config_name(dh_max), config);
+        spec = spec.dh_max(dh_max)?;
     }
     let excitations = grid_doc
         .get("excitation")
         .and_then(JsonValue::as_array)
         .ok_or_else(|| ApiError::bad("`grid.excitation` must be an array of excitation objects"))?;
     for value in excitations {
-        let named = grid_config::parse_excitation(&excitation_spec(value)?)
-            .map_err(|err| ApiError::bad(err.message))?;
-        grid = grid.excitation(named.name, named.excitation);
+        spec = with_excitation(spec, value)?;
     }
-    // The operating-point axis goes through the same expansion as the
-    // offline grid config (`grid_config::operating_points`), so point
-    // names — and therefore scenario keys and report bytes — match.
-    let temperatures = f64_axis(grid_doc, "temperature")?;
-    let geometry = match grid_doc.get("geometry") {
-        None => None,
-        Some(value) => Some(
-            grid_config::parse_geometry(&geometry_spec(value)?)
-                .map_err(|err| ApiError::bad(err.message))?,
-        ),
-    };
-    for (name, op) in grid_config::operating_points(&temperatures, geometry.as_ref()) {
-        op.validate()
-            .map_err(|err| ApiError::bad(err.to_string()))?;
-        grid = grid.operating_point(name, op);
+    for t_c in f64_axis(grid_doc, "temperature")? {
+        spec = spec.temperature(t_c);
     }
-    grid.scenarios()
+    if let Some(value) = grid_doc.get("geometry") {
+        let fields = value
+            .as_object()
+            .ok_or_else(|| ApiError::bad("`grid.geometry` must be a JSON object"))?;
+        let tokens = scalar_tokens(fields.iter(), "geometry")?;
+        spec = spec.geometry(tokens.iter().map(|(key, text)| (*key, text.as_str())))?;
+    }
+    spec.finish()?
+        .scenarios()
         .map_err(|err| ApiError::bad(err.to_string()))
 }
 
@@ -590,7 +546,7 @@ fn batch_eval(
     let scenarios = batch_scenarios(doc)?;
     let runner = BatchRunner::new()
         .workers(state.eval_workers)
-        .soa_routing(options.routing);
+        .soa_routing(options.run.routing);
     // Per-scenario failures are data, not a request failure: the report
     // carries their status — exactly like the offline exit-1-after-write.
     Ok(run_batch_report(&runner, &scenarios, false)
@@ -615,7 +571,7 @@ fn batch_stream_response(
     let scenarios = batch_scenarios(doc)?;
     let runner = BatchRunner::new()
         .workers(state.eval_workers)
-        .soa_routing(options.routing);
+        .soa_routing(options.run.routing);
     Ok(HttpResponse::ndjson_stream(move |out| {
         write_ndjson_batch(&runner, &scenarios, None, out, |_, _| Ok(())).map(|_| ())
     }))
@@ -652,29 +608,15 @@ fn fit_eval(
                 b.len()
             )));
         }
-        let mut curve = BhCurve::with_capacity(h.len());
-        for (&h, &b) in h.iter().zip(&b) {
-            curve.push_raw(h, b, 0.0);
-        }
         let h_peak = match loop_doc.get("h_peak") {
             None => None,
             Some(value) => Some(f64_field(value, &format!("{what}.h_peak"))?),
         };
-        jobs.push(match h_peak {
-            Some(h_peak) => FitJob::new(name, curve, h_peak),
-            None => FitJob::with_auto_peak(name, curve),
-        });
+        jobs.push(measured_job(name, &h, &b, h_peak));
     }
     let multi_start = MultiStartOptions {
-        starts: options.starts,
-        seed: options.seed,
         workers: state.eval_workers,
-        routing: options.routing,
-        fit: FitOptions {
-            passes: options.passes,
-            initial_step: options.initial_step,
-            sweep_step: options.sweep_step,
-        },
+        ..options.run
     };
     multi_start
         .validate()
@@ -698,40 +640,34 @@ fn sample_array(loop_doc: &JsonValue, key: &str, what: &str) -> Result<Vec<f64>,
         .collect()
 }
 
-/// `kind:"sweep_request"` / `kind:"transient_request"` → the exact bytes
-/// of `ja sweep --format json` / `ja transient --format json`: one
-/// scenario, one enveloped outcome.
-fn single_eval(doc: &JsonValue, report_kind: &str) -> Result<String, ApiError> {
-    let material_name = match doc.get("material") {
-        None => "date2006",
-        Some(value) => value
-            .as_str()
-            .ok_or_else(|| ApiError::bad("`material` must be a string"))?,
-    };
-    let params = material_by_name(material_name).map_err(|err| ApiError::bad(err.message))?;
-    let backend_name = match doc.get("backend") {
-        None => "direct",
-        Some(value) => value
-            .as_str()
-            .ok_or_else(|| ApiError::bad("`backend` must be a string"))?,
-    };
-    let backend = backend_by_name(backend_name).map_err(|err| ApiError::bad(err.message))?;
-    let dh_max = match doc.get("dh_max") {
-        None => 10.0,
-        Some(value) => f64_field(value, "dh_max")?,
-    };
-    let config = JaConfig::default().with_dh_max(dh_max);
-    config
-        .validate()
-        .map_err(|err| ApiError::bad(err.to_string()))?;
-    let excitation_doc = doc.get("excitation").ok_or_else(|| {
+fn optional_str<'doc>(doc: &'doc JsonValue, key: &str) -> Result<Option<&'doc str>, ApiError> {
+    doc.get(key)
+        .map(|value| {
+            value
+                .as_str()
+                .ok_or_else(|| ApiError::bad(format!("`{key}` must be a string")))
+        })
+        .transpose()
+}
+
+/// The one scenario of a `kind:"sweep_request"` / `kind:"transient_request"`:
+/// the one-cell [`GridSpec`] `ja sweep` / `ja transient` build from their
+/// flags.
+fn single_scenario(doc: &JsonValue, report_kind: &str) -> Result<Scenario, ApiError> {
+    let spec = GridSpec::cell(
+        optional_str(doc, "material")?,
+        optional_str(doc, "backend")?,
+        doc.get("dh_max")
+            .map(|value| f64_field(value, "dh_max"))
+            .transpose()?,
+    )?;
+    let excitation = doc.get("excitation").ok_or_else(|| {
         ApiError::bad(format!(
             "`{report_kind}_request` requires an `excitation` object"
         ))
     })?;
-    let named = grid_config::parse_excitation(&excitation_spec(excitation_doc)?)
-        .map_err(|err| ApiError::bad(err.message))?;
-    let is_circuit = matches!(named.excitation, Excitation::Circuit(_));
+    let scenario = with_excitation(spec, excitation)?.single()?;
+    let is_circuit = matches!(scenario.excitation, Excitation::Circuit(_));
     if report_kind == "transient" && !is_circuit {
         return Err(ApiError::bad(
             "`transient_request` requires a `circuit` excitation (use `sweep_request` for \
@@ -743,19 +679,14 @@ fn single_eval(doc: &JsonValue, report_kind: &str) -> Result<String, ApiError> {
             "`sweep_request` takes field-driven stimuli (use `transient_request` for `circuit`)",
         ));
     }
-    let scenario = Scenario::new(
-        format!(
-            "{}/{}/{}/{material_name}",
-            named.name,
-            backend.label(),
-            config_name(dh_max)
-        ),
-        params,
-        config,
-        backend,
-        named.excitation,
-    );
-    let outcome = scenario
+    Ok(scenario)
+}
+
+/// `kind:"sweep_request"` / `kind:"transient_request"` → the exact bytes
+/// of `ja sweep --format json` / `ja transient --format json`: one
+/// scenario, one enveloped outcome.
+fn single_eval(doc: &JsonValue, report_kind: &str) -> Result<String, ApiError> {
+    let outcome = single_scenario(doc, report_kind)?
         .run()
         .map_err(|err| ApiError::unprocessable(err.to_string()))?;
     Ok(enveloped_outcome(report_kind, &outcome, false).to_pretty_string())
@@ -764,7 +695,10 @@ fn single_eval(doc: &JsonValue, report_kind: &str) -> Result<String, ApiError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid_config;
+    use crate::grid_config::tests::{assert_bounded, grid_lines, line, Entry, Lines};
     use hdl_models::report::batch_report_value;
+    use proptest::prelude::*;
 
     fn parse(text: &str) -> JsonValue {
         JsonValue::parse(text).expect("test document parses")
@@ -1111,6 +1045,84 @@ mod tests {
         assert!(response
             .body()
             .contains("major(peak=5000,step=250,cycles=1)/direct-timeless/dh10/date2006"));
+    }
+
+    /// A vocabulary token as JSON: a finite number as itself, anything
+    /// else as a string.
+    fn json_token(token: &str) -> String {
+        match token.parse::<f64>() {
+            Ok(v) if v.is_finite() => token.to_owned(),
+            _ => format!("\"{token}\""),
+        }
+    }
+
+    /// Generated lines as `(key, [JSON value])` per grid key, in order of
+    /// first appearance; a token with no `=` becomes a `null` field.
+    fn json_axes(lines: &Lines) -> Vec<(&'static str, Vec<String>)> {
+        let mut axes: Vec<(&'static str, Vec<String>)> = Vec::new();
+        for generated in lines {
+            let (axis, entry) = line(generated);
+            let values = match entry {
+                Entry::Token(token) => vec![json_token(token)],
+                Entry::Tokens(tokens) => tokens.into_iter().map(json_token).collect(),
+                Entry::Params(kind, params) => {
+                    let fields: Vec<String> = kind
+                        .map(|kind| format!("\"kind\": \"{kind}\""))
+                        .into_iter()
+                        .chain(params.iter().map(|(name, token)| match name {
+                            Some(name) => format!("\"{name}\": {}", json_token(token)),
+                            None => format!("\"{token}\": null"),
+                        }))
+                        .collect();
+                    vec![format!("{{{}}}", fields.join(", "))]
+                }
+            };
+            match axes.iter_mut().find(|(key, _)| *key == axis) {
+                Some((_, existing)) => existing.extend(values),
+                None => axes.push((axis, values)),
+            }
+        }
+        axes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn batch_requests_yield_bounded_scenarios_or_400s(lines in grid_lines()) {
+            let grid: Vec<String> = json_axes(&lines)
+                .into_iter()
+                .map(|(axis, values)| match axis {
+                    "geometry" => format!("\"geometry\": {}", values[0]),
+                    _ => format!("\"{axis}\": [{}]", values.join(", ")),
+                })
+                .collect();
+            let body = format!(
+                "{{\"schema_version\": 1, \"kind\": \"batch_request\", \"grid\": {{{}}}}}",
+                grid.join(", ")
+            );
+            match batch_scenarios(&parse(&body)) {
+                Ok(scenarios) => assert_bounded(&scenarios, &body),
+                Err(err) => prop_assert_eq!(err.status, 400, "{}: {}", body, err.message),
+            }
+        }
+
+        #[test]
+        fn sweep_requests_yield_a_bounded_scenario_or_a_400(lines in grid_lines()) {
+            let fields: Vec<String> = json_axes(&lines)
+                .into_iter()
+                .filter(|(axis, _)| ["material", "backend", "dh_max", "excitation"].contains(axis))
+                .map(|(axis, values)| format!(", \"{axis}\": {}", values[0]))
+                .collect();
+            let body = format!(
+                "{{\"schema_version\": 1, \"kind\": \"sweep_request\"{}}}",
+                fields.concat()
+            );
+            match single_scenario(&parse(&body), "sweep") {
+                Ok(scenario) => assert_bounded(&[scenario], &body),
+                Err(err) => prop_assert_eq!(err.status, 400, "{}: {}", body, err.message),
+            }
+        }
     }
 
     #[test]

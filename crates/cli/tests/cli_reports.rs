@@ -223,6 +223,60 @@ fn closed_stdout_is_a_clean_failure_not_a_panic() {
 }
 
 #[test]
+fn oversized_field_schedules_fail_cleanly() {
+    // Field schedules refuse more than 2^24 samples when they are built,
+    // so a vanishing step, a huge cycle count or a decay that never
+    // reaches `h_stop` is a clean exit: no abort, no panic, no hang.
+    let mut cases: Vec<Vec<String>> = [
+        "major peak=10000 step=1e-12",
+        "major step=1e-300",
+        "major cycles=9223372036854775807",
+        "major peak=1e300 step=1",
+        "biased cycles=4611686018427387904",
+        "degauss h_start=1e300 h_stop=1e-300 decay=0.9999999999 step=1e299",
+    ]
+    .iter()
+    .enumerate()
+    .map(|(index, excitation)| {
+        let config = scratch(&format!("oversized_{index}.conf"));
+        std::fs::write(&config, format!("excitation = {excitation}\n")).unwrap();
+        vec![
+            "batch".to_owned(),
+            "--config".to_owned(),
+            config.to_str().unwrap().to_owned(),
+        ]
+    })
+    .collect();
+    let input = fixture("measured_loop.csv");
+    cases.push(
+        [
+            "fit",
+            "--input",
+            input.to_str().unwrap(),
+            "--starts",
+            "2",
+            "--sweep-step",
+            "1e-12",
+        ]
+        .map(str::to_owned)
+        .to_vec(),
+    );
+    for args in &cases {
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let output = ja(&args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            matches!(output.status.code(), Some(1 | 2)),
+            "ja {args:?}: {:?} {stderr}",
+            output.status
+        );
+        assert!(!stderr.contains("panicked"), "ja {args:?}: {stderr}");
+        assert!(stderr.starts_with("ja: "), "ja {args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "ja {args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn transient_emits_all_three_formats() {
     let json = ja_ok(&["transient", "--t-end", "0.02", "--format", "json"]);
     let doc = parse_report(&json, "transient");

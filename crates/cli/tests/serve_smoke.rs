@@ -245,6 +245,47 @@ fn served_thermal_pwm_batch_matches_the_offline_grid_config() {
     server.shutdown();
 }
 
+#[test]
+fn served_single_scenario_requests_match_the_offline_reports() {
+    // Each fixture names the same one-cell spec as its offline command
+    // line: material, backend and ΔH_max default alike on both surfaces.
+    let server = Server::spawn("single");
+    for (fixture_name, offline_args) in [
+        (
+            "serve_sweep_major.json",
+            &[
+                "sweep", "--peak", "5000", "--step", "250", "--cycles", "1", "--format", "json",
+            ][..],
+        ),
+        (
+            "serve_sweep_fig1.json",
+            &["sweep", "--fig1", "--step", "50", "--format", "json"],
+        ),
+        (
+            "serve_transient.json",
+            &[
+                "transient",
+                "--adaptive",
+                "--t-end",
+                "0.02",
+                "--material",
+                "hard-steel",
+                "--backend",
+                "ams",
+                "--dh-max",
+                "25",
+                "--format",
+                "json",
+            ],
+        ),
+    ] {
+        let offline = ja_ok(offline_args);
+        let request_body = std::fs::read_to_string(fixture(fixture_name)).unwrap();
+        assert_served_matches_offline(&server, &request_body, &offline);
+    }
+    server.shutdown();
+}
+
 /// Recursively reverses every object's field order — different bytes,
 /// same content address.
 fn reorder_fields(value: &ja_hysteresis::json::JsonValue) -> ja_hysteresis::json::JsonValue {
@@ -351,6 +392,18 @@ fn health_errors_and_shutdown_speak_the_report_schema() {
         ),
         ("GET", "/v1/nope", None, 404, "unknown path"),
         ("DELETE", "/v1/health", None, 405, "not allowed"),
+        // An oversized field schedule is refused before any allocation,
+        // so the daemon keeps serving (the health check below).
+        (
+            "POST",
+            "/v1/eval",
+            Some(
+                r#"{"schema_version": 1, "kind": "batch_request",
+                    "grid": {"excitation": [{"kind": "major", "peak": 10000, "step": 1e-12}]}}"#,
+            ),
+            400,
+            "2^24 samples",
+        ),
     ] {
         let response = request(server.addr, method, path, body);
         assert_eq!(
@@ -374,6 +427,7 @@ fn health_errors_and_shutdown_speak_the_report_schema() {
             response.body
         );
     }
+    assert_eq!(request(server.addr, "GET", "/v1/health", None).status, 200);
 
     server.shutdown();
 }

@@ -3,12 +3,13 @@
 //! [`BatchRunner`] is the engine behind [`crate::scenario::run_batch`] and
 //! every report writer: it distributes a scenario list over a pool of
 //! scoped worker threads (`std::thread::scope`, no external dependencies),
-//! with chunked work stealing over an atomic cursor and a configurable
-//! error policy.  There is one executor, [`BatchRunner::run_in_order`]: a
-//! caller-supplied **reduce** step runs on the worker right after each
-//! scenario finishes and shrinks the outcome (curve included) to what the
-//! caller keeps — a rendered entry, an NDJSON record, or the whole outcome
-//! for [`BatchRunner::run`] — and an **emit** step receives the reduced
+//! where each worker claims the next job from a shared atomic cursor, and
+//! a configurable error policy.  There is one executor,
+//! [`BatchRunner::run_in_order`]: a caller-supplied **reduce** step runs
+//! on the worker right after each scenario finishes and shrinks the
+//! outcome (curve included) to what the caller keeps — a rendered entry,
+//! an NDJSON record, or the whole outcome for [`BatchRunner::run`] — and
+//! an **emit** step receives the reduced
 //! values on the calling thread in input index order.  Results are
 //! therefore **deterministic**: bit-identical floating-point content in
 //! input order regardless of the worker count (each scenario's computation
@@ -52,7 +53,7 @@
 //! the transient statistics, so the report is byte-identical to solving
 //! per scenario.
 //!
-//! The distribution machinery itself (chunked claims over an atomic
+//! The distribution machinery itself (one-job claims over an atomic
 //! cursor, worker-local state, an in-order reorder buffer) is one private
 //! worker loop; the generic [`parallel_map`] is a collect over it and
 //! powers the multi-start fitting batches of [`crate::fit`] — any
@@ -147,15 +148,14 @@ pub enum SoaRouting {
 #[derive(Debug, Clone, Default)]
 pub struct BatchRunner {
     workers: Option<NonZeroUsize>,
-    chunk_size: Option<NonZeroUsize>,
     policy: ErrorPolicy,
     routing: SoaRouting,
 }
 
 impl BatchRunner {
     /// An executor with the default knobs: one worker per available core,
-    /// chunk size 1 (best load balance for uneven scenario runtimes),
-    /// collect-all error policy.
+    /// collect-all error policy.  Workers claim one job at a time, the best
+    /// load balance for uneven scenario runtimes.
     pub fn new() -> Self {
         Self::default()
     }
@@ -166,15 +166,6 @@ impl BatchRunner {
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = NonZeroUsize::new(workers);
-        self
-    }
-
-    /// Sets how many scenarios a worker claims from the shared cursor at a
-    /// time; `0` restores the default of 1.  Larger chunks reduce cursor
-    /// contention but can leave workers idle at the tail of uneven grids.
-    #[must_use]
-    pub fn chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = NonZeroUsize::new(chunk_size);
         self
     }
 
@@ -298,7 +289,6 @@ impl BatchRunner {
         let skip = skip.min(scenarios.len());
         let pending = &scenarios[skip..];
         let workers = self.resolved_workers(pending.len());
-        let chunk = self.chunk_size.map_or(1, NonZeroUsize::get);
         let jobs = route_jobs(pending, self.routing);
         let abort = AtomicBool::new(false);
         let mut succeeded = 0_usize;
@@ -306,7 +296,6 @@ impl BatchRunner {
         in_order(
             &jobs,
             workers,
-            chunk,
             RunScratch::new,
             |_, job, scratch, sink| {
                 let mut deliver = |index: usize,
@@ -665,8 +654,8 @@ pub(crate) fn speedup_estimate(serial: Duration, elapsed: Duration) -> f64 {
 /// that also powers [`BatchRunner`], used by the multi-start fitting
 /// batches of [`crate::fit`].
 ///
-/// Each worker claims `chunk` jobs at a time from a shared atomic cursor
-/// and keeps one instance of worker-local state (built by `make_state`)
+/// Each worker claims one job at a time from a shared atomic cursor and
+/// keeps one instance of worker-local state (built by `make_state`)
 /// alive across all the jobs it executes — the scratch-reuse pattern that
 /// keeps per-job construction and allocator traffic off the hot path.
 /// As long as `run` is a pure function of the job (plus state that `run`
@@ -677,13 +666,7 @@ pub(crate) fn speedup_estimate(serial: Duration, elapsed: Duration) -> f64 {
 /// Cross-job coordination (e.g. fail-fast abort) lives in the closure:
 /// capture an [`AtomicBool`] and consult it per job, as
 /// [`BatchRunner::run_in_order`] does.
-pub fn parallel_map<T, S, R, FS, F>(
-    jobs: &[T],
-    workers: usize,
-    chunk: usize,
-    make_state: FS,
-    run: F,
-) -> Vec<R>
+pub fn parallel_map<T, S, R, FS, F>(jobs: &[T], workers: usize, make_state: FS, run: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -694,7 +677,6 @@ where
     in_order(
         jobs,
         workers,
-        chunk,
         make_state,
         |index, job, state, sink| sink(index, run(job, state)),
         |_, result| {
@@ -708,7 +690,7 @@ where
 
 /// The worker pool under every executor in this module.
 ///
-/// Workers claim `chunk` jobs at a time from a shared atomic cursor, keep
+/// Workers claim one job at a time from a shared atomic cursor, keep
 /// one `make_state` instance alive across their jobs, and pass
 /// `run(job_index, job, state, sink)` a `sink` that accepts
 /// `(output_index, value)` pairs — a job may produce any number of
@@ -722,7 +704,6 @@ where
 fn in_order<T, S, R, E>(
     jobs: &[T],
     workers: usize,
-    chunk: usize,
     make_state: impl Fn() -> S + Sync,
     run: impl Fn(usize, &T, &mut S, &mut dyn FnMut(usize, R)) + Sync,
     mut emit: impl FnMut(usize, R) -> Result<(), E>,
@@ -731,7 +712,6 @@ where
     T: Sync,
     R: Send,
 {
-    let chunk = chunk.max(1);
     let mut buffered: BTreeMap<usize, R> = BTreeMap::new();
     let mut next = 0_usize;
     let mut result = Ok(());
@@ -761,18 +741,15 @@ where
                     let mut state = make_state();
                     let mut closed = false;
                     loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= jobs.len() {
+                        let index = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(job) = jobs.get(index) else {
                             break;
-                        }
-                        let end = start.saturating_add(chunk).min(jobs.len());
-                        for (index, job) in jobs.iter().enumerate().take(end).skip(start) {
-                            run(index, job, &mut state, &mut |output, value| {
-                                closed |= tx.send((output, value)).is_err();
-                            });
-                            if closed {
-                                return;
-                            }
+                        };
+                        run(index, job, &mut state, &mut |output, value| {
+                            closed |= tx.send((output, value)).is_err();
+                        });
+                        if closed {
+                            return;
                         }
                     }
                 });
@@ -955,10 +932,10 @@ mod tests {
     }
 
     #[test]
-    fn chunked_distribution_covers_every_scenario() {
+    fn distribution_covers_every_scenario() {
         let scenarios = small_grid().scenarios().expect("grid");
         let expected = scenarios.len();
-        let report = BatchRunner::new().workers(3).chunk_size(2).run(scenarios);
+        let report = BatchRunner::new().workers(3).run(scenarios);
         assert_eq!(report.entries.len(), expected);
         assert_eq!(report.successes().count(), expected);
         assert!(report.elapsed > Duration::ZERO);
@@ -1073,9 +1050,9 @@ mod tests {
             *seen += 1;
             (*job * 2, *seen)
         };
-        let serial = parallel_map(&jobs, 1, 1, || 0usize, double);
-        let parallel = parallel_map(&jobs, 4, 3, || 0usize, double);
-        // Job-order results regardless of worker count or chunking...
+        let serial = parallel_map(&jobs, 1, || 0usize, double);
+        let parallel = parallel_map(&jobs, 4, || 0usize, double);
+        // Job-order results regardless of worker count...
         let values = |r: &[(usize, usize)]| r.iter().map(|(v, _)| *v).collect::<Vec<_>>();
         assert_eq!(values(&serial), values(&parallel));
         assert_eq!(serial[7].0, 14);
@@ -1084,8 +1061,8 @@ mod tests {
         assert_eq!(serial.last().unwrap().1, 100);
         assert!(parallel.iter().all(|(_, seen)| (1..=100).contains(seen)));
         // Degenerate inputs.
-        assert!(parallel_map(&[] as &[usize], 4, 1, || (), |_, ()| ()).is_empty());
-        assert_eq!(parallel_map(&jobs, 8, 0, || (), |job, ()| *job).len(), 100);
+        assert!(parallel_map(&[] as &[usize], 4, || (), |_, ()| ()).is_empty());
+        assert_eq!(parallel_map(&jobs, 8, || (), |job, ()| *job).len(), 100);
     }
 
     fn multi_material_grid() -> ScenarioGrid {

@@ -357,7 +357,6 @@ fn run_scalar(
     parallel_map(
         &tasks,
         workers,
-        1,
         || FitScratch { cached: None },
         |task, scratch| {
             let t0 = Instant::now();
@@ -393,7 +392,6 @@ fn run_lockstep(
     let per_loop = parallel_map(
         &tasks,
         workers.min(jobs.len()),
-        1,
         || SoaFitScratch { cached: None },
         |&job, scratch| {
             let starts = &loop_starts[job];

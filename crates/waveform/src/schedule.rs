@@ -17,8 +17,64 @@
 //! * [`FieldSchedule::biased_minor_loop`] — a small loop around an arbitrary
 //!   bias point ("various minor loop sizes and in different positions");
 //! * [`FieldSchedule::demagnetisation`] — decaying loop amplitudes.
+//!
+//! Every constructor bounds the schedule at [`MAX_SAMPLES`], so no input
+//! can make a schedule exhaust memory or time.
 
 use crate::error::WaveformError;
+
+/// The most samples a schedule may yield: 2^24 (16,777,216).
+///
+/// Every constructor checks it, counting in `f64` so no step/span ratio or
+/// cycle count can overflow the count, and before any buffer is sized from
+/// the inputs, so an oversized schedule (a vanishing step, a huge cycle
+/// count, a decay that never reaches its stop amplitude) is an
+/// [`WaveformError::InvalidParameter`] instead of an allocation failure or
+/// a hang.  A constant rather than a free-memory probe, so the same input
+/// is rejected on every machine.  For scale: the Fig. 1 stimulus at a
+/// 1 A/m step has 117,501 samples.
+pub const MAX_SAMPLES: usize = 1 << 24;
+
+/// [`MAX_SAMPLES`] as the `f64` the counts are kept in (exact: a power of
+/// two).
+const SAMPLE_LIMIT: f64 = MAX_SAMPLES as f64;
+
+/// The error for a schedule over [`MAX_SAMPLES`], naming the parameter
+/// that pushed it over.
+fn too_many_samples(name: &'static str, value: f64) -> WaveformError {
+    WaveformError::InvalidParameter {
+        name,
+        value,
+        requirement: "at most 2^24 samples per schedule (a coarser step or fewer cycles)",
+    }
+}
+
+fn check_step(step: f64) -> Result<(), WaveformError> {
+    if !step.is_finite() || step <= 0.0 {
+        return Err(WaveformError::InvalidParameter {
+            name: "step",
+            value: step,
+            requirement: "finite and > 0",
+        });
+    }
+    Ok(())
+}
+
+/// Checks a `cycles`-fold loop before its breakpoint vector is sized:
+/// `head` samples up to the loop, then `per_cycle` samples per cycle.
+/// A cycle counts as at least its two reversals, so the breakpoint vector
+/// stays bounded even when the step dwarfs the span.  One cycle over the
+/// ceiling blames the step, more the cycle count.
+fn check_cycles(head: f64, per_cycle: f64, cycles: usize, step: f64) -> Result<(), WaveformError> {
+    let per_cycle = per_cycle.max(2.0);
+    if head + per_cycle > SAMPLE_LIMIT {
+        return Err(too_many_samples("step", step));
+    }
+    if head + per_cycle * cycles as f64 > SAMPLE_LIMIT {
+        return Err(too_many_samples("cycles", cycles as f64));
+    }
+    Ok(())
+}
 
 /// An ordered, time-free sequence of applied-field values.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,15 +92,10 @@ impl FieldSchedule {
     ///
     /// Returns [`WaveformError::InvalidParameter`] when the step is not
     /// finite and strictly positive, or any breakpoint is not finite, or no
-    /// breakpoints are given.
+    /// breakpoints are given, or the schedule would have more than
+    /// [`MAX_SAMPLES`] samples.
     pub fn new(start: f64, breakpoints: Vec<f64>, step: f64) -> Result<Self, WaveformError> {
-        if !step.is_finite() || step <= 0.0 {
-            return Err(WaveformError::InvalidParameter {
-                name: "step",
-                value: step,
-                requirement: "finite and > 0",
-            });
-        }
+        check_step(step)?;
         if !start.is_finite() {
             return Err(WaveformError::InvalidParameter {
                 name: "start",
@@ -66,6 +117,15 @@ impl FieldSchedule {
                 requirement: "all finite",
             });
         }
+        let mut samples = 1.0;
+        let mut from = start;
+        for &to in &breakpoints {
+            samples += segment_span(from, to, step);
+            from = to;
+        }
+        if samples > SAMPLE_LIMIT {
+            return Err(too_many_samples("step", step));
+        }
         Ok(Self {
             start,
             breakpoints,
@@ -80,7 +140,8 @@ impl FieldSchedule {
     /// # Errors
     ///
     /// Returns [`WaveformError::InvalidParameter`] when `h_peak` is not
-    /// finite and positive, `step` is invalid, or `cycles` is zero.
+    /// finite and positive, `step` is invalid, `cycles` is zero, or the
+    /// loop would have more than [`MAX_SAMPLES`] samples.
     pub fn major_loop(h_peak: f64, step: f64, cycles: usize) -> Result<Self, WaveformError> {
         if !h_peak.is_finite() || h_peak <= 0.0 {
             return Err(WaveformError::InvalidParameter {
@@ -96,6 +157,13 @@ impl FieldSchedule {
                 requirement: ">= 1",
             });
         }
+        check_step(step)?;
+        check_cycles(
+            1.0 + segment_span(0.0, h_peak, step),
+            2.0 * segment_span(h_peak, -h_peak, step),
+            cycles,
+            step,
+        )?;
         let mut breakpoints = Vec::with_capacity(cycles * 2 + 1);
         breakpoints.push(h_peak);
         for _ in 0..cycles {
@@ -150,8 +218,9 @@ impl FieldSchedule {
     /// # Errors
     ///
     /// Returns [`WaveformError::InvalidParameter`] when the amplitude is not
-    /// finite and positive, the bias is not finite, `cycles` is zero, or
-    /// `step` is invalid.
+    /// finite and positive, the bias is not finite, `cycles` is zero,
+    /// `step` is invalid, or the loop would have more than [`MAX_SAMPLES`]
+    /// samples.
     pub fn biased_minor_loop(
         bias: f64,
         amplitude: f64,
@@ -179,11 +248,19 @@ impl FieldSchedule {
                 requirement: ">= 1",
             });
         }
+        check_step(step)?;
+        let (high, low) = (bias + amplitude, bias - amplitude);
+        check_cycles(
+            1.0 + segment_span(0.0, high, step),
+            segment_span(high, low, step) + segment_span(low, high, step),
+            cycles,
+            step,
+        )?;
         let mut breakpoints = Vec::with_capacity(cycles * 2 + 1);
-        breakpoints.push(bias + amplitude);
+        breakpoints.push(high);
         for _ in 0..cycles {
-            breakpoints.push(bias - amplitude);
-            breakpoints.push(bias + amplitude);
+            breakpoints.push(low);
+            breakpoints.push(high);
         }
         Self::new(0.0, breakpoints, step)
     }
@@ -196,7 +273,9 @@ impl FieldSchedule {
     ///
     /// Returns [`WaveformError::InvalidParameter`] when the amplitudes are
     /// not positive and ordered (`h_stop < h_start`), the decay factor is not
-    /// in `(0, 1)`, or `step` is invalid.
+    /// in `(0, 1)`, `step` is invalid, or the schedule would have more than
+    /// [`MAX_SAMPLES`] samples — checked as the loop adds each reversal, so
+    /// a decay that takes too many cycles to reach `h_stop` fails fast.
     pub fn demagnetisation(
         h_start: f64,
         h_stop: f64,
@@ -224,11 +303,25 @@ impl FieldSchedule {
                 requirement: "in (0, 1)",
             });
         }
+        check_step(step)?;
         let mut breakpoints = Vec::new();
         let mut amplitude = h_start;
         let mut sign = 1.0;
+        let (mut samples, mut from) = (1.0, 0.0);
         while amplitude >= h_stop {
-            breakpoints.push(sign * amplitude);
+            let to = sign * amplitude;
+            // At least one per reversal, so the loop ends even when the
+            // step dwarfs every amplitude.
+            samples += segment_span(from, to, step).max(1.0);
+            if samples > SAMPLE_LIMIT {
+                return Err(if breakpoints.len() < 2 {
+                    too_many_samples("step", step)
+                } else {
+                    too_many_samples("decay", decay)
+                });
+            }
+            breakpoints.push(to);
+            from = to;
             sign = -sign;
             amplitude *= decay;
         }
@@ -298,8 +391,15 @@ impl FieldSchedule {
     }
 }
 
+/// Samples one segment contributes, as `f64` so that a huge span/step
+/// ratio cannot overflow (the constructors compare it with
+/// [`MAX_SAMPLES`]).
+fn segment_span(from: f64, to: f64, step: f64) -> f64 {
+    ((to - from).abs() / step).ceil()
+}
+
 fn segment_steps(from: f64, to: f64, step: f64) -> usize {
-    ((to - from).abs() / step).ceil() as usize
+    segment_span(from, to, step) as usize
 }
 
 /// Iterator over the field samples of a [`FieldSchedule`].
@@ -383,6 +483,119 @@ mod tests {
         assert!(FieldSchedule::new(0.0, vec![f64::INFINITY], 1.0).is_err());
         assert!(FieldSchedule::major_loop(0.0, 1.0, 1).is_err());
         assert!(FieldSchedule::major_loop(100.0, 1.0, 0).is_err());
+    }
+
+    /// The name of the parameter an over-ceiling error blames.
+    fn blamed(result: Result<FieldSchedule, WaveformError>) -> &'static str {
+        match result {
+            Err(WaveformError::InvalidParameter {
+                name, requirement, ..
+            }) => {
+                assert!(requirement.contains("2^24 samples"), "{requirement}");
+                name
+            }
+            other => panic!("expected the sample ceiling, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn new_enforces_the_sample_ceiling() {
+        let at = FieldSchedule::new(0.0, vec![(MAX_SAMPLES - 1) as f64], 1.0).unwrap();
+        assert_eq!(at.len(), MAX_SAMPLES);
+        assert_eq!(
+            blamed(FieldSchedule::new(0.0, vec![MAX_SAMPLES as f64], 1.0)),
+            "step"
+        );
+        assert_eq!(
+            blamed(FieldSchedule::new(0.0, vec![10_000.0], 1e-12)),
+            "step"
+        );
+        // A span that overflows to infinity is still counted, not wrapped.
+        assert_eq!(
+            blamed(FieldSchedule::new(0.0, vec![f64::MAX, -f64::MAX], 1.0)),
+            "step"
+        );
+    }
+
+    #[test]
+    fn major_loop_checks_the_ceiling_before_sizing_its_cycles() {
+        for (peak, step, cycles, name) in [
+            (10_000.0, 1e-12, 1, "step"),
+            (10_000.0, 1e-300, 1, "step"),
+            (1e300, 1.0, 1, "step"),
+            (10_000.0, 10.0, 9_223_372_036_854_775_807, "cycles"),
+            (10_000.0, 10.0, 10_000, "cycles"),
+        ] {
+            assert_eq!(
+                blamed(FieldSchedule::major_loop(peak, step, cycles)),
+                name,
+                "peak={peak} step={step} cycles={cycles}"
+            );
+        }
+        // A step that dwarfs the span still bounds the breakpoint vector.
+        assert_eq!(
+            blamed(FieldSchedule::major_loop(1e-300, 1e300, usize::MAX / 2)),
+            "cycles"
+        );
+        // An invalid step is still reported as such, not as a size.
+        assert!(matches!(
+            FieldSchedule::major_loop(10_000.0, f64::NAN, usize::MAX),
+            Err(WaveformError::InvalidParameter {
+                name: "step",
+                requirement: "finite and > 0",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn nested_minor_loops_enforce_the_sample_ceiling() {
+        assert_eq!(
+            blamed(FieldSchedule::nested_minor_loops(
+                10_000.0,
+                &[5_000.0],
+                1e-6
+            )),
+            "step"
+        );
+    }
+
+    #[test]
+    fn biased_minor_loop_checks_the_ceiling_before_sizing_its_cycles() {
+        assert_eq!(
+            blamed(FieldSchedule::biased_minor_loop(
+                1_000.0,
+                500.0,
+                4_611_686_018_427_387_904,
+                10.0
+            )),
+            "cycles"
+        );
+        assert_eq!(
+            blamed(FieldSchedule::biased_minor_loop(1_000.0, 500.0, 1, 1e-9)),
+            "step"
+        );
+    }
+
+    #[test]
+    fn demagnetisation_stops_counting_at_the_ceiling() {
+        // Without the in-loop check this decay would take ~1.4e13 cycles
+        // to fall from 1e300 to 1e-300.
+        let started = std::time::Instant::now();
+        assert_eq!(
+            blamed(FieldSchedule::demagnetisation(
+                1e300,
+                1e-300,
+                0.999_999_999_9,
+                1e299
+            )),
+            "decay"
+        );
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(
+            blamed(FieldSchedule::demagnetisation(10_000.0, 100.0, 0.5, 1e-6)),
+            "step"
+        );
     }
 
     #[test]
