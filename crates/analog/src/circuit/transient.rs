@@ -22,6 +22,15 @@
 //!   large steps through the flat, saturated stretches of the B–H loop,
 //!   small steps around the knees and turning points where the magnetising
 //!   current spikes.
+//!
+//! Either way a run takes at most [`MAX_SAMPLES`] time steps — the ceiling
+//! field schedules live under, so a circuit drive yields no more field
+//! samples than a schedule may.  [`TransientAnalysis::new`] and
+//! [`TransientAnalysis::adaptive`] refuse a drive that cannot finish under
+//! it, and the adaptive controller stops with the same error if it reaches
+//! the ceiling anyway.
+
+use waveform::schedule::MAX_SAMPLES;
 
 use crate::circuit::elements::{CommitContext, StampContext};
 use crate::circuit::{Circuit, Node};
@@ -67,7 +76,8 @@ impl TransientAnalysis {
     /// # Errors
     ///
     /// Returns [`SolverError::InvalidStep`] for non-finite or non-positive
-    /// `dt` / `t_end`, or `dt > t_end`.
+    /// `dt` / `t_end`, or `dt > t_end`, and [`SolverError::TooManySteps`]
+    /// when `t_end / dt` is over [`MAX_SAMPLES`] steps.
     pub fn new(dt: f64, t_end: f64) -> Result<Self, SolverError> {
         if !dt.is_finite() || dt <= 0.0 {
             return Err(SolverError::InvalidStep {
@@ -81,6 +91,7 @@ impl TransientAnalysis {
                 value: t_end,
             });
         }
+        fixed_step_count(dt, t_end)?;
         Ok(Self {
             dt,
             t_end,
@@ -97,7 +108,9 @@ impl TransientAnalysis {
     ///
     /// Returns [`SolverError::InvalidStep`] for invalid options
     /// (`initial_step`/`min_step` not finite and positive,
-    /// `max_step < min_step`) or a non-finite/non-positive `t_end`.
+    /// `max_step < min_step`) or a non-finite/non-positive `t_end`, and
+    /// [`SolverError::TooManySteps`] when `t_end / max_step` — the fewest
+    /// steps the controller can take — is over [`MAX_SAMPLES`].
     pub fn adaptive(options: AdaptiveOptions, t_end: f64) -> Result<Self, SolverError> {
         options.validate()?;
         if !t_end.is_finite() || t_end <= 0.0 {
@@ -105,6 +118,9 @@ impl TransientAnalysis {
                 name: "t_end",
                 value: t_end,
             });
+        }
+        if t_end / options.max_step > MAX_SAMPLES as f64 {
+            return Err(too_many_steps(t_end));
         }
         Ok(Self {
             dt: options.initial_step,
@@ -141,15 +157,19 @@ impl TransientAnalysis {
     ///
     /// Returns [`SolverError::InvalidCircuit`] for an empty circuit,
     /// [`SolverError::SingularMatrix`] when the MNA matrix cannot be
-    /// factorised (floating node, inconsistent sources) and propagates any
-    /// other solver error.  The adaptive controller itself cannot fail: at
+    /// factorised (floating node, inconsistent sources),
+    /// [`SolverError::TooManySteps`] when the run would take more than
+    /// [`MAX_SAMPLES`] steps, and propagates any other solver error.  The
+    /// adaptive controller cannot fail short of that ceiling: at
     /// `min_step` it accepts the best available step (counting Newton
     /// non-convergence in the statistics) instead of erroring.
     pub fn run(&self, circuit: &mut Circuit) -> Result<TransientResult, SolverError> {
         let layout = SystemLayout::of(circuit)?;
         match self.control {
             StepControl::Fixed => self.run_fixed(circuit, &layout),
-            StepControl::Adaptive(options) => self.run_adaptive(circuit, &layout, options),
+            StepControl::Adaptive(options) => {
+                self.run_adaptive(circuit, &layout, options, MAX_SAMPLES)
+            }
         }
     }
 
@@ -158,7 +178,8 @@ impl TransientAnalysis {
         circuit: &mut Circuit,
         layout: &SystemLayout,
     ) -> Result<TransientResult, SolverError> {
-        let steps = fixed_step_count(self.dt, self.t_end);
+        // The fields are public, so `new`'s check may have been bypassed.
+        let steps = fixed_step_count(self.dt, self.t_end)?;
         let mut workspace = Workspace::new(layout.n_unknowns);
         let mut stats = TransientStats::default();
         let mut x_prev = vec![0.0; layout.n_unknowns];
@@ -209,11 +230,14 @@ impl TransientAnalysis {
         })
     }
 
+    /// The adaptive controller, refusing to take more than `max_steps`
+    /// accepted steps ([`MAX_SAMPLES`] outside this module's tests).
     fn run_adaptive(
         &self,
         circuit: &mut Circuit,
         layout: &SystemLayout,
         options: AdaptiveOptions,
+        max_steps: usize,
     ) -> Result<TransientResult, SolverError> {
         // `TransientAnalysis::adaptive` validates on construction, but the
         // controller can also be injected through `with_step_control`.
@@ -243,6 +267,9 @@ impl TransientAnalysis {
         let mut last_rejected: Option<(f64, f64)> = None;
 
         while t < self.t_end {
+            if stats.accepted_steps == max_steps {
+                return Err(too_many_steps(self.t_end));
+            }
             // A working step below the ulp of t cannot advance the grid
             // (t + h == t in f64): floor it there, whatever min_step says,
             // so a zero-length "accepted" step can never stall the loop or
@@ -444,12 +471,28 @@ impl TransientAnalysis {
 /// smallest count whose penultimate time index stays strictly below
 /// `t_end`, guarding against `ceil` rounding an exact ratio up and
 /// producing a zero-length (or negative) final step.
-fn fixed_step_count(dt: f64, t_end: f64) -> usize {
-    let steps = ((t_end / dt).ceil() as usize).max(1);
-    if steps > 1 && (steps - 1) as f64 * dt >= t_end {
-        steps - 1
-    } else {
-        steps
+///
+/// The count is kept in `f64` until it is known to be at most
+/// [`MAX_SAMPLES`], so no ratio can overflow or wrap the `usize` that sizes
+/// the run's buffers.
+fn fixed_step_count(dt: f64, t_end: f64) -> Result<usize, SolverError> {
+    let mut steps = (t_end / dt).ceil().max(1.0);
+    if steps > 1.0 && (steps - 1.0) * dt >= t_end {
+        steps -= 1.0;
+    }
+    if steps > MAX_SAMPLES as f64 {
+        return Err(too_many_steps(t_end));
+    }
+    Ok(steps as usize)
+}
+
+/// The error for a run over the [`MAX_SAMPLES`] step ceiling: `t_end` is
+/// the parameter that asked for the steps.
+fn too_many_steps(t_end: f64) -> SolverError {
+    SolverError::TooManySteps {
+        name: "t_end",
+        value: t_end,
+        limit: MAX_SAMPLES,
     }
 }
 
@@ -772,12 +815,85 @@ mod tests {
 
     #[test]
     fn fixed_step_count_handles_ratio_rounding() {
-        assert_eq!(fixed_step_count(0.1, 1.0), 10);
-        assert_eq!(fixed_step_count(0.3, 2.0), 7);
-        assert_eq!(fixed_step_count(1.0, 1.0), 1);
-        assert_eq!(fixed_step_count(1e-5, 1e-3), 100);
+        assert_eq!(fixed_step_count(0.1, 1.0), Ok(10));
+        assert_eq!(fixed_step_count(0.3, 2.0), Ok(7));
+        assert_eq!(fixed_step_count(1.0, 1.0), Ok(1));
+        assert_eq!(fixed_step_count(1e-5, 1e-3), Ok(100));
         // 0.06 / 5e-5 = 1200 exactly in f64.
-        assert_eq!(fixed_step_count(5e-5, 0.06), 1200);
+        assert_eq!(fixed_step_count(5e-5, 0.06), Ok(1200));
+        // Exactly at the ceiling is allowed.
+        assert_eq!(fixed_step_count(1.0, MAX_SAMPLES as f64), Ok(MAX_SAMPLES));
+    }
+
+    fn is_step_ceiling(err: &SolverError, t_end: f64) -> bool {
+        *err == SolverError::TooManySteps {
+            name: "t_end",
+            value: t_end,
+            limit: MAX_SAMPLES,
+        }
+    }
+
+    #[test]
+    fn fixed_drive_over_the_step_ceiling_is_refused_before_any_buffer() {
+        // 1e18 steps would size buffers past any memory, and a ratio of
+        // 1e600 is infinite in f64, past any `usize` count.
+        for (dt, t_end) in [
+            (1e-6, 1e12),
+            (1e-300, 1e300),
+            (1.0, MAX_SAMPLES as f64 + 1.0),
+        ] {
+            let err = TransientAnalysis::new(dt, t_end).unwrap_err();
+            assert!(is_step_ceiling(&err, t_end), "{err}");
+            assert!(err.to_string().contains("`t_end`"), "{err}");
+            assert!(err.to_string().contains("16777216"), "{err}");
+        }
+        // Fields are public: a run whose `new` check was bypassed refuses
+        // the same drive instead of sizing its buffers from it.
+        let analysis = TransientAnalysis {
+            t_end: 1e12,
+            ..TransientAnalysis::new(1e-6, 1e-3).unwrap()
+        };
+        let (mut c, _) = divider();
+        assert!(is_step_ceiling(&analysis.run(&mut c).unwrap_err(), 1e12));
+    }
+
+    #[test]
+    fn adaptive_drive_needing_too_many_steps_is_refused() {
+        let options = AdaptiveOptions {
+            max_step: 1e-3,
+            ..AdaptiveOptions::default()
+        };
+        // At max_step the controller needs at least t_end / max_step steps.
+        let err = TransientAnalysis::adaptive(options, 1e6).unwrap_err();
+        assert!(is_step_ceiling(&err, 1e6), "{err}");
+        let at_ceiling = MAX_SAMPLES as f64 * options.max_step;
+        assert!(TransientAnalysis::adaptive(options, at_ceiling).is_ok());
+    }
+
+    #[test]
+    fn adaptive_run_stops_at_the_step_ceiling() {
+        let analysis = TransientAnalysis::adaptive(AdaptiveOptions::default(), 1e-3).unwrap();
+        let StepControl::Adaptive(options) = analysis.control else {
+            unreachable!("built adaptive");
+        };
+        let (mut c, _) = divider();
+        let layout = SystemLayout::of(&c).unwrap();
+        let done = analysis
+            .run_adaptive(&mut c, &layout, options, usize::MAX)
+            .unwrap();
+        let needed = done.stats().accepted_steps;
+        assert!(needed > 2, "{needed} steps");
+        // A ceiling of exactly the steps needed still finishes; one fewer
+        // stops with the typed error.
+        let (mut c, _) = divider();
+        assert!(analysis
+            .run_adaptive(&mut c, &layout, options, needed)
+            .is_ok());
+        let (mut c, _) = divider();
+        let err = analysis
+            .run_adaptive(&mut c, &layout, options, needed - 1)
+            .unwrap_err();
+        assert!(is_step_ceiling(&err, 1e-3), "{err}");
     }
 
     #[test]

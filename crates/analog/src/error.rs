@@ -39,6 +39,15 @@ pub enum SolverError {
         /// The rejected value.
         value: f64,
     },
+    /// A run would take more time steps than the solver allows.
+    TooManySteps {
+        /// Name of the parameter that asked for the steps.
+        name: &'static str,
+        /// The rejected value.
+        value: f64,
+        /// The most steps one run may take.
+        limit: usize,
+    },
     /// The adaptive integrator could not satisfy the error tolerance even at
     /// the minimum step size.
     StepSizeUnderflow {
@@ -85,6 +94,10 @@ impl fmt::Display for SolverError {
             SolverError::InvalidStep { name, value } => {
                 write!(f, "invalid step parameter `{name}` = {value}")
             }
+            SolverError::TooManySteps { name, value, limit } => write!(
+                f,
+                "`{name}` = {value:e} needs more than the {limit} time steps one run may take"
+            ),
             SolverError::StepSizeUnderflow { time, step } => write!(
                 f,
                 "adaptive step size underflow at t = {time:.6e} (step {step:.3e})"

@@ -19,56 +19,15 @@
 //! its delta cycles without a single heap allocation — the contract the
 //! allocation-free overhaul introduced.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use criterion::{black_box, Criterion};
 use hdl_kernel::kernel::Kernel;
 use hdl_kernel::signal::SignalId;
 use hdl_kernel::value::Value;
 use hdl_kernel::SimTime;
-
-/// A [`System`]-backed allocator that counts allocations and live bytes.
-/// Relaxed atomics are fine: the measured sections are single-threaded
-/// and read the counters only after the workload completes.
-struct CountingAllocator {
-    allocs: AtomicUsize,
-    live: AtomicUsize,
-}
+use ja_bench::CountingAllocator;
 
 #[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator {
-    allocs: AtomicUsize::new(0),
-    live: AtomicUsize::new(0),
-};
-
-// SAFETY: delegates every allocation verbatim to `System`; the counter
-// updates never allocate.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            self.allocs.fetch_add(1, Ordering::Relaxed);
-            self.live.fetch_add(layout.size(), Ordering::Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        self.live.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-}
-
-impl CountingAllocator {
-    fn allocs(&self) -> usize {
-        self.allocs.load(Ordering::Relaxed)
-    }
-
-    fn live(&self) -> usize {
-        self.live.load(Ordering::Relaxed)
-    }
-}
+static ALLOC: CountingAllocator = CountingAllocator::new();
 
 /// A two-process combinational chain (`b = 2a`, `c = b + 1`) — the
 /// smallest network that exercises signal propagation across delta

@@ -13,66 +13,15 @@
 //! both peaks observable; the timed benchmarks compare the same work
 //! (same engine, every entry rendered once).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use criterion::{black_box, Criterion};
 use hdl_models::exec::BatchRunner;
 use hdl_models::report::{run_batch_report, write_ndjson_batch};
 use hdl_models::scenario::{BackendKind, Excitation, Scenario, ScenarioGrid};
+use ja_bench::CountingAllocator;
 use ja_hysteresis::config::JaConfig;
 
-/// A [`System`]-backed allocator that tracks live and peak heap bytes.
-/// Relaxed atomics are fine: the measured sections run their workload to
-/// completion before reading the counters, and worker threads join
-/// inside the workload.
-struct CountingAllocator {
-    live: AtomicUsize,
-    peak: AtomicUsize,
-}
-
 #[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator {
-    live: AtomicUsize::new(0),
-    peak: AtomicUsize::new(0),
-};
-
-// SAFETY: delegates every allocation verbatim to `System`; the counter
-// updates never allocate.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            let live = self.live.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            self.peak.fetch_max(live, Ordering::Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        self.live.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-}
-
-impl CountingAllocator {
-    fn live(&self) -> usize {
-        self.live.load(Ordering::Relaxed)
-    }
-
-    /// Restarts peak tracking from the current live size and returns the
-    /// baseline, so `peak() - baseline` is the workload's own high-water
-    /// mark.
-    fn reset_peak(&self) -> usize {
-        let live = self.live();
-        self.peak.store(live, Ordering::Relaxed);
-        live
-    }
-
-    fn peak(&self) -> usize {
-        self.peak.load(Ordering::Relaxed)
-    }
-}
+static ALLOC: CountingAllocator = CountingAllocator::new();
 
 /// A grid of `entries` scenarios that differ only in `ΔH_max`, so entry
 /// count scales freely without changing the per-entry work shape.

@@ -39,14 +39,14 @@ OPTIONS:
     --seed S              starting-point seed                [default: 42]
     --workers W           worker threads; 0 = one per core   [default: 0]
     --routing MODE        candidate evaluation routing       [default: auto]
-                            auto    loops with >= 2 starts descend in
-                                    lockstep: each cost call evaluates all
-                                    live candidates as lanes of one
-                                    structure-of-arrays sweep
-                            soa     lockstep even for a single start
-                            scalar  one independent descent per start
+                            auto    loops with >= 2 starts evaluate each
+                                    cost call's live candidates as lanes
+                                    of one structure-of-arrays sweep
+                            soa     lanes even for a single start
+                            scalar  every candidate runs through the
+                                    scalar model, the reference
                           Routing never changes report content: SoA f64
-                          lanes are bit-identical to scalar evaluation.
+                          lanes are bit-identical to the scalar model.
     --passes N            coordinate-search passes per start [default: 6]
     --initial-step FRAC   initial relative perturbation      [default: 0.4]
     --sweep-step A_PER_M  candidate-sweep field step         [default: 50]

@@ -277,6 +277,72 @@ fn oversized_field_schedules_fail_cleanly() {
 }
 
 #[test]
+fn oversized_circuit_drives_fail_cleanly() {
+    // A transient run refuses more than 2^24 time steps up front, so a
+    // drive that would size its buffers from 1e18 steps, overflow the step
+    // count, or need 1e9 adaptive steps is an error entry, not an abort or
+    // a hang.
+    let run = |args: &[&str]| {
+        let started = std::time::Instant::now();
+        let output = ja(args);
+        let elapsed = started.elapsed();
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        assert_eq!(output.status.code(), Some(1), "ja {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "ja {args:?}: {stderr}");
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "ja {args:?} took {elapsed:?}"
+        );
+        stderr
+    };
+    for (index, drive) in [
+        "t_end=1e12 dt=1e-6 control=fixed",
+        "t_end=1e300 dt=1e-300 control=fixed",
+        "t_end=1e6 control=adaptive",
+    ]
+    .iter()
+    .enumerate()
+    {
+        let config = scratch(&format!("oversized_circuit_{index}.conf"));
+        let out = scratch(&format!("oversized_circuit_{index}.json"));
+        std::fs::write(
+            &config,
+            format!(
+                "excitation = circuit source=sine amplitude=30 frequency=50 r=1 \
+                 turns=200 area=1e-4 path=0.1 {drive}\n"
+            ),
+        )
+        .unwrap();
+        run(&[
+            "batch",
+            "--config",
+            config.to_str().unwrap(),
+            "--out",
+            out.to_str().unwrap(),
+        ]);
+        let report = parse_report(&std::fs::read_to_string(&out).unwrap(), "batch");
+        let entries = report.get("entries").and_then(JsonValue::as_array).unwrap();
+        assert!(!entries.is_empty(), "{drive}");
+        for entry in entries {
+            assert_eq!(
+                entry.get("status").and_then(JsonValue::as_str),
+                Some("error")
+            );
+            let error = entry.get("error").and_then(JsonValue::as_str).unwrap();
+            assert!(error.contains("`t_end`"), "{drive}: {error}");
+        }
+    }
+    for args in [
+        ["transient", "--t-end", "1e12", "--dt", "1e-6"].as_slice(),
+        ["transient", "--adaptive", "--t-end", "1e6"].as_slice(),
+    ] {
+        let stderr = run(args);
+        assert!(stderr.starts_with("ja: "), "ja {args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "ja {args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn transient_emits_all_three_formats() {
     let json = ja_ok(&["transient", "--t-end", "0.02", "--format", "json"]);
     let doc = parse_report(&json, "transient");

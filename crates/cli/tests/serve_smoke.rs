@@ -432,6 +432,35 @@ fn health_errors_and_shutdown_speak_the_report_schema() {
     server.shutdown();
 }
 
+#[test]
+fn oversized_circuit_drive_is_an_error_entry_not_a_dead_daemon() {
+    // A drive of 1e18 fixed steps is refused before any buffer is sized
+    // from t_end/dt, so it is an ordinary failed entry in a 200 response,
+    // and the daemon keeps serving.
+    let server = Server::spawn("circuit-ceiling");
+    let response = request(
+        server.addr,
+        "POST",
+        "/v1/eval",
+        Some(
+            r#"{"schema_version": 1, "kind": "batch_request",
+                "grid": {"excitation": [{"kind": "circuit", "source": "sine",
+                    "amplitude": 30, "frequency": 50, "r": 1, "turns": 200,
+                    "area": 1e-4, "path": 0.1, "t_end": 1e12, "dt": 1e-6,
+                    "control": "fixed"}]}}"#,
+        ),
+    );
+    assert_eq!(response.status, 200, "{}", response.body);
+    assert!(
+        response.body.contains("\"status\": \"error\""),
+        "{}",
+        response.body
+    );
+    assert!(response.body.contains("`t_end`"), "{}", response.body);
+    assert_eq!(request(server.addr, "GET", "/v1/health", None).status, 200);
+    server.shutdown();
+}
+
 #[cfg(unix)]
 #[test]
 fn sigterm_drains_to_a_clean_exit() {

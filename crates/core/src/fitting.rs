@@ -4,29 +4,20 @@
 //! have a datasheet loop.  This module provides the building blocks of a
 //! derivative-free fit and composes them into [`fit_major_loop`]:
 //!
-//! * [`FitObjective`] — the cost function.  It owns one preallocated
-//!   [`FieldSchedule`] and one reusable [`BhCurve`] buffer, so evaluating a
-//!   candidate (simulate the loop, extract its summary metrics, compare
-//!   against the measured ones) allocates nothing: the sweep runs through
-//!   [`HysteresisBackend::run_schedule_into`] and the model itself is a
-//!   plain value type.  This is what makes fitting a batchable workload —
-//!   each worker of a multi-start fit keeps one objective alive across all
-//!   the candidates it evaluates (see `hdl_models::fit`).
-//! * [`BatchObjective`] — the same cost function over many candidates at
-//!   once.  Candidates are evaluated as lanes of a structure-of-arrays
-//!   lockstep sweep ([`crate::soa::SoaBatch`]), whose `f64` columns are
-//!   bit-identical to the scalar model — a batched cost is the same number
-//!   the scalar objective would have produced, just computed N lanes at a
-//!   time.  Like [`FitObjective`], it owns all its evaluation scratch
-//!   (sample vector, SoA columns, per-lane curve buffers), so a steady-state
-//!   cost call performs **no heap allocation** (asserted by
-//!   `tests/fit_allocation.rs` at the workspace root).
-//! * [`LocalOptimizer`] / [`CoordinateDescent`] — the pluggable local
-//!   search.  The default is the cyclic coordinate search with a shrinking
-//!   step; alternative optimisers only need to drive the objective.
-//!   [`CoordinateDescent::optimize_batch`] runs the same search over many
-//!   starting points in lockstep, batching each descent slot's surviving
-//!   candidates into one [`BatchObjective`] call.
+//! * [`BatchObjective`] — the cost function: simulate each candidate's
+//!   major loop, extract its summary metrics, compare them against the
+//!   measured ones.  It evaluates many candidates per call, either as the
+//!   lanes of one structure-of-arrays lockstep sweep
+//!   ([`crate::soa::SoaBatch`]) or one by one through the scalar model,
+//!   the reference; the `f64` lanes are bit-identical to it, so both
+//!   evaluators return the same costs.  The objective owns all its
+//!   evaluation scratch, so a steady-state cost call performs **no heap
+//!   allocation** (asserted by `tests/fit_allocation.rs` at the workspace
+//!   root).
+//! * [`CoordinateDescent`] — the local search: a cyclic coordinate search
+//!   with a shrinking step.  [`CoordinateDescent::optimize_batch`] descends
+//!   any number of starting points together, batching each descent slot's
+//!   candidates into one [`BatchObjective::costs`] call.
 //! * [`initial_guess`] / [`starting_points`] — physically motivated start
 //!   plus seeded, deterministic latin-hypercube perturbations of it for
 //!   multi-start searches that escape local minima.
@@ -113,140 +104,79 @@ pub struct FitResult {
     pub evaluations: usize,
 }
 
-/// The fitting cost function with reusable evaluation scratch.
+/// The fitting cost function over many candidates at once, with reusable
+/// evaluation scratch.
 ///
-/// One objective instance holds the measured target metrics, the candidate
-/// sweep schedule and a trace buffer; [`cost`](FitObjective::cost) reuses
-/// both across candidates, so a fit performs **no per-candidate heap
-/// allocation** (the [`JilesAtherton`] model is a plain value type).  An
-/// objective is cheap to keep alive for thousands of evaluations — exactly
-/// what a multi-start worker does.
-#[derive(Debug, Clone)]
-pub struct FitObjective {
-    target: LoopMetrics,
-    schedule: FieldSchedule,
-    curve: BhCurve,
-    evaluations: usize,
-}
-
-impl FitObjective {
-    /// Builds an objective from a measured loop: extracts the target
-    /// metrics and preallocates the candidate sweep (two full cycles to
-    /// `±h_peak` at `options.sweep_step`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JaError::InvalidConfig`] for invalid `options`,
-    /// [`JaError::Material`] when the measured loop is too short or has no
-    /// crossings (not a loop), and [`JaError::Waveform`] for a schedule the
-    /// sweep parameters cannot form.
-    pub fn new(measured: &BhCurve, h_peak: f64, options: &FitOptions) -> Result<Self, JaError> {
-        options.validate()?;
-        Self::from_target(loop_metrics(measured)?, h_peak, options)
-    }
-
-    /// Builds an objective from already-extracted target metrics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JaError::InvalidConfig`] for invalid `options` and
-    /// [`JaError::Waveform`] for an invalid candidate schedule.
-    pub fn from_target(
-        target: LoopMetrics,
-        h_peak: f64,
-        options: &FitOptions,
-    ) -> Result<Self, JaError> {
-        options.validate()?;
-        let schedule = FieldSchedule::major_loop(h_peak, options.sweep_step, 2)?;
-        let curve = BhCurve::with_capacity(schedule.len());
-        Ok(Self {
-            target,
-            schedule,
-            curve,
-            evaluations: 0,
-        })
-    }
-
-    /// The measured metrics the fit is matching.
-    pub fn target(&self) -> &LoopMetrics {
-        &self.target
-    }
-
-    /// Number of candidate evaluations performed so far.
-    pub fn evaluations(&self) -> usize {
-        self.evaluations
-    }
-
-    /// Evaluates one candidate: simulates its major loop into the reused
-    /// buffer and returns the metric mismatch against the target.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JaError::Material`] for an invalid candidate and
-    /// propagates sweep/metric errors for pathological ones.  Failed
-    /// evaluations still count towards [`evaluations`](Self::evaluations).
-    pub fn cost(&mut self, params: &JaParameters) -> Result<f64, JaError> {
-        self.evaluations += 1;
-        let mut model = JilesAtherton::new(*params)?;
-        model.run_schedule_into(&self.schedule, &mut self.curve)?;
-        let metrics = loop_metrics(&self.curve)?;
-        Ok(metric_mismatch(&metrics, &self.target))
-    }
-}
-
-/// The fitting cost function over many candidates at once, evaluated as
-/// lanes of one structure-of-arrays lockstep sweep.
+/// A [`costs`](BatchObjective::costs) call runs every candidate through
+/// the shared two-cycle major-loop sweep and returns each one's metric
+/// mismatch against the target.  Two evaluators compute the same numbers:
 ///
-/// A [`costs`](BatchObjective::costs) call assigns the candidates to the
-/// lanes of an internal [`SoaBatch`] (always `f64` columns, which are
-/// bit-identical to the scalar model), runs the shared candidate schedule
-/// once across all lanes, and extracts each lane's metric mismatch — the
-/// exact value [`FitObjective::cost`] would have returned for that
-/// candidate, because both paths execute the same operation sequence per
-/// lane and the same metric extraction over bit-identical curves.
+/// * **SoA lanes** ([`from_target`](BatchObjective::from_target)) — the
+///   candidates become the lanes of an internal [`SoaBatch`] (always `f64`
+///   columns, which are bit-identical to the scalar model), and the sweep
+///   runs once across all lanes;
+/// * **the scalar model** ([`scalar`](BatchObjective::scalar)) — the
+///   reference: each candidate runs through its own [`JilesAtherton`]
+///   model, one after another.
+///
+/// Both execute the same operation sequence per candidate and the same
+/// metric extraction over bit-identical curves, so the evaluator never
+/// changes a cost — only the throughput.
 ///
 /// All evaluation scratch is owned and reused: the flattened sample vector,
 /// the SoA parameter/state columns and trajectory, the one curve buffer
-/// each lane is rebuilt into in turn, and the cost vector only ever grow to
-/// the high-water lane count.  After the first call at a given lane count,
-/// a cost call performs **no heap allocation** (metric extraction streams
-/// its crossings instead of collecting them) — asserted by the workspace's
-/// `tests/fit_allocation.rs`.
+/// each candidate is rebuilt into in turn, and the cost vector only ever
+/// grow to the high-water candidate count.  After the first call at a
+/// given count, a cost call performs **no heap allocation** (metric
+/// extraction streams its crossings instead of collecting them) — asserted
+/// by the workspace's `tests/fit_allocation.rs`.
 #[derive(Debug, Clone)]
 pub struct BatchObjective {
     target: LoopMetrics,
     samples: Vec<f64>,
-    batch: SoaBatch,
+    /// The lockstep batch, or `None` for the scalar evaluator.
+    lanes: Option<SoaBatch>,
     curve: BhCurve,
     costs: Vec<Result<f64, JaError>>,
     evaluations: usize,
 }
 
 impl BatchObjective {
-    /// Builds a batched objective from already-extracted target metrics;
-    /// the candidate sweep is the same two-cycle major loop a
-    /// [`FitObjective`] would use.
+    /// Builds an objective that evaluates candidates as SoA lanes, from
+    /// already-extracted target metrics; the candidate sweep is two full
+    /// cycles to `±h_peak` at `options.sweep_step`.
     ///
     /// # Errors
     ///
     /// Returns [`JaError::InvalidConfig`] for invalid `options` and
     /// [`JaError::Waveform`] for an invalid candidate schedule — the same
-    /// failures, for the same inputs, as [`FitObjective::from_target`].
+    /// failures, for the same inputs, as [`scalar`](Self::scalar).
     pub fn from_target(
         target: LoopMetrics,
         h_peak: f64,
         options: &FitOptions,
     ) -> Result<Self, JaError> {
-        options.validate()?;
-        let schedule = FieldSchedule::major_loop(h_peak, options.sweep_step, 2)?;
-        let samples = schedule.to_samples();
-        // The scalar objective simulates with the default configuration
+        let mut objective = Self::scalar(target, h_peak, options)?;
+        // The scalar evaluator simulates with the default configuration
         // (`JilesAtherton::new`); the lanes must match it exactly.
-        let batch = SoaBatch::new(JaConfig::default(), SoaPrecision::F64)?;
+        objective.lanes = Some(SoaBatch::new(JaConfig::default(), SoaPrecision::F64)?);
+        Ok(objective)
+    }
+
+    /// Builds an objective that runs each candidate through the scalar
+    /// model — the reference the SoA lanes are held to.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JaError::InvalidConfig`] for invalid `options` and
+    /// [`JaError::Waveform`] for an invalid candidate schedule.
+    pub fn scalar(target: LoopMetrics, h_peak: f64, options: &FitOptions) -> Result<Self, JaError> {
+        options.validate()?;
+        let samples = FieldSchedule::major_loop(h_peak, options.sweep_step, 2)?.to_samples();
         Ok(Self {
             target,
             samples,
-            batch,
+            lanes: None,
             curve: BhCurve::new(),
             costs: Vec::new(),
             evaluations: 0,
@@ -258,67 +188,59 @@ impl BatchObjective {
         &self.target
     }
 
-    /// Number of candidate evaluations performed so far (every lane of
-    /// every call, failed lanes included).
+    /// Number of candidate evaluations performed so far (every candidate
+    /// of every call, failed ones included).
     pub fn evaluations(&self) -> usize {
         self.evaluations
     }
 
-    /// Evaluates all candidates as one lockstep sweep and returns their
-    /// costs in candidate order, valid until the next call.
+    /// Evaluates all candidates and returns their costs in candidate
+    /// order, valid until the next call.
     ///
-    /// Each lane's entry is exactly what [`FitObjective::cost`] would
-    /// return for that candidate: the bit-identical mismatch on success,
-    /// the same [`JaError`] on failure (an invalid candidate, a diverged
-    /// sweep, or a trace that does not form a closable loop).  Failed lanes
-    /// do not disturb their neighbours, and every lane counts towards
+    /// Each entry is the candidate's metric mismatch on success, or the
+    /// [`JaError`] that stopped it: an invalid candidate, a diverged sweep,
+    /// or a trace that does not form a closable loop.  Both evaluators
+    /// return the same entry, bit for bit; a failed candidate does not
+    /// disturb its neighbours, and every candidate counts towards
     /// [`evaluations`](Self::evaluations).
     pub fn costs(&mut self, candidates: &[JaParameters]) -> &[Result<f64, JaError>] {
         let lanes = candidates.len();
         self.evaluations += lanes;
-        self.batch.assign(candidates);
-        self.batch.run_samples(&self.samples);
         self.costs.clear();
-        for lane in 0..lanes {
-            let cost = match self.batch.lane_error(lane) {
-                Some(err) => Err(err.clone()),
-                None => {
-                    self.batch
-                        .lane_curve_into(lane, &self.samples, &mut self.curve);
-                    loop_metrics(&self.curve)
-                        .map(|metrics| metric_mismatch(&metrics, &self.target))
-                        .map_err(JaError::from)
+        match &mut self.lanes {
+            Some(batch) => {
+                batch.assign(candidates);
+                batch.run_samples(&self.samples);
+                for lane in 0..lanes {
+                    let cost = match batch.lane_error(lane) {
+                        Some(err) => Err(err.clone()),
+                        None => {
+                            batch.lane_curve_into(lane, &self.samples, &mut self.curve);
+                            loop_metrics(&self.curve)
+                                .map(|metrics| metric_mismatch(&metrics, &self.target))
+                                .map_err(JaError::from)
+                        }
+                    };
+                    self.costs.push(cost);
                 }
-            };
-            self.costs.push(cost);
+            }
+            None => {
+                for candidate in candidates {
+                    let cost = JilesAtherton::new(*candidate)
+                        .and_then(|mut model| {
+                            model.run_samples_into(&self.samples, &mut self.curve)
+                        })
+                        .and_then(|()| loop_metrics(&self.curve).map_err(JaError::from))
+                        .map(|metrics| metric_mismatch(&metrics, &self.target));
+                    self.costs.push(cost);
+                }
+            }
         }
         &self.costs
     }
 }
 
-/// A local search strategy over a [`FitObjective`].
-///
-/// Implementations refine a starting parameter set into a local minimum of
-/// the objective; the multi-start driver in `hdl_models::fit` runs one
-/// optimizer per start on worker-local objectives.
-pub trait LocalOptimizer {
-    /// Refines `start`, returning the best parameters found, their cost and
-    /// the number of objective evaluations this call performed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates an objective failure on the *starting* candidate — a
-    /// start whose loop cannot even be simulated has no cost to improve.
-    /// Failures on perturbed candidates are treated as "worse" and skipped.
-    fn optimize(
-        &self,
-        objective: &mut FitObjective,
-        start: JaParameters,
-    ) -> Result<FitResult, JaError>;
-}
-
-/// Cyclic coordinate search with a multiplicatively shrinking step — the
-/// workspace's default [`LocalOptimizer`].
+/// Cyclic coordinate search with a multiplicatively shrinking step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoordinateDescent {
     /// Number of full passes over the five coordinates.
@@ -350,24 +272,24 @@ impl CoordinateDescent {
         }
     }
 
-    /// Runs the coordinate search over many starting points in lockstep:
-    /// at every descent slot (pass × coordinate × factor) each live start
-    /// proposes its candidate, the surviving candidates are evaluated as
-    /// one [`BatchObjective::costs`] call, and each start's accept/reject
+    /// Runs the coordinate search from every starting point together: at
+    /// every descent slot (pass × coordinate × factor) each live start
+    /// proposes its candidate, the proposed candidates are evaluated in one
+    /// [`BatchObjective::costs`] call, and each start's accept/reject
     /// decision is applied independently.
     ///
-    /// Because a cost is a pure function of its candidate — and the SoA
-    /// lanes are bit-identical to the scalar objective — every start's
+    /// Because a cost is a pure function of its candidate, every start's
     /// trajectory, final parameters, cost bits and evaluation count are
-    /// exactly what [`LocalOptimizer::optimize`] would have produced for
-    /// that start alone.  The per-start skip rules carry over unchanged:
-    /// a perturbation that fails validation or clamps back onto the
-    /// incumbent is skipped, not evaluated.
+    /// exactly what a search from that start alone would produce, on
+    /// either evaluator.  A perturbation that fails validation, or that
+    /// clamps back onto the incumbent (e.g. `c` already at its cap), is
+    /// skipped, not evaluated.
     ///
     /// One entry per start, in start order: a start whose *initial*
     /// evaluation fails yields that error (it consumed exactly one
-    /// evaluation); failures on perturbed candidates just reject the
-    /// candidate, as in the scalar search.
+    /// evaluation) — a start whose loop cannot even be simulated has no
+    /// cost to improve.  Failures on perturbed candidates just reject the
+    /// candidate.
     pub fn optimize_batch(
         &self,
         objective: &mut BatchObjective,
@@ -445,51 +367,9 @@ impl CoordinateDescent {
     }
 }
 
-impl LocalOptimizer for CoordinateDescent {
-    fn optimize(
-        &self,
-        objective: &mut FitObjective,
-        start: JaParameters,
-    ) -> Result<FitResult, JaError> {
-        let evaluations_before = objective.evaluations();
-        let mut best = start;
-        let mut best_cost = objective.cost(&best)?;
-
-        let mut step = self.initial_step;
-        for _ in 0..self.passes {
-            for coordinate in 0..5 {
-                for &factor in &[1.0 + step, 1.0 / (1.0 + step)] {
-                    let Ok(candidate) = perturb(&best, coordinate, factor) else {
-                        continue;
-                    };
-                    // A clamped perturbation (e.g. `c` already at its cap)
-                    // can return the incumbent itself; evaluating it would
-                    // burn a counted evaluation on a guaranteed no-op.
-                    if candidate == best {
-                        continue;
-                    }
-                    match objective.cost(&candidate) {
-                        Ok(cost) if cost < best_cost => {
-                            best_cost = cost;
-                            best = candidate;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            step *= self.shrink;
-        }
-
-        Ok(FitResult {
-            params: best,
-            cost: best_cost,
-            evaluations: objective.evaluations() - evaluations_before,
-        })
-    }
-}
-
 /// Fits JA parameters to a measured major loop with a single
-/// coordinate-descent run from the physically motivated initial guess.
+/// coordinate-descent run from the physically motivated initial guess, on
+/// the scalar evaluator.
 ///
 /// `measured` must contain at least one full major loop; `h_peak` is the
 /// peak field of that measurement (used to regenerate candidate loops).
@@ -506,9 +386,13 @@ pub fn fit_major_loop(
     h_peak: f64,
     options: &FitOptions,
 ) -> Result<FitResult, JaError> {
-    let mut objective = FitObjective::new(measured, h_peak, options)?;
-    let start = initial_guess(objective.target())?;
-    CoordinateDescent::from_options(options).optimize(&mut objective, start)
+    options.validate()?;
+    let target = loop_metrics(measured)?;
+    let mut objective = BatchObjective::scalar(target, h_peak, options)?;
+    let start = initial_guess(&target)?;
+    let mut results =
+        CoordinateDescent::from_options(options).optimize_batch(&mut objective, &[start]);
+    results.pop().expect("one result per start")
 }
 
 /// The physically motivated starting point of a fit:
@@ -756,28 +640,27 @@ mod tests {
 
     #[test]
     fn objective_reuses_scratch_and_counts_evaluations() {
-        let measured = measured_loop(100.0);
-        let mut objective = FitObjective::new(&measured, 10_000.0, &FitOptions::default()).unwrap();
-        assert_eq!(objective.evaluations(), 0);
-        let truth_cost = objective.cost(&JaParameters::date2006()).unwrap();
+        let target = loop_metrics(&measured_loop(100.0)).unwrap();
+        let mut objective =
+            BatchObjective::scalar(target, 10_000.0, &FitOptions::default()).unwrap();
+        let mut cost = |params: JaParameters| objective.costs(&[params])[0].clone();
+        let truth_cost = cost(JaParameters::date2006()).unwrap();
         assert!(
             truth_cost < 0.05,
             "truth parameters nearly reproduce their own loop: {truth_cost}"
         );
-        let other_cost = objective.cost(&JaParameters::hard_steel()).unwrap();
-        assert!(other_cost > truth_cost);
-        assert_eq!(objective.evaluations(), 2);
+        assert!(cost(JaParameters::hard_steel()).unwrap() > truth_cost);
         // A failed evaluation still counts (it consumed a simulation slot).
         let mut bad = JaParameters::date2006();
         bad.k = -1.0;
-        assert!(objective.cost(&bad).is_err());
-        assert_eq!(objective.evaluations(), 3);
+        assert!(cost(bad).is_err());
         // Repeat evaluations are bit-identical: the scratch reuse does not
         // leak state between candidates.
         assert_eq!(
-            objective.cost(&JaParameters::date2006()).unwrap().to_bits(),
+            cost(JaParameters::date2006()).unwrap().to_bits(),
             truth_cost.to_bits()
         );
+        assert_eq!(objective.evaluations(), 4);
     }
 
     #[test]
@@ -800,8 +683,9 @@ mod tests {
 
     #[test]
     fn clamped_c_perturbation_is_skipped_not_evaluated() {
-        let measured = measured_loop(250.0);
-        let mut objective = FitObjective::new(&measured, 10_000.0, &FitOptions::default()).unwrap();
+        let target = loop_metrics(&measured_loop(250.0)).unwrap();
+        let mut objective =
+            BatchObjective::scalar(target, 10_000.0, &FitOptions::default()).unwrap();
         let at_cap = JaParameters::builder().c(0.95).build().unwrap();
         // The upward c-perturbation clamps back to the incumbent...
         let clamped = perturb(&at_cap, 3, 1.4).unwrap();
@@ -813,7 +697,9 @@ mod tests {
             passes: 1,
             ..CoordinateDescent::default()
         };
-        let result = optimizer.optimize(&mut objective, at_cap).unwrap();
+        let result = optimizer.optimize_batch(&mut objective, &[at_cap])[0]
+            .clone()
+            .unwrap();
         assert!(
             result.evaluations < 1 + 5 * 2,
             "clamped candidate was evaluated: {} evaluations",
@@ -826,7 +712,7 @@ mod tests {
         let measured = measured_loop(250.0);
         let target = loop_metrics(&measured).unwrap();
         let options = FitOptions::default();
-        let mut scalar = FitObjective::from_target(target, 10_000.0, &options).unwrap();
+        let mut scalar = BatchObjective::scalar(target, 10_000.0, &options).unwrap();
         let mut batched = BatchObjective::from_target(target, 10_000.0, &options).unwrap();
 
         let mut bad = JaParameters::date2006();
@@ -840,7 +726,7 @@ mod tests {
         let batch_costs: Vec<Result<f64, JaError>> = batched.costs(&candidates).to_vec();
         assert_eq!(batched.evaluations(), candidates.len());
         for (candidate, batch_cost) in candidates.iter().zip(&batch_costs) {
-            match (scalar.cost(candidate), batch_cost) {
+            match (scalar.costs(&[*candidate])[0].clone(), batch_cost) {
                 (Ok(s), Ok(b)) => assert_eq!(s.to_bits(), b.to_bits()),
                 (Err(s), Err(b)) => assert_eq!(&s, b),
                 (s, b) => panic!("cost kinds diverged: {s:?} vs {b:?}"),
@@ -879,8 +765,11 @@ mod tests {
         assert_eq!(lockstep.len(), starts.len());
 
         for (start, lockstep_result) in starts.iter().zip(&lockstep) {
-            let mut objective = FitObjective::from_target(target, 10_000.0, &options).unwrap();
-            match (optimizer.optimize(&mut objective, *start), lockstep_result) {
+            let mut objective = BatchObjective::scalar(target, 10_000.0, &options).unwrap();
+            let alone = optimizer
+                .optimize_batch(&mut objective, &[*start])
+                .remove(0);
+            match (alone, lockstep_result) {
                 (Ok(scalar), Ok(lane)) => {
                     assert_eq!(scalar.cost.to_bits(), lane.cost.to_bits());
                     assert_eq!(scalar.params, lane.params);

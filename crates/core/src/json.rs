@@ -774,6 +774,8 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     #[test]
     fn writer_is_deterministic_and_ordered() {
@@ -889,6 +891,8 @@ mod tests {
     fn deep_nesting_is_bounded() {
         let deep = "[".repeat(200) + &"]".repeat(200);
         assert!(JsonValue::parse(&deep).is_err());
+        let deep_objects = "{\"a\":".repeat(200) + "0" + &"}".repeat(200);
+        assert!(JsonValue::parse(&deep_objects).is_err());
         let ok = "[".repeat(50) + &"]".repeat(50);
         assert!(JsonValue::parse(&ok).is_ok());
     }
@@ -1038,5 +1042,101 @@ mod tests {
         assert_eq!(whole.value(), resumed.value());
         // And an empty digest reports the FNV offset basis.
         assert_eq!(StreamDigest::new().value(), StreamDigest::default().value());
+    }
+
+    /// Arbitrary bytes, read as text the way a caller holding bytes would.
+    fn arbitrary_text() -> impl Strategy<Value = String> {
+        collection::vec(0usize..256, 0..96).prop_map(|bytes| {
+            let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+            String::from_utf8_lossy(&bytes).into_owned()
+        })
+    }
+
+    /// JSON punctuation, literals and their near misses, `\u` escapes
+    /// (lone surrogates included), out-of-range numbers and nesting past
+    /// the depth limit.
+    const JSON_TOKENS: [&str; 40] = [
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        " ",
+        "\n",
+        "\"",
+        "\\",
+        "\"k\"",
+        "\"\\u0041\"",
+        "\"\\ud800\"",
+        "\"\\udc00\"",
+        "\"\\ud83d\\ude00\"",
+        "\"\\ud83d\\u0041\"",
+        "\"\\u12\"",
+        "\"\\uzzzz\"",
+        "\"\\x\"",
+        "\"\u{1}\"",
+        "1e999",
+        "-1e999",
+        "1e-999",
+        "-0",
+        "0",
+        "-",
+        "01",
+        "1.",
+        ".5",
+        "1.5e+7",
+        "9223372036854775808",
+        "true",
+        "false",
+        "null",
+        "nul",
+        "tru",
+        "é",
+        "\u{feff}",
+        "[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[",
+        "{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":",
+    ];
+
+    /// A document of up to 24 vocabulary tokens; the two nesting tokens
+    /// (the only ones over 20 bytes) repeat four times, so a document can
+    /// nest 200 deep.
+    fn json_soup() -> impl Strategy<Value = String> {
+        collection::vec(0usize..JSON_TOKENS.len(), 0..24).prop_map(|tokens| {
+            tokens
+                .into_iter()
+                .map(|token| match JSON_TOKENS[token] {
+                    nest if nest.len() > 20 => nest.repeat(4),
+                    token => token.to_owned(),
+                })
+                .collect()
+        })
+    }
+
+    /// Parses `text` without panicking; a success re-renders to a document
+    /// that parses back to the same value, and an error points inside the
+    /// input.
+    fn assert_parse_is_total(text: &str) {
+        match JsonValue::parse(text) {
+            Ok(value) => {
+                let rendered = value.to_compact_string();
+                assert_eq!(JsonValue::parse(&rendered), Ok(value), "{text:?}");
+            }
+            Err(err) => assert!(err.offset <= text.len(), "{text:?}: {err}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn parse_never_panics_on_arbitrary_bytes(text in arbitrary_text()) {
+            assert_parse_is_total(&text);
+        }
+
+        #[test]
+        fn parse_never_panics_on_token_soup(text in json_soup()) {
+            assert_parse_is_total(&text);
+        }
     }
 }

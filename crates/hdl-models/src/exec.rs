@@ -57,8 +57,7 @@
 //! cursor, worker-local state, an in-order reorder buffer) is one private
 //! worker loop; the generic [`parallel_map`] is a collect over it and
 //! powers the multi-start fitting batches of [`crate::fit`] — any
-//! deterministic per-job workload with reusable worker scratch can ride
-//! the same pool.
+//! deterministic per-job workload can ride the same pool.
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
@@ -128,6 +127,21 @@ pub enum SoaRouting {
     /// Run every scenario through the scalar path, one at a time: every
     /// circuit scenario solves its own circuit.  The reference path.
     ForceScalar,
+}
+
+impl SoaRouting {
+    /// Whether `lanes` parameter sets that could step together run as
+    /// lanes of one lockstep sweep: under `Auto` two or more do, under
+    /// `ForceSoa` any number does, under `ForceScalar` none does.  The one
+    /// rule behind both lockstep jobs and multi-start fits
+    /// ([`crate::fit::fit_batch`]).
+    pub fn lockstep(self, lanes: usize) -> bool {
+        match self {
+            SoaRouting::Auto => lanes >= 2,
+            SoaRouting::ForceSoa => true,
+            SoaRouting::ForceScalar => false,
+        }
+    }
 }
 
 /// Builder-style executor for scenario batches.
@@ -438,7 +452,7 @@ fn route_jobs(scenarios: &[Scenario], routing: SoaRouting) -> Vec<Job> {
     let mut jobs: Vec<Job> = scalar.into_iter().map(Job::Scalar).collect();
     for (_, members) in lockstep {
         for lanes in members.chunks(LOCKSTEP_LANES) {
-            if lanes.len() >= 2 || routing == SoaRouting::ForceSoa {
+            if routing.lockstep(lanes.len()) {
                 jobs.push(Job::Lockstep(lanes.to_vec()));
             } else {
                 jobs.extend(lanes.iter().copied().map(Job::Scalar));
@@ -654,31 +668,26 @@ pub(crate) fn speedup_estimate(serial: Duration, elapsed: Duration) -> f64 {
 /// that also powers [`BatchRunner`], used by the multi-start fitting
 /// batches of [`crate::fit`].
 ///
-/// Each worker claims one job at a time from a shared atomic cursor and
-/// keeps one instance of worker-local state (built by `make_state`)
-/// alive across all the jobs it executes — the scratch-reuse pattern that
-/// keeps per-job construction and allocator traffic off the hot path.
-/// As long as `run` is a pure function of the job (plus state that `run`
-/// fully resets or overwrites per job), the output is **deterministic**:
-/// identical for any worker count, including the inline `workers <= 1`
-/// path that spawns no threads at all.
+/// Each worker claims one job at a time from a shared atomic cursor.  As
+/// long as `run` is a pure function of the job, the output is
+/// **deterministic**: identical for any worker count, including the inline
+/// `workers <= 1` path that spawns no threads at all.
 ///
 /// Cross-job coordination (e.g. fail-fast abort) lives in the closure:
 /// capture an [`AtomicBool`] and consult it per job, as
 /// [`BatchRunner::run_in_order`] does.
-pub fn parallel_map<T, S, R, FS, F>(jobs: &[T], workers: usize, make_state: FS, run: F) -> Vec<R>
+pub fn parallel_map<T, R, F>(jobs: &[T], workers: usize, run: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
-    FS: Fn() -> S + Sync,
-    F: Fn(&T, &mut S) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
 {
     let mut results = Vec::with_capacity(jobs.len());
     in_order(
         jobs,
         workers,
-        make_state,
-        |index, job, state, sink| sink(index, run(job, state)),
+        || (),
+        |index, job, (), sink| sink(index, run(job)),
         |_, result| {
             results.push(result);
             Ok::<(), Infallible>(())
@@ -1044,25 +1053,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_orders_results_and_keeps_worker_state() {
+    fn parallel_map_orders_results() {
         let jobs: Vec<usize> = (0..100).collect();
-        let double = |job: &usize, seen: &mut usize| {
-            *seen += 1;
-            (*job * 2, *seen)
-        };
-        let serial = parallel_map(&jobs, 1, || 0usize, double);
-        let parallel = parallel_map(&jobs, 4, || 0usize, double);
-        // Job-order results regardless of worker count...
-        let values = |r: &[(usize, usize)]| r.iter().map(|(v, _)| *v).collect::<Vec<_>>();
-        assert_eq!(values(&serial), values(&parallel));
-        assert_eq!(serial[7].0, 14);
-        // ...with worker-local state alive across a worker's jobs: the lone
-        // serial worker saw all 100, every parallel worker at most 100.
-        assert_eq!(serial.last().unwrap().1, 100);
-        assert!(parallel.iter().all(|(_, seen)| (1..=100).contains(seen)));
+        let double = |job: &usize| *job * 2;
+        let serial = parallel_map(&jobs, 1, double);
+        // Job-order results regardless of worker count.
+        assert_eq!(serial, parallel_map(&jobs, 4, double));
+        assert_eq!(serial[7], 14);
         // Degenerate inputs.
-        assert!(parallel_map(&[] as &[usize], 4, || (), |_, ()| ()).is_empty());
-        assert_eq!(parallel_map(&jobs, 8, || (), |job, ()| *job).len(), 100);
+        assert!(parallel_map(&[] as &[usize], 4, |_| ()).is_empty());
+        assert_eq!(parallel_map(&jobs, 8, |job| *job).len(), 100);
     }
 
     fn multi_material_grid() -> ScenarioGrid {

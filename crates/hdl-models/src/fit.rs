@@ -3,36 +3,31 @@
 //!
 //! A single coordinate-descent fit ([`ja_hysteresis::fitting`]) is a local
 //! search: it lands in whatever minimum the physically motivated initial
-//! guess sits in.  [`fit_batch`] runs the same local optimizer from many
-//! seeded, deterministic starting points ([`starting_points`]) — and over
-//! many measured loops at once — fanned across the worker pool of
+//! guess sits in.  [`fit_batch`] runs the same search from many seeded,
+//! deterministic starting points ([`starting_points`]) — and over many
+//! measured loops at once — one task per loop on the worker pool of
 //! [`crate::exec::parallel_map`], then keeps the best result per loop.
 //!
-//! The parallelism follows the same rules as scenario batches:
-//!
-//! * **Worker-local scratch.**  Each worker keeps one objective alive
-//!   (preallocated candidate schedule and curve buffers) and rebuilds it
-//!   only when it crosses into a different measured loop's work, so a
-//!   start costs zero steady-state allocations beyond its own arithmetic.
-//! * **Lockstep routing.**  Under the default [`SoaRouting::Auto`], all of
-//!   a loop's live starts descend together: every cost call evaluates the
-//!   slot's surviving candidates as lanes of one structure-of-arrays sweep
-//!   ([`CoordinateDescent::optimize_batch`]).  The `f64` lanes are
-//!   bit-identical to the scalar objective, so routing never changes the
-//!   report — only the throughput (asserted scalar-vs-SoA byte-identical
-//!   by `tests/fit_determinism.rs`).
+//! * **One descent per loop.**  All of a loop's starts descend together
+//!   through [`CoordinateDescent::optimize_batch`], and each cost call
+//!   evaluates the slot's live candidates at once.  Under the default
+//!   [`SoaRouting::Auto`], a loop with two or more starts evaluates them as
+//!   lanes of one structure-of-arrays sweep; otherwise every candidate runs
+//!   through the scalar model, the reference.  The `f64` lanes are
+//!   bit-identical to it, so routing never changes the report — only the
+//!   throughput (asserted scalar-vs-SoA byte-identical by
+//!   `tests/fit_determinism.rs`).
 //! * **Determinism.**  Starting points are derived from `(seed, loop
 //!   index)` before any thread spawns, every start is a pure function of
-//!   its parameters, and results are re-sorted into (loop, start) order —
-//!   a [`FitReport`] serialises byte-identically for any worker count
+//!   its parameters, and results come back in (loop, start) order — a
+//!   [`FitReport`] serialises byte-identically for any worker count
 //!   (asserted at 1/2/8 workers by `tests/fit_determinism.rs`).
 
 use std::time::{Duration, Instant};
 
 use ja_hysteresis::error::JaError;
 use ja_hysteresis::fitting::{
-    starting_points, BatchObjective, CoordinateDescent, FitObjective, FitOptions, FitResult,
-    LocalOptimizer,
+    starting_points, BatchObjective, CoordinateDescent, FitOptions, FitResult,
 };
 use magnetics::bh::BhCurve;
 use magnetics::loop_analysis::{loop_metrics, LoopMetrics};
@@ -55,13 +50,13 @@ pub struct MultiStartOptions {
     pub workers: usize,
     /// The per-start local-search options.
     pub fit: FitOptions,
-    /// How candidate evaluation is routed (see [`SoaRouting`]).  Under the
-    /// default [`SoaRouting::Auto`], a loop with two or more starts runs
-    /// its descents in lockstep — each cost call evaluates all live
-    /// candidates as lanes of one structure-of-arrays sweep — with results
-    /// bit-identical to the scalar path.  [`SoaRouting::ForceScalar`]
-    /// restores one-objective-per-start scalar evaluation;
-    /// [`SoaRouting::ForceSoa`] batches even a single start.
+    /// How candidates are evaluated (see [`SoaRouting::lockstep`]).  Under
+    /// the default [`SoaRouting::Auto`], a loop with two or more starts
+    /// evaluates each slot's live candidates as lanes of one
+    /// structure-of-arrays sweep, with results bit-identical to the scalar
+    /// model.  [`SoaRouting::ForceScalar`] runs every candidate through the
+    /// scalar model, the reference; [`SoaRouting::ForceSoa`] uses lanes
+    /// even for a single start.
     pub routing: SoaRouting,
 }
 
@@ -151,7 +146,8 @@ pub struct StartFit {
     /// start failed (a failing evaluation still simulates), so the
     /// report's totals reflect the work actually done.
     pub evaluations: usize,
-    /// Wall-clock time this start spent on its worker.
+    /// This start's equal share of its loop's wall-clock time on the
+    /// worker (a loop's starts descend together).
     pub wall_clock: Duration,
 }
 
@@ -226,28 +222,14 @@ impl FitReport {
     }
 }
 
-/// One (loop, start) unit of scalar work.
-struct FitTask {
-    job: usize,
-    params: JaParameters,
-}
-
-/// Worker-local scratch of the scalar path: the current job's
-/// [`FitObjective`], rebuilt only on a job change (tasks are job-major, so
-/// a worker crosses loops rarely).
-struct FitScratch {
-    cached: Option<(usize, FitObjective)>,
-}
-
-/// Worker-local scratch of the lockstep path: the current job's
-/// [`BatchObjective`] — schedule samples, SoA columns and per-lane curve
-/// buffers shared by every cost call of that loop's descents.
-struct SoaFitScratch {
-    cached: Option<(usize, BatchObjective)>,
-}
-
-/// Fits every measured loop with `options.starts` seeded starting points,
-/// fanned across the worker pool, and keeps the best result per loop.
+/// Fits every measured loop with `options.starts` seeded starting points
+/// and keeps the best result per loop.
+///
+/// Each loop is one task on the worker pool: its starts descend together
+/// through [`CoordinateDescent::optimize_batch`] on one [`BatchObjective`],
+/// whose evaluator `options.routing` picks (see
+/// [`MultiStartOptions::routing`]).  Each start's `wall_clock` is an equal
+/// share of its loop's task.
 ///
 /// # Errors
 ///
@@ -276,40 +258,51 @@ pub fn fit_batch(jobs: Vec<FitJob>, options: &MultiStartOptions) -> Result<FitRe
         targets.push(target);
     }
 
-    let lockstep = match options.routing {
-        SoaRouting::ForceScalar => false,
-        SoaRouting::ForceSoa => true,
-        // A single start has no lane parallelism to harvest; keep the
-        // scalar path's per-start work distribution.
-        SoaRouting::Auto => options.starts >= 2,
-    };
-    // The report's worker count is resolved against the start count under
-    // both routings, so a scalar and a lockstep run of the same batch stay
-    // report-identical (the lockstep path simply caps its pool at one
-    // worker per loop).
+    let lockstep = options.routing.lockstep(options.starts);
+    // The report's worker count is resolved against the start count, so it
+    // does not depend on routing; the pool itself runs one task per loop.
     let workers = crate::exec::resolved_workers(options.workers, jobs.len() * options.starts);
     let optimizer = CoordinateDescent::from_options(&options.fit);
     let started = Instant::now();
-    let results = if lockstep {
-        run_lockstep(&jobs, &targets, &loop_starts, options, workers, &optimizer)
-    } else {
-        run_scalar(&jobs, &targets, &loop_starts, options, workers, &optimizer)
-    };
+    let tasks: Vec<usize> = (0..jobs.len()).collect();
+    let per_loop = parallel_map(&tasks, workers.min(jobs.len()), |&job| {
+        let starts = &loop_starts[job];
+        let t0 = Instant::now();
+        let (target, h_peak) = (targets[job], jobs[job].h_peak);
+        let objective = if lockstep {
+            BatchObjective::from_target(target, h_peak, &options.fit)
+        } else {
+            BatchObjective::scalar(target, h_peak, &options.fit)
+        };
+        let (results, built) = match objective {
+            Ok(mut objective) => (optimizer.optimize_batch(&mut objective, starts), true),
+            Err(err) => (starts.iter().map(|_| Err(err.clone())).collect(), false),
+        };
+        let share = t0.elapsed() / starts.len() as u32;
+        starts
+            .iter()
+            .zip(results)
+            .map(|(start, result)| StartFit {
+                start: *start,
+                // A start that failed its initial evaluation consumed
+                // exactly one evaluation; a loop whose objective never
+                // built consumed none.
+                evaluations: match &result {
+                    Ok(fit) => fit.evaluations,
+                    Err(_) => usize::from(built),
+                },
+                result,
+                wall_clock: share,
+            })
+            .collect::<Vec<_>>()
+    });
     let elapsed = started.elapsed();
 
-    let mut start_entries = loop_starts.iter().flatten().zip(results).map(
-        |(params, (result, evaluations, wall_clock))| StartFit {
-            start: *params,
-            result,
-            evaluations,
-            wall_clock,
-        },
-    );
     let loops = jobs
         .into_iter()
         .zip(targets)
-        .map(|(job, measured)| {
-            let starts: Vec<StartFit> = start_entries.by_ref().take(options.starts).collect();
+        .zip(per_loop)
+        .map(|((job, measured), starts)| {
             let best = starts
                 .iter()
                 .enumerate()
@@ -333,137 +326,8 @@ pub fn fit_batch(jobs: Vec<FitJob>, options: &MultiStartOptions) -> Result<FitRe
         seed: options.seed,
         workers,
         elapsed,
-        lockstep_lanes: if lockstep { Some(options.starts) } else { None },
+        lockstep_lanes: lockstep.then_some(options.starts),
     })
-}
-
-/// Scalar routing: one `(loop, start)` task per worker slot, each start a
-/// fully independent coordinate descent.  Results come back flattened in
-/// (loop, start) order.
-fn run_scalar(
-    jobs: &[FitJob],
-    targets: &[LoopMetrics],
-    loop_starts: &[Vec<JaParameters>],
-    options: &MultiStartOptions,
-    workers: usize,
-    optimizer: &CoordinateDescent,
-) -> Vec<(Result<FitResult, JaError>, usize, Duration)> {
-    let mut tasks = Vec::with_capacity(jobs.len() * options.starts);
-    for (index, starts) in loop_starts.iter().enumerate() {
-        for &params in starts {
-            tasks.push(FitTask { job: index, params });
-        }
-    }
-    parallel_map(
-        &tasks,
-        workers,
-        || FitScratch { cached: None },
-        |task, scratch| {
-            let t0 = Instant::now();
-            let (result, evaluations) =
-                match objective_for(scratch, task.job, jobs, targets, options) {
-                    Ok(objective) => {
-                        let before = objective.evaluations();
-                        let result = optimizer.optimize(objective, task.params);
-                        (result, objective.evaluations() - before)
-                    }
-                    Err(err) => (Err(err), 0),
-                };
-            (result, evaluations, t0.elapsed())
-        },
-    )
-}
-
-/// Lockstep routing: one task per *loop*; all of the loop's starts descend
-/// together through [`CoordinateDescent::optimize_batch`], each cost call
-/// evaluating the live candidates as lanes of one structure-of-arrays
-/// sweep.  Per-start results and evaluation counts match the scalar path
-/// bit-for-bit; the loop's wall-clock is split evenly across its starts so
-/// the report's serial-runtime estimate stays comparable.
-fn run_lockstep(
-    jobs: &[FitJob],
-    targets: &[LoopMetrics],
-    loop_starts: &[Vec<JaParameters>],
-    options: &MultiStartOptions,
-    workers: usize,
-    optimizer: &CoordinateDescent,
-) -> Vec<(Result<FitResult, JaError>, usize, Duration)> {
-    let tasks: Vec<usize> = (0..jobs.len()).collect();
-    let per_loop = parallel_map(
-        &tasks,
-        workers.min(jobs.len()),
-        || SoaFitScratch { cached: None },
-        |&job, scratch| {
-            let starts = &loop_starts[job];
-            let t0 = Instant::now();
-            let (results, built) = match batch_objective_for(scratch, job, jobs, targets, options) {
-                Ok(objective) => (optimizer.optimize_batch(objective, starts), true),
-                Err(err) => (starts.iter().map(|_| Err(err.clone())).collect(), false),
-            };
-            let share = t0.elapsed() / starts.len().max(1) as u32;
-            results
-                .into_iter()
-                .map(|result| {
-                    // A start that failed its initial evaluation consumed
-                    // exactly one evaluation — same accounting as scalar; a
-                    // batch that never built its objective consumed none.
-                    let evaluations = match &result {
-                        Ok(fit) => fit.evaluations,
-                        Err(_) => usize::from(built),
-                    };
-                    (result, evaluations, share)
-                })
-                .collect::<Vec<_>>()
-        },
-    );
-    per_loop.into_iter().flatten().collect()
-}
-
-/// The objective for `job`, rebuilt only when the worker's cached one
-/// belongs to a different loop.  Rebuilds start from the already-extracted
-/// target metrics ([`FitObjective::from_target`]) instead of re-running
-/// `loop_metrics` over the measured curve.
-fn objective_for<'s>(
-    scratch: &'s mut FitScratch,
-    job: usize,
-    jobs: &[FitJob],
-    targets: &[LoopMetrics],
-    options: &MultiStartOptions,
-) -> Result<&'s mut FitObjective, JaError> {
-    // (match instead of `Option::is_none_or`: the workspace MSRV is 1.78.)
-    let stale = match &scratch.cached {
-        Some((cached, _)) => *cached != job,
-        None => true,
-    };
-    if stale {
-        let objective = FitObjective::from_target(targets[job], jobs[job].h_peak, &options.fit)?;
-        scratch.cached = Some((job, objective));
-    }
-    Ok(&mut scratch.cached.as_mut().expect("just filled").1)
-}
-
-/// The lockstep analogue of [`objective_for`]: the [`BatchObjective`] for
-/// `job`, rebuilt only when the worker's cached one belongs to a different
-/// loop.  Within a loop the cached objective's schedule samples, SoA
-/// columns and per-lane curve buffers are shared by every cost call of the
-/// descents, so the steady state allocates nothing per call.
-fn batch_objective_for<'s>(
-    scratch: &'s mut SoaFitScratch,
-    job: usize,
-    jobs: &[FitJob],
-    targets: &[LoopMetrics],
-    options: &MultiStartOptions,
-) -> Result<&'s mut BatchObjective, JaError> {
-    // (match instead of `Option::is_none_or`: the workspace MSRV is 1.78.)
-    let stale = match &scratch.cached {
-        Some((cached, _)) => *cached != job,
-        None => true,
-    };
-    if stale {
-        let objective = BatchObjective::from_target(targets[job], jobs[job].h_peak, &options.fit)?;
-        scratch.cached = Some((job, objective));
-    }
-    Ok(&mut scratch.cached.as_mut().expect("just filled").1)
 }
 
 #[cfg(test)]

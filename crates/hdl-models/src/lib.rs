@@ -30,9 +30,9 @@
 //!   worker and emits the reduced values in input order; the generic
 //!   [`exec::parallel_map`] is a collect over the same pool;
 //! * [`fit`] — multi-start parallel parameter extraction:
-//!   [`fit::fit_batch`] fans seeded starting points (and whole libraries
-//!   of measured loops) across the same worker pool and keeps the best
-//!   fit per loop;
+//!   [`fit::fit_batch`] descends each measured loop's seeded starting
+//!   points together, one loop per task on the same worker pool, and
+//!   keeps the best fit per loop;
 //! * [`report`] — versioned JSON serialization of batch/outcome/agreement
 //!   results (the machine-readable interface the `ja` CLI and CI consume);
 //! * [`serve`] — the dependency-free serving layer behind `ja serve`:

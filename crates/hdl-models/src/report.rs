@@ -675,6 +675,8 @@ mod tests {
     use crate::scenario::{backend_agreement, BackendKind, Excitation, Scenario, ScenarioGrid};
     use ja_hysteresis::config::JaConfig;
     use magnetics::material::JaParameters;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn grid() -> ScenarioGrid {
         ScenarioGrid::new()
@@ -1215,6 +1217,116 @@ mod tests {
             (text[..text.len() / 2].to_owned(), "truncated"),
         ] {
             assert!(StreamCheckpoint::parse(&broken).is_err(), "{what}");
+        }
+    }
+
+    /// A checkpoint's keys and the valid value of each.
+    const CHECKPOINT_FIELDS: [(&str, &str); 8] = [
+        ("schema_version", "1"),
+        ("kind", "\"batch_checkpoint\""),
+        ("grid_digest", "\"0123456789abcdef0123456789abcdef\""),
+        ("entries", "7"),
+        ("byte_offset", "1234"),
+        ("succeeded", "6"),
+        ("failed", "1"),
+        ("digest_state", "\"ffffffffffffffffffffffffffffffff\""),
+    ];
+
+    /// Values a corrupted checkpoint field may hold: negative, fractional,
+    /// out-of-range and mistyped counts, and malformed hex.
+    const CHECKPOINT_VALUES: [&str; 22] = [
+        "0",
+        "2",
+        "-1",
+        "-0",
+        "1.5",
+        "1e999",
+        "9223372036854775807",
+        "-9223372036854775808",
+        "18446744073709551616",
+        "null",
+        "true",
+        "[]",
+        "{}",
+        "\"7\"",
+        "\"batch\"",
+        "\"\"",
+        "\"0123456789abcdef0123456789abcde\"",
+        "\"0123456789abcdef0123456789abcdef0\"",
+        "\"zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzz\"",
+        "\"+123456789abcdef0123456789abcdef\"",
+        "\"-123456789abcdef0123456789abcdef\"",
+        "\"\u{e9}\u{e9}\u{e9}\u{e9}\u{e9}\u{e9}\u{e9}\u{e9}\u{e9}\u{e9}\u{e9}\u{e9}\u{e9}\u{e9}\u{e9}\u{e9}\"",
+    ];
+
+    /// A checkpoint document with every key, up to three of them replaced
+    /// by a corrupt value or dropped (`(field, CHECKPOINT_VALUES.len())`),
+    /// then kept whole, truncated at `cut`, or followed by a stray byte.
+    fn checkpoint_text() -> impl Strategy<Value = String> {
+        (
+            collection::vec(
+                (
+                    0usize..CHECKPOINT_FIELDS.len(),
+                    0usize..CHECKPOINT_VALUES.len() + 1,
+                ),
+                0..4,
+            ),
+            0usize..3,
+            0usize..400,
+        )
+            .prop_map(|(corruptions, tail, cut)| {
+                let mut values: Vec<Option<&str>> =
+                    CHECKPOINT_FIELDS.iter().map(|&(_, v)| Some(v)).collect();
+                for (field, value) in corruptions {
+                    values[field] = CHECKPOINT_VALUES.get(value).copied();
+                }
+                let fields: Vec<String> = CHECKPOINT_FIELDS
+                    .iter()
+                    .zip(values)
+                    .filter_map(|(&(key, _), value)| Some(format!("\"{key}\": {}", value?)))
+                    .collect();
+                let mut text = format!("{{{}}}", fields.join(", "));
+                match tail {
+                    1 => {
+                        let mut cut = cut.min(text.len());
+                        while !text.is_char_boundary(cut) {
+                            cut -= 1;
+                        }
+                        text.truncate(cut);
+                    }
+                    2 => text.push('}'),
+                    _ => {}
+                }
+                text
+            })
+    }
+
+    /// Parses `text` without panicking; a checkpoint it accepts
+    /// round-trips through its own document.
+    fn assert_checkpoint_parse_is_total(text: &str) {
+        match StreamCheckpoint::parse(text) {
+            Ok(checkpoint) => {
+                let rendered = checkpoint.to_json().to_pretty_string();
+                assert_eq!(StreamCheckpoint::parse(&rendered), Ok(checkpoint));
+            }
+            Err(message) => assert!(!message.is_empty(), "{text:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn checkpoint_parse_never_panics_on_arbitrary_bytes(
+            bytes in collection::vec(0usize..256, 0..96),
+        ) {
+            let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+            assert_checkpoint_parse_is_total(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn checkpoint_parse_never_panics_on_corrupted_documents(text in checkpoint_text()) {
+            assert_checkpoint_parse_is_total(&text);
         }
     }
 

@@ -682,6 +682,8 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
     use std::net::SocketAddr;
     use std::sync::mpsc::channel;
     use std::sync::Condvar;
@@ -1084,5 +1086,95 @@ mod tests {
         assert!(body.contains("\"kind\": \"error\""));
         assert!(body.contains("\"status\": 503"));
         assert!(body.contains("\"error\": \"busy\""));
+    }
+
+    /// The body limit of the generated requests: small enough that an
+    /// accepted `Content-Length` costs nothing, large enough that some
+    /// bodies fit.
+    const TEST_BODY_LIMIT: usize = 64;
+
+    /// Request pieces: request lines good and bad, headers (huge and
+    /// negative lengths, `Transfer-Encoding`, non-UTF-8 bytes, an
+    /// overlong line, one past the header cap), every line ending, and
+    /// body bytes.
+    const HTTP_TOKENS: [&[u8]; 30] = [
+        b"GET /v1/health HTTP/1.1",
+        b"POST /v1/eval HTTP/1.0",
+        b"GET  HTTP/1.1",
+        b"GET / HTTP/2",
+        b"GET /v1/health HTTP/1.1 extra",
+        b"G\xffT / HTTP/1.1",
+        b"Content-Length: 0",
+        b"Content-Length: 5",
+        b"Content-Length: 64",
+        b"Content-Length: 65",
+        b"Content-Length: 18446744073709551616",
+        b"Content-Length: -1",
+        b"Content-Length: +5",
+        b"Content-Length: 5, 5",
+        b"Transfer-Encoding: chunked",
+        b"transfer-encoding: identity",
+        b"Host: localhost",
+        b"X-Bytes: \xfe\xff",
+        b"no colon here",
+        b": empty name",
+        b"\r\n",
+        b"\n",
+        b"\r",
+        b" ",
+        b"\xc3",
+        b"{\"kind\": \"health\"}",
+        b"hello",
+        b"",
+        b"H",
+        b"L",
+    ];
+
+    /// A request of up to 12 tokens.  Token `H` stands for 65 headers (one
+    /// past the cap) and `L` for a 9 KiB header line (past the line limit).
+    fn http_request() -> impl Strategy<Value = Vec<u8>> {
+        collection::vec(0usize..HTTP_TOKENS.len(), 0..12).prop_map(|tokens| {
+            let mut bytes = Vec::new();
+            for token in tokens {
+                match HTTP_TOKENS[token] {
+                    b"H" => bytes.extend(b"X-A: b\r\n".repeat(MAX_HEADERS + 1)),
+                    b"L" => bytes.extend(vec![b'a'; MAX_HEADER_LINE + 1024]),
+                    token => bytes.extend_from_slice(token),
+                }
+            }
+            bytes
+        })
+    }
+
+    /// Parses `bytes` without panicking: a request, or a 400 or 413.
+    fn assert_read_request_is_total(bytes: &[u8]) {
+        let mut reader = bytes;
+        match read_request(&mut reader, TEST_BODY_LIMIT) {
+            Ok(request) => assert!(request.body.len() <= TEST_BODY_LIMIT),
+            Err(err) => assert!(
+                matches!(err.status, 400 | 413),
+                "{:?}: {} {}",
+                String::from_utf8_lossy(bytes),
+                err.status,
+                err.message
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn read_request_never_panics_on_arbitrary_bytes(
+            bytes in collection::vec(0usize..256, 0..128),
+        ) {
+            let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+            assert_read_request_is_total(&bytes);
+        }
+
+        #[test]
+        fn read_request_never_panics_on_request_soup(bytes in http_request()) {
+            assert_read_request_is_total(&bytes);
+        }
     }
 }

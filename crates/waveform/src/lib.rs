@@ -5,16 +5,15 @@
 //! top of the major loop.  This crate provides both views of an excitation:
 //!
 //! * **time-domain waveforms** ([`generator`], [`triangular`], [`sine`],
-//!   [`pwm`], [`pwl`], [`composite`]) — `h(t)` functions used by the
-//!   analogue-solver baseline, which genuinely integrates over time;
+//!   [`pwm`]) — `h(t)` functions used by the analogue-solver baseline,
+//!   which genuinely integrates over time;
 //! * **field schedules** ([`schedule`]) — ordered sequences of `H` samples
 //!   with explicit reversal points, used by the timeless models where time
 //!   plays no role at all;
 //! * **trace capture and export** ([`trace`], [`export`]) — tabular capture
 //!   of simulation results, CSV output and a small ASCII scatter plot used to
 //!   eyeball the BH loops in the terminal (the stand-in for the paper's
-//!   Fig. 1 bitmap);
-//! * **analysis helpers** ([`turning_points`], [`stats`]).
+//!   Fig. 1 bitmap).
 //!
 //! # Example
 //!
@@ -33,19 +32,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod composite;
 pub mod error;
 pub mod export;
 pub mod generator;
-pub mod pwl;
 pub mod pwm;
-pub mod sampler;
 pub mod schedule;
 pub mod sine;
-pub mod stats;
 pub mod trace;
 pub mod triangular;
-pub mod turning_points;
 
 pub use error::WaveformError;
 pub use generator::Waveform;

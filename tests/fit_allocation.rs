@@ -1,14 +1,12 @@
-//! Steady-state allocation audit of the lockstep fitting objective.
+//! Steady-state allocation audit of the fitting objective.
 //!
-//! [`BatchObjective`] owns its schedule samples, SoA columns, per-lane
-//! curve buffers and cost vector, all grown to a high-water mark on first
-//! use — so once warm, a `costs()` call must not touch the allocator at
-//! all.  A counting global allocator makes that a hard assertion instead
-//! of a code-review promise.
+//! [`BatchObjective`] owns its schedule samples, SoA columns, curve buffer
+//! and cost vector, all grown to a high-water mark on first use — so once
+//! warm, a `costs()` call must not touch the allocator at all, on either
+//! evaluator.  A counting global allocator makes that a hard assertion
+//! instead of a code-review promise.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
+use ja_bench::CountingAllocator;
 use ja_repro::ja_hysteresis::backend::HysteresisBackend;
 use ja_repro::ja_hysteresis::fitting::{starting_points, BatchObjective, FitOptions};
 use ja_repro::ja_hysteresis::model::JilesAtherton;
@@ -16,29 +14,8 @@ use ja_repro::magnetics::loop_analysis::loop_metrics;
 use ja_repro::magnetics::material::JaParameters;
 use ja_repro::waveform::schedule::FieldSchedule;
 
-/// Counts every allocation and reallocation; frees are passed through.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static ALLOC: CountingAllocator = CountingAllocator::new();
 
 #[test]
 fn warm_batch_objective_cost_calls_do_not_allocate() {
@@ -52,24 +29,28 @@ fn warm_batch_objective_cost_calls_do_not_allocate() {
         sweep_step: 200.0,
         ..FitOptions::default()
     };
-    let mut objective = BatchObjective::from_target(target, 10_000.0, &options).expect("objective");
     let candidates = starting_points(&target, 8, 42).expect("starts");
+    for mut objective in [
+        BatchObjective::from_target(target, 10_000.0, &options).expect("lane objective"),
+        BatchObjective::scalar(target, 10_000.0, &options).expect("scalar objective"),
+    ] {
+        // First call grows every buffer to the high-water candidate count.
+        let warm_up = objective.costs(&candidates);
+        assert!(warm_up.iter().all(Result::is_ok));
 
-    // First call grows every buffer to the high-water lane count.
-    let warm_up = objective.costs(&candidates);
-    assert!(warm_up.iter().all(Result::is_ok));
-
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..5 {
-        let costs = objective.costs(&candidates);
-        assert_eq!(costs.len(), candidates.len());
+        let before = ALLOC.allocs();
+        for _ in 0..5 {
+            let costs = objective.costs(&candidates);
+            assert_eq!(costs.len(), candidates.len());
+        }
+        // Shrinking the candidate count must reuse the high-water buffers
+        // too.
+        let fewer = objective.costs(&candidates[..3]);
+        assert_eq!(fewer.len(), 3);
+        let allocations = ALLOC.allocs() - before;
+        assert_eq!(
+            allocations, 0,
+            "warm costs() calls performed {allocations} allocations"
+        );
     }
-    // Shrinking the lane count must reuse the high-water buffers too.
-    let fewer = objective.costs(&candidates[..3]);
-    assert_eq!(fewer.len(), 3);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(
-        allocations, 0,
-        "warm costs() calls performed {allocations} allocations"
-    );
 }

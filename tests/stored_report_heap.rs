@@ -10,9 +10,7 @@
 //! `BatchReport`, is measured alongside to show the audit can tell the
 //! difference.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
+use ja_bench::CountingAllocator;
 use ja_repro::hdl_models::exec::BatchRunner;
 use ja_repro::hdl_models::report::run_batch_report;
 use ja_repro::hdl_models::scenario::{
@@ -22,42 +20,14 @@ use ja_repro::magnetics::geometry::CoreGeometry;
 use ja_repro::magnetics::material::JaParameters;
 use ja_repro::magnetics::thermal::ThermalCoefficients;
 
-/// Tracks live and peak heap bytes; allocations pass through to `System`.
-struct PeakAllocator {
-    live: AtomicUsize,
-    peak: AtomicUsize,
-}
-
 #[global_allocator]
-static ALLOC: PeakAllocator = PeakAllocator {
-    live: AtomicUsize::new(0),
-    peak: AtomicUsize::new(0),
-};
-
-// SAFETY: delegates every allocation verbatim to `System`; the counter
-// updates never allocate.
-unsafe impl GlobalAlloc for PeakAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            let live = self.live.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            self.peak.fetch_max(live, Ordering::Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        self.live.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-}
+static ALLOC: CountingAllocator = CountingAllocator::new();
 
 /// The heap high-water mark `work` adds above the live size at its start.
 fn peak_rise<T>(work: impl FnOnce() -> T) -> usize {
-    let baseline = ALLOC.live.load(Ordering::Relaxed);
-    ALLOC.peak.store(baseline, Ordering::Relaxed);
+    let baseline = ALLOC.reset_peak();
     let kept = work();
-    let rise = ALLOC.peak.load(Ordering::Relaxed) - baseline;
+    let rise = ALLOC.peak() - baseline;
     drop(kept);
     rise
 }
