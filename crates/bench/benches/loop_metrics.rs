@@ -53,9 +53,6 @@ fn benches(c: &mut Criterion) {
     group.bench_function("full_metrics_extraction", |b| {
         b.iter(|| black_box(loop_metrics(&curve).unwrap()))
     });
-    group.bench_function("coercivity_only", |b| {
-        b.iter(|| black_box(loop_analysis::coercivity(&curve).unwrap()))
-    });
     group.bench_function("loop_area_only", |b| {
         b.iter(|| black_box(loop_analysis::loop_area(&curve)))
     });

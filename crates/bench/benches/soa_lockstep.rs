@@ -3,9 +3,10 @@
 //! Steps N parameter sets through the same major-loop field schedule with
 //! (a) the scalar per-lane path — one `DirectTimeless` backend per lane,
 //! built and driven exactly as a grid entry would be — and (b) the
-//! [`SoaBatch`] lockstep kernel in f64 and f32 column modes, at lane counts
-//! 4, 16 and 64.  The f64 SoA output is bit-identical to the scalar path
-//! (asserted in `core::soa` and `tests/soa_equivalence.rs`); this bench
+//! [`SoaBatch`] lockstep kernel (its `f64` columns, hence the `soa_f64`
+//! ids), at lane counts 4, 16 and 64.  The SoA output is bit-identical to
+//! the scalar path (asserted in `core::soa` and
+//! `tests/soa_equivalence.rs`); this bench
 //! covers the performance side and prints the scalar-vs-SoA speedup at 16
 //! lanes, the acceptance threshold tracked by the CI bench gate.
 //!
@@ -159,16 +160,14 @@ fn benches(c: &mut Criterion) {
         group.bench_function(format!("scalar_lanes{lanes}"), |b| {
             b.iter(|| black_box(run_scalar(&materials, &schedule)))
         });
-        for (label, precision) in [("f64", SoaPrecision::F64), ("f32", SoaPrecision::F32)] {
-            let mut batch = SoaBatch::new(JaConfig::default(), precision).expect("batch");
-            let mut curves = Vec::new();
-            group.bench_function(format!("soa_{label}_lanes{lanes}"), |b| {
-                b.iter(|| {
-                    run_soa(&mut batch, &materials, &samples, &mut curves);
-                    black_box(&curves);
-                })
-            });
-        }
+        let mut batch = SoaBatch::new(JaConfig::default(), SoaPrecision::F64).expect("batch");
+        let mut curves = Vec::new();
+        group.bench_function(format!("soa_f64_lanes{lanes}"), |b| {
+            b.iter(|| {
+                run_soa(&mut batch, &materials, &samples, &mut curves);
+                black_box(&curves);
+            })
+        });
     }
     group.finish();
 }

@@ -732,6 +732,97 @@ fn fit_config_fits_a_library_in_one_batch() {
     }
 }
 
+/// Report bytes pinned across commits.  Every other identity check in
+/// this suite compares two runs of one binary (workers, routing, served vs
+/// offline), so a change that moved a metric's bits on every path at once
+/// would pass them all; each command here must reproduce the report
+/// committed under `tests/fixtures/golden/` byte for byte.  Between them
+/// they cover the loop metrics of a grid, a loss beside `metrics: null`
+/// and a two-lane degauss lockstep job, the lane fold of the fit
+/// objective, a library fit, and four loss lanes with their Steinmetz fit.
+///
+/// The bytes are pinned for x86-64 Linux, where CI runs, so the test runs
+/// only there: thermal scaling (`powf`), the fits' starting points and the
+/// Steinmetz fit (`ln`, `exp`) call the platform's libm, whose last-ulp
+/// results may differ on other targets.  These files change only in a
+/// change that says why its reports change.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[test]
+fn reports_match_the_golden_files() {
+    /// The line number and both texts of the first line where `actual`
+    /// departs from `expected`, or `None` when the two are byte-identical.
+    fn first_difference(expected: &str, actual: &str) -> Option<String> {
+        if expected == actual {
+            return None;
+        }
+        let mut want = expected.split_inclusive('\n');
+        let mut got = actual.split_inclusive('\n');
+        for line in 1.. {
+            match (want.next(), got.next()) {
+                (Some(w), Some(g)) if w == g => continue,
+                (w, g) => {
+                    return Some(format!(
+                        "line {line}: expected {:?}, got {:?}",
+                        w.unwrap_or("<end of report>"),
+                        g.unwrap_or("<end of report>")
+                    ))
+                }
+            }
+        }
+        unreachable!("unequal texts differ at some line")
+    }
+
+    let path = |name: &str| fixture(name).to_str().unwrap().to_owned();
+    let (grid, thermal) = (path("grid.conf"), path("grid_thermal.conf"));
+    let (measured, library) = (path("measured_loop.csv"), path("fit_library.conf"));
+    let cases: [(&str, &[&str]); 5] = [
+        ("batch_grid.json", &["batch", "--config", &grid]),
+        ("batch_grid_thermal.json", &["batch", "--config", &thermal]),
+        (
+            "fit_measured_loop.json",
+            &["fit", "--input", &measured, "--starts", "4", "--seed", "42"],
+        ),
+        (
+            "fit_library.json",
+            &[
+                "fit",
+                "--config",
+                &library,
+                "--starts",
+                "2",
+                "--sweep-step",
+                "10",
+            ],
+        ),
+        (
+            "lossmap.json",
+            &[
+                "lossmap",
+                "--materials",
+                "date2006",
+                "--frequencies",
+                "50:100",
+                "--amplitudes",
+                "10000",
+                "--temperatures",
+                "25:75",
+                "--laminated",
+            ],
+        ),
+    ];
+    for (golden, args) in cases {
+        let expected = std::fs::read_to_string(fixture(&format!("golden/{golden}")))
+            .unwrap_or_else(|err| panic!("golden/{golden}: {err}"));
+        let actual = ja_ok(args);
+        if let Some(difference) = first_difference(&expected, &actual) {
+            panic!(
+                "`ja {}` departs from golden/{golden} at {difference}",
+                args.join(" ")
+            );
+        }
+    }
+}
+
 #[test]
 fn inverse_follows_the_fixture_flux_targets() {
     let input = fixture("flux_targets.csv");

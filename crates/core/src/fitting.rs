@@ -27,12 +27,11 @@
 //! exercised by round-trip and property tests.
 
 use magnetics::bh::BhCurve;
-use magnetics::loop_analysis::{loop_metrics, LoopMetrics};
+use magnetics::loop_analysis::{loop_metrics, IncrementalLoopMetrics, LoopMetrics};
 use magnetics::material::JaParameters;
 use magnetics::units::Magnetisation;
 use waveform::schedule::FieldSchedule;
 
-use crate::backend::HysteresisBackend;
 use crate::config::JaConfig;
 use crate::error::JaError;
 use crate::model::JilesAtherton;
@@ -119,24 +118,24 @@ pub struct FitResult {
 ///   reference: each candidate runs through its own [`JilesAtherton`]
 ///   model, one after another.
 ///
-/// Both execute the same operation sequence per candidate and the same
-/// metric extraction over bit-identical curves, so the evaluator never
-/// changes a cost — only the throughput.
+/// Both execute the same operation sequence per candidate and fold its
+/// bit-identical `(H, B)` samples straight into [`IncrementalLoopMetrics`]
+/// — the lanes from the sweep's trajectory, the scalar model sample by
+/// sample — so the evaluator never changes a cost, only the throughput.
+/// No candidate's curve is ever built.
 ///
 /// All evaluation scratch is owned and reused: the flattened sample vector,
-/// the SoA parameter/state columns and trajectory, the one curve buffer
-/// each candidate is rebuilt into in turn, and the cost vector only ever
-/// grow to the high-water candidate count.  After the first call at a
-/// given count, a cost call performs **no heap allocation** (metric
-/// extraction streams its crossings instead of collecting them) — asserted
-/// by the workspace's `tests/fit_allocation.rs`.
+/// the SoA parameter/state columns and trajectory, and the cost vector
+/// only ever grow to the high-water candidate count.  After the first call
+/// at a given count, a cost call performs **no heap allocation** (the
+/// metrics fold is a handful of running sums) — asserted by the
+/// workspace's `tests/fit_allocation.rs`.
 #[derive(Debug, Clone)]
 pub struct BatchObjective {
     target: LoopMetrics,
     samples: Vec<f64>,
     /// The lockstep batch, or `None` for the scalar evaluator.
     lanes: Option<SoaBatch>,
-    curve: BhCurve,
     costs: Vec<Result<f64, JaError>>,
     evaluations: usize,
 }
@@ -177,7 +176,6 @@ impl BatchObjective {
             target,
             samples,
             lanes: None,
-            curve: BhCurve::new(),
             costs: Vec::new(),
             evaluations: 0,
         })
@@ -215,8 +213,11 @@ impl BatchObjective {
                     let cost = match batch.lane_error(lane) {
                         Some(err) => Err(err.clone()),
                         None => {
-                            batch.lane_curve_into(lane, &self.samples, &mut self.curve);
-                            loop_metrics(&self.curve)
+                            let mut fold = IncrementalLoopMetrics::new();
+                            for (h, b, _) in batch.lane_points(lane, &self.samples) {
+                                fold.push(h, b);
+                            }
+                            fold.finish()
                                 .map(|metrics| metric_mismatch(&metrics, &self.target))
                                 .map_err(JaError::from)
                         }
@@ -228,9 +229,13 @@ impl BatchObjective {
                 for candidate in candidates {
                     let cost = JilesAtherton::new(*candidate)
                         .and_then(|mut model| {
-                            model.run_samples_into(&self.samples, &mut self.curve)
+                            let mut fold = IncrementalLoopMetrics::new();
+                            for &h in &self.samples {
+                                let sample = model.apply_field(h)?;
+                                fold.push(sample.h.value(), sample.b.as_tesla());
+                            }
+                            Ok(fold.finish()?)
                         })
-                        .and_then(|()| loop_metrics(&self.curve).map_err(JaError::from))
                         .map(|metrics| metric_mismatch(&metrics, &self.target));
                     self.costs.push(cost);
                 }

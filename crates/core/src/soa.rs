@@ -4,8 +4,8 @@
 //! the **same** applied-field sequence, holding every state and parameter
 //! field in a flat column (one `Vec` per field) instead of N independent
 //! model objects.  Each lane advances through exactly the per-step
-//! increment math of the scalar model, so in the default
-//! [`SoaPrecision::F64`] mode every lane is **bit-identical** to a scalar
+//! increment math of the scalar model, in `f64` columns, so every lane is
+//! **bit-identical** to a scalar
 //! [`JilesAtherton`](crate::model::JilesAtherton) run of the same
 //! parameters, configuration and samples.
 //!
@@ -46,20 +46,12 @@
 //!
 //! A run does not build curves.  Every sample appends one row holding each
 //! lane's stored `m_total` to a sample-major trajectory (8 bytes per
-//! lane-sample instead of a 24-byte curve point), and
-//! [`SoaBatch::lane_curve_into`] rebuilds a lane's B–H curve from it on
-//! demand, with the scalar model's own expressions — so a caller can reduce
-//! the lanes one at a time and keep a single curve alive.
-//!
-//! The optional [`SoaPrecision::F32`] mode stores the six state columns as
-//! `f32`: every step loads the rounded state, advances it in `f64` (the
-//! arithmetic itself never changes), and stores the result rounded back to
-//! `f32`.  Parameters stay in `f64` columns so the lanes still evaluate the
-//! exact requested parameter sets.  The rounding feeds back through the
-//! state, so the error against the scalar reference grows with the lane's
-//! susceptibility; the documented bound (asserted by
-//! `tests/soa_equivalence.rs`) is a relative flux-density error below
-//! `1e-4` of the loop's peak for the workspace's materials and schedules.
+//! lane-sample instead of a 24-byte curve point).  A lane's `(h, b, m)`
+//! points come back from it on demand, with the scalar model's own
+//! expressions: [`SoaBatch::lane_curve_into`] rebuilds them into a B–H
+//! curve, so a caller can reduce the lanes one at a time and keep a single
+//! curve alive, and the fit objective folds them straight into loop
+//! metrics without building a curve at all.
 //!
 //! Lanes are fully independent: a lane whose parameters fail validation or
 //! whose state diverges records its [`JaError`] and goes inactive without
@@ -83,61 +75,29 @@ use crate::timeless::{
     FIXED_POINT_ITERATIONS, FIXED_POINT_TOLERANCE,
 };
 
-/// Numeric storage of the per-lane state columns.
+/// Numeric storage of the per-lane state columns.  `f64` is the only
+/// storage: it is what keeps every lane bit-identical to the scalar model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SoaPrecision {
     /// `f64` state columns — bit-identical to the scalar model.
     #[default]
     F64,
-    /// `f32` state columns — halves the state footprint; the per-step
-    /// arithmetic stays `f64`, but results are rounded through `f32`
-    /// between steps (see the module docs for the documented tolerance).
-    F32,
-}
-
-/// A column element: converts losslessly (`f64`) or by rounding (`f32`)
-/// to and from the `f64` the step math runs in.
-trait ColumnScalar: Copy + Default {
-    fn from_f64(value: f64) -> Self;
-    fn to_f64(self) -> f64;
-}
-
-impl ColumnScalar for f64 {
-    #[inline]
-    fn from_f64(value: f64) -> Self {
-        value
-    }
-    #[inline]
-    fn to_f64(self) -> f64 {
-        self
-    }
-}
-
-impl ColumnScalar for f32 {
-    #[inline]
-    fn from_f64(value: f64) -> Self {
-        value as f32
-    }
-    #[inline]
-    fn to_f64(self) -> f64 {
-        f64::from(self)
-    }
 }
 
 /// The six state fields of [`JaState`] as flat columns, plus the per-lane
 /// update counter.
 #[derive(Debug, Clone, Default)]
-struct StateColumns<T> {
-    m_irr: Vec<T>,
-    m_rev: Vec<T>,
-    m_total: Vec<T>,
-    m_an: Vec<T>,
-    h: Vec<T>,
-    h_last_update: Vec<T>,
+struct StateColumns {
+    m_irr: Vec<f64>,
+    m_rev: Vec<f64>,
+    m_total: Vec<f64>,
+    m_an: Vec<f64>,
+    h: Vec<f64>,
+    h_last_update: Vec<f64>,
     updates: Vec<u64>,
 }
 
-impl<T: ColumnScalar> StateColumns<T> {
+impl StateColumns {
     /// Resets every column to `lanes` demagnetised entries, reusing the
     /// existing allocations.
     fn reset(&mut self, lanes: usize) {
@@ -150,7 +110,7 @@ impl<T: ColumnScalar> StateColumns<T> {
             &mut self.h_last_update,
         ] {
             column.clear();
-            column.resize(lanes, T::default());
+            column.resize(lanes, 0.0);
         }
         self.updates.clear();
         self.updates.resize(lanes, 0);
@@ -160,12 +120,12 @@ impl<T: ColumnScalar> StateColumns<T> {
     #[inline]
     fn load(&self, lane: usize) -> JaState {
         JaState {
-            m_irr: self.m_irr[lane].to_f64(),
-            m_rev: self.m_rev[lane].to_f64(),
-            m_total: self.m_total[lane].to_f64(),
-            m_an: self.m_an[lane].to_f64(),
-            h: self.h[lane].to_f64(),
-            h_last_update: self.h_last_update[lane].to_f64(),
+            m_irr: self.m_irr[lane],
+            m_rev: self.m_rev[lane],
+            m_total: self.m_total[lane],
+            m_an: self.m_an[lane],
+            h: self.h[lane],
+            h_last_update: self.h_last_update[lane],
             updates: self.updates[lane],
         }
     }
@@ -173,22 +133,14 @@ impl<T: ColumnScalar> StateColumns<T> {
     /// Scatters a scalar [`JaState`] back into one lane.
     #[inline]
     fn store(&mut self, lane: usize, state: &JaState) {
-        self.m_irr[lane] = T::from_f64(state.m_irr);
-        self.m_rev[lane] = T::from_f64(state.m_rev);
-        self.m_total[lane] = T::from_f64(state.m_total);
-        self.m_an[lane] = T::from_f64(state.m_an);
-        self.h[lane] = T::from_f64(state.h);
-        self.h_last_update[lane] = T::from_f64(state.h_last_update);
+        self.m_irr[lane] = state.m_irr;
+        self.m_rev[lane] = state.m_rev;
+        self.m_total[lane] = state.m_total;
+        self.m_an[lane] = state.m_an;
+        self.h[lane] = state.h;
+        self.h_last_update[lane] = state.h_last_update;
         self.updates[lane] = state.updates;
     }
-}
-
-/// State columns in the precision selected at construction, dispatched once
-/// per sweep rather than once per step.
-#[derive(Debug, Clone)]
-enum LaneStore {
-    F64(StateColumns<f64>),
-    F32(StateColumns<f32>),
 }
 
 /// The lanes' trajectories of the last run: each lane's stored `m_total`
@@ -222,7 +174,7 @@ impl Trajectory {
 /// A batch of Jiles–Atherton lanes sharing one configuration and one
 /// applied-field sequence, laid out as structure-of-arrays columns.
 ///
-/// Lifecycle: construct once per (configuration, precision), then
+/// Lifecycle: construct once per configuration, then
 /// repeatedly [`assign`](SoaBatch::assign) parameter sets,
 /// [`run_samples`](SoaBatch::run_samples) and rebuild the curves needed
 /// with [`lane_curve_into`](SoaBatch::lane_curve_into) (or do both with
@@ -233,8 +185,6 @@ impl Trajectory {
 #[derive(Debug, Clone)]
 pub struct SoaBatch {
     config: JaConfig,
-    precision: SoaPrecision,
-    // Parameter columns (always f64 — see the module docs).
     m_sat: Vec<f64>,
     a: Vec<f64>,
     a2: Vec<f64>,
@@ -242,7 +192,7 @@ pub struct SoaBatch {
     alpha: Vec<f64>,
     c: Vec<f64>,
     anhysteretic: Vec<AnhystereticKind>,
-    store: LaneStore,
+    columns: StateColumns,
     stats: Vec<JaStatistics>,
     errors: Vec<Option<JaError>>,
     scratch: LockstepScratch,
@@ -252,12 +202,12 @@ pub struct SoaBatch {
 /// One run's view of a batch: the shared configuration and sample-invariant
 /// lane columns, and the per-lane state, statistics, errors and trajectory
 /// the kernels write.
-struct Sweep<'x, T> {
+struct Sweep<'x> {
     config: &'x JaConfig,
     anhysteretic: &'x [AnhystereticKind],
     /// `m_sat, a, a2, k, alpha, c`.
     params: [&'x [f64]; 6],
-    columns: &'x mut StateColumns<T>,
+    columns: &'x mut StateColumns,
     work: &'x mut LockstepScratch,
     stats: &'x mut [JaStatistics],
     errors: &'x mut [Option<JaError>],
@@ -287,7 +237,8 @@ struct LockstepScratch {
 }
 
 impl SoaBatch {
-    /// Creates an empty batch for the given configuration and precision.
+    /// Creates an empty batch for the given configuration; `f64` state
+    /// columns are the only [`SoaPrecision`].
     ///
     /// # Errors
     ///
@@ -295,15 +246,10 @@ impl SoaBatch {
     /// the same check (and error) a scalar
     /// [`JilesAtherton::with_config`](crate::model::JilesAtherton::with_config)
     /// performs.
-    pub fn new(config: JaConfig, precision: SoaPrecision) -> Result<Self, JaError> {
+    pub fn new(config: JaConfig, _precision: SoaPrecision) -> Result<Self, JaError> {
         config.validate()?;
-        let store = match precision {
-            SoaPrecision::F64 => LaneStore::F64(StateColumns::default()),
-            SoaPrecision::F32 => LaneStore::F32(StateColumns::default()),
-        };
         Ok(Self {
             config,
-            precision,
             m_sat: Vec::new(),
             a: Vec::new(),
             a2: Vec::new(),
@@ -311,7 +257,7 @@ impl SoaBatch {
             alpha: Vec::new(),
             c: Vec::new(),
             anhysteretic: Vec::new(),
-            store,
+            columns: StateColumns::default(),
             stats: Vec::new(),
             errors: Vec::new(),
             scratch: LockstepScratch::default(),
@@ -322,11 +268,6 @@ impl SoaBatch {
     /// The shared configuration.
     pub fn config(&self) -> &JaConfig {
         &self.config
-    }
-
-    /// The state-column precision.
-    pub fn precision(&self) -> SoaPrecision {
-        self.precision
     }
 
     /// Number of lanes currently assigned.
@@ -379,10 +320,7 @@ impl SoaBatch {
                 }
             }
         }
-        match &mut self.store {
-            LaneStore::F64(columns) => columns.reset(lanes),
-            LaneStore::F32(columns) => columns.reset(lanes),
-        }
+        self.columns.reset(lanes);
         self.trajectory.clear(lanes);
     }
 
@@ -413,78 +351,78 @@ impl SoaBatch {
             alpha,
             c,
             anhysteretic,
-            store,
+            columns,
             stats,
             errors,
             scratch,
             trajectory,
-            ..
         } = self;
         let lanes = stats.len();
         trajectory.reset(lanes, samples.len());
         if lanes == 0 {
             return;
         }
-        let params: [&[f64]; 6] = [m_sat, a, a2, k, alpha, c];
         let law = lockstep_law(config, anhysteretic, a, a2, errors);
-        match store {
-            LaneStore::F64(columns) => run_columns(
-                &mut Sweep {
-                    config,
-                    anhysteretic,
-                    params,
-                    columns,
-                    work: scratch,
-                    stats,
-                    errors,
-                    trajectory,
-                },
-                law.as_ref(),
-                samples,
-            ),
-            LaneStore::F32(columns) => run_columns(
-                &mut Sweep {
-                    config,
-                    anhysteretic,
-                    params,
-                    columns,
-                    work: scratch,
-                    stats,
-                    errors,
-                    trajectory,
-                },
-                law.as_ref(),
-                samples,
-            ),
-        }
+        run_columns(
+            &mut Sweep {
+                config,
+                anhysteretic,
+                params: [m_sat, a, a2, k, alpha, c],
+                columns,
+                work: scratch,
+                stats,
+                errors,
+                trajectory,
+            },
+            law.as_ref(),
+            samples,
+        );
+    }
+
+    /// One lane's `(h, b, m)` points of the last
+    /// [`run_samples`](SoaBatch::run_samples), one per sample the lane
+    /// stepped, from the same expressions as the scalar model.  A lane that
+    /// failed yields the points before its failure, and a lane that never
+    /// ran yields none.  `samples` must be the sequence the run stepped.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane` is out of range or `samples` is shorter than the
+    /// lane's run.
+    pub(crate) fn lane_points<'a>(
+        &'a self,
+        lane: usize,
+        samples: &'a [f64],
+    ) -> impl Iterator<Item = (f64, f64, f64)> + 'a {
+        let lanes = self.lanes();
+        let sat = self.m_sat[lane];
+        let m_totals = &self.trajectory.m_total;
+        samples[..self.trajectory.ends[lane]]
+            .iter()
+            .enumerate()
+            .map(move |(row, &h)| {
+                let m_total = m_totals[row * lanes + lane];
+                (h, MU0 * (h + m_total * sat), m_total * sat)
+            })
     }
 
     /// Rebuilds one lane's B–H curve of the last
     /// [`run_samples`](SoaBatch::run_samples) into `curve`, which is cleared
     /// first and keeps its capacity: one `(h, b, m)` point per sample the
-    /// lane stepped, from the same expressions as the scalar model (`f32`
-    /// mode rounds `h` and `m_total` as its columns store them).  A lane
+    /// lane stepped, from the same expressions as the scalar model.  A lane
     /// that failed keeps the points before its failure, and a lane that
-    /// never ran has an empty curve.  `samples` must be the sequence the
-    /// run stepped.
+    /// never ran has an empty curve.  `samples` must be the sequence the run
+    /// stepped.
     ///
     /// # Panics
     ///
     /// Panics when `lane` is out of range or `samples` is shorter than the
     /// lane's curve.
     pub fn lane_curve_into(&self, lane: usize, samples: &[f64], curve: &mut BhCurve) {
-        let lanes = self.lanes();
-        let end = self.trajectory.ends[lane];
-        let sat = self.m_sat[lane];
         curve.clear();
-        curve.reserve(end);
-        for (row, &h) in samples[..end].iter().enumerate() {
-            let m_total = self.trajectory.m_total[row * lanes + lane];
-            let h = match self.precision {
-                SoaPrecision::F64 => h,
-                SoaPrecision::F32 => f32::from_f64(h).to_f64(),
-            };
-            curve.push_raw(h, MU0 * (h + m_total * sat), m_total * sat);
+        curve.reserve(self.trajectory.ends[lane]);
+        for (h, b, m) in self.lane_points(lane, samples) {
+            curve.push_raw(h, b, m);
         }
     }
 
@@ -632,13 +570,8 @@ fn lockstep_law<'x>(
     }
 }
 
-/// Runs one precision's columns through the kernel selected by
-/// [`lockstep_law`].
-fn run_columns<T: ColumnScalar>(
-    sweep: &mut Sweep<'_, T>,
-    law: Option<&LockstepLaw<'_>>,
-    samples: &[f64],
-) {
+/// Runs the columns through the kernel selected by [`lockstep_law`].
+fn run_columns(sweep: &mut Sweep<'_>, law: Option<&LockstepLaw<'_>>, samples: &[f64]) {
     match law {
         Some(LockstepLaw::Single(man)) => run_lockstep(sweep, man, samples),
         Some(LockstepLaw::Blend(man)) => run_lockstep(sweep, man, samples),
@@ -648,11 +581,7 @@ fn run_columns<T: ColumnScalar>(
 
 /// Runs the lockstep kernel's AVX2 copy when the CPU has AVX2, and its
 /// portable copy otherwise.
-fn run_lockstep<T: ColumnScalar, M: LockstepMan>(
-    sweep: &mut Sweep<'_, T>,
-    man: &M,
-    samples: &[f64],
-) {
+fn run_lockstep<M: LockstepMan>(sweep: &mut Sweep<'_>, man: &M, samples: &[f64]) {
     if !run_lanes_lockstep_avx2(sweep, man, samples) {
         run_lanes_lockstep(sweep, man, samples);
     }
@@ -668,8 +597,8 @@ fn run_lockstep<T: ColumnScalar, M: LockstepMan>(
 /// function, which is undefined behaviour on a CPU without the feature —
 /// so the crate denies `unsafe_code` instead of forbidding it, and allows
 /// it here, right beside the run-time check that makes the call sound.
-fn run_lanes_lockstep_avx2<T: ColumnScalar, M: LockstepMan>(
-    sweep: &mut Sweep<'_, T>,
+fn run_lanes_lockstep_avx2<M: LockstepMan>(
+    sweep: &mut Sweep<'_>,
     man: &M,
     samples: &[f64],
 ) -> bool {
@@ -682,11 +611,7 @@ fn run_lanes_lockstep_avx2<T: ColumnScalar, M: LockstepMan>(
         ///
         /// The CPU running it must support AVX2.
         #[target_feature(enable = "avx2")]
-        unsafe fn kernel<T: ColumnScalar, M: LockstepMan>(
-            sweep: &mut Sweep<'_, T>,
-            man: &M,
-            samples: &[f64],
-        ) {
+        unsafe fn kernel<M: LockstepMan>(sweep: &mut Sweep<'_>, man: &M, samples: &[f64]) {
             run_lanes_lockstep(sweep, man, samples);
         }
 
@@ -725,20 +650,15 @@ fn run_lanes_lockstep_avx2<T: ColumnScalar, M: LockstepMan>(
 ///    done, and the iteration stops as soon as every lane is done: a done
 ///    lane's values no longer change, so stopping early changes no bits;
 /// 3. **finalise** (per live lane): count the sample, rebuild the
-///    reversible part, store through the column precision (`f32` mode
-///    rounds here, exactly like the fallback path), detect divergence and
-///    record the stored `m_total` in the sample's trajectory row.
+///    reversible part, store the state in the columns, detect divergence
+///    and record `m_total` in the sample's trajectory row.
 ///
 /// Always inlined, so each caller — the portable dispatch and the AVX2
 /// `#[target_feature]` function — compiles its own copy with its own
 /// instruction set.  Expects at least one lane and a trajectory sized by
 /// [`Trajectory::reset`] for `samples`.
 #[inline(always)]
-fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
-    sweep: &mut Sweep<'_, T>,
-    man: &M,
-    samples: &[f64],
-) {
+fn run_lanes_lockstep<M: LockstepMan>(sweep: &mut Sweep<'_>, man: &M, samples: &[f64]) {
     let config = sweep.config;
     let anhysteretic = sweep.anhysteretic;
     let columns = &mut *sweep.columns;
@@ -782,10 +702,10 @@ fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
         buffer.reserve(lanes);
     }
     for lane in 0..lanes {
-        work.m_irr.push(columns.m_irr[lane].to_f64());
-        work.m_total.push(columns.m_total[lane].to_f64());
-        work.m_an.push(columns.m_an[lane].to_f64());
-        work.h_last.push(columns.h_last_update[lane].to_f64());
+        work.m_irr.push(columns.m_irr[lane]);
+        work.m_total.push(columns.m_total[lane]);
+        work.m_an.push(columns.m_an[lane]);
+        work.h_last.push(columns.h_last_update[lane]);
     }
     work.live.clear();
     work.live.extend(errors.iter().map(Option::is_none));
@@ -939,7 +859,7 @@ fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
             }
         }
 
-        // Phase 3 — finalise, store through the column precision, record.
+        // Phase 3 — finalise, store, record.
         for lane in 0..lanes {
             if !w_live[lane] {
                 continue;
@@ -961,13 +881,6 @@ fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
                 ends[lane] = row;
                 continue;
             }
-            // The next sample starts from the stored state (rounded in f32
-            // mode), exactly like the fallback path's per-sample load, and
-            // the lane's curve point is rebuilt from the stored `m_total`.
-            w_m_irr[lane] = columns.m_irr[lane].to_f64();
-            w_m_total[lane] = columns.m_total[lane].to_f64();
-            w_m_an[lane] = columns.m_an[lane].to_f64();
-            w_h_last[lane] = columns.h_last_update[lane].to_f64();
             m_totals[lane] = w_m_total[lane];
         }
     }
@@ -982,9 +895,9 @@ fn run_lanes_lockstep<T: ColumnScalar, M: LockstepMan>(
 /// sequence with its state held in locals, delegating each step to the
 /// shared [`advance_state`].  Lane-major order keeps the per-lane state
 /// hot; the per-lane operation sequence is exactly the scalar model's,
-/// which is what makes `f64` lanes bit-identical.  Expects a trajectory
+/// which is what makes the lanes bit-identical.  Expects a trajectory
 /// sized by [`Trajectory::reset`] for `samples`.
-fn run_lanes<T: ColumnScalar>(sweep: &mut Sweep<'_, T>, samples: &[f64]) {
+fn run_lanes(sweep: &mut Sweep<'_>, samples: &[f64]) {
     let Sweep {
         config,
         anhysteretic,
@@ -1011,8 +924,8 @@ fn run_lanes<T: ColumnScalar>(sweep: &mut Sweep<'_, T>, samples: &[f64]) {
         let lane_anhysteretic = &anhysteretic[lane];
         let mut lane_stats = stats[lane];
         let mut end = samples.len();
+        let mut state = columns.load(lane);
         for (row, &h) in samples.iter().enumerate() {
-            let mut state = columns.load(lane);
             let step = advance_state(
                 &lane_params,
                 lane_anhysteretic,
@@ -1021,17 +934,14 @@ fn run_lanes<T: ColumnScalar>(sweep: &mut Sweep<'_, T>, samples: &[f64]) {
                 &mut lane_stats,
                 h,
             );
-            columns.store(lane, &state);
             if let Err(err) = step {
                 errors[lane] = Some(err);
                 end = row;
                 break;
             }
-            // Read back through the columns, so the curve reflects exactly
-            // what the lane stores (in f64 mode the round trip is the
-            // identity).
-            trajectory.m_total[row * lanes + lane] = columns.m_total[lane].to_f64();
+            trajectory.m_total[row * lanes + lane] = state.m_total;
         }
+        columns.store(lane, &state);
         trajectory.ends[lane] = end;
         stats[lane] = lane_stats;
     }
@@ -1232,7 +1142,7 @@ mod tests {
             .collect()
     }
 
-    /// Runs an `f64` batch's assigned lanes through the portable copy of
+    /// Runs a batch's assigned lanes through the portable copy of
     /// the lockstep kernel, or through the AVX2 copy; `false` when the AVX2
     /// copy cannot run on this CPU.
     fn run_kernel_copy(batch: &mut SoaBatch, samples: &[f64], avx2: bool) -> bool {
@@ -1245,16 +1155,12 @@ mod tests {
             alpha,
             c,
             anhysteretic,
-            store,
+            columns,
             stats,
             errors,
             scratch,
             trajectory,
-            ..
         } = batch;
-        let LaneStore::F64(columns) = store else {
-            panic!("an f64 batch")
-        };
         trajectory.reset(stats.len(), samples.len());
         let man = SingleAtanLanes { a };
         let sweep = &mut Sweep {
@@ -1309,40 +1215,5 @@ mod tests {
             SoaBatch::new(bad, SoaPrecision::F64),
             Err(JaError::InvalidConfig { .. })
         ));
-    }
-
-    #[test]
-    fn f32_mode_tracks_scalar_within_tolerance() {
-        let schedule = FieldSchedule::major_loop(10_000.0, 100.0, 2).expect("schedule");
-        let samples = schedule.to_samples();
-        let params = materials();
-        let config = JaConfig::default();
-
-        let mut batch = SoaBatch::new(config, SoaPrecision::F32).expect("valid config");
-        batch.assign(&params);
-        let mut curves = vec![BhCurve::new(); params.len()];
-        batch.run_samples_into_curves(&samples, &mut curves);
-
-        for (lane, p) in params.iter().enumerate() {
-            let mut scalar = JilesAtherton::with_config(*p, config).expect("valid");
-            let reference = scalar.run_samples(&samples).expect("scalar run");
-            let b_peak = reference
-                .points()
-                .iter()
-                .map(|p| p.b.as_tesla().abs())
-                .fold(0.0, f64::max);
-            let worst = curves[lane]
-                .points()
-                .iter()
-                .zip(reference.points())
-                .map(|(lhs, rhs)| (lhs.b.as_tesla() - rhs.b.as_tesla()).abs())
-                .fold(0.0, f64::max);
-            // The documented f32-mode bound: relative B error under 1e-4 of
-            // the loop peak.
-            assert!(
-                worst <= 1e-4 * b_peak,
-                "lane {lane}: |ΔB| = {worst} exceeds 1e-4 × {b_peak}"
-            );
-        }
     }
 }

@@ -72,7 +72,6 @@ use ja_hysteresis::config::JaConfig;
 use ja_hysteresis::error::JaError;
 use ja_hysteresis::soa::{SoaBatch, SoaPrecision};
 use magnetics::bh::BhCurve;
-use magnetics::loop_analysis;
 use magnetics::material::JaParameters;
 
 use crate::scenario::{
@@ -560,23 +559,16 @@ fn run_lockstep_group(
             None => {
                 let mut curve = BhCurve::new();
                 batch.lane_curve_into(lane, samples, &mut curve);
-                let metrics = loop_analysis::loop_metrics(&curve).ok();
-                let loss = scenarios[index].loss_breakdown(&curve);
-                Ok(ScenarioOutcome {
-                    name: scenarios[index].name.clone(),
-                    backend: scenarios[index].backend,
+                // Lockstep groups run on the direct backend only, which has
+                // no simulation kernel, and field-driven excitations only.
+                Ok(scenarios[index].outcome(
                     curve,
-                    metrics,
-                    loss,
-                    operating_point: scenarios[index].operating_point,
-                    stats: batch.lane_statistics(lane),
-                    // Lockstep groups run on the direct backend only, which
-                    // has no simulation kernel.
-                    kernel: None,
-                    transient: None,
-                    runtime: share,
-                    lockstep_lanes: Some(members.len()),
-                })
+                    batch.lane_statistics(lane),
+                    None,
+                    None,
+                    share,
+                    Some(members.len()),
+                ))
             }
         };
         deliver(index, outcome, share + t_lane.elapsed());

@@ -18,17 +18,17 @@ use std::time::{Duration, Instant};
 
 use analog_solver::circuit::elements::{NonlinearInductor, Resistor, VoltageSource};
 use analog_solver::circuit::{Circuit, Node, TransientAnalysis};
-use ja_hysteresis::backend::{HysteresisBackend, TimeDomainBackend};
+use ja_hysteresis::backend::{HysteresisBackend, KernelStatistics, TimeDomainBackend};
 use ja_hysteresis::config::JaConfig;
 use ja_hysteresis::error::JaError;
 use ja_hysteresis::model::{JaStatistics, JilesAtherton};
 use magnetics::bh::BhCurve;
 use magnetics::geometry::CoreGeometry;
-use magnetics::loop_analysis::{self, LoopMetrics};
+use magnetics::loop_analysis::{self, IncrementalLoopMetrics, LoopMetrics};
 use magnetics::losses::{self, CoreLoss, LaminationSpec};
 use magnetics::material::JaParameters;
 use magnetics::thermal::ThermalCoefficients;
-use waveform::schedule::FieldSchedule;
+use waveform::schedule::{FieldSchedule, MAX_SAMPLES};
 use waveform::Waveform;
 
 use crate::ams::AmsTimelessModel;
@@ -583,7 +583,10 @@ impl Excitation {
     ///
     /// # Errors
     ///
-    /// Returns [`JaError::InvalidConfig`] for non-positive `dt`/`t_end`.
+    /// Returns [`JaError::InvalidConfig`] for non-positive `dt`/`t_end`, and
+    /// one naming `t_end` when the sequence would hold more than
+    /// [`MAX_SAMPLES`] samples, the ceiling field schedules and circuit
+    /// drives share — checked before anything is allocated.
     pub fn sampled<W: Waveform>(waveform: &W, t_end: f64, dt: f64) -> Result<Self, JaError> {
         if !dt.is_finite() || dt <= 0.0 {
             return Err(JaError::InvalidConfig {
@@ -599,7 +602,7 @@ impl Excitation {
                 requirement: "finite and > 0",
             });
         }
-        let steps = (t_end / dt).ceil() as usize;
+        let steps = sampled_steps(t_end, dt)?;
         let samples = (0..=steps)
             .map(|i| waveform.value((i as f64 * dt).min(t_end)))
             .collect();
@@ -635,6 +638,21 @@ impl Excitation {
             Excitation::Circuit(_) => Vec::new(),
         }
     }
+}
+
+/// The steps of a sequence sampled every `dt` over `[0, t_end]` (one
+/// sample more than steps), counted in `f64` so no `t_end / dt` ratio can
+/// overflow the count before it is held to [`MAX_SAMPLES`].
+fn sampled_steps(t_end: f64, dt: f64) -> Result<usize, JaError> {
+    let steps = (t_end / dt).ceil();
+    if steps + 1.0 > MAX_SAMPLES as f64 {
+        return Err(JaError::InvalidConfig {
+            name: "t_end",
+            value: t_end,
+            requirement: "at most 2^24 samples (t_end / dt + 1) per sampled excitation",
+        });
+    }
+    Ok(steps as usize)
 }
 
 /// The environment a scenario runs in: operating temperature, excitation
@@ -825,15 +843,47 @@ impl Scenario {
         }
     }
 
-    /// The loss breakdown of a finished trace, when the operating point
+    /// The loss breakdown of a folded trace, when the operating point
     /// carries both a geometry and a frequency.  Mirrors the loop-metrics
-    /// policy: a trace the loss analysis cannot handle (too few points,
-    /// open loop) yields `None`, not a scenario failure.
-    pub(crate) fn loss_breakdown(&self, curve: &BhCurve) -> Option<CoreLoss> {
+    /// policy: a trace the loss analysis cannot handle (too few points)
+    /// yields `None`, not a scenario failure.
+    fn loss_breakdown(&self, fold: &IncrementalLoopMetrics) -> Option<CoreLoss> {
         let op = self.operating_point.as_ref()?;
         let geometry = op.geometry.as_ref()?;
         let frequency = op.frequency_hz?;
-        losses::core_loss(curve, geometry, frequency, op.lamination).ok()
+        losses::core_loss_of(fold, geometry, frequency, op.lamination).ok()
+    }
+
+    /// The one constructor of this scenario's [`ScenarioOutcome`], for the
+    /// scalar path and the executor's lockstep lanes alike: it folds
+    /// `curve` once through [`IncrementalLoopMetrics`] for both the loop
+    /// metrics and the loss.  Not every stimulus produces a closable loop
+    /// (a biased minor loop never crosses `B = 0`, so coercivity is
+    /// undefined): a failed metric extraction is `metrics: None`, not a
+    /// scenario failure, and the trace still gets its loss.
+    pub(crate) fn outcome(
+        &self,
+        curve: BhCurve,
+        stats: JaStatistics,
+        kernel: Option<KernelStatistics>,
+        transient: Option<TransientStats>,
+        runtime: Duration,
+        lockstep_lanes: Option<usize>,
+    ) -> ScenarioOutcome {
+        let fold = IncrementalLoopMetrics::of(&curve);
+        ScenarioOutcome {
+            name: self.name.clone(),
+            backend: self.backend,
+            metrics: fold.finish().ok(),
+            loss: self.loss_breakdown(&fold),
+            curve,
+            operating_point: self.operating_point,
+            stats,
+            kernel,
+            transient,
+            runtime,
+            lockstep_lanes,
+        }
     }
 
     /// The paper's Fig. 1 experiment on the given backend: paper material,
@@ -880,9 +930,10 @@ impl Scenario {
         self.run_with_solve(scratch, None)
     }
 
-    /// The one outcome-construction path behind
-    /// [`run_with_scratch`](Self::run_with_scratch) and the executor's
-    /// circuit jobs.  A circuit-driven scenario replays `solved` — the
+    /// The scalar run behind [`run_with_scratch`](Self::run_with_scratch)
+    /// and the executor's circuit jobs: it sweeps the scenario's backend
+    /// and hands the curve to [`outcome`](Self::outcome).  A
+    /// circuit-driven scenario replays `solved` — the
     /// result of [`CircuitExcitation::simulate`] for this scenario's
     /// resolved parameters, configuration and circuit, run once for every
     /// backend that shares them — instead of solving the circuit itself;
@@ -920,24 +971,14 @@ impl Scenario {
             }
         };
         let runtime = started.elapsed();
-        // Not every stimulus produces a closable loop (a biased minor loop
-        // never crosses B = 0, so coercivity is undefined): metric
-        // extraction failure is not a scenario failure.
-        let metrics = loop_analysis::loop_metrics(&curve).ok();
-        let loss = self.loss_breakdown(&curve);
-        Ok(ScenarioOutcome {
-            name: self.name.clone(),
-            backend: self.backend,
+        Ok(self.outcome(
             curve,
-            metrics,
-            loss,
-            operating_point: self.operating_point,
-            stats: backend.statistics(),
-            kernel: backend.kernel_statistics(),
+            backend.statistics(),
+            backend.kernel_statistics(),
             transient,
             runtime,
-            lockstep_lanes: None,
-        })
+            None,
+        ))
     }
 }
 
@@ -969,7 +1010,7 @@ pub struct ScenarioOutcome {
     /// backends.  Deterministic outcomes, but reported only in the opt-in
     /// timing block because they describe substrate work, not model
     /// results.
-    pub kernel: Option<ja_hysteresis::backend::KernelStatistics>,
+    pub kernel: Option<KernelStatistics>,
     /// The transient engine's step/Newton counters — present only for
     /// circuit-driven excitations.  Deterministic (pure float-arithmetic
     /// step control), so reports carry them unconditionally.
@@ -1457,6 +1498,25 @@ mod tests {
         let samples = excitation.to_samples();
         assert!((samples[1] - 1_000.0).abs() < 1e-9); // peak at t = 0.25
         assert!(Excitation::sampled(&waveform, 1.0, 0.0).is_err());
+
+        // Sample counts are held to the schedule ceiling before anything
+        // is allocated: a ratio that overflows `usize` and one that fits
+        // but would need 8 TB are both errors naming t_end.
+        let sine = waveform::sine::Sine::new(1_000.0, 50.0).unwrap();
+        for (t_end, dt) in [(1e300, 1e-300), (1e12, 1e-6)] {
+            assert!(
+                matches!(
+                    Excitation::sampled(&sine, t_end, dt),
+                    Err(JaError::InvalidConfig { name: "t_end", value, .. }) if value == t_end
+                ),
+                "t_end = {t_end}, dt = {dt}"
+            );
+        }
+        // Just under the ceiling is accepted: exactly MAX_SAMPLES samples
+        // (counted without sizing the 128 MiB buffer), one more is not.
+        let at_ceiling = (MAX_SAMPLES - 1) as f64;
+        assert_eq!(sampled_steps(at_ceiling, 1.0), Ok(MAX_SAMPLES - 1));
+        assert!(sampled_steps(at_ceiling + 1.0, 1.0).is_err());
     }
 
     #[test]

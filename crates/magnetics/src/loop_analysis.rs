@@ -10,6 +10,14 @@
 //! * loop area (the hysteresis energy loss per cycle per unit volume),
 //! * loop-closure error under periodic excitation,
 //! * count of unphysical negative-slope samples.
+//!
+//! [`IncrementalLoopMetrics`] is the one implementation of the loop
+//! metrics: a single-pass fold over `(H, B)` samples.  [`loop_metrics`]
+//! folds a stored curve through it, the core-loss estimate of
+//! [`crate::losses`] reads its loop area and peak |B|, and the scenario
+//! engine and the fit objective fold their samples through it as they are
+//! produced.  [`loop_area`] is a cheap standalone trapezoid for callers
+//! that want the area alone.
 
 use crate::bh::BhCurve;
 use crate::error::MagneticsError;
@@ -56,52 +64,44 @@ impl LoopMetrics {
 }
 
 /// Computes the full set of [`LoopMetrics`] for a trace that contains at
-/// least one complete loop.
+/// least one complete loop, by folding it through
+/// [`IncrementalLoopMetrics`].
 ///
 /// # Errors
 ///
 /// Returns an error if the trace is too short or never crosses `B = 0` /
 /// `H = 0` (e.g. an initial magnetisation curve only).
 pub fn loop_metrics(curve: &BhCurve) -> Result<LoopMetrics, MagneticsError> {
-    if curve.len() < 8 {
-        return Err(MagneticsError::InsufficientSamples {
-            required: 8,
-            available: curve.len(),
-        });
-    }
-    Ok(LoopMetrics {
-        b_max: curve.peak_flux_density()?,
-        h_max: curve.peak_field()?,
-        coercivity: coercivity(curve)?,
-        remanence: remanence(curve)?,
-        loop_area: loop_area(curve),
-        negative_slope_samples: curve.negative_slope_samples(),
-    })
+    IncrementalLoopMetrics::of(curve).finish()
 }
 
-/// Streaming accumulator computing [`LoopMetrics`] from samples as they are
+/// Single-pass fold computing [`LoopMetrics`] from samples as they are
 /// produced, without ever storing the curve.
 ///
-/// This is the memory-decoupling half of the streaming execution path: a
-/// million-point sweep can be reduced to its six loop metrics in O(1) space
-/// by feeding each `(H, B)` sample to [`push`](Self::push) and calling
-/// [`finish`](Self::finish) at the end.
+/// Feed each `(H, B)` sample to [`push`](Self::push) and call
+/// [`finish`](Self::finish) at the end: a million-point sweep reduces to
+/// its six loop metrics in O(1) space.  The same fold also carries what
+/// the core-loss estimate needs — [`loop_area`](Self::loop_area),
+/// [`peak_flux_density`](Self::peak_flux_density) and [`len`](Self::len)
+/// — so one pass over a trace yields both
+/// ([`crate::losses::core_loss_of`]).
 ///
-/// The accumulator is **bit-identical** to the stored-curve
-/// [`loop_metrics`] path: every running reduction (the |B|/|H| peak folds,
-/// the trapezoidal `∮ H dB` sum, the two zero-crossing means and the
-/// negative-slope count) performs exactly the floating-point operations of
-/// its batch counterpart, in the same order, on the same operands.  The
-/// equivalence — including the error cases — is asserted by unit tests and
-/// a property test over randomly generated traces.
+/// Every running reduction performs exactly the floating-point operations
+/// of the plain per-metric passes over a stored curve, in the same order,
+/// on the same operands: the |B|/|H| peaks are `fold(0.0, f64::max)`
+/// folds (as in [`BhCurve::peak_flux_density`] and
+/// [`BhCurve::peak_field`]), the area is the trapezoidal `∮ H dB` sum of
+/// [`loop_area`], the negative-slope count is that of
+/// [`BhCurve::negative_slope_samples`], and each zero-crossing mean adds
+/// its interpolated |values| in trace order.  Unit and property tests
+/// hold the fold to that six-pass computation bit for bit, errors
+/// included.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalLoopMetrics {
     samples: usize,
-    /// Running `fold(0.0, f64::max)` over |B| — mirrors
-    /// [`BhCurve::peak_flux_density`].
+    /// Running `fold(0.0, f64::max)` over |B|.
     b_abs_max: f64,
-    /// Running `fold(0.0, f64::max)` over |H| — mirrors
-    /// [`BhCurve::peak_field`].
+    /// Running `fold(0.0, f64::max)` over |H|.
     h_abs_max: f64,
     /// Previous sample as `(H, B)`, shared by every windowed reduction.
     prev: Option<(f64, f64)>,
@@ -118,6 +118,15 @@ impl IncrementalLoopMetrics {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Folds every sample of a stored curve, in trace order.
+    pub fn of(curve: &BhCurve) -> Self {
+        let mut fold = Self::new();
+        for point in curve.iter() {
+            fold.push_point(point);
+        }
+        fold
     }
 
     /// Number of samples pushed so far.
@@ -147,9 +156,8 @@ impl IncrementalLoopMetrics {
             if dh != 0.0 && db / dh < 0.0 {
                 self.negative_slope_samples += 1;
             }
-            // The two zero-crossing means of `mean_abs_level_crossings`:
-            // B = 0 crossings sampled in H (coercivity), H = 0 crossings
-            // sampled in B (remanence).
+            // The two zero-crossing means: B = 0 crossings sampled in H
+            // (coercivity), H = 0 crossings sampled in B (remanence).
             crossing_step(
                 (pb, ph),
                 (b, h),
@@ -171,14 +179,25 @@ impl IncrementalLoopMetrics {
         self.push(point.h.value(), point.b.as_tesla());
     }
 
+    /// Enclosed area `∮ H dB` of the samples so far, in J/m³ — the value
+    /// [`loop_area`] returns for the same trace.
+    pub fn loop_area(&self) -> f64 {
+        self.area.abs()
+    }
+
+    /// Peak |B| of the samples so far (0 T before the first sample).
+    pub fn peak_flux_density(&self) -> FluxDensity {
+        FluxDensity::new(self.b_abs_max)
+    }
+
     /// Closes the accumulation and returns the metrics.
     ///
     /// # Errors
     ///
-    /// Exactly the errors of [`loop_metrics`] on the same sample sequence:
-    /// [`MagneticsError::InsufficientSamples`] below 8 samples, and
+    /// [`MagneticsError::InsufficientSamples`] below 8 samples, then
     /// [`MagneticsError::MissingCrossing`] when the trace never crossed
-    /// `B = 0` / `H = 0` away from the origin.
+    /// `B = 0` (coercivity) or else `H = 0` (remanence) away from the
+    /// origin.
     pub fn finish(&self) -> Result<LoopMetrics, MagneticsError> {
         if self.samples < 8 {
             return Err(MagneticsError::InsufficientSamples {
@@ -197,21 +216,22 @@ impl IncrementalLoopMetrics {
             });
         }
         Ok(LoopMetrics {
-            b_max: FluxDensity::new(self.b_abs_max),
+            b_max: self.peak_flux_density(),
             h_max: FieldStrength::new(self.h_abs_max),
             coercivity: FieldStrength::new(self.coercivity_sum / self.coercivity_count as f64),
             remanence: FluxDensity::new(self.remanence_sum / self.remanence_count as f64),
-            loop_area: self.area.abs(),
+            loop_area: self.loop_area(),
             negative_slope_samples: self.negative_slope_samples,
         })
     }
 }
 
-/// One step of the `mean_abs_level_crossings` fold, expressed over a single
-/// `(previous, current)` window so [`IncrementalLoopMetrics`] can run it
-/// without an iterator.  `(x, y)` is (abscissa, ordinate); the keep-filter
-/// of the batch path (`|value| > f64::EPSILON`) is inlined — both call
-/// sites use it.
+/// The zero-crossing rule over one `(previous, current)` window: when the
+/// abscissa `x` crosses zero (a window that starts and ends at zero does
+/// not count), the ordinate `y` is interpolated linearly to the crossing,
+/// and its |value| joins the running mean unless it is within
+/// `f64::EPSILON` of zero (which screens out degenerate crossings, e.g.
+/// the origin).
 fn crossing_step((px, py): (f64, f64), (x, y): (f64, f64), sum: &mut f64, count: &mut usize) {
     if px == 0.0 && x == 0.0 {
         return;
@@ -228,42 +248,6 @@ fn crossing_step((px, py): (f64, f64), (x, y): (f64, f64), sum: &mut f64, count:
             *count += 1;
         }
     }
-}
-
-/// Coercive field `H_c`: the average |H| of every `B = 0` crossing in the
-/// trace (excluding the initial-magnetisation start where both are zero).
-///
-/// # Errors
-///
-/// Returns [`MagneticsError::MissingCrossing`] when the trace never crosses
-/// `B = 0` away from the origin.
-pub fn coercivity(curve: &BhCurve) -> Result<FieldStrength, MagneticsError> {
-    let mean = mean_abs_level_crossings(
-        curve.points().iter().map(|p| (p.b.as_tesla(), p.h.value())),
-        |h| h.abs() > f64::EPSILON,
-    )
-    .ok_or(MagneticsError::MissingCrossing {
-        what: "B = 0 away from the origin (coercivity)",
-    })?;
-    Ok(FieldStrength::new(mean))
-}
-
-/// Remanent flux density `B_r`: the average |B| of every `H = 0` crossing
-/// away from the origin.
-///
-/// # Errors
-///
-/// Returns [`MagneticsError::MissingCrossing`] when the trace never crosses
-/// `H = 0` away from the origin.
-pub fn remanence(curve: &BhCurve) -> Result<FluxDensity, MagneticsError> {
-    let mean = mean_abs_level_crossings(
-        curve.points().iter().map(|p| (p.h.value(), p.b.as_tesla())),
-        |b| b.abs() > f64::EPSILON,
-    )
-    .ok_or(MagneticsError::MissingCrossing {
-        what: "H = 0 away from the origin (remanence)",
-    })?;
-    Ok(FluxDensity::new(mean))
 }
 
 /// Enclosed loop area `∮ H dB` in J/m³, computed with the trapezoidal rule
@@ -322,47 +306,6 @@ pub fn monotone_branches(curve: &BhCurve) -> Vec<(usize, usize)> {
     branches
 }
 
-/// The mean |value| of `ordinate` at the points where `abscissa` crosses
-/// zero (linear interpolation between the bracketing samples), or `None`
-/// when no crossing survives the `keep` filter (which screens out
-/// degenerate crossings, e.g. the origin).
-///
-/// Crossings are folded into a running sum in trace order instead of being
-/// collected — `loop_metrics` is on the fitting hot path, where a
-/// per-candidate allocation would defeat the objective's zero-allocation
-/// contract.  The streaming mean adds |value| in exactly the order the old
-/// collect-then-average implementation did, so the result is bit-identical.
-fn mean_abs_level_crossings<I>(samples: I, keep: impl Fn(f64) -> bool) -> Option<f64>
-where
-    I: IntoIterator<Item = (f64, f64)>,
-{
-    let mut sum = 0.0_f64;
-    let mut count = 0_usize;
-    let mut prev: Option<(f64, f64)> = None;
-    for (x, y) in samples {
-        if let Some((px, py)) = prev {
-            if px == 0.0 && x == 0.0 {
-                prev = Some((x, y));
-                continue;
-            }
-            if (px <= 0.0 && x > 0.0) || (px >= 0.0 && x < 0.0) {
-                let t = if (x - px).abs() > f64::EPSILON {
-                    -px / (x - px)
-                } else {
-                    0.5
-                };
-                let value = py + t * (y - py);
-                if keep(value) {
-                    sum += value.abs();
-                    count += 1;
-                }
-            }
-        }
-        prev = Some((x, y));
-    }
-    (count > 0).then(|| sum / count as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,7 +361,7 @@ mod tests {
     #[test]
     fn lens_loop_remanence_is_the_lens_half_width() {
         let curve = lens_loop(LENS_H_PEAK, LENS_K, LENS_D0, 2000);
-        let br = remanence(&curve).unwrap();
+        let br = loop_metrics(&curve).unwrap().remanence;
         // At H = 0 both branches sit at ±d0 exactly.
         assert!(
             (br.as_tesla() - LENS_D0).abs() < 1e-3,
@@ -430,7 +373,7 @@ mod tests {
     #[test]
     fn lens_loop_coercivity_matches_analytic_root() {
         let curve = lens_loop(LENS_H_PEAK, LENS_K, LENS_D0, 2000);
-        let hc = coercivity(&curve).unwrap();
+        let hc = loop_metrics(&curve).unwrap().coercivity;
         // B = 0 on the ascending branch at k·H = d0(1 − (H/hp)²), the
         // positive root of (d0/hp²)·H² + k·H − d0 = 0.
         let a = LENS_D0 / (LENS_H_PEAK * LENS_H_PEAK);
@@ -467,7 +410,7 @@ mod tests {
     #[test]
     fn coercivity_of_synthetic_loop() {
         let curve = synthetic_loop(10_000.0, 1000.0, 1.8, 2000);
-        let hc = coercivity(&curve).unwrap();
+        let hc = loop_metrics(&curve).unwrap().coercivity;
         assert!(
             (hc.value() - 1000.0).abs() < 30.0,
             "Hc = {} A/m",
@@ -478,7 +421,7 @@ mod tests {
     #[test]
     fn remanence_of_synthetic_loop() {
         let curve = synthetic_loop(10_000.0, 1000.0, 1.8, 2000);
-        let br = remanence(&curve).unwrap();
+        let br = loop_metrics(&curve).unwrap().remanence;
         // B at H=0 on either branch: Bs * tanh(Hc/w) = Bs * tanh(2) ~ 0.964 Bs
         let expected = 1.8 * (2.0_f64).tanh();
         assert!(
@@ -549,10 +492,12 @@ mod tests {
             let h = i as f64 * 10.0;
             curve.push_raw(h, (h / 5000.0).tanh(), 0.0);
         }
-        assert!(matches!(
-            coercivity(&curve),
-            Err(MagneticsError::MissingCrossing { .. })
-        ));
+        assert_eq!(
+            loop_metrics(&curve),
+            Err(MagneticsError::MissingCrossing {
+                what: "B = 0 away from the origin (coercivity)",
+            })
+        );
     }
 
     #[test]
@@ -591,18 +536,85 @@ mod tests {
         assert!(m.negative_slope_samples >= 1);
     }
 
-    /// Streams a stored curve through the incremental accumulator.
+    /// The reference the fold is held to: one plain pass over the stored
+    /// curve per metric, reporting the first failure in metric order.
+    fn six_pass_metrics(curve: &BhCurve) -> Result<LoopMetrics, MagneticsError> {
+        if curve.len() < 8 {
+            return Err(MagneticsError::InsufficientSamples {
+                required: 8,
+                available: curve.len(),
+            });
+        }
+        let b_max = curve.peak_flux_density()?;
+        let h_max = curve.peak_field()?;
+        let coercivity =
+            mean_abs_level_crossings(curve.points().iter().map(|p| (p.b.as_tesla(), p.h.value())))
+                .ok_or(MagneticsError::MissingCrossing {
+                    what: "B = 0 away from the origin (coercivity)",
+                })?;
+        let remanence =
+            mean_abs_level_crossings(curve.points().iter().map(|p| (p.h.value(), p.b.as_tesla())))
+                .ok_or(MagneticsError::MissingCrossing {
+                    what: "H = 0 away from the origin (remanence)",
+                })?;
+        Ok(LoopMetrics {
+            b_max,
+            h_max,
+            coercivity: FieldStrength::new(coercivity),
+            remanence: FluxDensity::new(remanence),
+            loop_area: loop_area(curve),
+            negative_slope_samples: curve.negative_slope_samples(),
+        })
+    }
+
+    /// The mean |ordinate| where the abscissa crosses zero, over a whole
+    /// `(abscissa, ordinate)` sequence: linear interpolation between the
+    /// bracketing samples, crossings within `f64::EPSILON` of zero
+    /// dropped, `None` when none is left.
+    fn mean_abs_level_crossings(samples: impl Iterator<Item = (f64, f64)>) -> Option<f64> {
+        let mut sum = 0.0_f64;
+        let mut count = 0_usize;
+        let mut prev: Option<(f64, f64)> = None;
+        for (x, y) in samples {
+            if let Some((px, py)) = prev {
+                if !(px == 0.0 && x == 0.0) && ((px <= 0.0 && x > 0.0) || (px >= 0.0 && x < 0.0)) {
+                    let t = if (x - px).abs() > f64::EPSILON {
+                        -px / (x - px)
+                    } else {
+                        0.5
+                    };
+                    let value = py + t * (y - py);
+                    if value.abs() > f64::EPSILON {
+                        sum += value.abs();
+                        count += 1;
+                    }
+                }
+            }
+            prev = Some((x, y));
+        }
+        (count > 0).then(|| sum / count as f64)
+    }
+
+    /// Streams a stored curve through the fold one sample at a time, and
+    /// checks the loss inputs it carries against their standalone passes.
     fn incremental(curve: &BhCurve) -> Result<LoopMetrics, MagneticsError> {
         let mut acc = IncrementalLoopMetrics::new();
         for p in curve.iter() {
             acc.push_point(p);
         }
         assert_eq!(acc.len(), curve.len());
+        assert_eq!(acc.loop_area().to_bits(), loop_area(curve).to_bits());
+        if let Ok(peak) = curve.peak_flux_density() {
+            assert_eq!(
+                acc.peak_flux_density().as_tesla().to_bits(),
+                peak.as_tesla().to_bits()
+            );
+        }
         acc.finish()
     }
 
-    /// Asserts the streamed result reproduces the stored result bit-for-bit
-    /// (including which error is reported).
+    /// Asserts the streamed result reproduces the six-pass result
+    /// bit-for-bit (including which error is reported).
     fn assert_bit_identical(
         stored: &Result<LoopMetrics, MagneticsError>,
         streamed: &Result<LoopMetrics, MagneticsError>,
@@ -633,14 +645,14 @@ mod tests {
     fn incremental_matches_stored_on_synthetic_loop() {
         for n in [8, 37, 200, 2000] {
             let curve = synthetic_loop(10_000.0, 1000.0, 1.8, n);
-            assert_bit_identical(&loop_metrics(&curve), &incremental(&curve));
+            assert_bit_identical(&six_pass_metrics(&curve), &incremental(&curve));
         }
     }
 
     #[test]
     fn incremental_matches_stored_on_lens_loop() {
         let curve = lens_loop(LENS_H_PEAK, LENS_K, LENS_D0, 2000);
-        assert_bit_identical(&loop_metrics(&curve), &incremental(&curve));
+        assert_bit_identical(&six_pass_metrics(&curve), &incremental(&curve));
     }
 
     #[test]
@@ -648,7 +660,7 @@ mod tests {
         let mut curve = synthetic_loop(10_000.0, 1000.0, 1.8, 200);
         curve.push_raw(-10_001.0, 5.0, 0.0);
         curve.push_raw(-10_002.0, -5.0, 0.0);
-        assert_bit_identical(&loop_metrics(&curve), &incremental(&curve));
+        assert_bit_identical(&six_pass_metrics(&curve), &incremental(&curve));
     }
 
     #[test]
@@ -656,7 +668,7 @@ mod tests {
         // Too short.
         let mut short = BhCurve::new();
         short.push_raw(0.0, 0.0, 0.0);
-        assert_bit_identical(&loop_metrics(&short), &incremental(&short));
+        assert_bit_identical(&six_pass_metrics(&short), &incremental(&short));
         // Initial magnetisation curve: no B = 0 crossing away from the
         // origin -> coercivity is the first reported failure.
         let mut initial = BhCurve::new();
@@ -664,19 +676,22 @@ mod tests {
             let h = i as f64 * 10.0;
             initial.push_raw(h, (h / 5000.0).tanh(), 0.0);
         }
-        assert_bit_identical(&loop_metrics(&initial), &incremental(&initial));
+        assert_bit_identical(&six_pass_metrics(&initial), &incremental(&initial));
         // B crosses zero but H never does: remanence is the failure.
         let mut no_h_crossing = BhCurve::new();
         for i in 0..20 {
             no_h_crossing.push_raw(10.0 + i as f64, i as f64 - 10.5, 0.0);
         }
-        assert_bit_identical(&loop_metrics(&no_h_crossing), &incremental(&no_h_crossing));
+        assert_bit_identical(
+            &six_pass_metrics(&no_h_crossing),
+            &incremental(&no_h_crossing),
+        );
     }
 
     proptest! {
         /// Random traces — including short, degenerate and non-loop shapes —
         /// reduce to bit-identical metrics (or the identical error) whether
-        /// stored or streamed.
+        /// folded or computed in six passes.
         #[test]
         fn incremental_matches_stored_on_random_traces(
             raw in proptest::collection::vec((-1.0e4_f64..1.0e4, -2.5_f64..2.5), 0..64),
@@ -685,7 +700,7 @@ mod tests {
             for (h, b) in &raw {
                 curve.push_raw(*h, *b, 0.0);
             }
-            assert_bit_identical(&loop_metrics(&curve), &incremental(&curve));
+            assert_bit_identical(&six_pass_metrics(&curve), &incremental(&curve));
         }
 
         /// Random closed loops exercise the success path with crossings on
@@ -698,7 +713,7 @@ mod tests {
             n in 8_usize..300,
         ) {
             let curve = synthetic_loop(h_peak, h_c_frac * h_peak, b_s, n);
-            assert_bit_identical(&loop_metrics(&curve), &incremental(&curve));
+            assert_bit_identical(&six_pass_metrics(&curve), &incremental(&curve));
         }
     }
 }

@@ -6,11 +6,17 @@
 //! classical eddy-current term for thin laminations and a Steinmetz-style
 //! power-law fit are provided as well, so the reproduction can report the
 //! loss breakdown a magnetics engineer would expect from a core model.
+//!
+//! The loss of a trace needs only its loop area, its peak |B| and its
+//! sample count, which the loop-metrics fold
+//! ([`IncrementalLoopMetrics`]) carries: [`core_loss_of`] reads them from
+//! a fold, so a trace folded once yields both its loop metrics and its
+//! loss, and [`core_loss`] folds a stored curve first.
 
 use crate::bh::BhCurve;
 use crate::error::MagneticsError;
 use crate::geometry::CoreGeometry;
-use crate::loop_analysis::loop_area;
+use crate::loop_analysis::IncrementalLoopMetrics;
 
 /// Loss breakdown of a core under periodic excitation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,18 +51,39 @@ impl LaminationSpec {
     }
 }
 
-/// Computes the loss breakdown of one excitation cycle.
+/// Computes the loss breakdown of one excitation cycle stored in `curve`:
+/// folds the curve once and hands the fold to [`core_loss_of`].
 ///
-/// `curve` must contain exactly one full cycle of the BH trajectory (its
-/// enclosed area is taken as the per-cycle hysteresis energy density).
+/// # Errors
+///
+/// Those of [`core_loss_of`].
+pub fn core_loss(
+    curve: &BhCurve,
+    geometry: &CoreGeometry,
+    frequency_hz: f64,
+    lamination: Option<LaminationSpec>,
+) -> Result<CoreLoss, MagneticsError> {
+    core_loss_of(
+        &IncrementalLoopMetrics::of(curve),
+        geometry,
+        frequency_hz,
+        lamination,
+    )
+}
+
+/// The loss breakdown of the trace folded into `fold`, which must hold
+/// exactly one full cycle: its loop area is the per-cycle hysteresis
+/// energy density, and its peak |B| drives the eddy-current term.  The
+/// loop metrics themselves need not exist — a trace that never crosses
+/// `B = 0` still has a loss.
 ///
 /// # Errors
 ///
 /// Returns [`MagneticsError::InvalidParameter`] when the frequency is not
-/// finite and positive, or [`MagneticsError::InsufficientSamples`] when the
-/// curve holds fewer than 8 samples.
-pub fn core_loss(
-    curve: &BhCurve,
+/// finite and positive, or else [`MagneticsError::InsufficientSamples`]
+/// when the fold holds fewer than 8 samples.
+pub fn core_loss_of(
+    fold: &IncrementalLoopMetrics,
     geometry: &CoreGeometry,
     frequency_hz: f64,
     lamination: Option<LaminationSpec>,
@@ -68,20 +95,20 @@ pub fn core_loss(
             requirement: "finite and > 0",
         });
     }
-    if curve.len() < 8 {
+    if fold.len() < 8 {
         return Err(MagneticsError::InsufficientSamples {
             required: 8,
-            available: curve.len(),
+            available: fold.len(),
         });
     }
     let volume = geometry.volume_m3();
-    let energy_density = loop_area(curve); // J/m^3 per cycle
+    let energy_density = fold.loop_area(); // J/m^3 per cycle
     let energy_per_cycle = energy_density * volume;
     let hysteresis_w = energy_per_cycle * frequency_hz;
 
     let eddy_w = match lamination {
         Some(spec) => {
-            let b_pk = curve.peak_flux_density()?.as_tesla();
+            let b_pk = fold.peak_flux_density().as_tesla();
             (std::f64::consts::PI.powi(2) / 6.0)
                 * spec.conductivity_s_per_m
                 * spec.thickness_m.powi(2)
@@ -231,7 +258,7 @@ pub fn fit_steinmetz_full(points: &[(f64, f64, f64)]) -> Result<(f64, f64, f64),
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bh::BhCurve;
+    use crate::loop_analysis::loop_area;
 
     fn rectangular_loop(b_s: f64, h_c: f64, n: usize) -> BhCurve {
         // An idealised rectangular loop of area ~ 4 * Hc * Bs.
@@ -282,7 +309,60 @@ mod tests {
         let geom = CoreGeometry::demo();
         assert!(core_loss(&curve, &geom, 0.0, None).is_err());
         let short = BhCurve::new();
-        assert!(core_loss(&short, &geom, 50.0, None).is_err());
+        assert_eq!(
+            core_loss(&short, &geom, 50.0, None),
+            Err(MagneticsError::InsufficientSamples {
+                required: 8,
+                available: 0,
+            })
+        );
+        // The frequency is checked first.
+        assert!(matches!(
+            core_loss(&short, &geom, f64::NAN, None),
+            Err(MagneticsError::InvalidParameter {
+                name: "frequency_hz",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn folded_loss_is_bit_identical_to_the_standalone_passes() {
+        // The fold's area and peak |B| are those of `loop_area` and
+        // `peak_flux_density` over the stored curve, so the loss is too.
+        let curve = rectangular_loop(1.5, 1000.0, 400);
+        let geom = CoreGeometry::new(1e-4, 0.1).unwrap();
+        let spec = LaminationSpec::silicon_steel_0p35mm();
+        let loss = core_loss(&curve, &geom, 50.0, Some(spec)).unwrap();
+        let volume = geom.volume_m3();
+        let energy = loop_area(&curve) * volume;
+        let b_pk = curve.peak_flux_density().unwrap().as_tesla();
+        let eddy = (std::f64::consts::PI.powi(2) / 6.0)
+            * spec.conductivity_s_per_m
+            * spec.thickness_m.powi(2)
+            * 50.0_f64.powi(2)
+            * b_pk.powi(2)
+            * volume;
+        assert_eq!(loss.energy_per_cycle_j.to_bits(), energy.to_bits());
+        assert_eq!(loss.hysteresis_w.to_bits(), (energy * 50.0).to_bits());
+        assert_eq!(loss.eddy_w.to_bits(), eddy.to_bits());
+        let fold = IncrementalLoopMetrics::of(&curve);
+        assert_eq!(core_loss_of(&fold, &geom, 50.0, Some(spec)), Ok(loss));
+    }
+
+    #[test]
+    fn a_trace_without_loop_metrics_still_has_a_loss() {
+        // An initial magnetisation curve never crosses B = 0, so it has no
+        // loop metrics, but its area and peak still give a loss.
+        let mut curve = BhCurve::new();
+        for i in 0..100 {
+            let h = i as f64 * 10.0;
+            curve.push_raw(h, (h / 5000.0).tanh(), 0.0);
+        }
+        let fold = IncrementalLoopMetrics::of(&curve);
+        assert!(fold.finish().is_err());
+        let loss = core_loss_of(&fold, &CoreGeometry::demo(), 50.0, None).unwrap();
+        assert!(loss.hysteresis_w > 0.0);
     }
 
     #[test]

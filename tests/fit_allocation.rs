@@ -1,10 +1,11 @@
 //! Steady-state allocation audit of the fitting objective.
 //!
-//! [`BatchObjective`] owns its schedule samples, SoA columns, curve buffer
-//! and cost vector, all grown to a high-water mark on first use — so once
-//! warm, a `costs()` call must not touch the allocator at all, on either
-//! evaluator.  A counting global allocator makes that a hard assertion
-//! instead of a code-review promise.
+//! [`BatchObjective`] owns its schedule samples, SoA columns and cost
+//! vector, all grown to a high-water mark on first use, and folds each
+//! candidate's samples straight into its loop metrics without building a
+//! curve — so once warm, a `costs()` call must not touch the allocator at
+//! all, on either evaluator.  A counting global allocator makes that a
+//! hard assertion instead of a code-review promise.
 
 use ja_bench::CountingAllocator;
 use ja_repro::ja_hysteresis::backend::HysteresisBackend;
