@@ -290,8 +290,10 @@ impl BatchRunner {
     ///
     /// # Errors
     ///
-    /// Returns the first error produced by `emit`; remaining outcomes are
-    /// still computed (workers drain) but no longer emitted.
+    /// Returns the first error produced by `emit`.  After it no new job
+    /// starts and nothing more is emitted; jobs already running finish and
+    /// their outcomes are dropped.  A stream whose reader has gone away
+    /// therefore stops evaluating its grid.
     pub fn run_in_order<R: Send, E>(
         &self,
         scenarios: &[Scenario],
@@ -700,8 +702,10 @@ where
 /// parks them in a reorder buffer and hands them to `emit` in output-index
 /// order.  With `workers <= 1` everything runs inline, no threads spawned.
 ///
-/// After the first `emit` error, remaining values are still collected (the
-/// workers drain) but no longer emitted; that error is returned.
+/// After the first `emit` error no new job starts: the inline loop stops,
+/// and each worker checks a shared flag before claiming.  Jobs already
+/// running finish, their values are dropped unemitted, and that error is
+/// returned.
 fn in_order<T, S, R, E>(
     jobs: &[T],
     workers: usize,
@@ -716,11 +720,16 @@ where
     let mut buffered: BTreeMap<usize, R> = BTreeMap::new();
     let mut next = 0_usize;
     let mut result = Ok(());
+    // Set once `emit` has failed; it publishes nothing else.
+    let stopped = AtomicBool::new(false);
     let mut collect = |index: usize, value: R| {
         buffered.insert(index, value);
         while let Some(value) = buffered.remove(&next) {
             if result.is_ok() {
                 result = emit(next, value);
+                if result.is_err() {
+                    stopped.store(true, Ordering::Relaxed);
+                }
             }
             next += 1;
         }
@@ -729,6 +738,9 @@ where
     if workers <= 1 {
         let mut state = make_state();
         for (index, job) in jobs.iter().enumerate() {
+            if stopped.load(Ordering::Relaxed) {
+                break;
+            }
             run(index, job, &mut state, &mut collect);
         }
     } else {
@@ -737,11 +749,11 @@ where
         thread::scope(|scope| {
             for _ in 0..workers {
                 let tx = tx.clone();
-                let (cursor, make_state, run) = (&cursor, &make_state, &run);
+                let (cursor, stopped, make_state, run) = (&cursor, &stopped, &make_state, &run);
                 scope.spawn(move || {
                     let mut state = make_state();
                     let mut closed = false;
-                    loop {
+                    while !stopped.load(Ordering::Relaxed) {
                         let index = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(job) = jobs.get(index) else {
                             break;
@@ -761,7 +773,10 @@ where
             }
         });
     }
-    debug_assert!(buffered.is_empty(), "every output index was produced");
+    debug_assert!(
+        result.is_err() || buffered.is_empty(),
+        "every output index was produced"
+    );
     result
 }
 
@@ -887,6 +902,7 @@ impl std::fmt::Debug for RunScratch {
 mod tests {
     use super::*;
     use crate::scenario::{Excitation, ScenarioGrid};
+    use std::sync::{Condvar, Mutex};
 
     fn small_grid() -> ScenarioGrid {
         ScenarioGrid::new()
@@ -1454,25 +1470,69 @@ mod tests {
         assert_eq!(summary.emitted, 0);
     }
 
+    /// The reduced value of the entry after the failing one.  The executor
+    /// drops it unemitted only after it has recorded the failure, so its drop
+    /// is what releases the jobs waiting in `reduce`.
+    struct DropSignal<'a>(Option<&'a (Mutex<bool>, Condvar)>);
+
+    impl Drop for DropSignal<'_> {
+        fn drop(&mut self) {
+            if let Some((dropped, wake)) = self.0 {
+                *dropped.lock().unwrap() = true;
+                wake.notify_all();
+            }
+        }
+    }
+
     #[test]
     fn streamed_run_propagates_the_first_emit_error() {
-        let scenarios = small_grid().scenarios().expect("grid");
+        const FAILING: usize = 2;
+        let scenario = Scenario::fig1(BackendKind::DirectTimeless, 500.0).expect("scenario");
+        let scenarios = vec![scenario; 36];
         for workers in [1, 4] {
+            let reduced = AtomicUsize::new(0);
+            let signal = (Mutex::new(false), Condvar::new());
             let mut emitted = 0_usize;
-            let result = BatchRunner::new().workers(workers).run_in_order(
-                &scenarios,
-                0,
-                |_, _, _| (),
-                |index, ()| {
-                    if index >= 2 {
-                        return Err("sink full");
-                    }
-                    emitted += 1;
-                    Ok(())
-                },
-            );
+            let result = BatchRunner::new()
+                .workers(workers)
+                .soa_routing(SoaRouting::ForceScalar)
+                .run_in_order(
+                    &scenarios,
+                    0,
+                    |index, _, _| {
+                        reduced.fetch_add(1, Ordering::SeqCst);
+                        if index > FAILING + 1 {
+                            let (dropped, wake) = &signal;
+                            let mut dropped = dropped.lock().unwrap();
+                            while !*dropped {
+                                dropped = wake.wait(dropped).unwrap();
+                            }
+                        }
+                        DropSignal((index == FAILING + 1).then_some(&signal))
+                    },
+                    |index, _| {
+                        if index == FAILING {
+                            return Err("sink full");
+                        }
+                        emitted += 1;
+                        Ok(())
+                    },
+                );
             assert_eq!(result.unwrap_err(), "sink full");
-            assert_eq!(emitted, 2, "{workers} workers");
+            assert_eq!(emitted, FAILING, "{workers} workers");
+            let reduced = reduced.into_inner();
+            if workers == 1 {
+                assert_eq!(reduced, FAILING + 1, "no job starts after the failing one");
+            } else {
+                // Jobs up to the signalling one run freely; past it, each
+                // worker holds at most the one job it claimed before the
+                // failure was recorded.
+                assert!(
+                    reduced <= FAILING + 2 + workers,
+                    "{reduced} of {} jobs ran",
+                    scenarios.len()
+                );
+            }
         }
     }
 

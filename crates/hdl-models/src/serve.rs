@@ -30,7 +30,7 @@
 //! [`crate::exec::BatchRunner`] / [`crate::fit::fit_batch`].
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -224,40 +224,67 @@ impl HttpResponse {
         }
     }
 
-    /// Serializes the response. Header order is fixed (status line,
-    /// `Content-Type`, extra headers, `Content-Length` for buffered
-    /// bodies, `Connection: close`) so responses are byte-deterministic;
-    /// a streamed body is then produced record by record.
-    pub fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
+    /// The status line and headers, ending in the blank line. Header order
+    /// is fixed (status line, `Content-Type`, extra headers,
+    /// `Content-Length` for buffered bodies, `Connection: close`) so
+    /// responses are byte-deterministic.
+    fn head(&self) -> String {
         let content_type = if self.stream.is_some() {
             "application/x-ndjson"
         } else {
             "application/json"
         };
-        write!(
-            out,
+        let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {content_type}\r\n",
             self.status,
             Self::reason(self.status)
-        )?;
+        );
         for (name, value) in &self.headers {
-            write!(out, "{name}: {value}\r\n")?;
+            head.extend([name.as_str(), ": ", value.as_str(), "\r\n"]);
         }
+        if self.stream.is_none() {
+            head.push_str(&format!("Content-Length: {}\r\n", self.body.len()));
+        }
+        head.push_str("Connection: close\r\n\r\n");
+        head
+    }
+
+    /// Serializes the response in as few writes as the protocol allows.
+    /// A buffered response is one vectored write of its head and its body
+    /// (the body is not copied); a streamed response writes its head in one
+    /// write, then its producer writes the body record by record.
+    pub fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
+        let head = self.head();
         match &self.stream {
             Some(producer) => {
-                write!(out, "Connection: close\r\n\r\n")?;
+                out.write_all(head.as_bytes())?;
                 producer(out)?;
             }
-            None => {
-                write!(
-                    out,
-                    "Content-Length: {}\r\nConnection: close\r\n\r\n",
-                    self.body.len()
-                )?;
-                out.write_all(self.body.as_bytes())?;
-            }
+            None => write_all_pair(out, head.as_bytes(), self.body.as_bytes())?,
         }
         out.flush()
+    }
+}
+
+/// Writes `first` (non-empty) then `second` with one `write_vectored` call,
+/// finishing with `write_all` if that call is short.  The loop is by hand
+/// because `Write::write_all_vectored` is unstable and
+/// `IoSlice::advance_slices` needs Rust 1.81.
+fn write_all_pair(out: &mut impl Write, first: &[u8], second: &[u8]) -> io::Result<()> {
+    let written = loop {
+        match out.write_vectored(&[IoSlice::new(first), IoSlice::new(second)]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(written) => break written,
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+            Err(err) => return Err(err),
+        }
+    };
+    match written.checked_sub(first.len()) {
+        Some(into_second) => out.write_all(&second[into_second..]),
+        None => {
+            out.write_all(&first[written..])?;
+            out.write_all(second)
+        }
     }
 }
 
@@ -320,8 +347,14 @@ fn read_line_limited(
 /// Parses one HTTP/1.1 request from `reader`. Strict by design: no
 /// chunked transfer coding, no continuation lines, bounded line and
 /// header counts, and the body must be exactly `Content-Length` bytes.
+///
+/// An HTTP/1.1 request carrying `Expect: 100-continue` whose
+/// `Content-Length` is accepted gets the interim `100 Continue` response
+/// on `interim`, in one write, before its body is read; a rejected length
+/// is answered by the caller's `400` or `413` alone.
 fn read_request(
     reader: &mut impl BufRead,
+    interim: &mut impl Write,
     max_body_bytes: usize,
 ) -> Result<HttpRequest, HttpError> {
     let request_line = read_line_limited(reader, MAX_REQUEST_LINE, "request line")?;
@@ -377,6 +410,17 @@ fn read_request(
                 "request body of {content_length} bytes exceeds the {max_body_bytes}-byte limit"
             ),
         ));
+    }
+
+    let expects_continue = version == "HTTP/1.1"
+        && headers
+            .iter()
+            .find(|(k, _)| k == "expect")
+            .is_some_and(|(_, value)| value.eq_ignore_ascii_case("100-continue"));
+    if expects_continue {
+        interim
+            .write_all(b"HTTP/1.1 100 Continue\r\n\r\n")
+            .map_err(|err| HttpError::new(400, format!("failed sending 100 Continue: {err}")))?;
     }
 
     let mut body = vec![0_u8; content_length];
@@ -511,7 +555,7 @@ where
     H: Fn(&HttpRequest) -> HttpResponse,
 {
     let mut reader = BufReader::new(&stream);
-    let response = match read_request(&mut reader, max_body_bytes) {
+    let response = match read_request(&mut reader, &mut &stream, max_body_bytes) {
         // Nothing has been written yet, so a panicking handler can still
         // be answered with a proper error document.
         Ok(request) => {
@@ -527,9 +571,13 @@ where
     let _ = stream.shutdown(Shutdown::Both);
 }
 
+/// The `503` that [`serve`] answers when the admission queue is full.
+fn busy_response() -> HttpResponse {
+    error_response(503, "server busy: the request queue is full, retry later")
+}
+
 fn refuse_connection(stream: TcpStream) {
-    let response = error_response(503, "server busy: the request queue is full, retry later");
-    let _ = response.write_to(&mut &stream);
+    let _ = busy_response().write_to(&mut &stream);
     let _ = stream.shutdown(Shutdown::Both);
 }
 
@@ -872,6 +920,201 @@ mod tests {
         server.stop();
     }
 
+    const CONTINUE: &str = "HTTP/1.1 100 Continue\r\n\r\n";
+
+    #[test]
+    fn expect_100_continue_is_answered_before_the_body_is_read() {
+        let server = start_server(ServerOptions::default(), |request| {
+            HttpResponse::json(200, String::from_utf8(request.body.clone()).unwrap())
+        });
+        let body = "{\"kind\":\"ping\"}";
+        let mut stream = TcpStream::connect(server.addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let head = format!(
+            "POST /v1/eval HTTP/1.1\r\nHost: test\r\nExpect: 100-continue\r\n\
+             Content-Length: {}\r\n\r\n",
+            body.len()
+        );
+        stream.write_all(head.as_bytes()).expect("write head");
+        let mut interim = [0_u8; CONTINUE.len()];
+        stream
+            .read_exact(&mut interim)
+            .expect("the interim response arrives before the body is sent");
+        assert_eq!(interim, CONTINUE.as_bytes());
+        stream.write_all(body.as_bytes()).expect("write body");
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("read response");
+        let (status, _, echoed) = parse_response(&raw);
+        assert_eq!(status, 200);
+        assert_eq!(echoed, body);
+        server.stop();
+    }
+
+    #[test]
+    fn only_an_accepted_http_1_1_expectation_gets_100_continue() {
+        let interim_for = |raw: &str| {
+            let mut interim = Vec::new();
+            let status = match read_request(&mut raw.as_bytes(), &mut interim, TEST_BODY_LIMIT) {
+                Ok(request) => {
+                    assert_eq!(request.body, b"{}");
+                    200
+                }
+                Err(err) => err.status,
+            };
+            (status, String::from_utf8(interim).unwrap())
+        };
+        let cases = [
+            ("HTTP/1.1", "100-Continue", "2\r\n\r\n{}", 200, CONTINUE),
+            ("HTTP/1.0", "100-continue", "2\r\n\r\n{}", 200, ""),
+            ("HTTP/1.1", "something-else", "2\r\n\r\n{}", 200, ""),
+            ("HTTP/1.1", "100-continue", "65\r\n\r\n", 413, ""),
+            ("HTTP/1.1", "100-continue", "two\r\n\r\n{}", 400, ""),
+        ];
+        for (version, expect, length_and_body, status, interim) in cases {
+            let raw = format!(
+                "POST / {version}\r\nExpect: {expect}\r\nContent-Length: {length_and_body}"
+            );
+            assert_eq!(interim_for(&raw), (status, interim.to_string()), "{raw:?}");
+        }
+    }
+
+    /// A writer that counts its calls (on a socket, each is one `send()`)
+    /// and takes at most `limit` bytes per call.
+    struct CountingWriter {
+        calls: usize,
+        limit: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl CountingWriter {
+        fn taking_at_most(limit: usize) -> Self {
+            Self {
+                calls: 0,
+                limit,
+                bytes: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let before = self.bytes.len();
+            for buf in bufs {
+                let room = self.limit - (self.bytes.len() - before);
+                self.bytes.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The write calls `response` takes and the bytes it sends, through a
+    /// writer that takes at most `limit` bytes per call.
+    fn written(response: &HttpResponse, limit: usize) -> (usize, String) {
+        let mut out = CountingWriter::taking_at_most(limit);
+        response.write_to(&mut out).expect("the writer never fails");
+        (
+            out.calls,
+            String::from_utf8(out.bytes).expect("UTF-8 response"),
+        )
+    }
+
+    #[test]
+    fn every_buffered_response_is_one_write_of_unchanged_bytes() {
+        let too_large = read_request(
+            &mut &b"POST /v1/eval HTTP/1.1\r\nContent-Length: 65\r\n\r\n"[..],
+            &mut io::sink(),
+            TEST_BODY_LIMIT,
+        )
+        .expect_err("65 bytes exceed the limit")
+        .into_response();
+        let error = |status: u16, reason: &str, message: &str, length: usize| {
+            format!(
+                "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n\
+                 Content-Length: {length}\r\nConnection: close\r\n\r\n\
+                 {{\n  \"schema_version\": 1,\n  \"kind\": \"error\",\n  \
+                 \"status\": {status},\n  \"error\": \"{message}\"\n}}\n"
+            )
+        };
+        let cases = [
+            (
+                "200 with both cache markers",
+                HttpResponse::json(200, "{\"kind\":\"ping\"}")
+                    .with_header("X-Ja-Cache", "hit")
+                    .with_header("X-Ja-Cache-Key", format!("{:032x}", 42)),
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nX-Ja-Cache: hit\r\n\
+                 X-Ja-Cache-Key: 0000000000000000000000000000002a\r\nContent-Length: 15\r\n\
+                 Connection: close\r\n\r\n{\"kind\":\"ping\"}"
+                    .to_string(),
+            ),
+            (
+                "plain 200",
+                HttpResponse::json(200, "{\"ok\":true}"),
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 11\r\n\
+                 Connection: close\r\n\r\n{\"ok\":true}"
+                    .to_string(),
+            ),
+            (
+                "413",
+                too_large,
+                error(
+                    413,
+                    "Payload Too Large",
+                    "request body of 65 bytes exceeds the 64-byte limit",
+                    127,
+                ),
+            ),
+            (
+                "503 refusal",
+                busy_response(),
+                error(
+                    503,
+                    "Service Unavailable",
+                    "server busy: the request queue is full, retry later",
+                    128,
+                ),
+            ),
+        ];
+        for (what, response, bytes) in cases {
+            assert_eq!(written(&response, usize::MAX), (1, bytes), "{what}");
+        }
+    }
+
+    #[test]
+    fn a_stream_head_is_one_write() {
+        let response = HttpResponse::ndjson_stream(|out| out.write_all(b"{\"index\":0}\n"));
+        assert_eq!(
+            written(&response, usize::MAX),
+            (
+                2,
+                "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n\
+                 {\"index\":0}\n"
+                    .to_string()
+            ),
+            "one write for the head, one for the record"
+        );
+    }
+
+    #[test]
+    fn short_vectored_writes_still_send_every_byte_in_order() {
+        let response = HttpResponse::json(200, "{\"ok\":true}").with_header("X-Ja-Cache", "miss");
+        let (_, whole) = written(&response, usize::MAX);
+        // Short inside the head, exactly at its end, and inside the body.
+        for limit in [1, 7, whole.len() - 11, whole.len() - 3] {
+            assert_eq!(written(&response, limit).1, whole, "limit {limit}");
+        }
+    }
+
     /// A handler gate: requests block inside the handler until released.
     struct Gate {
         entered: Mutex<usize>,
@@ -1094,10 +1337,10 @@ mod tests {
     const TEST_BODY_LIMIT: usize = 64;
 
     /// Request pieces: request lines good and bad, headers (huge and
-    /// negative lengths, `Transfer-Encoding`, non-UTF-8 bytes, an
-    /// overlong line, one past the header cap), every line ending, and
+    /// negative lengths, `Transfer-Encoding`, `Expect`, non-UTF-8 bytes,
+    /// an overlong line, one past the header cap), every line ending, and
     /// body bytes.
-    const HTTP_TOKENS: [&[u8]; 30] = [
+    const HTTP_TOKENS: [&[u8]; 32] = [
         b"GET /v1/health HTTP/1.1",
         b"POST /v1/eval HTTP/1.0",
         b"GET  HTTP/1.1",
@@ -1114,6 +1357,8 @@ mod tests {
         b"Content-Length: 5, 5",
         b"Transfer-Encoding: chunked",
         b"transfer-encoding: identity",
+        b"Expect: 100-continue",
+        b"expect: 100-Continue, 100-continue",
         b"Host: localhost",
         b"X-Bytes: \xfe\xff",
         b"no colon here",
@@ -1149,7 +1394,7 @@ mod tests {
     /// Parses `bytes` without panicking: a request, or a 400 or 413.
     fn assert_read_request_is_total(bytes: &[u8]) {
         let mut reader = bytes;
-        match read_request(&mut reader, TEST_BODY_LIMIT) {
+        match read_request(&mut reader, &mut io::sink(), TEST_BODY_LIMIT) {
             Ok(request) => assert!(request.body.len() <= TEST_BODY_LIMIT),
             Err(err) => assert!(
                 matches!(err.status, 400 | 413),
