@@ -12,7 +12,9 @@
 //!
 //! The `thermal8` pair runs one job the way `ja batch` routes a thermal
 //! grid: eight lanes of one material at neighbouring temperatures, stepped
-//! at 5 A/m, each lane's curve rebuilt from the trajectory in turn.
+//! at 5 A/m.  The SoA arm does what a report path does with the job: one
+//! sweep that folds every lane, then each lane's loop metrics from its
+//! fold; the scalar arm builds each lane's curve.
 
 use std::time::Instant;
 
@@ -144,14 +146,12 @@ fn benches(c: &mut Criterion) {
         b.iter(|| black_box(run_scalar(&thermal, &thermal_schedule)))
     });
     let mut batch = SoaBatch::new(JaConfig::default(), SoaPrecision::F64).expect("batch");
-    let mut curve = BhCurve::new();
     group.bench_function(format!("soa_thermal{THERMAL_LANES}"), |b| {
         b.iter(|| {
             batch.assign(&thermal);
             batch.run_samples(&thermal_samples);
             for lane in 0..THERMAL_LANES {
-                batch.lane_curve_into(lane, &thermal_samples, &mut curve);
-                black_box(&curve);
+                black_box(batch.lane_fold(lane).finish().expect("closed loop"));
             }
         })
     });

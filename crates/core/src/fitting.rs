@@ -120,12 +120,12 @@ pub struct FitResult {
 ///
 /// Both execute the same operation sequence per candidate and fold its
 /// bit-identical `(H, B)` samples straight into [`IncrementalLoopMetrics`]
-/// — the lanes from the sweep's trajectory, the scalar model sample by
+/// — the lanes inside the lockstep kernel, the scalar model sample by
 /// sample — so the evaluator never changes a cost, only the throughput.
-/// No candidate's curve is ever built.
+/// No candidate's curve or trajectory is ever built.
 ///
 /// All evaluation scratch is owned and reused: the flattened sample vector,
-/// the SoA parameter/state columns and trajectory, and the cost vector
+/// the SoA parameter/state columns and folds, and the cost vector
 /// only ever grow to the high-water candidate count.  After the first call
 /// at a given count, a cost call performs **no heap allocation** (the
 /// metrics fold is a handful of running sums) — asserted by the
@@ -212,15 +212,11 @@ impl BatchObjective {
                 for lane in 0..lanes {
                     let cost = match batch.lane_error(lane) {
                         Some(err) => Err(err.clone()),
-                        None => {
-                            let mut fold = IncrementalLoopMetrics::new();
-                            for (h, b, _) in batch.lane_points(lane, &self.samples) {
-                                fold.push(h, b);
-                            }
-                            fold.finish()
-                                .map(|metrics| metric_mismatch(&metrics, &self.target))
-                                .map_err(JaError::from)
-                        }
+                        None => batch
+                            .lane_fold(lane)
+                            .finish()
+                            .map(|metrics| metric_mismatch(&metrics, &self.target))
+                            .map_err(JaError::from),
                     };
                     self.costs.push(cost);
                 }

@@ -44,14 +44,15 @@
 //! into one FMA unless asked to, so wider registers change how many lanes
 //! one instruction steps, never a lane's result.
 //!
-//! A run does not build curves.  Every sample appends one row holding each
-//! lane's stored `m_total` to a sample-major trajectory (8 bytes per
-//! lane-sample instead of a 24-byte curve point).  A lane's `(h, b, m)`
-//! points come back from it on demand, with the scalar model's own
-//! expressions: [`SoaBatch::lane_curve_into`] rebuilds them into a B–H
-//! curve, so a caller can reduce the lanes one at a time and keep a single
-//! curve alive, and the fit objective folds them straight into loop
-//! metrics without building a curve at all.
+//! A run builds no curves and, by default, keeps no trajectory: right
+//! after a lane's sample passes the finite-state check, the kernel feeds
+//! its `(H, B)` point — the scalar model's own expression — to that lane's
+//! [`IncrementalLoopMetrics`], the one fold behind the loop metrics and
+//! the core loss.  [`SoaBatch::lane_fold`] hands each lane's fold to the
+//! caller, so a lockstep job reduces straight to metrics and loss, and the
+//! fit objective to a cost.  [`SoaBatch::run_samples_into_curves`]
+//! additionally records each lane's stored `m_total` after every sample
+//! (8 bytes per lane-sample) and rebuilds the lanes' B–H curves from it.
 //!
 //! Lanes are fully independent: a lane whose parameters fail validation or
 //! whose state diverges records its [`JaError`] and goes inactive without
@@ -62,6 +63,7 @@ use magnetics::anhysteretic::AnhystereticKind;
 use magnetics::bh::BhCurve;
 use magnetics::constants::MU0;
 use magnetics::fastmath;
+use magnetics::loop_analysis::IncrementalLoopMetrics;
 use magnetics::material::JaParameters;
 use magnetics::units::Magnetisation;
 
@@ -143,45 +145,17 @@ impl StateColumns {
     }
 }
 
-/// The lanes' trajectories of the last run: each lane's stored `m_total`
-/// after every sample, as one sample-major column (row `s` holds every
-/// lane's value after sample `s`), and per lane the number of leading
-/// samples its curve keeps — the whole run, or the samples before the lane
-/// failed.  Rows at or past a lane's end may hold stale values; every read
-/// stops at the end.
-#[derive(Debug, Clone, Default)]
-struct Trajectory {
-    m_total: Vec<f64>,
-    ends: Vec<usize>,
-}
-
-impl Trajectory {
-    /// Ends each of `lanes` lanes at 0: every curve is empty.
-    fn clear(&mut self, lanes: usize) {
-        self.ends.clear();
-        self.ends.resize(lanes, 0);
-    }
-
-    /// Sizes the column for `lanes` lanes over `samples` samples and ends
-    /// every lane at 0, reusing the allocation (an unchanged size writes
-    /// nothing).
-    fn reset(&mut self, lanes: usize, samples: usize) {
-        self.m_total.resize(lanes * samples, 0.0);
-        self.clear(lanes);
-    }
-}
-
 /// A batch of Jiles–Atherton lanes sharing one configuration and one
 /// applied-field sequence, laid out as structure-of-arrays columns.
 ///
 /// Lifecycle: construct once per configuration, then
 /// repeatedly [`assign`](SoaBatch::assign) parameter sets,
-/// [`run_samples`](SoaBatch::run_samples) and rebuild the curves needed
-/// with [`lane_curve_into`](SoaBatch::lane_curve_into) (or do both with
-/// [`run_samples_into_curves`](SoaBatch::run_samples_into_curves)).  All
-/// columns reuse their allocations across assignments, so steady-state
-/// re-evaluation (the multi-start fitting inner loop) performs no per-call
-/// allocation.
+/// [`run_samples`](SoaBatch::run_samples) and read each lane's
+/// [`lane_fold`](SoaBatch::lane_fold) (or
+/// [`run_samples_into_curves`](SoaBatch::run_samples_into_curves) when the
+/// curves themselves are needed).  All columns reuse their allocations
+/// across assignments, so steady-state re-evaluation (the multi-start
+/// fitting inner loop) performs no per-call allocation.
 #[derive(Debug, Clone)]
 pub struct SoaBatch {
     config: JaConfig,
@@ -196,12 +170,17 @@ pub struct SoaBatch {
     stats: Vec<JaStatistics>,
     errors: Vec<Option<JaError>>,
     scratch: LockstepScratch,
-    trajectory: Trajectory,
+    /// Each lane's fold of the last run.
+    folds: Vec<IncrementalLoopMetrics>,
+    /// The last recording run's `m_total` trajectory, sample-major (row `s`
+    /// holds every lane's value after sample `s`); a lane's rows past its
+    /// fold's length may hold stale values.
+    trajectory: Vec<f64>,
 }
 
 /// One run's view of a batch: the shared configuration and sample-invariant
-/// lane columns, and the per-lane state, statistics, errors and trajectory
-/// the kernels write.
+/// lane columns, and the per-lane state, statistics, errors and folds the
+/// kernels write, plus the trajectory when the run records one.
 struct Sweep<'x> {
     config: &'x JaConfig,
     anhysteretic: &'x [AnhystereticKind],
@@ -211,7 +190,10 @@ struct Sweep<'x> {
     work: &'x mut LockstepScratch,
     stats: &'x mut [JaStatistics],
     errors: &'x mut [Option<JaError>],
-    trajectory: &'x mut Trajectory,
+    folds: &'x mut [IncrementalLoopMetrics],
+    /// The sample-major `m_total` rows to record, sized for the samples, or
+    /// `None` to record nothing.
+    trajectory: Option<&'x mut [f64]>,
 }
 
 /// Reusable working buffers of the lockstep kernel: the `f64` state fields
@@ -261,7 +243,8 @@ impl SoaBatch {
             stats: Vec::new(),
             errors: Vec::new(),
             scratch: LockstepScratch::default(),
-            trajectory: Trajectory::default(),
+            folds: Vec::new(),
+            trajectory: Vec::new(),
         })
     }
 
@@ -321,27 +304,57 @@ impl SoaBatch {
             }
         }
         self.columns.reset(lanes);
-        self.trajectory.clear(lanes);
+        self.folds.clear();
+        self.folds.resize(lanes, IncrementalLoopMetrics::new());
     }
 
-    /// Reconstructs one lane's parameter set from the columns.
-    #[inline]
-    fn lane_params(&self, lane: usize) -> JaParameters {
-        JaParameters {
-            m_sat: magnetics::units::Magnetisation::new(self.m_sat[lane]),
-            a: self.a[lane],
-            a2: self.a2[lane],
-            k: self.k[lane],
-            alpha: self.alpha[lane],
-            c: self.c[lane],
+    /// Steps every active lane through `samples` in lockstep, folding each
+    /// lane's `(H, B)` points into its [`lane_fold`](SoaBatch::lane_fold);
+    /// no trajectory is recorded and no curve is built.  A lane whose state
+    /// diverges records its error and stops; the remaining lanes continue.
+    pub fn run_samples(&mut self, samples: &[f64]) {
+        self.run(samples, false);
+    }
+
+    /// [`run_samples`](SoaBatch::run_samples), also recording the
+    /// trajectory, then each lane's B–H curve rebuilt from it: `curves` must
+    /// hold exactly [`lanes`](SoaBatch::lanes) curves, each cleared first
+    /// and its capacity reused.  A curve holds one `(h, b, m)` point per
+    /// sample its lane stepped, from the same expressions as the scalar
+    /// model: a lane that failed keeps the points before its failure, and a
+    /// lane that never ran has an empty curve.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `curves.len()` differs from the assigned lane count.
+    pub fn run_samples_into_curves(&mut self, samples: &[f64], curves: &mut [BhCurve]) {
+        assert_eq!(
+            curves.len(),
+            self.lanes(),
+            "one output curve per lane is required"
+        );
+        self.run(samples, true);
+        for (lane, curve) in curves.iter_mut().enumerate() {
+            self.lane_curve_into(lane, samples, curve);
         }
     }
 
-    /// Steps every active lane through `samples` in lockstep, recording each
-    /// lane's trajectory for [`lane_curve_into`](SoaBatch::lane_curve_into).
-    /// A lane whose state diverges records its error and stops; the
-    /// remaining lanes continue.
-    pub fn run_samples(&mut self, samples: &[f64]) {
+    /// One lane's fold of the last run: one `(H, B)` point per sample the
+    /// lane stepped, so a lane that failed holds the points before its
+    /// failure, and a lane that never ran (or was re-assigned since) holds
+    /// none.  Bit for bit the fold of the lane's rebuilt curve
+    /// ([`IncrementalLoopMetrics::of`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane` is out of range.
+    pub fn lane_fold(&self, lane: usize) -> &IncrementalLoopMetrics {
+        &self.folds[lane]
+    }
+
+    /// Steps every active lane through `samples`, folding each lane afresh
+    /// and, when `record` is set, recording the trajectory.
+    fn run(&mut self, samples: &[f64], record: bool) {
         let Self {
             config,
             m_sat,
@@ -355,10 +368,14 @@ impl SoaBatch {
             stats,
             errors,
             scratch,
+            folds,
             trajectory,
         } = self;
         let lanes = stats.len();
-        trajectory.reset(lanes, samples.len());
+        folds.fill(IncrementalLoopMetrics::new());
+        if record {
+            trajectory.resize(lanes * samples.len(), 0.0);
+        }
         if lanes == 0 {
             return;
         }
@@ -372,77 +389,26 @@ impl SoaBatch {
                 work: scratch,
                 stats,
                 errors,
-                trajectory,
+                folds,
+                trajectory: record.then_some(&mut trajectory[..]),
             },
             law.as_ref(),
             samples,
         );
     }
 
-    /// One lane's `(h, b, m)` points of the last
-    /// [`run_samples`](SoaBatch::run_samples), one per sample the lane
-    /// stepped, from the same expressions as the scalar model.  A lane that
-    /// failed yields the points before its failure, and a lane that never
-    /// ran yields none.  `samples` must be the sequence the run stepped.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lane` is out of range or `samples` is shorter than the
-    /// lane's run.
-    pub(crate) fn lane_points<'a>(
-        &'a self,
-        lane: usize,
-        samples: &'a [f64],
-    ) -> impl Iterator<Item = (f64, f64, f64)> + 'a {
+    /// Rebuilds one lane's B–H curve of the last recording run into
+    /// `curve`, which is cleared first and keeps its capacity.  `samples`
+    /// must be the sequence the run stepped.
+    fn lane_curve_into(&self, lane: usize, samples: &[f64], curve: &mut BhCurve) {
         let lanes = self.lanes();
         let sat = self.m_sat[lane];
-        let m_totals = &self.trajectory.m_total;
-        samples[..self.trajectory.ends[lane]]
-            .iter()
-            .enumerate()
-            .map(move |(row, &h)| {
-                let m_total = m_totals[row * lanes + lane];
-                (h, MU0 * (h + m_total * sat), m_total * sat)
-            })
-    }
-
-    /// Rebuilds one lane's B–H curve of the last
-    /// [`run_samples`](SoaBatch::run_samples) into `curve`, which is cleared
-    /// first and keeps its capacity: one `(h, b, m)` point per sample the
-    /// lane stepped, from the same expressions as the scalar model.  A lane
-    /// that failed keeps the points before its failure, and a lane that
-    /// never ran has an empty curve.  `samples` must be the sequence the run
-    /// stepped.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lane` is out of range or `samples` is shorter than the
-    /// lane's curve.
-    pub fn lane_curve_into(&self, lane: usize, samples: &[f64], curve: &mut BhCurve) {
+        let end = self.folds[lane].len();
         curve.clear();
-        curve.reserve(self.trajectory.ends[lane]);
-        for (h, b, m) in self.lane_points(lane, samples) {
-            curve.push_raw(h, b, m);
-        }
-    }
-
-    /// [`run_samples`](SoaBatch::run_samples), then
-    /// [`lane_curve_into`](SoaBatch::lane_curve_into) for every lane:
-    /// `curves` must hold exactly [`lanes`](SoaBatch::lanes) curves, each
-    /// cleared first and its capacity reused.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `curves.len()` differs from the assigned lane count.
-    pub fn run_samples_into_curves(&mut self, samples: &[f64], curves: &mut [BhCurve]) {
-        assert_eq!(
-            curves.len(),
-            self.lanes(),
-            "one output curve per lane is required"
-        );
-        self.run_samples(samples);
-        for (lane, curve) in curves.iter_mut().enumerate() {
-            self.lane_curve_into(lane, samples, curve);
+        curve.reserve(end);
+        for (row, &h) in samples[..end].iter().enumerate() {
+            let m_total = self.trajectory[row * lanes + lane];
+            curve.push_raw(h, MU0 * (h + m_total * sat), m_total * sat);
         }
     }
 
@@ -462,15 +428,6 @@ impl SoaBatch {
     /// Panics when `lane` is out of range.
     pub fn lane_error(&self, lane: usize) -> Option<&JaError> {
         self.errors[lane].as_ref()
-    }
-
-    /// The reconstructed parameter set of one lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lane` is out of range.
-    pub fn lane_parameters(&self, lane: usize) -> JaParameters {
-        self.lane_params(lane)
     }
 }
 
@@ -650,13 +607,14 @@ fn run_lanes_lockstep_avx2<M: LockstepMan>(
 ///    done, and the iteration stops as soon as every lane is done: a done
 ///    lane's values no longer change, so stopping early changes no bits;
 /// 3. **finalise** (per live lane): count the sample, rebuild the
-///    reversible part, store the state in the columns, detect divergence
-///    and record `m_total` in the sample's trajectory row.
+///    reversible part, store the state in the columns, detect divergence,
+///    fold the sample's `(H, B)` point and, when recording, store
+///    `m_total` in the sample's trajectory row.
 ///
 /// Always inlined, so each caller — the portable dispatch and the AVX2
 /// `#[target_feature]` function — compiles its own copy with its own
-/// instruction set.  Expects at least one lane and a trajectory sized by
-/// [`Trajectory::reset`] for `samples`.
+/// instruction set.  Expects at least one lane, and a trajectory, if any,
+/// sized for `samples`.
 #[inline(always)]
 fn run_lanes_lockstep<M: LockstepMan>(sweep: &mut Sweep<'_>, man: &M, samples: &[f64]) {
     let config = sweep.config;
@@ -665,11 +623,12 @@ fn run_lanes_lockstep<M: LockstepMan>(sweep: &mut Sweep<'_>, man: &M, samples: &
     let work = &mut *sweep.work;
     let stats = &mut *sweep.stats;
     let errors = &mut *sweep.errors;
-    let Trajectory {
-        m_total: rows,
-        ends,
-    } = &mut *sweep.trajectory;
     let lanes = stats.len();
+    let folds = &mut sweep.folds[..lanes];
+    let mut rows = sweep
+        .trajectory
+        .as_deref_mut()
+        .map(|rows| rows.chunks_exact_mut(lanes));
     assert_eq!(man.lanes(), lanes, "lockstep law must cover every lane");
     // Exactly-sized slices let the optimiser prove every `[lane]` access in
     // the hot lane-inner loops is in bounds, which is what allows it to
@@ -738,23 +697,19 @@ fn run_lanes_lockstep<M: LockstepMan>(sweep: &mut Sweep<'_>, man: &M, samples: &
     let w_negative = &mut w_negative[..lanes];
     let w_rejected = &mut w_rejected[..lanes];
     let w_done = &mut w_done[..lanes];
-    let ends = &mut ends[..lanes];
 
-    // Live lanes end where the sweep ends: after the last sample, or at a
-    // non-finite one.
-    let mut stepped = samples.len();
-    for (row, (&h, m_totals)) in samples.iter().zip(rows.chunks_exact_mut(lanes)).enumerate() {
+    for &h in samples {
         if !h.is_finite() {
             // Every live lane fails this sample exactly like the scalar
-            // model: no statistics, no state change, curve truncated here.
+            // model: no statistics, no state change, fold truncated here.
             for error in errors.iter_mut() {
                 if error.is_none() {
                     *error = Some(JaError::NonFiniteField { value: h });
                 }
             }
-            stepped = row;
             break;
         }
+        let mut m_totals = rows.as_mut().and_then(Iterator::next);
 
         // Phase 1 — the paper's monitorH gate and irreversible update.
         if lane_inner_update {
@@ -859,7 +814,7 @@ fn run_lanes_lockstep<M: LockstepMan>(sweep: &mut Sweep<'_>, man: &M, samples: &
             }
         }
 
-        // Phase 3 — finalise, store, record.
+        // Phase 3 — finalise, store, fold, record.
         for lane in 0..lanes {
             if !w_live[lane] {
                 continue;
@@ -878,15 +833,12 @@ fn run_lanes_lockstep<M: LockstepMan>(sweep: &mut Sweep<'_>, man: &M, samples: &
             if !state.is_finite() {
                 errors[lane] = Some(JaError::StateDiverged { at_field: h });
                 w_live[lane] = false;
-                ends[lane] = row;
                 continue;
             }
-            m_totals[lane] = w_m_total[lane];
-        }
-    }
-    for (end, &live) in ends.iter_mut().zip(w_live.iter()) {
-        if live {
-            *end = stepped;
+            folds[lane].push(h, MU0 * (h + state.m_total * m_sat[lane]));
+            if let Some(m_totals) = &mut m_totals {
+                m_totals[lane] = state.m_total;
+            }
         }
     }
 }
@@ -895,8 +847,8 @@ fn run_lanes_lockstep<M: LockstepMan>(sweep: &mut Sweep<'_>, man: &M, samples: &
 /// sequence with its state held in locals, delegating each step to the
 /// shared [`advance_state`].  Lane-major order keeps the per-lane state
 /// hot; the per-lane operation sequence is exactly the scalar model's,
-/// which is what makes the lanes bit-identical.  Expects a trajectory
-/// sized by [`Trajectory::reset`] for `samples`.
+/// which is what makes the lanes bit-identical.  Each stepped sample is
+/// folded, and recorded into a trajectory, if any, sized for `samples`.
 fn run_lanes(sweep: &mut Sweep<'_>, samples: &[f64]) {
     let Sweep {
         config,
@@ -905,6 +857,7 @@ fn run_lanes(sweep: &mut Sweep<'_>, samples: &[f64]) {
         columns,
         stats,
         errors,
+        folds,
         trajectory,
         ..
     } = sweep;
@@ -923,7 +876,6 @@ fn run_lanes(sweep: &mut Sweep<'_>, samples: &[f64]) {
         };
         let lane_anhysteretic = &anhysteretic[lane];
         let mut lane_stats = stats[lane];
-        let mut end = samples.len();
         let mut state = columns.load(lane);
         for (row, &h) in samples.iter().enumerate() {
             let step = advance_state(
@@ -936,13 +888,14 @@ fn run_lanes(sweep: &mut Sweep<'_>, samples: &[f64]) {
             );
             if let Err(err) = step {
                 errors[lane] = Some(err);
-                end = row;
                 break;
             }
-            trajectory.m_total[row * lanes + lane] = state.m_total;
+            folds[lane].push(h, MU0 * (h + state.m_total * m_sat[lane]));
+            if let Some(rows) = trajectory {
+                rows[row * lanes + lane] = state.m_total;
+            }
         }
         columns.store(lane, &state);
-        trajectory.ends[lane] = end;
         stats[lane] = lane_stats;
     }
 }
@@ -951,7 +904,11 @@ fn run_lanes(sweep: &mut Sweep<'_>, samples: &[f64]) {
 mod tests {
     use super::*;
     use crate::backend::HysteresisBackend;
+    use crate::config::Formulation;
     use crate::model::JilesAtherton;
+    use magnetics::error::MagneticsError;
+    use magnetics::geometry::CoreGeometry;
+    use magnetics::losses::{core_loss_of, LaminationSpec};
     use waveform::schedule::FieldSchedule;
 
     fn materials() -> Vec<JaParameters> {
@@ -975,6 +932,33 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// What a report keeps of a fold, as bits: its length, its loop
+    /// metrics and its core loss, errors included.
+    type FoldBits = (
+        usize,
+        Result<[u64; 6], MagneticsError>,
+        Result<[u64; 4], MagneticsError>,
+    );
+
+    fn fold_bits(fold: &IncrementalLoopMetrics) -> FoldBits {
+        let lamination = Some(LaminationSpec::silicon_steel_0p35mm());
+        let loss = core_loss_of(fold, &CoreGeometry::demo(), 50.0, lamination);
+        (
+            fold.len(),
+            fold.finish()
+                .map(|metrics| metrics.named_values().map(|(_, value)| value.to_bits())),
+            loss.map(|loss| {
+                [
+                    loss.hysteresis_w,
+                    loss.eddy_w,
+                    loss.total_w,
+                    loss.energy_per_cycle_j,
+                ]
+                .map(f64::to_bits)
+            }),
+        )
     }
 
     #[test]
@@ -1037,12 +1021,14 @@ mod tests {
     }
 
     #[test]
-    fn lane_curves_rebuild_the_scalar_curve_up_to_each_lanes_failure() {
+    fn lane_folds_and_curves_match_the_scalar_model_up_to_each_lanes_failure() {
         // Without pinning coupling and with a vanishing `k`, the slope
         // overflows and the lane diverges early; an invalid lane never
         // runs; a NaN sample mid-sweep fails every live lane like the
-        // scalar model — each curve is the scalar model's, rebuilt one lane
-        // at a time into one reused buffer.
+        // scalar model.  Each rebuilt curve is the scalar model's, and each
+        // lane's fold — recorded or not — is the fold of that curve, on
+        // the lockstep kernel (Euler lane-inner, Heun, RK4, subdivided) and
+        // on the classic-Langevin per-lane fallback alike.
         let mut diverging = JaParameters::date2006();
         diverging.k = 1e-300;
         diverging.alpha = 0.0;
@@ -1059,57 +1045,91 @@ mod tests {
             .to_samples();
         let cut = samples.len() * 3 / 4;
         samples[cut] = f64::NAN;
-        let config = JaConfig::default();
-        let mut batch = SoaBatch::new(config, SoaPrecision::F64).expect("config");
+        let mut configs = Vec::new();
+        for law in [
+            AnhystereticChoice::ModifiedLangevin,
+            AnhystereticChoice::Langevin,
+        ] {
+            for integration in [
+                SlopeIntegration::ForwardEuler,
+                SlopeIntegration::Heun,
+                SlopeIntegration::RungeKutta4,
+            ] {
+                let config = JaConfig::default()
+                    .with_anhysteretic(law)
+                    .with_integration(integration);
+                configs.extend([config, config.with_subdivision()]);
+            }
+        }
+        configs.push(JaConfig::default().with_formulation(Formulation::Classic));
+
+        let mut curves = vec![BhCurve::new(); params.len()];
+        for config in configs {
+            let mut batch = SoaBatch::new(config, SoaPrecision::F64).expect("config");
+            batch.assign(&params);
+            batch.run_samples_into_curves(&samples, &mut curves);
+            let mut unrecorded = SoaBatch::new(config, SoaPrecision::F64).expect("config");
+            unrecorded.assign(&params);
+            unrecorded.run_samples(&samples);
+
+            assert!(matches!(batch.lane_error(2), Some(JaError::Material(_))));
+            for (lane, p) in params.iter().enumerate() {
+                let label = format!("{config:?} lane {lane}");
+                let mut reference = BhCurve::new();
+                let error = JilesAtherton::with_config(*p, config)
+                    .and_then(|mut scalar| {
+                        let error = scalar.run_samples_into(&samples, &mut reference);
+                        assert_eq!(batch.lane_statistics(lane), scalar.statistics());
+                        error
+                    })
+                    .expect_err("every lane fails");
+                // Debug text, because a NaN field never compares equal.
+                assert_eq!(
+                    format!("{:?}", batch.lane_error(lane)),
+                    format!("{:?}", Some(error)),
+                    "{label}"
+                );
+                assert_eq!(curve_bits(&curves[lane]), curve_bits(&reference), "{label}");
+                let folded = fold_bits(&IncrementalLoopMetrics::of(&curves[lane]));
+                assert_eq!(fold_bits(batch.lane_fold(lane)), folded, "{label}");
+                assert_eq!(fold_bits(unrecorded.lane_fold(lane)), folded, "{label}");
+                assert_eq!(
+                    format!("{:?}", unrecorded.lane_error(lane)),
+                    format!("{:?}", batch.lane_error(lane)),
+                    "{label}"
+                );
+                assert_eq!(
+                    unrecorded.lane_statistics(lane),
+                    batch.lane_statistics(lane)
+                );
+            }
+            assert_eq!(curves[0].len(), cut, "{config:?}");
+            assert!(curves[2].is_empty());
+            assert_eq!(batch.lane_statistics(2), JaStatistics::default());
+        }
+        let mut batch = SoaBatch::new(JaConfig::default(), SoaPrecision::F64).expect("config");
         batch.assign(&params);
         batch.run_samples(&samples);
-
         assert!(matches!(
             batch.lane_error(1),
             Some(JaError::StateDiverged { .. })
         ));
-        assert!(matches!(batch.lane_error(2), Some(JaError::Material(_))));
-        let mut curve = BhCurve::new();
-        for (lane, p) in params.iter().enumerate() {
-            batch.lane_curve_into(lane, &samples, &mut curve);
-            let mut reference = BhCurve::new();
-            let error = JilesAtherton::with_config(*p, config)
-                .and_then(|mut scalar| {
-                    let error = scalar.run_samples_into(&samples, &mut reference);
-                    assert_eq!(batch.lane_statistics(lane), scalar.statistics());
-                    error
-                })
-                .expect_err("every lane fails");
-            // Debug text, because a NaN field never compares equal.
-            assert_eq!(
-                format!("{:?}", batch.lane_error(lane)),
-                format!("{:?}", Some(error)),
-                "lane {lane}"
-            );
-            assert_eq!(curve_bits(&curve), curve_bits(&reference), "lane {lane}");
-        }
-        batch.lane_curve_into(0, &samples, &mut curve);
-        assert_eq!(curve.len(), cut);
-        batch.lane_curve_into(1, &samples, &mut curve);
-        assert!(!curve.is_empty() && curve.len() < cut);
-        batch.lane_curve_into(2, &samples, &mut curve);
-        assert!(curve.is_empty());
-        assert_eq!(batch.lane_statistics(2), JaStatistics::default());
+        let diverged_at = batch.lane_fold(1).len();
+        assert!(diverged_at > 0 && diverged_at < cut);
+        assert!(batch.lane_fold(1).finish().is_err());
 
-        // Re-assigning ends every lane's curve until the next run, as does
-        // a batch that never ran.
+        // Re-assigning empties every lane's fold until the next run, as
+        // does a batch that never ran.
         batch.assign(&params);
-        batch.lane_curve_into(3, &samples, &mut curve);
-        assert!(curve.is_empty());
-        let mut fresh = SoaBatch::new(config, SoaPrecision::F64).expect("config");
+        assert!(batch.lane_fold(3).is_empty());
+        let mut fresh = SoaBatch::new(JaConfig::default(), SoaPrecision::F64).expect("config");
         fresh.assign(&params);
-        fresh.lane_curve_into(3, &samples, &mut curve);
-        assert!(curve.is_empty());
+        assert!(fresh.lane_fold(3).is_empty());
     }
 
     /// `lanes` lanes shaped like the thermal grid's: the presets in turn,
-    /// each at its own temperature, with lane 5 invalid so the error path
-    /// is compared too.
+    /// each at its own temperature, with lane 5 invalid and lane 6 pinned
+    /// so weakly that it diverges, so both error paths are compared too.
     fn thermal_lanes(lanes: usize) -> Vec<JaParameters> {
         use magnetics::thermal::ThermalCoefficients;
         let presets = [
@@ -1137,15 +1157,20 @@ mod tests {
                 if lane == 5 {
                     params.k = -1.0;
                 }
+                if lane == 6 {
+                    params.k = 1e-300;
+                    params.alpha = 0.0;
+                }
                 params
             })
             .collect()
     }
 
     /// Runs a batch's assigned lanes through the portable copy of
-    /// the lockstep kernel, or through the AVX2 copy; `false` when the AVX2
-    /// copy cannot run on this CPU.
-    fn run_kernel_copy(batch: &mut SoaBatch, samples: &[f64], avx2: bool) -> bool {
+    /// the lockstep kernel, or through the AVX2 copy, recording the
+    /// trajectory when `record` is set; `false` when the AVX2 copy cannot
+    /// run on this CPU.
+    fn run_kernel_copy(batch: &mut SoaBatch, samples: &[f64], avx2: bool, record: bool) -> bool {
         let SoaBatch {
             config,
             m_sat,
@@ -1159,9 +1184,10 @@ mod tests {
             stats,
             errors,
             scratch,
+            folds,
             trajectory,
         } = batch;
-        trajectory.reset(stats.len(), samples.len());
+        trajectory.resize(stats.len() * samples.len(), 0.0);
         let man = SingleAtanLanes { a };
         let sweep = &mut Sweep {
             config,
@@ -1171,7 +1197,8 @@ mod tests {
             work: scratch,
             stats,
             errors,
-            trajectory,
+            folds,
+            trajectory: record.then_some(&mut trajectory[..]),
         };
         if avx2 {
             run_lanes_lockstep_avx2(sweep, &man, samples)
@@ -1183,28 +1210,58 @@ mod tests {
 
     #[test]
     fn avx2_copy_of_the_lockstep_kernel_is_bit_identical_to_the_portable_copy() {
-        let samples = FieldSchedule::major_loop(2_000.0, 5.0, 1)
+        let whole = FieldSchedule::major_loop(2_000.0, 5.0, 1)
             .expect("schedule")
             .to_samples();
-        // 1 to 17 lanes: an AVX2 vector body plus every remainder length.
-        for lanes in 1..=17 {
-            let params = thermal_lanes(lanes);
-            let mut portable = SoaBatch::new(JaConfig::default(), SoaPrecision::F64).expect("ok");
-            portable.assign(&params);
-            let mut avx2 = portable.clone();
-            assert!(run_kernel_copy(&mut portable, &samples, false));
-            if !run_kernel_copy(&mut avx2, &samples, true) {
-                eprintln!("note: this CPU has no AVX2, so only the portable copy ran");
-                return;
+        let mut truncated = whole.clone();
+        truncated[whole.len() * 7 / 8] = f64::NAN;
+        // 1 to 17 lanes: an AVX2 vector body plus every remainder length,
+        // over the whole sweep and one a NaN field truncates.
+        for samples in [&whole, &truncated] {
+            for lanes in 1..=17 {
+                let params = thermal_lanes(lanes);
+                let mut portable =
+                    SoaBatch::new(JaConfig::default(), SoaPrecision::F64).expect("ok");
+                portable.assign(&params);
+                let mut avx2 = portable.clone();
+                let mut unrecorded = portable.clone();
+                assert!(run_kernel_copy(&mut portable, samples, false, true));
+                if !run_kernel_copy(&mut avx2, samples, true, true) {
+                    eprintln!("note: this CPU has no AVX2, so only the portable copy ran");
+                    return;
+                }
+                assert!(run_kernel_copy(&mut unrecorded, samples, true, false));
+                let bits = |batch: &SoaBatch| -> Vec<u64> {
+                    batch
+                        .trajectory
+                        .iter()
+                        .map(|value| value.to_bits())
+                        .collect()
+                };
+                assert_eq!(bits(&avx2), bits(&portable), "{lanes} lanes: trajectory");
+                // Debug text, because a NaN field never compares equal.
+                let errors = |batch: &SoaBatch| format!("{:?}", batch.errors);
+                assert_eq!(avx2.stats, portable.stats, "{lanes} lanes: statistics");
+                assert_eq!(errors(&avx2), errors(&portable), "{lanes} lanes: errors");
+                assert_eq!(unrecorded.stats, avx2.stats, "{lanes} lanes: statistics");
+                assert_eq!(errors(&unrecorded), errors(&avx2), "{lanes} lanes: errors");
+                // Each copy's folds are the folds of the curves it rebuilds.
+                let mut curve = BhCurve::new();
+                for lane in 0..lanes {
+                    portable.lane_curve_into(lane, samples, &mut curve);
+                    let folded = fold_bits(&IncrementalLoopMetrics::of(&curve));
+                    let label = format!("{lanes} lanes: lane {lane}");
+                    assert_eq!(fold_bits(portable.lane_fold(lane)), folded, "{label}");
+                    assert_eq!(fold_bits(avx2.lane_fold(lane)), folded, "{label}");
+                    assert_eq!(fold_bits(unrecorded.lane_fold(lane)), folded, "{label}");
+                }
+                if lanes > 6 {
+                    assert!(matches!(
+                        avx2.lane_error(6),
+                        Some(JaError::StateDiverged { .. })
+                    ));
+                }
             }
-            let bits = |batch: &SoaBatch| -> Vec<u64> {
-                let trajectory = &batch.trajectory.m_total;
-                trajectory.iter().map(|value| value.to_bits()).collect()
-            };
-            assert_eq!(bits(&avx2), bits(&portable), "{lanes} lanes: trajectory");
-            assert_eq!(avx2.trajectory.ends, portable.trajectory.ends);
-            assert_eq!(avx2.stats, portable.stats, "{lanes} lanes: statistics");
-            assert_eq!(avx2.errors, portable.errors, "{lanes} lanes: errors");
         }
     }
 

@@ -206,12 +206,6 @@ impl Kernel {
             .push(at, Event::SignalWrite { signal: id, value });
     }
 
-    /// Schedules a timed wake-up of a process.
-    pub fn schedule_wakeup(&mut self, at: SimTime, process: ProcessId) {
-        self.events_scheduled += 1;
-        self.queue.push(at, Event::Wakeup { process });
-    }
-
     /// Runs delta cycles at the current time until no more signal changes
     /// occur.  Returns the number of delta cycles executed.
     ///

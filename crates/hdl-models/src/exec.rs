@@ -7,15 +7,20 @@
 //! a configurable error policy.  There is one executor,
 //! [`BatchRunner::run_in_order`]: a caller-supplied **reduce** step runs
 //! on the worker right after each scenario finishes and shrinks the
-//! outcome (curve included) to what the caller keeps — a rendered entry,
-//! an NDJSON record, or the whole outcome for [`BatchRunner::run`] — and
-//! an **emit** step receives the reduced
-//! values on the calling thread in input index order.  Results are
-//! therefore **deterministic**: bit-identical floating-point content in
-//! input order regardless of the worker count (each scenario's computation
-//! is sequential and self-contained; the executor only changes *where* it
-//! runs).  The one exception is fail-fast cancellation, which depends on
-//! timing — see [`ErrorPolicy::FailFast`].
+//! outcome to what the caller keeps — a rendered entry, an NDJSON record,
+//! or the whole outcome for [`BatchRunner::run`] — and an **emit** step
+//! receives the reduced values on the calling thread in input index
+//! order.  Results are therefore **deterministic**: bit-identical
+//! floating-point content in input order regardless of the worker count
+//! (each scenario's computation is sequential and self-contained; the
+//! executor only changes *where* it runs).  The one exception is
+//! fail-fast cancellation, which depends on timing — see
+//! [`ErrorPolicy::FailFast`].
+//!
+//! Reduce never sees a trace: every report needs only what a trace folds
+//! into (loop metrics, loss, sample count), so lockstep lanes fold inside
+//! the SoA kernel and build no curve, and scalar and circuit-job curves
+//! are dropped once folded.  Only [`BatchRunner::run`] keeps every curve.
 //!
 //! Workers keep a [`RunScratch`] alive across the scenarios they execute:
 //! consecutive scenarios sharing a (backend, material, configuration)
@@ -163,6 +168,9 @@ pub struct BatchRunner {
     workers: Option<NonZeroUsize>,
     policy: ErrorPolicy,
     routing: SoaRouting,
+    /// Outcomes keep their curves: set by [`run`](Self::run) alone, so
+    /// every report path folds without one.
+    keep_curves: bool,
 }
 
 impl BatchRunner {
@@ -210,7 +218,9 @@ impl BatchRunner {
 
     /// Runs every scenario and collects a [`BatchReport`] with one entry
     /// per scenario, in input order — a [`run_reduced`](Self::run_reduced)
-    /// whose reduce step keeps the whole outcome, curve included.
+    /// whose reduce step keeps the whole outcome, and the one executor
+    /// path whose outcomes keep their curves (lockstep lanes rebuild theirs
+    /// from a recorded trajectory).
     ///
     /// Under the default [`SoaRouting::Auto`], scenarios sharing a
     /// (configuration, excitation) pair on the direct-timeless backend run
@@ -223,8 +233,12 @@ impl BatchRunner {
     pub fn run(&self, scenarios: impl IntoIterator<Item = Scenario>) -> BatchReport {
         let scenarios: Vec<Scenario> = scenarios.into_iter().collect();
         let started = Instant::now();
+        let keeping = Self {
+            keep_curves: true,
+            ..self.clone()
+        };
         let (results, summary) =
-            self.run_reduced(&scenarios, |_, outcome, wall_clock| (outcome, wall_clock));
+            keeping.run_reduced(&scenarios, |_, outcome, wall_clock| (outcome, wall_clock));
         let entries = scenarios
             .into_iter()
             .zip(results)
@@ -267,16 +281,21 @@ impl BatchRunner {
     /// scenario (or its lockstep lane, or its circuit-job member) finishes,
     /// where `wall_clock` is the time the entry spent on its worker
     /// (backend construction, sweep, metric extraction and loss; for a
-    /// lockstep lane, an equal share of the job's sweep plus the lane's own
-    /// curve, metrics and loss; for a circuit-job member, an equal share of
-    /// the job's circuit solve plus the member's own backend construction,
-    /// sweep, metrics and loss; zero for cancelled entries).  It returns
-    /// something small — a rendered entry, an NDJSON record — so the
-    /// outcome and the [`BhCurve`] inside it are dropped on the worker.
-    /// `emit` runs on the calling thread as soon as an entry and all its
-    /// predecessors have been reduced.  Peak memory is therefore bounded by
-    /// the jobs in flight plus the reorder buffer of reduced values, not by
-    /// grid size.
+    /// lockstep lane, an equal share of the job's sweep, in which the lane
+    /// was folded, plus the lane's own metrics and loss; for a circuit-job
+    /// member, an equal share of the job's circuit solve plus the member's
+    /// own backend construction, sweep, metrics and loss; zero for
+    /// cancelled entries).  Reduce never sees a trace: the outcome's
+    /// `curve` is empty for every job kind — a lockstep lane never builds
+    /// one, and a scalar or circuit-job member's is dropped once folded —
+    /// while `metrics`, `loss` and `stats.samples` carry what a report
+    /// keeps.  It returns something small — a rendered entry, an NDJSON
+    /// record — so the outcome is dropped on the worker.  `emit` runs on
+    /// the calling thread as soon as an entry and all its predecessors have
+    /// been reduced.  Peak memory is therefore bounded by the jobs in
+    /// flight (the workers' shared sample vectors, and one scalar curve per
+    /// worker at a time) plus the reorder buffer of reduced values, not by
+    /// grid size or by lanes × samples.
     /// Because each scenario's computation is sequential and
     /// self-contained, the emitted sequence is **bit-identical for any
     /// worker count** — the property the report writers' byte-determinism
@@ -314,8 +333,11 @@ impl BatchRunner {
             RunScratch::new,
             |_, job, scratch, sink| {
                 let mut deliver = |index: usize,
-                                   outcome: Result<ScenarioOutcome, JaError>,
+                                   mut outcome: Result<ScenarioOutcome, JaError>,
                                    wall_clock: Duration| {
+                    if let (false, Ok(outcome)) = (self.keep_curves, &mut outcome) {
+                        outcome.curve = BhCurve::new();
+                    }
                     let ok = outcome.is_ok();
                     if !ok {
                         abort.store(true, Ordering::Relaxed);
@@ -339,7 +361,13 @@ impl BatchRunner {
                         }
                     }
                     Job::Lockstep(members) => {
-                        run_lockstep_group(pending, members, scratch, &mut deliver);
+                        run_lockstep_group(
+                            pending,
+                            members,
+                            scratch,
+                            self.keep_curves,
+                            &mut deliver,
+                        );
                     }
                     Job::Circuit(members) => {
                         run_circuit_group(pending, members, scratch, &mut deliver);
@@ -386,8 +414,7 @@ pub struct StreamSummary {
 /// The most lanes one lockstep job steps together.  AVX2 holds four `f64`
 /// values per register and LLVM unrolls the kernel's lane loops by two, so
 /// eight lanes fill the vector body exactly.  On a 2-core AVX-512 Xeon,
-/// 16-lane jobs ran the `thermal_grid` benchmark ~18% slower and kept twice
-/// the trajectory alive per worker.
+/// 16-lane jobs ran the `thermal_grid` benchmark ~18% slower.
 pub const LOCKSTEP_LANES: usize = 8;
 
 /// One unit of parallel work: a single scenario on the scalar path, the
@@ -493,14 +520,16 @@ fn param_bits(params: &JaParameters) -> [u64; 6] {
 type Deliver<'a> = &'a mut dyn FnMut(usize, Result<ScenarioOutcome, JaError>, Duration);
 
 /// Runs one lockstep job as a single SoA sweep, one lane per scenario, and
-/// delivers the per-lane results in member order.  Each lane's curve is
-/// rebuilt from the sweep's trajectory just before the lane is reduced, so
-/// one curve at a time is alive.
+/// delivers the per-lane results in member order.  The sweep folds every
+/// lane as it steps, so a lane's outcome comes from its fold and no
+/// trajectory or curve exists — unless `keep_curves` is set, when the
+/// sweep also records the trajectory and every lane's curve is rebuilt
+/// into its outcome.
 ///
 /// Lane outcomes are bit-identical to the scalar path (the batch runs `f64`
 /// columns); only the timing fields differ — each member's `runtime` is an
 /// equal share of the job's sweep, since the lanes genuinely ran together,
-/// and its `wall_clock` adds the lane's own curve, metrics and loss.  A job
+/// and its `wall_clock` adds the lane's own metrics and loss.  A job
 /// whose shared configuration fails validation, or one of whose members
 /// has an operating point that does not resolve, falls back to the scalar
 /// path, which reports the exact per-scenario error the job would have
@@ -509,6 +538,7 @@ fn run_lockstep_group(
     scenarios: &[Scenario],
     members: &[usize],
     scratch: &mut RunScratch,
+    keep_curves: bool,
     deliver: Deliver<'_>,
 ) {
     let first = &scenarios[members[0]];
@@ -551,7 +581,13 @@ fn run_lockstep_group(
     let batch = soa.as_mut().expect("constructed above");
 
     batch.assign(lane_params);
-    batch.run_samples(samples);
+    let mut curves = Vec::new();
+    if keep_curves {
+        curves.resize_with(members.len(), BhCurve::new);
+        batch.run_samples_into_curves(samples, &mut curves);
+    } else {
+        batch.run_samples(samples);
+    }
     let share = t0.elapsed() / members.len() as u32;
 
     for (lane, &index) in members.iter().enumerate() {
@@ -559,18 +595,20 @@ fn run_lockstep_group(
         let outcome = match batch.lane_error(lane) {
             Some(err) => Err(err.clone()),
             None => {
-                let mut curve = BhCurve::new();
-                batch.lane_curve_into(lane, samples, &mut curve);
                 // Lockstep groups run on the direct backend only, which has
                 // no simulation kernel, and field-driven excitations only.
-                Ok(scenarios[index].outcome(
-                    curve,
+                let mut outcome = scenarios[index].outcome(
+                    batch.lane_fold(lane),
                     batch.lane_statistics(lane),
                     None,
                     None,
                     share,
                     Some(members.len()),
-                ))
+                );
+                if let Some(curve) = curves.get_mut(lane) {
+                    outcome.curve = std::mem::take(curve);
+                }
+                Ok(outcome)
             }
         };
         deliver(index, outcome, share + t_lane.elapsed());
@@ -1396,7 +1434,8 @@ mod tests {
     /// A streamed run's emissions: `(index, outcome)` pairs in emit order.
     type Emitted = Vec<(usize, Result<ScenarioOutcome, JaError>)>;
 
-    /// Collects a streamed run into `(index, outcome)` pairs.
+    /// Collects a streamed run into `(index, outcome)` pairs, asserting
+    /// that reduce never sees a curve.
     fn streamed(
         runner: &BatchRunner,
         scenarios: &[Scenario],
@@ -1408,9 +1447,11 @@ mod tests {
                 scenarios,
                 skip,
                 |index, outcome, _| {
-                    // The reduce step sees the absolute grid index.
+                    // The reduce step sees the absolute grid index, and an
+                    // outcome without its trace.
                     if let Ok(ok) = &outcome {
                         assert_eq!(ok.name, scenarios[index].name);
+                        assert!(ok.curve.is_empty(), "{}: reduce saw a curve", ok.name);
                     }
                     outcome
                 },
@@ -1423,16 +1464,82 @@ mod tests {
         (collected, summary)
     }
 
-    #[test]
-    fn streamed_run_emits_in_index_order_and_matches_run() {
+    /// Three materials on every backend, under a field excitation and a
+    /// short circuit drive, at an operating point that carries a loss: the
+    /// field-driven direct-timeless entries are one lockstep job, the other
+    /// field-driven entries scalar jobs, and each material's circuit
+    /// entries one circuit job.
+    fn every_job_kind() -> Vec<Scenario> {
+        use crate::scenario::OperatingPoint;
+        use magnetics::geometry::CoreGeometry;
         let scenarios = multi_material_grid()
-            .backends(BackendKind::ALL)
+            .backends([
+                BackendKind::SystemC,
+                BackendKind::AmsTimeless,
+                BackendKind::TimeDomainBaseline,
+            ])
+            .excitation("inrush", Excitation::Circuit(short_inrush()))
+            .operating_point(
+                "50hz",
+                OperatingPoint::new()
+                    .with_frequency(50.0)
+                    .with_geometry(CoreGeometry::demo()),
+            )
             .scenarios()
             .expect("grid");
+        let jobs = route_jobs(&scenarios, SoaRouting::Auto);
+        assert!(jobs.contains(&Job::Lockstep(vec![0, 1, 2])));
+        assert!(jobs.contains(&Job::Scalar(3)));
+        assert!(jobs.contains(&Job::Circuit(vec![12, 15, 18, 21])));
+        scenarios
+    }
+
+    /// The bits of what a report keeps of an outcome: metrics and loss.
+    fn result_bits(outcome: &ScenarioOutcome) -> (Option<[u64; 6]>, Option<[u64; 4]>) {
+        (
+            outcome
+                .metrics
+                .map(|metrics| metrics.named_values().map(|(_, value)| value.to_bits())),
+            outcome.loss.map(|loss| {
+                [
+                    loss.hysteresis_w,
+                    loss.eddy_w,
+                    loss.total_w,
+                    loss.energy_per_cycle_j,
+                ]
+                .map(f64::to_bits)
+            }),
+        )
+    }
+
+    /// Asserts that a streamed outcome, which has no curve, carries what a
+    /// report keeps of the same entry of [`BatchRunner::run`]: the
+    /// statistics, a `stats.samples` equal to the kept curve's length, and
+    /// bit-identical metrics and loss.
+    fn assert_streamed_matches_run(streamed: &ScenarioOutcome, kept: &ScenarioOutcome) {
+        let name = &kept.name;
+        assert_eq!(&streamed.name, name);
+        assert!(!kept.curve.is_empty(), "{name}: run keeps the curve");
+        assert_eq!(streamed.stats, kept.stats, "{name}");
+        assert_eq!(streamed.stats.samples, kept.curve.len() as u64, "{name}");
+        assert!(kept.loss.is_some(), "{name}: the grid carries a loss");
+        assert_eq!(result_bits(streamed), result_bits(kept), "{name}");
+        assert_eq!(streamed.transient, kept.transient, "{name}");
+        assert_eq!(streamed.lockstep_lanes, kept.lockstep_lanes, "{name}");
+    }
+
+    #[test]
+    fn streamed_run_emits_in_index_order_and_matches_run() {
+        let scenarios = every_job_kind();
         let stored = BatchRunner::new().workers(1).run(scenarios.clone());
-        for workers in [1, 2, 8] {
-            let (collected, summary) =
-                streamed(&BatchRunner::new().workers(workers), &scenarios, 0);
+        let runners = [1, 2, 8]
+            .map(|workers| BatchRunner::new().workers(workers))
+            .into_iter()
+            .chain([BatchRunner::new()
+                .workers(2)
+                .soa_routing(SoaRouting::ForceScalar)]);
+        for runner in runners {
+            let (collected, summary) = streamed(&runner, &scenarios, 0);
             assert_eq!(summary.scenarios, scenarios.len());
             assert_eq!(summary.emitted, scenarios.len());
             assert_eq!(summary.succeeded, scenarios.len());
@@ -1440,29 +1547,33 @@ mod tests {
             let indices: Vec<usize> = collected.iter().map(|(i, _)| *i).collect();
             assert_eq!(indices, (0..scenarios.len()).collect::<Vec<_>>());
             for ((_, outcome), entry) in collected.iter().zip(&stored.entries) {
-                let streamed = outcome.as_ref().expect("ok");
-                let stored = entry.outcome.as_ref().expect("ok");
-                assert_eq!(streamed.name, stored.name);
-                assert_eq!(streamed.stats, stored.stats);
-                assert_eq!(streamed.curve, stored.curve);
+                let mut kept = entry.outcome.clone().expect("ok");
+                if runner.routing == SoaRouting::ForceScalar {
+                    kept.lockstep_lanes = None;
+                }
+                assert_streamed_matches_run(outcome.as_ref().expect("ok"), &kept);
             }
         }
     }
 
     #[test]
     fn streamed_run_skip_resumes_mid_grid_with_identical_outcomes() {
-        let scenarios = multi_material_grid().scenarios().expect("grid");
-        let (full, _) = streamed(&BatchRunner::new().workers(2), &scenarios, 0);
-        let skip = 1;
-        let (tail, summary) = streamed(&BatchRunner::new().workers(2), &scenarios, skip);
-        assert_eq!(summary.emitted, scenarios.len() - skip);
-        assert_eq!(tail.len(), full.len() - skip);
-        for ((index, outcome), (full_index, full_outcome)) in tail.iter().zip(&full[skip..]) {
-            assert_eq!(index, full_index);
-            let a = outcome.as_ref().expect("ok");
-            let b = full_outcome.as_ref().expect("ok");
-            assert_eq!(a.curve, b.curve);
-            assert_eq!(a.stats, b.stats);
+        let scenarios = every_job_kind();
+        let stored = BatchRunner::new().workers(2).run(scenarios.clone());
+        // Skipping 1 splits the lockstep job; skipping 16 splits every
+        // circuit job.
+        for skip in [1, 16] {
+            let (tail, summary) = streamed(&BatchRunner::new().workers(2), &scenarios, skip);
+            assert_eq!(summary.emitted, scenarios.len() - skip);
+            assert_eq!(tail.len(), scenarios.len() - skip);
+            for ((index, outcome), entry) in tail.iter().zip(&stored.entries[skip..]) {
+                assert_eq!(scenarios[*index].name, entry.scenario.name);
+                let mut kept = entry.outcome.clone().expect("ok");
+                if skip == 1 && *index < 3 {
+                    kept.lockstep_lanes = Some(2);
+                }
+                assert_streamed_matches_run(outcome.as_ref().expect("ok"), &kept);
+            }
         }
         // Skipping everything emits nothing.
         let (none, summary) = streamed(&BatchRunner::new().workers(2), &scenarios, scenarios.len());

@@ -103,9 +103,11 @@ pub fn loss_value(loss: &CoreLoss) -> JsonValue {
 
 /// Serialises one successful scenario outcome.
 ///
-/// Always present: `scenario`, `status: "ok"`, `backend`, `samples`,
-/// `metrics` (object or `null` for traces that do not form a closable
-/// loop) and `stats`.  Circuit-driven outcomes add a `transient` object
+/// Always present: `scenario`, `status: "ok"`, `backend`, `samples` (the
+/// samples stepped, `stats.samples` — an `ok` outcome's trace length, so
+/// an outcome that dropped its curve renders the same), `metrics` (object
+/// or `null` for traces that do not form a closable loop) and `stats`.
+/// Circuit-driven outcomes add a `transient` object
 /// (see [`transient_value`]).  Outcomes carrying an operating point add
 /// `temperature_c` and/or `frequency_hz` (whichever the point sets), and a
 /// `loss` object (see [`loss_value`]) when the loss breakdown was
@@ -119,7 +121,7 @@ pub fn outcome_value(outcome: &ScenarioOutcome, timings: bool) -> JsonValue {
         .with("scenario", outcome.name.as_str())
         .with("status", "ok")
         .with("backend", outcome.backend.label())
-        .with("samples", outcome.curve.len())
+        .with("samples", outcome.stats.samples)
         .with(
             "metrics",
             outcome
@@ -468,9 +470,10 @@ pub fn batch_report_value(report: &BatchReport, timings: bool) -> JsonValue {
 /// Runs `scenarios` and serialises the run as the same `kind: "batch"`
 /// report [`batch_report_value`] builds from a [`BatchReport`] — but each
 /// entry is rendered on its worker by the reduce step of
-/// [`BatchRunner::run_in_order`], so only rendered entries are buffered
-/// and no scenario's curve outlives its job.  This is the stored-report
-/// path of `ja batch --format json` and of served `batch_request`s.
+/// [`BatchRunner::run_in_order`], so only rendered entries are buffered,
+/// and no lockstep lane builds a curve or keeps a trajectory.  This is
+/// the stored-report path of `ja batch --format json` and of served
+/// `batch_request`s.
 ///
 /// Returns the document and the run's [`StreamSummary`] (for the failure
 /// count that decides an exit status).

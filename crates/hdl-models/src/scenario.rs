@@ -855,28 +855,30 @@ impl Scenario {
     }
 
     /// The one constructor of this scenario's [`ScenarioOutcome`], for the
-    /// scalar path and the executor's lockstep lanes alike: it folds
-    /// `curve` once through [`IncrementalLoopMetrics`] for both the loop
-    /// metrics and the loss.  Not every stimulus produces a closable loop
+    /// scalar path and the executor's lockstep lanes alike: the loop
+    /// metrics and the loss both come from `fold`, the trace's one pass
+    /// through [`IncrementalLoopMetrics`] — a scalar run passes
+    /// [`IncrementalLoopMetrics::of`] its curve, and a lockstep lane the
+    /// fold its kernel fed.  Not every stimulus produces a closable loop
     /// (a biased minor loop never crosses `B = 0`, so coercivity is
     /// undefined): a failed metric extraction is `metrics: None`, not a
-    /// scenario failure, and the trace still gets its loss.
+    /// scenario failure, and the trace still gets its loss.  The outcome's
+    /// `curve` is empty; a caller that keeps the trace sets it.
     pub(crate) fn outcome(
         &self,
-        curve: BhCurve,
+        fold: &IncrementalLoopMetrics,
         stats: JaStatistics,
         kernel: Option<KernelStatistics>,
         transient: Option<TransientStats>,
         runtime: Duration,
         lockstep_lanes: Option<usize>,
     ) -> ScenarioOutcome {
-        let fold = IncrementalLoopMetrics::of(&curve);
         ScenarioOutcome {
             name: self.name.clone(),
             backend: self.backend,
             metrics: fold.finish().ok(),
-            loss: self.loss_breakdown(&fold),
-            curve,
+            loss: self.loss_breakdown(fold),
+            curve: BhCurve::new(),
             operating_point: self.operating_point,
             stats,
             kernel,
@@ -931,8 +933,9 @@ impl Scenario {
     }
 
     /// The scalar run behind [`run_with_scratch`](Self::run_with_scratch)
-    /// and the executor's circuit jobs: it sweeps the scenario's backend
-    /// and hands the curve to [`outcome`](Self::outcome).  A
+    /// and the executor's circuit jobs: it sweeps the scenario's backend,
+    /// hands the curve's fold to [`outcome`](Self::outcome) and keeps the
+    /// curve in the outcome.  A
     /// circuit-driven scenario replays `solved` — the
     /// result of [`CircuitExcitation::simulate`] for this scenario's
     /// resolved parameters, configuration and circuit, run once for every
@@ -971,14 +974,18 @@ impl Scenario {
             }
         };
         let runtime = started.elapsed();
-        Ok(self.outcome(
+        let fold = IncrementalLoopMetrics::of(&curve);
+        Ok(ScenarioOutcome {
             curve,
-            backend.statistics(),
-            backend.kernel_statistics(),
-            transient,
-            runtime,
-            None,
-        ))
+            ..self.outcome(
+                &fold,
+                backend.statistics(),
+                backend.kernel_statistics(),
+                transient,
+                runtime,
+                None,
+            )
+        })
     }
 }
 
@@ -989,7 +996,13 @@ pub struct ScenarioOutcome {
     pub name: String,
     /// Backend that ran it.
     pub backend: BackendKind,
-    /// The BH trace.
+    /// The BH trace, one point per sample stepped.  Empty on every outcome
+    /// a report path hands its reduce step
+    /// ([`BatchRunner::run_in_order`](crate::exec::BatchRunner::run_in_order)
+    /// and [`run_reduced`](crate::exec::BatchRunner::run_reduced)): those
+    /// keep only what the trace folds into — `metrics`, `loss` and
+    /// `stats.samples`.  [`Scenario::run`] and
+    /// [`BatchRunner::run`](crate::exec::BatchRunner::run) keep it.
     pub curve: BhCurve,
     /// Loop metrics extracted from the trace; `None` when the trace does
     /// not form a closable loop (e.g. a biased minor loop that never
@@ -1037,7 +1050,9 @@ impl ScenarioOutcome {
     ///
     /// # Errors
     ///
-    /// Returns [`JaError::Material`] with the underlying extraction error.
+    /// Returns [`JaError::Material`] with the underlying extraction error,
+    /// re-derived from `curve` — so on an outcome whose curve a report path
+    /// dropped it reads as too few samples, whatever the trace was.
     pub fn full_metrics(&self) -> Result<LoopMetrics, JaError> {
         match self.metrics {
             Some(metrics) => Ok(metrics),

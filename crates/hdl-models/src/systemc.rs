@@ -314,12 +314,6 @@ impl SystemCJaCore {
     pub fn dhmax(&self) -> f64 {
         self.vars.dhmax
     }
-
-    /// The current normalised anhysteretic magnetisation (the module's
-    /// `man` member variable).
-    pub fn anhysteretic_magnetisation(&self) -> f64 {
-        self.vars.man.get()
-    }
 }
 
 impl ja_hysteresis::backend::HysteresisBackend for SystemCJaCore {

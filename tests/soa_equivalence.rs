@@ -2,7 +2,8 @@
 //! kernel (`ja_hysteresis::soa`): every lane must be **bit-identical** to
 //! a scalar [`JilesAtherton`] run of the same parameters, configuration
 //! and samples — curve, statistics and error — for every configuration
-//! the kernel branches on.
+//! the kernel branches on, and each lane's in-kernel fold must equal the
+//! fold of that curve: loop metrics and core loss, errors included.
 
 use ja_repro::ja_hysteresis::backend::HysteresisBackend;
 use ja_repro::ja_hysteresis::config::{Formulation, JaConfig, SlopeIntegration};
@@ -11,6 +12,10 @@ use ja_repro::ja_hysteresis::model::{JaStatistics, JilesAtherton};
 use ja_repro::ja_hysteresis::params::AnhystereticChoice;
 use ja_repro::ja_hysteresis::soa::{SoaBatch, SoaPrecision};
 use ja_repro::magnetics::bh::BhCurve;
+use ja_repro::magnetics::error::MagneticsError;
+use ja_repro::magnetics::geometry::CoreGeometry;
+use ja_repro::magnetics::loop_analysis::IncrementalLoopMetrics;
+use ja_repro::magnetics::losses::{core_loss_of, LaminationSpec};
 use ja_repro::magnetics::material::JaParameters;
 use ja_repro::magnetics::units::Magnetisation;
 use ja_repro::waveform::schedule::FieldSchedule;
@@ -35,9 +40,38 @@ fn scalar_outcome(
     (curve, model.statistics(), error)
 }
 
+/// What a report keeps of a fold, as bits: its length, its loop metrics
+/// and its core loss, errors included.
+type FoldBits = (
+    usize,
+    Result<[u64; 6], MagneticsError>,
+    Result<[u64; 4], MagneticsError>,
+);
+
+fn fold_bits(fold: &IncrementalLoopMetrics) -> FoldBits {
+    let lamination = Some(LaminationSpec::silicon_steel_0p35mm());
+    let loss = core_loss_of(fold, &CoreGeometry::demo(), 50.0, lamination);
+    (
+        fold.len(),
+        fold.finish()
+            .map(|metrics| metrics.named_values().map(|(_, value)| value.to_bits())),
+        loss.map(|loss| {
+            [
+                loss.hysteresis_w,
+                loss.eddy_w,
+                loss.total_w,
+                loss.energy_per_cycle_j,
+            ]
+            .map(f64::to_bits)
+        }),
+    )
+}
+
 /// Runs `materials` as lanes of one batch and asserts every lane equals its
-/// scalar outcome bit for bit: curve, statistics and error.  Returns the
-/// number of lanes that failed.
+/// scalar outcome bit for bit: curve, statistics and error.  Each lane's
+/// fold, from that run and from a [`SoaBatch::run_samples`] run that
+/// records nothing, must equal the fold of its curve.  Returns the number
+/// of lanes that failed.
 fn assert_lanes_match_scalar(
     materials: &[JaParameters],
     config: JaConfig,
@@ -48,6 +82,9 @@ fn assert_lanes_match_scalar(
     batch.assign(materials);
     let mut curves = vec![BhCurve::new(); materials.len()];
     batch.run_samples_into_curves(samples, &mut curves);
+    let mut unrecorded = SoaBatch::new(config, SoaPrecision::F64).expect("config");
+    unrecorded.assign(materials);
+    unrecorded.run_samples(samples);
 
     let mut failed = 0;
     for (lane, (params, curve)) in materials.iter().zip(&curves).enumerate() {
@@ -60,6 +97,15 @@ fn assert_lanes_match_scalar(
             "{label}: statistics"
         );
         assert_curves_bit_identical(curve, &scalar, &label);
+        let folded = fold_bits(&IncrementalLoopMetrics::of(curve));
+        assert_eq!(fold_bits(batch.lane_fold(lane)), folded, "{label}: fold");
+        assert_eq!(
+            fold_bits(unrecorded.lane_fold(lane)),
+            folded,
+            "{label}: unrecorded fold"
+        );
+        assert_eq!(unrecorded.lane_error(lane), error.as_ref(), "{label}");
+        assert_eq!(unrecorded.lane_statistics(lane), statistics, "{label}");
         failed += usize::from(error.is_some());
     }
     failed
@@ -165,8 +211,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// f64 lanes are bitwise equal to the scalar model — curve, statistics
-    /// and error — for random materials, every anhysteretic law, every
-    /// schedule shape and every configuration the kernel branches on.
+    /// and error, and each lane's fold to the fold of its curve — for
+    /// random materials, every anhysteretic law, every schedule shape and
+    /// every configuration the kernel branches on.
     /// Steps from below ΔH_max (10 A/m) make the monitorH gate skip
     /// samples; without guards some lanes diverge.
     #[test]
