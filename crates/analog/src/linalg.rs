@@ -301,11 +301,6 @@ impl LuFactorisation {
     }
 }
 
-/// Euclidean norm of a vector.
-pub fn norm2(v: &[f64]) -> f64 {
-    v.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
 /// Infinity norm of a vector.
 pub fn norm_inf(v: &[f64]) -> f64 {
     v.iter().map(|x| x.abs()).fold(0.0, f64::max)
@@ -319,16 +314,6 @@ pub fn norm_inf(v: &[f64]) -> f64 {
 pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
     assert_eq!(a.len(), b.len(), "vector length mismatch");
     a.iter().zip(b).map(|(x, y)| x - y).collect()
-}
-
-/// `a + s·b` element-wise.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy(a: &[f64], s: f64, b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "vector length mismatch");
-    a.iter().zip(b).map(|(x, y)| x + s * y).collect()
 }
 
 #[cfg(test)]
@@ -416,7 +401,6 @@ mod tests {
         assert_eq!(y, vec![3.0, -1.0]);
         assert!(a.mul_vec(&[1.0]).is_err());
         assert_eq!(a.norm_inf(), 7.0);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
         assert_eq!(norm_inf(&[-3.0, 2.0]), 3.0);
     }
 
@@ -435,7 +419,6 @@ mod tests {
     #[test]
     fn vector_helpers() {
         assert_eq!(sub(&[3.0, 2.0], &[1.0, 1.0]), vec![2.0, 1.0]);
-        assert_eq!(axpy(&[1.0, 1.0], 2.0, &[1.0, 2.0]), vec![3.0, 5.0]);
     }
 
     #[test]

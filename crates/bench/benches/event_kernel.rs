@@ -148,19 +148,19 @@ fn benches(c: &mut Criterion) {
 
     // The real SystemC-style JA module on the paper's Fig. 1 stimulus,
     // reset and reused across iterations — module + kernel cost with no
-    // scenario harness (no metrics extraction, no JaSample conversion),
-    // and the steady-state shape the `Kernel::reset` reuse contract
-    // targets.
+    // scenario harness (no metrics extraction), and the steady-state shape
+    // the `Kernel::reset` reuse contract targets.  The samples are
+    // flattened once, outside the timed closure.
     {
         use hdl_models::comparison::fig1_schedule;
         use hdl_models::systemc::SystemCJaCore;
         use ja_hysteresis::backend::HysteresisBackend;
-        let schedule = fig1_schedule(10.0).expect("valid schedule");
+        let samples = fig1_schedule(10.0).expect("valid schedule").to_samples();
         let mut module = SystemCJaCore::date2006().expect("valid module");
         group.bench_function("ja_module_fig1_reused", |b| {
             b.iter(|| {
                 HysteresisBackend::reset(&mut module).expect("reset");
-                let curve = module.run_schedule(&schedule).expect("sweep");
+                let curve = module.run_samples(&samples).expect("sweep");
                 black_box(curve.len())
             })
         });

@@ -2,7 +2,7 @@
 //!
 //! Prints the loop metrics of the reproduced figure for the timeless
 //! backends, then benchmarks the full sweep through the scenario engine,
-//! plus the allocation-free `run_schedule_into` driving path.
+//! plus the allocation-free `run_samples_into` driving path.
 
 use criterion::{black_box, Criterion};
 use hdl_models::comparison::{fig1_schedule, DEFAULT_STEP};
@@ -38,18 +38,19 @@ fn benches(c: &mut Criterion) {
             b.iter(|| black_box(scenario.run().expect("sweep")))
         });
     }
-    // The metrics-only driving path: reset + run_schedule_into reuse one
+    // The metrics-only driving path: reset + run_samples_into reuse one
     // model and one trace buffer across iterations (no per-sweep
     // allocation), the lower bound the scenario path is compared against.
-    let schedule = fig1_schedule(DEFAULT_STEP).expect("valid schedule");
+    // The samples are flattened once, outside the timed closure.
+    let samples = fig1_schedule(DEFAULT_STEP)
+        .expect("valid schedule")
+        .to_samples();
     let mut model = JilesAtherton::new(JaParameters::date2006()).expect("valid params");
-    let mut curve = BhCurve::with_capacity(schedule.len());
+    let mut curve = BhCurve::with_capacity(samples.len());
     group.bench_function("direct-timeless_sweep_into_reused_buffer", |b| {
         b.iter(|| {
             HysteresisBackend::reset(&mut model).expect("reset");
-            model
-                .run_schedule_into(&schedule, &mut curve)
-                .expect("sweep");
+            model.run_samples_into(&samples, &mut curve).expect("sweep");
             black_box(curve.len())
         })
     });

@@ -33,8 +33,10 @@ const LANE_COUNTS: [usize; 3] = [4, 16, 64];
 /// Lanes of one thermal-grid job.
 const THERMAL_LANES: usize = 8;
 
-fn schedule() -> FieldSchedule {
-    FieldSchedule::major_loop(10_000.0, 50.0, 2).expect("schedule")
+fn samples() -> Vec<f64> {
+    FieldSchedule::major_loop(10_000.0, 50.0, 2)
+        .expect("schedule")
+        .to_samples()
 }
 
 /// Deterministic lane materials: the four presets, each nudged per lane so
@@ -60,7 +62,7 @@ fn lane_materials(lanes: usize) -> Vec<JaParameters> {
 
 /// One thermal-grid job: the paper material at eight neighbouring
 /// temperatures, on a ±8 kA/m major loop at the grid's 5 A/m step.
-fn thermal_job() -> (Vec<JaParameters>, FieldSchedule) {
+fn thermal_job() -> (Vec<JaParameters>, Vec<f64>) {
     let thermal = ThermalCoefficients::date2006();
     let lanes = (0..THERMAL_LANES)
         .map(|lane| {
@@ -69,19 +71,22 @@ fn thermal_job() -> (Vec<JaParameters>, FieldSchedule) {
                 .expect("below the Curie point")
         })
         .collect();
-    let schedule = FieldSchedule::major_loop(8_000.0, 5.0, 2).expect("schedule");
-    (lanes, schedule)
+    let samples = FieldSchedule::major_loop(8_000.0, 5.0, 2)
+        .expect("schedule")
+        .to_samples();
+    (lanes, samples)
 }
 
-/// The scalar grid path: one boxed backend per lane, one schedule sweep each.
-fn run_scalar(materials: &[JaParameters], schedule: &FieldSchedule) -> Vec<BhCurve> {
+/// The scalar grid path: one boxed backend per lane, one sweep each over
+/// the shared flattened samples.
+fn run_scalar(materials: &[JaParameters], samples: &[f64]) -> Vec<BhCurve> {
     materials
         .iter()
         .map(|&params| {
             let mut backend = BackendKind::DirectTimeless
                 .build(params, JaConfig::default())
                 .expect("backend");
-            backend.run_schedule(schedule).expect("sweep")
+            backend.run_samples(samples).expect("sweep")
         })
         .collect()
 }
@@ -99,8 +104,7 @@ fn run_soa(
 }
 
 fn print_speedup_line() {
-    let schedule = schedule();
-    let samples = schedule.to_samples();
+    let samples = samples();
     let materials = lane_materials(16);
     let mut batch = SoaBatch::new(JaConfig::default(), SoaPrecision::F64).expect("batch");
     let mut curves = Vec::new();
@@ -120,7 +124,7 @@ fn print_speedup_line() {
     };
 
     let scalar = time(Box::new(|| {
-        black_box(run_scalar(&materials, &schedule));
+        black_box(run_scalar(&materials, &samples));
     }));
     let soa = time(Box::new(|| {
         run_soa(&mut batch, &materials, &samples, &mut curves);
@@ -136,14 +140,12 @@ fn print_speedup_line() {
 }
 
 fn benches(c: &mut Criterion) {
-    let schedule = schedule();
-    let samples = schedule.to_samples();
+    let samples = samples();
     let mut group = c.benchmark_group("soa_lockstep");
     group.sample_size(10);
-    let (thermal, thermal_schedule) = thermal_job();
-    let thermal_samples = thermal_schedule.to_samples();
+    let (thermal, thermal_samples) = thermal_job();
     group.bench_function(format!("scalar_thermal{THERMAL_LANES}"), |b| {
-        b.iter(|| black_box(run_scalar(&thermal, &thermal_schedule)))
+        b.iter(|| black_box(run_scalar(&thermal, &thermal_samples)))
     });
     let mut batch = SoaBatch::new(JaConfig::default(), SoaPrecision::F64).expect("batch");
     group.bench_function(format!("soa_thermal{THERMAL_LANES}"), |b| {
@@ -158,7 +160,7 @@ fn benches(c: &mut Criterion) {
     for lanes in LANE_COUNTS {
         let materials = lane_materials(lanes);
         group.bench_function(format!("scalar_lanes{lanes}"), |b| {
-            b.iter(|| black_box(run_scalar(&materials, &schedule)))
+            b.iter(|| black_box(run_scalar(&materials, &samples)))
         });
         let mut batch = SoaBatch::new(JaConfig::default(), SoaPrecision::F64).expect("batch");
         let mut curves = Vec::new();

@@ -738,8 +738,10 @@ fn fit_config_fits_a_library_in_one_batch() {
 /// would pass them all; each command here must reproduce the report
 /// committed under `tests/fixtures/golden/` byte for byte.  Between them
 /// they cover the loop metrics of a grid, a loss beside `metrics: null`
-/// and a two-lane degauss lockstep job, the lane fold of the fit
-/// objective, a library fit, and four loss lanes with their Steinmetz fit.
+/// and a two-lane degauss lockstep job, the event-kernel backend across
+/// two thresholds, all four backends side by side with their worst
+/// pairwise |ΔB|, the lane fold of the fit objective, a library fit, and
+/// four loss lanes with their Steinmetz fit.
 ///
 /// The bytes are pinned for x86-64 Linux, where CI runs, so the test runs
 /// only there: thermal scaling (`powf`), the fits' starting points and the
@@ -774,10 +776,13 @@ fn reports_match_the_golden_files() {
 
     let path = |name: &str| fixture(name).to_str().unwrap().to_owned();
     let (grid, thermal) = (path("grid.conf"), path("grid_thermal.conf"));
+    let systemc = path("grid_systemc.conf");
     let (measured, library) = (path("measured_loop.csv"), path("fit_library.conf"));
-    let cases: [(&str, &[&str]); 5] = [
+    let cases: [(&str, &[&str]); 7] = [
         ("batch_grid.json", &["batch", "--config", &grid]),
         ("batch_grid_thermal.json", &["batch", "--config", &thermal]),
+        ("batch_grid_systemc.json", &["batch", "--config", &systemc]),
+        ("compare.json", &["compare", "--format", "json"]),
         (
             "fit_measured_loop.json",
             &["fit", "--input", &measured, "--starts", "4", "--seed", "42"],

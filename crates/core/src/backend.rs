@@ -8,21 +8,24 @@
 //! in the `hdl-models` crate.  [`HysteresisBackend`] is the seam that lets
 //! equivalence tests, benches and the scenario engine drive any of them
 //! through one polymorphic API: feed a field sample in, get a
-//! [`JaSample`] out, read the cost counters back as [`JaStatistics`].
+//! [`BhPoint`] out, read the cost counters back as [`JaStatistics`].
+//! [`HysteresisBackend::run_samples_into`] is the one loop that steps a
+//! backend through a sequence of field samples; a timeless
+//! [`FieldSchedule`](waveform::schedule::FieldSchedule) reaches it through
+//! `to_samples()`.
 //!
 //! The trait is object-safe, so backends can be collected in
 //! `Vec<Box<dyn HysteresisBackend>>` and run over the same stimulus grid.
 
-use magnetics::anhysteretic::{Anhysteretic, AnhystereticKind};
-use magnetics::bh::BhCurve;
+use magnetics::anhysteretic::AnhystereticKind;
+use magnetics::bh::{BhCurve, BhPoint};
 use magnetics::constants::MU0;
 use magnetics::material::JaParameters;
 use magnetics::units::{FieldStrength, FluxDensity, Magnetisation};
-use waveform::schedule::FieldSchedule;
 
 use crate::config::JaConfig;
 use crate::error::JaError;
-use crate::model::{JaSample, JaStatistics, JilesAtherton};
+use crate::model::{JaStatistics, JilesAtherton};
 use crate::slope::{evaluate_total_slope, FieldDirection};
 
 /// Cost counters of an event-driven backend's simulation kernel.
@@ -48,7 +51,8 @@ pub struct KernelStatistics {
 /// field values.
 ///
 /// All four implementation styles of the repository stand behind this
-/// trait; the provided methods give every backend uniform sweep drivers.
+/// trait; the provided [`run_samples_into`](HysteresisBackend::run_samples_into)
+/// gives every backend the same sweep loop.
 pub trait HysteresisBackend {
     /// A short, stable, human-readable backend name (used in reports and
     /// error messages).
@@ -62,7 +66,7 @@ pub trait HysteresisBackend {
     /// Returns [`JaError::NonFiniteField`] for a NaN/infinite field,
     /// [`JaError::StateDiverged`] if the state stops being finite, and
     /// [`JaError::Backend`] for substrate failures.
-    fn apply_field(&mut self, h: f64) -> Result<JaSample, JaError>;
+    fn apply_field(&mut self, h: f64) -> Result<BhPoint, JaError>;
 
     /// Cumulative cost counters since construction or the last
     /// [`reset`](HysteresisBackend::reset).
@@ -102,10 +106,10 @@ pub trait HysteresisBackend {
 
     /// Like [`run_samples`](HysteresisBackend::run_samples), but fills a
     /// caller-provided curve: the curve is cleared, its allocation is kept,
-    /// and exactly one point per field sample is appended.  For callers
-    /// that run many sweeps and keep only derived metrics (benches,
-    /// fitting loops) — the scenario executor cannot use it, since every
-    /// [`BhCurve`] it produces is retained in the outcome.
+    /// and exactly one point per field sample is appended.  This is the one
+    /// loop that steps a backend through field samples: every scalar
+    /// scenario runs through it, and callers that run many sweeps and keep
+    /// only derived metrics (benches, fitting loops) reuse one curve.
     ///
     /// # Errors
     ///
@@ -115,42 +119,7 @@ pub trait HysteresisBackend {
         curve.clear();
         curve.reserve(samples.len());
         for &h in samples {
-            let sample = self.apply_field(h)?;
-            curve.push_raw(sample.h.value(), sample.b.as_tesla(), sample.m.value());
-        }
-        Ok(())
-    }
-
-    /// Drives the backend through every sample of a timeless field
-    /// schedule and collects the BH trace.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`apply_field`](HysteresisBackend::apply_field)
-    /// error.
-    fn run_schedule(&mut self, schedule: &FieldSchedule) -> Result<BhCurve, JaError> {
-        let mut curve = BhCurve::with_capacity(schedule.len());
-        self.run_schedule_into(schedule, &mut curve)?;
-        Ok(curve)
-    }
-
-    /// Like [`run_schedule`](HysteresisBackend::run_schedule), but fills a
-    /// caller-provided curve (cleared first, allocation kept).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`apply_field`](HysteresisBackend::apply_field)
-    /// error; the curve then holds the samples up to the failure.
-    fn run_schedule_into(
-        &mut self,
-        schedule: &FieldSchedule,
-        curve: &mut BhCurve,
-    ) -> Result<(), JaError> {
-        curve.clear();
-        curve.reserve(schedule.len());
-        for h in schedule.iter() {
-            let sample = self.apply_field(h)?;
-            curve.push_raw(sample.h.value(), sample.b.as_tesla(), sample.m.value());
+            curve.push(self.apply_field(h)?);
         }
         Ok(())
     }
@@ -161,7 +130,7 @@ impl HysteresisBackend for JilesAtherton {
         "direct-timeless"
     }
 
-    fn apply_field(&mut self, h: f64) -> Result<JaSample, JaError> {
+    fn apply_field(&mut self, h: f64) -> Result<BhPoint, JaError> {
         JilesAtherton::apply_field(self, h)
     }
 
@@ -227,15 +196,13 @@ impl TimeDomainBackend {
         &self.params
     }
 
-    fn sample_at(&self, h: f64) -> JaSample {
+    fn sample_at(&self, h: f64) -> BhPoint {
         let m_sat = self.params.m_sat.value();
-        let h_effective = h + self.params.alpha * m_sat * self.m_total;
-        JaSample {
-            h: FieldStrength::new(h),
-            b: FluxDensity::new(MU0 * (h + self.m_total * m_sat)),
-            m: Magnetisation::new(self.m_total * m_sat),
-            m_an: self.anhysteretic.normalised(h_effective),
-        }
+        BhPoint::new(
+            FieldStrength::new(h),
+            FluxDensity::new(MU0 * (h + self.m_total * m_sat)),
+            Magnetisation::new(self.m_total * m_sat),
+        )
     }
 }
 
@@ -244,7 +211,7 @@ impl HysteresisBackend for TimeDomainBackend {
         "time-domain-baseline"
     }
 
-    fn apply_field(&mut self, h: f64) -> Result<JaSample, JaError> {
+    fn apply_field(&mut self, h: f64) -> Result<BhPoint, JaError> {
         if !h.is_finite() {
             return Err(JaError::NonFiniteField { value: h });
         }
@@ -295,10 +262,15 @@ impl HysteresisBackend for TimeDomainBackend {
 mod tests {
     use super::*;
     use magnetics::loop_analysis;
+    use waveform::schedule::FieldSchedule;
+
+    fn paper_model() -> JilesAtherton {
+        JilesAtherton::new(JaParameters::date2006()).expect("valid")
+    }
 
     fn paper_backends() -> Vec<Box<dyn HysteresisBackend>> {
         vec![
-            Box::new(JilesAtherton::new(JaParameters::date2006()).expect("valid")),
+            Box::new(paper_model()),
             Box::new(
                 TimeDomainBackend::new(JaParameters::date2006(), JaConfig::default())
                     .expect("valid"),
@@ -308,9 +280,11 @@ mod tests {
 
     #[test]
     fn trait_objects_drive_both_core_backends() {
-        let schedule = FieldSchedule::major_loop(10_000.0, 10.0, 2).expect("schedule");
+        let samples = FieldSchedule::major_loop(10_000.0, 10.0, 2)
+            .expect("schedule")
+            .to_samples();
         for backend in paper_backends().iter_mut() {
-            let curve = backend.run_schedule(&schedule).expect("sweep");
+            let curve = backend.run_samples(&samples).expect("sweep");
             let metrics = loop_analysis::loop_metrics(&curve).expect("metrics");
             assert!(
                 metrics.b_max.as_tesla() > 1.2 && metrics.b_max.as_tesla() < 2.5,
@@ -339,17 +313,20 @@ mod tests {
         // On a fine schedule the conventional per-sample integration and the
         // timeless gated integration follow the same loop envelope; the two
         // formulations differ at the reversal handling, not in bulk shape.
-        let schedule = FieldSchedule::major_loop(10_000.0, 5.0, 2).expect("schedule");
-        let mut direct = JilesAtherton::new(JaParameters::date2006()).expect("valid");
+        let samples = FieldSchedule::major_loop(10_000.0, 5.0, 2)
+            .expect("schedule")
+            .to_samples();
+        let mut direct = paper_model();
         let mut baseline =
             TimeDomainBackend::new(JaParameters::date2006(), JaConfig::default()).expect("valid");
-        let b_direct = HysteresisBackend::run_schedule(&mut direct, &schedule)
+        let b_direct = direct
+            .run_samples(&samples)
             .expect("sweep")
             .peak_flux_density()
             .expect("peak")
             .as_tesla();
         let b_baseline = baseline
-            .run_schedule(&schedule)
+            .run_samples(&samples)
             .expect("sweep")
             .peak_flux_density()
             .expect("peak")
@@ -362,20 +339,15 @@ mod tests {
 
     #[test]
     fn run_into_reuses_curve_and_matches_fresh_run() {
-        let schedule = FieldSchedule::major_loop(10_000.0, 50.0, 1).expect("schedule");
-        let mut model = JilesAtherton::new(JaParameters::date2006()).expect("valid");
-        let fresh = HysteresisBackend::run_schedule(&mut model, &schedule).expect("sweep");
+        let samples = FieldSchedule::major_loop(10_000.0, 50.0, 1)
+            .expect("schedule")
+            .to_samples();
+        let mut model = paper_model();
+        let fresh = model.run_samples(&samples).expect("sweep");
 
         HysteresisBackend::reset(&mut model).expect("reset");
         let mut reused = BhCurve::new();
         reused.push_raw(99.0, 99.0, 99.0); // stale content must be cleared
-        model
-            .run_schedule_into(&schedule, &mut reused)
-            .expect("sweep");
-        assert_eq!(fresh, reused);
-
-        HysteresisBackend::reset(&mut model).expect("reset");
-        let samples = schedule.to_samples();
         model
             .run_samples_into(&samples, &mut reused)
             .expect("sweep");
@@ -387,5 +359,66 @@ mod tests {
         let mut backend =
             TimeDomainBackend::new(JaParameters::date2006(), JaConfig::default()).expect("valid");
         assert!(backend.apply_field(f64::NAN).is_err());
+    }
+
+    #[test]
+    fn major_loop_sweep_reproduces_figure_shape() {
+        let mut model = paper_model();
+        let samples = FieldSchedule::major_loop(10_000.0, 10.0, 2)
+            .unwrap()
+            .to_samples();
+        let curve = model.run_samples(&samples).unwrap();
+        let metrics = loop_analysis::loop_metrics(&curve).unwrap();
+        // Fig. 1 axes: B spans roughly ±2 T over ±10 kA/m.
+        assert!(metrics.b_max.as_tesla() > 1.5 && metrics.b_max.as_tesla() < 2.3);
+        assert!((metrics.h_max.value() - 10_000.0).abs() < 1e-9);
+        assert!(metrics.coercivity.value() > 1_000.0);
+        assert!(metrics.remanence.as_tesla() > 0.3);
+        assert!(metrics.loop_area > 0.0);
+        assert_eq!(metrics.negative_slope_samples, 0);
+        assert_eq!(curve.len(), samples.len());
+        assert!(model.statistics().updates > 1000);
+    }
+
+    #[test]
+    fn nested_minor_loops_stay_inside_major_loop() {
+        let mut model = paper_model();
+        let samples =
+            FieldSchedule::nested_minor_loops(10_000.0, &[7_500.0, 5_000.0, 2_500.0], 10.0)
+                .unwrap()
+                .to_samples();
+        let curve = model.run_samples(&samples).unwrap();
+        let metrics = loop_analysis::loop_metrics(&curve).unwrap();
+        assert!(metrics.b_max.as_tesla() < 2.3);
+        assert_eq!(metrics.negative_slope_samples, 0);
+
+        // The minor-loop tail must stay strictly inside the major loop's
+        // flux-density extremes.
+        let tail_start = curve.len() - 200;
+        let tail_max = curve.points()[tail_start..]
+            .iter()
+            .map(|p| p.b.as_tesla().abs())
+            .fold(0.0, f64::max);
+        assert!(tail_max < metrics.b_max.as_tesla());
+    }
+
+    #[test]
+    fn sweep_propagates_model_errors() {
+        let mut model = paper_model();
+        assert!(model.run_samples(&[0.0, f64::NAN]).is_err());
+    }
+
+    #[test]
+    fn repeated_cycles_converge_to_a_closed_loop() {
+        let mut model = paper_model();
+        let samples = FieldSchedule::major_loop(10_000.0, 10.0, 3)
+            .unwrap()
+            .to_samples();
+        let curve = model.run_samples(&samples).unwrap();
+        // One full cycle corresponds to 4 * peak / step samples.
+        let period = (4.0 * 10_000.0 / 10.0) as usize;
+        let closure = loop_analysis::loop_closure_error(&curve, period).unwrap();
+        let b_max = curve.peak_flux_density().unwrap().as_tesla();
+        assert!(closure < 0.02 * b_max, "closure error {closure} T");
     }
 }

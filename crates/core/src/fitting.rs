@@ -601,12 +601,12 @@ fn metric_mismatch(candidate: &LoopMetrics, target: &LoopMetrics) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::sweep_schedule;
+    use crate::backend::HysteresisBackend;
 
     fn measured_loop(step: f64) -> BhCurve {
         let mut model = JilesAtherton::new(JaParameters::date2006()).unwrap();
         let schedule = FieldSchedule::major_loop(10_000.0, step, 2).unwrap();
-        sweep_schedule(&mut model, &schedule).unwrap().into_curve()
+        model.run_samples(&schedule.to_samples()).unwrap()
     }
 
     /// Generates a "measured" loop from known parameters, fits it, and
@@ -624,9 +624,7 @@ mod tests {
 
         let schedule = FieldSchedule::major_loop(10_000.0, 50.0, 2).unwrap();
         let mut fitted_model = JilesAtherton::new(fit.params).unwrap();
-        let fitted_curve = sweep_schedule(&mut fitted_model, &schedule)
-            .unwrap()
-            .into_curve();
+        let fitted_curve = fitted_model.run_samples(&schedule.to_samples()).unwrap();
         let fitted = loop_metrics(&fitted_curve).unwrap();
         assert!(
             (fitted.b_max.as_tesla() - target.b_max.as_tesla()).abs() / target.b_max.as_tesla()

@@ -33,16 +33,16 @@
 //!   Heun and RK4-in-`H` variants for the ablation study);
 //! * [`model`] — [`model::JilesAtherton`], the user-facing model: feed it a
 //!   field value, read back magnetisation and flux density;
-//! * [`time_domain`] — the conventional formulation (`dM/dt = dM/dH ·
-//!   dH/dt`) used as the baseline the paper compares against;
-//! * [`sweep`] — DC-sweep driver turning a [`waveform::schedule::FieldSchedule`]
-//!   into a [`magnetics::bh::BhCurve`];
+//! * [`time_domain`] — the conventional formulation's right-hand side
+//!   (`dM/dt = dM/dH · dH/dt`), the baseline the paper compares against;
 //! * [`soa`] — [`soa::SoaBatch`], the structure-of-arrays lockstep kernel
 //!   stepping many parameter sets through one field sequence at once
 //!   (bit-identical to the scalar model in `f64` mode);
 //! * [`backend`] — the [`backend::HysteresisBackend`] trait unifying every
 //!   implementation style (direct, time-domain, and the HDL models of the
-//!   `hdl-models` crate) behind one polymorphic driving API;
+//!   `hdl-models` crate) behind one polymorphic driving API, whose
+//!   [`run_samples`](backend::HysteresisBackend::run_samples) turns a
+//!   sequence of field samples into a [`magnetics::bh::BhCurve`];
 //! * [`json`] — the hand-rolled JSON document model behind the versioned
 //!   machine-readable run reports (the environment has no registry access,
 //!   so no `serde_json`), including [`json::SCHEMA_VERSION`].
@@ -50,8 +50,8 @@
 //! # Quickstart
 //!
 //! ```
+//! use ja_hysteresis::backend::HysteresisBackend;
 //! use ja_hysteresis::model::JilesAtherton;
-//! use ja_hysteresis::sweep::sweep_schedule;
 //! use magnetics::material::JaParameters;
 //! use waveform::schedule::FieldSchedule;
 //!
@@ -59,8 +59,8 @@
 //! // The paper's material and a ±10 kA/m triangular DC sweep.
 //! let mut model = JilesAtherton::new(JaParameters::date2006())?;
 //! let schedule = FieldSchedule::major_loop(10_000.0, 10.0, 2)?;
-//! let result = sweep_schedule(&mut model, &schedule)?;
-//! let metrics = magnetics::loop_analysis::loop_metrics(result.curve())?;
+//! let curve = model.run_samples(&schedule.to_samples())?;
+//! let metrics = magnetics::loop_analysis::loop_metrics(&curve)?;
 //! assert!(metrics.b_max.as_tesla() > 1.5);          // saturates near ±2 T
 //! assert_eq!(metrics.negative_slope_samples, 0);    // no unphysical slopes
 //! # Ok(())
@@ -83,7 +83,6 @@ pub mod params;
 pub mod slope;
 pub mod soa;
 pub mod state;
-pub mod sweep;
 pub mod time_domain;
 pub mod timeless;
 

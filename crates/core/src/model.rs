@@ -1,6 +1,7 @@
 //! The user-facing Jiles–Atherton model with timeless slope integration.
 
 use magnetics::anhysteretic::AnhystereticKind;
+use magnetics::bh::BhPoint;
 use magnetics::constants::MU0;
 use magnetics::material::JaParameters;
 use magnetics::units::{FieldStrength, FluxDensity, Magnetisation};
@@ -9,19 +10,6 @@ use crate::config::JaConfig;
 use crate::error::JaError;
 use crate::state::JaState;
 use crate::timeless::advance_state;
-
-/// One output sample of the model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JaSample {
-    /// Applied field.
-    pub h: FieldStrength,
-    /// Flux density `B = µ0·(H + M)`.
-    pub b: FluxDensity,
-    /// Total magnetisation.
-    pub m: Magnetisation,
-    /// Normalised anhysteretic magnetisation at the sample.
-    pub m_an: f64,
-}
 
 /// Cumulative statistics of a model instance — the cost metrics reported by
 /// the runtime experiments.
@@ -140,7 +128,7 @@ impl JilesAtherton {
     /// Returns [`JaError::NonFiniteField`] for a NaN/infinite field and
     /// [`JaError::StateDiverged`] if the state stops being finite (possible
     /// only with the guards disabled).
-    pub fn apply_field(&mut self, h: f64) -> Result<JaSample, JaError> {
+    pub fn apply_field(&mut self, h: f64) -> Result<BhPoint, JaError> {
         advance_state(
             &self.params,
             &self.anhysteretic,
@@ -154,14 +142,13 @@ impl JilesAtherton {
 
     /// The sample corresponding to the current state without applying a new
     /// field.
-    pub fn sample(&self) -> JaSample {
+    pub fn sample(&self) -> BhPoint {
         let m_sat = self.params.m_sat.value();
-        JaSample {
-            h: FieldStrength::new(self.state.h),
-            b: FluxDensity::new(MU0 * (self.state.h + self.state.m_total * m_sat)),
-            m: Magnetisation::new(self.state.m_total * m_sat),
-            m_an: self.state.m_an,
-        }
+        BhPoint::new(
+            FieldStrength::new(self.state.h),
+            FluxDensity::new(MU0 * (self.state.h + self.state.m_total * m_sat)),
+            Magnetisation::new(self.state.m_total * m_sat),
+        )
     }
 }
 
@@ -177,7 +164,7 @@ mod tests {
     }
 
     /// Drives the model along a linear ramp in small steps.
-    fn ramp(model: &mut JilesAtherton, from: f64, to: f64, step: f64) -> Vec<JaSample> {
+    fn ramp(model: &mut JilesAtherton, from: f64, to: f64, step: f64) -> Vec<BhPoint> {
         let mut samples = Vec::new();
         let n = ((to - from).abs() / step).ceil() as usize;
         let dir = (to - from).signum();

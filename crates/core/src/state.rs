@@ -50,11 +50,6 @@ impl JaState {
         Magnetisation::new(self.m_total * params.m_sat.value())
     }
 
-    /// Absolute irreversible magnetisation.
-    pub fn irreversible_magnetisation(&self, params: &JaParameters) -> Magnetisation {
-        Magnetisation::new(self.m_irr * params.m_sat.value())
-    }
-
     /// Flux density `B = µ0·(H + M)` at the current state.
     pub fn flux_density(&self, params: &JaParameters) -> FluxDensity {
         FluxDensity::new(MU0 * (self.h + self.m_total * params.m_sat.value()))
@@ -95,7 +90,6 @@ mod tests {
         let p = JaParameters::date2006();
         assert_eq!(s.m_total, 0.5);
         assert!((s.magnetisation(&p).value() - 0.8e6).abs() < 1e-6);
-        assert!((s.irreversible_magnetisation(&p).value() - 0.8e6).abs() < 1e-6);
     }
 
     #[test]

@@ -5,13 +5,12 @@
 //! derivative, `dM/dt = dM/dH · dH/dt`, and let the simulator's analogue
 //! solver integrate it.  [`MagnetisationOde`] exposes exactly that
 //! right-hand side for a given excitation waveform, so it can be handed to
-//! any time integrator (the fixed-step driver below, or the
-//! `analog-solver` engines used by the `hdl-models` crate).  The slope
-//! discontinuity at every field reversal is left in place on purpose: it is
-//! the very feature that makes this formulation fragile.
+//! any time integrator — the `analog-solver` engines that the `hdl-models`
+//! crate's solver-integrated baseline runs.  The slope discontinuity at
+//! every field reversal is left in place on purpose: it is the very
+//! feature that makes this formulation fragile.
 
 use magnetics::anhysteretic::AnhystereticKind;
-use magnetics::bh::BhCurve;
 use magnetics::constants::MU0;
 use magnetics::material::JaParameters;
 use waveform::Waveform;
@@ -83,118 +82,9 @@ impl<'a, W: Waveform> MagnetisationOde<'a, W> {
     }
 }
 
-/// Time-integration method for the built-in fixed-step driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TimeIntegration {
-    /// Forward Euler in time.
-    #[default]
-    ForwardEuler,
-    /// Classic RK4 in time.
-    RungeKutta4,
-}
-
-/// Result of a time-domain simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeDomainResult {
-    curve: BhCurve,
-    times: Vec<f64>,
-    rhs_evaluations: u64,
-}
-
-impl TimeDomainResult {
-    /// The BH trace.
-    pub fn curve(&self) -> &BhCurve {
-        &self.curve
-    }
-
-    /// The time points.
-    pub fn times(&self) -> &[f64] {
-        &self.times
-    }
-
-    /// Number of right-hand-side (slope) evaluations used.
-    pub fn rhs_evaluations(&self) -> u64 {
-        self.rhs_evaluations
-    }
-}
-
-/// Simulates the time-domain formulation with a fixed step.
-///
-/// # Errors
-///
-/// Returns [`JaError::InvalidConfig`] for a non-positive `dt` or `t_end`,
-/// and [`JaError::StateDiverged`] if the magnetisation becomes non-finite
-/// (which the explicit time-domain formulation *can* do at large steps —
-/// that failure mode is precisely what experiment E4 quantifies).
-pub fn simulate_time_domain<W: Waveform>(
-    ode: &MagnetisationOde<'_, W>,
-    t_end: f64,
-    dt: f64,
-    method: TimeIntegration,
-) -> Result<TimeDomainResult, JaError> {
-    if !dt.is_finite() || dt <= 0.0 {
-        return Err(JaError::InvalidConfig {
-            name: "dt",
-            value: dt,
-            requirement: "finite and > 0",
-        });
-    }
-    if !t_end.is_finite() || t_end <= 0.0 {
-        return Err(JaError::InvalidConfig {
-            name: "t_end",
-            value: t_end,
-            requirement: "finite and > 0",
-        });
-    }
-    let steps = (t_end / dt).ceil() as usize;
-    let mut m = 0.0_f64;
-    let mut t = 0.0_f64;
-    let mut curve = BhCurve::with_capacity(steps + 1);
-    let mut times = Vec::with_capacity(steps + 1);
-    let mut evals = 0u64;
-
-    let m_sat = ode.params().m_sat.value();
-    curve.push_raw(ode.field(0.0), ode.flux_density(0.0, m), m * m_sat);
-    times.push(0.0);
-
-    for _ in 0..steps {
-        let h_step = dt.min(t_end - t);
-        match method {
-            TimeIntegration::ForwardEuler => {
-                let k = ode.dm_dt(t, m);
-                evals += 1;
-                m += h_step * k;
-            }
-            TimeIntegration::RungeKutta4 => {
-                let k1 = ode.dm_dt(t, m);
-                let k2 = ode.dm_dt(t + 0.5 * h_step, m + 0.5 * h_step * k1);
-                let k3 = ode.dm_dt(t + 0.5 * h_step, m + 0.5 * h_step * k2);
-                let k4 = ode.dm_dt(t + h_step, m + h_step * k3);
-                evals += 4;
-                m += h_step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
-            }
-        }
-        t += h_step;
-        if !m.is_finite() {
-            return Err(JaError::StateDiverged {
-                at_field: ode.field(t),
-            });
-        }
-        curve.push_raw(ode.field(t), ode.flux_density(t, m), m * m_sat);
-        times.push(t);
-    }
-
-    Ok(TimeDomainResult {
-        curve,
-        times,
-        rhs_evaluations: evals,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use magnetics::loop_analysis;
     use waveform::triangular::Triangular;
 
     fn paper_setup() -> (JaParameters, JaConfig, Triangular) {
@@ -220,42 +110,6 @@ mod tests {
         // Early in the cycle the triangular field rises.
         assert!(ode.dm_dt(0.05, 0.0) > 0.0);
         assert_eq!(ode.field(0.25), 10_000.0);
-    }
-
-    #[test]
-    fn fixed_step_rk4_produces_hysteresis_loop() {
-        let (p, c, w) = paper_setup();
-        let ode = MagnetisationOde::new(p, &c, &w).unwrap();
-        let result =
-            simulate_time_domain(&ode, 2.0, 2.0 / 8000.0, TimeIntegration::RungeKutta4).unwrap();
-        let metrics = loop_analysis::loop_metrics(result.curve()).unwrap();
-        assert!(metrics.b_max.as_tesla() > 1.2);
-        assert!(metrics.coercivity.value() > 500.0);
-        assert!(result.rhs_evaluations() > 8000);
-        assert_eq!(result.times().len(), result.curve().len());
-    }
-
-    #[test]
-    fn forward_euler_needs_more_care_than_rk4() {
-        let (p, c, w) = paper_setup();
-        let ode = MagnetisationOde::new(p, &c, &w).unwrap();
-        let euler =
-            simulate_time_domain(&ode, 1.0, 1.0 / 4000.0, TimeIntegration::ForwardEuler).unwrap();
-        let rk4 =
-            simulate_time_domain(&ode, 1.0, 1.0 / 4000.0, TimeIntegration::RungeKutta4).unwrap();
-        let b_euler = euler.curve().peak_flux_density().unwrap().as_tesla();
-        let b_rk4 = rk4.curve().peak_flux_density().unwrap().as_tesla();
-        // Both bounded; shapes close but not identical.
-        assert!(b_euler < 2.5 && b_rk4 < 2.5);
-        assert!((b_euler - b_rk4).abs() < 0.5);
-    }
-
-    #[test]
-    fn invalid_time_parameters_rejected() {
-        let (p, c, w) = paper_setup();
-        let ode = MagnetisationOde::new(p, &c, &w).unwrap();
-        assert!(simulate_time_domain(&ode, 1.0, 0.0, TimeIntegration::ForwardEuler).is_err());
-        assert!(simulate_time_domain(&ode, -1.0, 1e-3, TimeIntegration::ForwardEuler).is_err());
     }
 
     #[test]

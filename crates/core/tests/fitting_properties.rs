@@ -20,7 +20,7 @@ use waveform::schedule::FieldSchedule;
 fn measured_loop(params: JaParameters) -> BhCurve {
     let mut model = JilesAtherton::new(params).expect("valid truth parameters");
     let schedule = FieldSchedule::major_loop(10_000.0, 250.0, 2).expect("schedule");
-    model.run_schedule(&schedule).expect("sweep")
+    model.run_samples(&schedule.to_samples()).expect("sweep")
 }
 
 proptest! {

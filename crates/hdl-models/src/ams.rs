@@ -3,9 +3,12 @@
 //! Two models live here:
 //!
 //! * [`AmsTimelessModel`] — the paper's technique expressed as an AMS-style
-//!   architecture: a transient loop samples the excitation waveform at a
-//!   fixed rate and feeds the field into the timeless JA model, which does
-//!   its own slope integration (the analogue solver never sees `dM/dH`).
+//!   architecture: the excitation waveform is sampled at a fixed rate
+//!   ([`Excitation::sampled`](crate::scenario::Excitation::sampled)) and
+//!   each sample is fed into the timeless JA model, which does its own
+//!   slope integration (the analogue solver never sees `dM/dH`).  It runs
+//!   through the [`HysteresisBackend`] sweep loop like every other
+//!   backend.
 //! * [`SolverIntegratedBaseline`] — the conventional approach of the prior
 //!   work the paper criticises ([4, 5] in its references): `dM/dH` is
 //!   converted to `dM/dt` and handed to the analogue solver's integrator
@@ -18,15 +21,18 @@ use analog_solver::ode::explicit::ForwardEuler;
 use analog_solver::ode::implicit::{BackwardEuler, Trapezoidal};
 use analog_solver::ode::{FixedStepIntegrator, OdeSystem};
 use analog_solver::SolverError;
+use ja_hysteresis::backend::HysteresisBackend;
 use ja_hysteresis::config::JaConfig;
 use ja_hysteresis::error::JaError;
-use ja_hysteresis::model::JilesAtherton;
+use ja_hysteresis::model::{JaStatistics, JilesAtherton};
 use ja_hysteresis::time_domain::MagnetisationOde;
-use magnetics::bh::BhCurve;
+use magnetics::bh::{BhCurve, BhPoint};
 use magnetics::material::JaParameters;
 use waveform::Waveform;
 
-/// The timeless model embedded in an AMS-style fixed-step transient loop.
+/// The timeless model embedded in an AMS-style fixed-step transient: the
+/// waveform's samples drive it through
+/// [`run_samples`](HysteresisBackend::run_samples).
 #[derive(Debug, Clone)]
 pub struct AmsTimelessModel {
     model: JilesAtherton,
@@ -43,57 +49,18 @@ impl AmsTimelessModel {
             model: JilesAtherton::with_config(params, config)?,
         })
     }
-
-    /// Read access to the wrapped model (state and statistics).
-    pub fn model(&self) -> &JilesAtherton {
-        &self.model
-    }
-
-    /// Runs a transient simulation: the waveform is sampled every `dt`
-    /// seconds from `t = 0` to `t_end` and each sample is applied to the
-    /// timeless model.  The sampling grid is
-    /// [`crate::scenario::Excitation::sampled`], so a transient run here and
-    /// a scenario run over the same waveform see the identical stimulus.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JaError::InvalidConfig`] for non-positive `dt`/`t_end` and
-    /// propagates model errors.
-    pub fn run_transient<W: Waveform>(
-        &mut self,
-        waveform: &W,
-        t_end: f64,
-        dt: f64,
-    ) -> Result<BhCurve, JaError> {
-        let excitation = crate::scenario::Excitation::sampled(waveform, t_end, dt)?;
-        self.run_samples(excitation.to_samples())
-    }
-
-    /// Runs a timeless DC sweep over explicit field samples (the AMS model
-    /// used "quiescently", for direct comparison with the SystemC port).
-    ///
-    /// # Errors
-    ///
-    /// Propagates model errors.
-    pub fn run_samples<I: IntoIterator<Item = f64>>(
-        &mut self,
-        samples: I,
-    ) -> Result<BhCurve, JaError> {
-        let result = ja_hysteresis::sweep::sweep_samples(&mut self.model, samples)?;
-        Ok(result.into_curve())
-    }
 }
 
-impl ja_hysteresis::backend::HysteresisBackend for AmsTimelessModel {
+impl HysteresisBackend for AmsTimelessModel {
     fn label(&self) -> &'static str {
         "ams-timeless"
     }
 
-    fn apply_field(&mut self, h: f64) -> Result<ja_hysteresis::model::JaSample, JaError> {
+    fn apply_field(&mut self, h: f64) -> Result<BhPoint, JaError> {
         self.model.apply_field(h)
     }
 
-    fn statistics(&self) -> ja_hysteresis::model::JaStatistics {
+    fn statistics(&self) -> JaStatistics {
         self.model.statistics()
     }
 
@@ -284,32 +251,15 @@ mod tests {
     fn ams_timeless_transient_produces_loop() {
         let mut model =
             AmsTimelessModel::new(JaParameters::date2006(), JaConfig::default()).unwrap();
-        let waveform = paper_waveform();
-        let curve = model.run_transient(&waveform, 2.0, 2.0 / 8000.0).unwrap();
+        let samples = crate::scenario::Excitation::sampled(&paper_waveform(), 2.0, 2.0 / 8000.0)
+            .unwrap()
+            .to_samples();
+        let curve = model.run_samples(&samples).unwrap();
         let metrics = loop_analysis::loop_metrics(&curve).unwrap();
         assert!(metrics.b_max.as_tesla() > 1.5);
         assert!(metrics.coercivity.value() > 1000.0);
         assert_eq!(metrics.negative_slope_samples, 0);
-        assert!(model.model().statistics().updates > 1000);
-    }
-
-    #[test]
-    fn ams_timeless_rejects_bad_time_parameters() {
-        let mut model =
-            AmsTimelessModel::new(JaParameters::date2006(), JaConfig::default()).unwrap();
-        let waveform = paper_waveform();
-        assert!(model.run_transient(&waveform, 1.0, 0.0).is_err());
-        assert!(model.run_transient(&waveform, -1.0, 1e-3).is_err());
-    }
-
-    #[test]
-    fn ams_run_samples_matches_direct_sweep() {
-        let mut model =
-            AmsTimelessModel::new(JaParameters::date2006(), JaConfig::default()).unwrap();
-        let samples: Vec<f64> = (0..=1000).map(|i| i as f64 * 10.0).collect();
-        let curve = model.run_samples(samples).unwrap();
-        assert_eq!(curve.len(), 1001);
-        assert!(curve.last().unwrap().b.as_tesla() > 1.2);
+        assert!(model.statistics().updates > 1000);
     }
 
     #[test]

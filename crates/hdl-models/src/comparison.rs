@@ -1,17 +1,18 @@
 //! Experiment drivers: the functions behind every figure / claim
-//! reproduction (see DESIGN.md §4 and EXPERIMENTS.md).
+//! reproduction.
 //!
-//! Since the introduction of the [`crate::scenario`] engine these are thin
-//! wrappers: each experiment declares its scenarios (material × excitation
-//! × backend × config) and reads the numbers it reports out of the
-//! [`ScenarioOutcome`]s.  Only the solver-in-the-loop baseline of
-//! experiments E4/E5 still drives [`SolverIntegratedBaseline`] directly —
-//! genuine time integration cannot stand behind the sample-driven
+//! Each is a thin wrapper over the [`crate::scenario`] engine: an
+//! experiment declares its scenarios (material × excitation × backend ×
+//! config) and reads the numbers it reports out of the
+//! [`ScenarioOutcome`]s, whose `curve` holds the whole BH trace — the
+//! Fig. 1 curve of any backend is `fig1_outcome(backend, step)?.curve`.
+//! Only the solver-in-the-loop baseline of experiments E4/E5 drives
+//! [`SolverIntegratedBaseline`] directly: genuine time integration cannot
+//! stand behind the sample-driven
 //! [`ja_hysteresis::backend::HysteresisBackend`] API.
 
 use ja_hysteresis::config::{JaConfig, SlopeIntegration};
 use ja_hysteresis::error::JaError;
-use magnetics::bh::BhCurve;
 use magnetics::loop_analysis::{self, LoopMetrics};
 use magnetics::material::JaParameters;
 use waveform::schedule::FieldSchedule;
@@ -49,33 +50,6 @@ pub fn fig1_schedule(step: f64) -> Result<FieldSchedule, WaveformError> {
 /// Propagates scenario errors.
 pub fn fig1_outcome(backend: BackendKind, step: f64) -> Result<ScenarioOutcome, JaError> {
     Scenario::fig1(backend, step)?.run()
-}
-
-/// Runs the Fig. 1 experiment on the SystemC-style model and returns the BH
-/// curve (experiment E1).
-///
-/// # Errors
-///
-/// Propagates scenario errors.
-pub fn fig1_systemc_curve(step: f64) -> Result<BhCurve, JaError> {
-    Ok(fig1_outcome(BackendKind::SystemC, step)?.curve)
-}
-
-/// Runs the Fig. 1 experiment on the direct (library) timeless model.
-///
-/// # Errors
-///
-/// Propagates scenario errors.
-pub fn fig1_direct_curve(step: f64, config: JaConfig) -> Result<BhCurve, JaError> {
-    let outcome = Scenario::new(
-        "fig1/direct-timeless",
-        JaParameters::date2006(),
-        config,
-        BackendKind::DirectTimeless,
-        Excitation::fig1(step)?,
-    )
-    .run()?;
-    Ok(outcome.curve)
 }
 
 /// Summary of the implementation-equivalence experiment (E6): the
@@ -354,7 +328,9 @@ mod tests {
 
     #[test]
     fn fig1_systemc_reproduces_figure_envelope() {
-        let curve = fig1_systemc_curve(DEFAULT_STEP).unwrap();
+        let curve = fig1_outcome(BackendKind::SystemC, DEFAULT_STEP)
+            .unwrap()
+            .curve;
         let metrics = loop_analysis::loop_metrics(&curve).unwrap();
         assert!(metrics.b_max.as_tesla() > 1.5 && metrics.b_max.as_tesla() < 2.3);
         assert!((metrics.h_max.value() - FIG1_H_PEAK).abs() < 1e-9);
@@ -363,8 +339,12 @@ mod tests {
 
     #[test]
     fn fig1_direct_matches_systemc_closely() {
-        let systemc = fig1_systemc_curve(DEFAULT_STEP).unwrap();
-        let direct = fig1_direct_curve(DEFAULT_STEP, JaConfig::default()).unwrap();
+        let systemc = fig1_outcome(BackendKind::SystemC, DEFAULT_STEP)
+            .unwrap()
+            .curve;
+        let direct = fig1_outcome(BackendKind::DirectTimeless, DEFAULT_STEP)
+            .unwrap()
+            .curve;
         assert_eq!(systemc.len(), direct.len());
         let max_diff = systemc
             .points()

@@ -340,7 +340,7 @@ mod tests {
     fn measured_loop(params: JaParameters, step: f64) -> BhCurve {
         let mut model = JilesAtherton::new(params).unwrap();
         let schedule = FieldSchedule::major_loop(10_000.0, step, 2).unwrap();
-        model.run_schedule(&schedule).unwrap()
+        model.run_samples(&schedule.to_samples()).unwrap()
     }
 
     fn quick_options(starts: usize, workers: usize) -> MultiStartOptions {

@@ -9,7 +9,7 @@
 //!   (`core`, `monitorH`, `Integral` processes, `hchanged`/`trig` handshake
 //!   signals) running on the [`hdl_kernel`] discrete-event kernel;
 //! * [`ams`] — the equation-style (VHDL-AMS-like) implementations: the
-//!   timeless model embedded in a fixed-step transient loop, and the
+//!   timeless model driven by a fixed-rate sampled waveform, and the
 //!   conventional solver-integrated baseline whose `dM/dt` is advanced by
 //!   the [`analog_solver`] ODE engines (the "previous work" the paper
 //!   criticises);

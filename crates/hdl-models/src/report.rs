@@ -847,8 +847,10 @@ mod tests {
         let measured = |params: JaParameters| {
             let mut model = JilesAtherton::new(params).unwrap();
             model
-                .run_schedule(
-                    &waveform::schedule::FieldSchedule::major_loop(10_000.0, 250.0, 2).unwrap(),
+                .run_samples(
+                    &waveform::schedule::FieldSchedule::major_loop(10_000.0, 250.0, 2)
+                        .unwrap()
+                        .to_samples(),
                 )
                 .unwrap()
         };

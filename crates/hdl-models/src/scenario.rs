@@ -1513,6 +1513,7 @@ mod tests {
         let samples = excitation.to_samples();
         assert!((samples[1] - 1_000.0).abs() < 1e-9); // peak at t = 0.25
         assert!(Excitation::sampled(&waveform, 1.0, 0.0).is_err());
+        assert!(Excitation::sampled(&waveform, -1.0, 1e-3).is_err());
 
         // Sample counts are held to the schedule ceiling before anything
         // is allocated: a ratio that overflows `usize` and one that fits

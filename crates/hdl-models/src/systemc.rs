@@ -31,11 +31,10 @@ use hdl_kernel::signal::SignalId;
 use hdl_kernel::value::Value;
 use hdl_kernel::KernelError;
 use ja_hysteresis::error::JaError;
-use magnetics::bh::BhCurve;
+use magnetics::bh::{BhCurve, BhPoint};
 use magnetics::constants::MU0;
 use magnetics::material::JaParameters;
 use magnetics::units::{FieldStrength, FluxDensity, Magnetisation};
-use waveform::schedule::FieldSchedule;
 
 /// Internal module variables shared by the three processes — the SystemC
 /// member variables of the paper's `JA` module.  `params` and `dhmax` are
@@ -240,22 +239,6 @@ impl SystemCJaCore {
         ))
     }
 
-    /// Runs a complete timeless DC sweep over a field schedule, returning
-    /// the BH curve.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors.
-    pub fn run_schedule(&mut self, schedule: &FieldSchedule) -> Result<BhCurve, KernelError> {
-        let mut curve = BhCurve::with_capacity(schedule.len());
-        let m_sat = self.vars.params.m_sat.value();
-        for h in schedule.iter() {
-            let (b, m_norm) = self.apply_field(h)?;
-            curve.push_raw(h, b, m_norm * m_sat);
-        }
-        Ok(curve)
-    }
-
     /// Runs a timed testbench: the field samples are scheduled as timed
     /// writes `dt` apart and the kernel advances through them, recording `H`
     /// and `B` after every event.  Demonstrates that the same module also
@@ -321,7 +304,7 @@ impl ja_hysteresis::backend::HysteresisBackend for SystemCJaCore {
         "systemc-event-kernel"
     }
 
-    fn apply_field(&mut self, h: f64) -> Result<ja_hysteresis::model::JaSample, JaError> {
+    fn apply_field(&mut self, h: f64) -> Result<BhPoint, JaError> {
         if !h.is_finite() {
             return Err(JaError::NonFiniteField { value: h });
         }
@@ -329,17 +312,15 @@ impl ja_hysteresis::backend::HysteresisBackend for SystemCJaCore {
             backend: "systemc-event-kernel",
             reason: err.to_string(),
         })?;
-        let v = &*self.vars;
-        let m = m_norm * v.params.m_sat.value();
+        let m = m_norm * self.vars.params.m_sat.value();
         if !(b.is_finite() && m.is_finite()) {
             return Err(JaError::StateDiverged { at_field: h });
         }
-        Ok(ja_hysteresis::model::JaSample {
-            h: FieldStrength::new(h),
-            b: FluxDensity::new(b),
-            m: Magnetisation::new(m),
-            m_an: v.man.get(),
-        })
+        Ok(BhPoint::new(
+            FieldStrength::new(h),
+            FluxDensity::new(b),
+            Magnetisation::new(m),
+        ))
     }
 
     fn statistics(&self) -> ja_hysteresis::model::JaStatistics {
@@ -393,7 +374,9 @@ impl std::fmt::Debug for SystemCJaCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ja_hysteresis::backend::HysteresisBackend;
     use magnetics::loop_analysis;
+    use waveform::schedule::FieldSchedule;
 
     #[test]
     fn initial_state_is_demagnetised() {
@@ -425,8 +408,10 @@ mod tests {
     #[test]
     fn major_loop_has_hysteresis() {
         let mut core = SystemCJaCore::date2006().unwrap();
-        let schedule = FieldSchedule::major_loop(10_000.0, 10.0, 2).unwrap();
-        let curve = core.run_schedule(&schedule).unwrap();
+        let samples = FieldSchedule::major_loop(10_000.0, 10.0, 2)
+            .unwrap()
+            .to_samples();
+        let curve = core.run_samples(&samples).unwrap();
         let metrics = loop_analysis::loop_metrics(&curve).unwrap();
         assert!(metrics.b_max.as_tesla() > 1.5);
         assert!(metrics.coercivity.value() > 1_000.0);
@@ -449,11 +434,12 @@ mod tests {
 
     #[test]
     fn timed_testbench_matches_dc_sweep() {
-        let schedule = FieldSchedule::major_loop(10_000.0, 50.0, 1).unwrap();
-        let samples = schedule.to_samples();
+        let samples = FieldSchedule::major_loop(10_000.0, 50.0, 1)
+            .unwrap()
+            .to_samples();
 
         let mut dc = SystemCJaCore::date2006().unwrap();
-        let dc_curve = dc.run_schedule(&schedule).unwrap();
+        let dc_curve = dc.run_samples(&samples).unwrap();
 
         let mut timed = SystemCJaCore::date2006().unwrap();
         let (timed_curve, recorder) = timed.run_timed(&samples, 1e-6).unwrap();
@@ -471,27 +457,31 @@ mod tests {
 
     #[test]
     fn reset_reuses_the_kernel_bit_identically() {
-        use ja_hysteresis::backend::HysteresisBackend;
-        let schedule =
+        let samples =
             FieldSchedule::nested_minor_loops(10_000.0, &[7_500.0, 5_000.0, 2_500.0], 50.0)
-                .unwrap();
+                .unwrap()
+                .to_samples();
 
         let mut fresh = SystemCJaCore::date2006().unwrap();
-        let fresh_curve = fresh.run_schedule(&schedule).unwrap();
+        let fresh_curve = fresh.run_samples(&samples).unwrap();
 
         // Dirty a second module with an unrelated sweep, then reset: the
         // reused kernel must replay the fig1 stimulus bit-identically to
         // the fresh one, with identical kernel counters.
         let mut reused = SystemCJaCore::date2006().unwrap();
         reused
-            .run_schedule(&FieldSchedule::major_loop(8_000.0, 100.0, 1).unwrap())
+            .run_samples(
+                &FieldSchedule::major_loop(8_000.0, 100.0, 1)
+                    .unwrap()
+                    .to_samples(),
+            )
             .unwrap();
         HysteresisBackend::reset(&mut reused).unwrap();
         assert_eq!(reused.delta_cycles(), 0);
         assert_eq!(reused.activations(), 0);
         assert_eq!(reused.events_scheduled(), 0);
 
-        let reused_curve = reused.run_schedule(&schedule).unwrap();
+        let reused_curve = reused.run_samples(&samples).unwrap();
         assert_eq!(fresh_curve, reused_curve);
         assert_eq!(fresh.delta_cycles(), reused.delta_cycles());
         assert_eq!(fresh.activations(), reused.activations());

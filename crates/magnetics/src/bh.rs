@@ -156,34 +156,6 @@ impl BhCurve {
         Ok((FieldStrength::new(lo), FieldStrength::new(hi)))
     }
 
-    /// Splits the trace at the field turning points, returning the index of
-    /// the first sample of every monotone branch.  The first branch always
-    /// starts at index 0.
-    pub fn branch_starts(&self) -> Vec<usize> {
-        let mut starts = vec![0];
-        if self.points.len() < 3 {
-            return starts;
-        }
-        let mut prev_dir = 0.0;
-        for i in 1..self.points.len() {
-            let dh = self.points[i].h.value() - self.points[i - 1].h.value();
-            let dir = if dh > 0.0 {
-                1.0
-            } else if dh < 0.0 {
-                -1.0
-            } else {
-                prev_dir
-            };
-            if prev_dir != 0.0 && dir != 0.0 && dir != prev_dir {
-                starts.push(i - 1);
-            }
-            if dir != 0.0 {
-                prev_dir = dir;
-            }
-        }
-        starts
-    }
-
     /// Returns the number of samples at which `B` decreases while `H`
     /// increases (or vice versa) — i.e. samples exhibiting a locally
     /// negative differential permeability.  The paper's slope clamp is meant
@@ -298,15 +270,6 @@ mod tests {
         let (lo, hi) = curve.field_range().unwrap();
         assert!(lo.value() <= -9.5);
         assert!(hi.value() >= 9.5);
-    }
-
-    #[test]
-    fn branch_starts_detect_reversals() {
-        let curve = triangle_curve();
-        let starts = curve.branch_starts();
-        // 0 -> 10 -> -10 -> 10 has at least two reversals.
-        assert!(starts.len() >= 3, "starts = {starts:?}");
-        assert_eq!(starts[0], 0);
     }
 
     #[test]

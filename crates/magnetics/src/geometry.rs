@@ -1,14 +1,14 @@
-//! Magnetic core geometry and windings.
+//! Magnetic core geometry.
 //!
 //! The paper's SystemC model multiplies the flux density by a core area to
 //! report flux (`B = MU0*area*(ms*mtotal + H)` in the listing is actually a
 //! flux, Φ = B·A).  When the core is embedded in a circuit (the analogue
-//! solver substrate), the geometry also converts winding current into field
-//! strength (`H = N·I / l_m`) and flux change into induced voltage
-//! (`v = N·dΦ/dt`).
+//! solver substrate), its path length converts winding current into field
+//! strength (`H = N·I / l_m`) and its area turns flux-density change into
+//! induced voltage (`v = N·A·dB/dt`).
 
 use crate::error::MagneticsError;
-use crate::units::{FieldStrength, FluxDensity, MagneticFlux};
+use crate::units::{FluxDensity, MagneticFlux};
 
 /// Geometry of a magnetic core: effective cross-section area and effective
 /// magnetic path length.
@@ -45,41 +45,6 @@ impl CoreGeometry {
         })
     }
 
-    /// A toroidal core described by inner/outer radius and height (all in
-    /// metres): area = (r_out − r_in)·h, path length = 2π·(r_in + r_out)/2.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MagneticsError::InvalidGeometry`] when the radii are not
-    /// ordered `0 < r_in < r_out` or the height is not positive.
-    pub fn toroid(
-        inner_radius_m: f64,
-        outer_radius_m: f64,
-        height_m: f64,
-    ) -> Result<Self, MagneticsError> {
-        if !(inner_radius_m.is_finite() && inner_radius_m > 0.0) {
-            return Err(MagneticsError::InvalidGeometry {
-                name: "inner_radius_m",
-                value: inner_radius_m,
-            });
-        }
-        if !(outer_radius_m.is_finite() && outer_radius_m > inner_radius_m) {
-            return Err(MagneticsError::InvalidGeometry {
-                name: "outer_radius_m",
-                value: outer_radius_m,
-            });
-        }
-        if !(height_m.is_finite() && height_m > 0.0) {
-            return Err(MagneticsError::InvalidGeometry {
-                name: "height_m",
-                value: height_m,
-            });
-        }
-        let area = (outer_radius_m - inner_radius_m) * height_m;
-        let path = std::f64::consts::PI * (inner_radius_m + outer_radius_m);
-        Self::new(area, path)
-    }
-
     /// A small demonstration core (1 cm² area, 10 cm path) used by the
     /// examples and benches.
     pub fn demo() -> Self {
@@ -111,62 +76,6 @@ impl CoreGeometry {
     }
 }
 
-/// A winding of `turns` turns around a [`CoreGeometry`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Winding {
-    turns: u32,
-    core: CoreGeometry,
-}
-
-impl Winding {
-    /// Creates a winding.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MagneticsError::InvalidGeometry`] when `turns` is zero.
-    pub fn new(turns: u32, core: CoreGeometry) -> Result<Self, MagneticsError> {
-        if turns == 0 {
-            return Err(MagneticsError::InvalidGeometry {
-                name: "turns",
-                value: 0.0,
-            });
-        }
-        Ok(Self { turns, core })
-    }
-
-    /// Number of turns.
-    pub fn turns(&self) -> u32 {
-        self.turns
-    }
-
-    /// The wound core.
-    pub fn core(&self) -> &CoreGeometry {
-        &self.core
-    }
-
-    /// Field strength produced by a winding current (ampere-turns over the
-    /// magnetic path): `H = N·i / l_m`.
-    pub fn field_from_current(&self, current_a: f64) -> FieldStrength {
-        FieldStrength::new(self.turns as f64 * current_a / self.core.path_length_m())
-    }
-
-    /// Winding current needed to produce a given field strength.
-    pub fn current_for_field(&self, h: FieldStrength) -> f64 {
-        h.value() * self.core.path_length_m() / self.turns as f64
-    }
-
-    /// Flux linkage `λ = N·Φ` for a flux density in the core.
-    pub fn flux_linkage(&self, b: FluxDensity) -> f64 {
-        self.turns as f64 * self.core.flux(b).as_weber()
-    }
-
-    /// Induced voltage for a rate of change of flux density (T/s):
-    /// `v = N·A·dB/dt`.
-    pub fn induced_voltage(&self, db_dt: f64) -> f64 {
-        self.turns as f64 * self.core.area_m2() * db_dt
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,46 +89,9 @@ mod tests {
     }
 
     #[test]
-    fn toroid_dimensions() {
-        let core = CoreGeometry::toroid(0.01, 0.02, 0.005).unwrap();
-        assert!((core.area_m2() - 0.01 * 0.005).abs() < 1e-12);
-        assert!((core.path_length_m() - std::f64::consts::PI * 0.03).abs() < 1e-12);
-        assert!(core.volume_m3() > 0.0);
-    }
-
-    #[test]
-    fn toroid_rejects_bad_radii() {
-        assert!(CoreGeometry::toroid(-0.01, 0.02, 0.005).is_err());
-        assert!(CoreGeometry::toroid(0.02, 0.01, 0.005).is_err());
-        assert!(CoreGeometry::toroid(0.01, 0.02, 0.0).is_err());
-    }
-
-    #[test]
     fn flux_through_core() {
         let core = CoreGeometry::demo();
         let phi = core.flux(FluxDensity::new(1.5));
         assert!((phi.as_weber() - 1.5e-4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn winding_field_current_roundtrip() {
-        let w = Winding::new(100, CoreGeometry::demo()).unwrap();
-        let h = w.field_from_current(2.0);
-        assert!((h.value() - 100.0 * 2.0 / 0.1).abs() < 1e-9);
-        let i = w.current_for_field(h);
-        assert!((i - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn winding_rejects_zero_turns() {
-        assert!(Winding::new(0, CoreGeometry::demo()).is_err());
-    }
-
-    #[test]
-    fn flux_linkage_and_induced_voltage() {
-        let w = Winding::new(50, CoreGeometry::demo()).unwrap();
-        assert!((w.flux_linkage(FluxDensity::new(1.0)) - 50.0 * 1.0e-4).abs() < 1e-12);
-        // dB/dt = 100 T/s through 1 cm^2 with 50 turns -> 0.5 V
-        assert!((w.induced_voltage(100.0) - 0.5).abs() < 1e-12);
     }
 }

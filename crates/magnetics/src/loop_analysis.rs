@@ -287,25 +287,6 @@ pub fn loop_closure_error(curve: &BhCurve, period_samples: usize) -> Result<f64,
     Ok((last.b.as_tesla() - previous.b.as_tesla()).abs())
 }
 
-/// Extracts nested minor loops: every maximal run of samples between two
-/// successive field reversals, returned as `(start, end)` index pairs into
-/// the trace (half-open ranges).
-pub fn monotone_branches(curve: &BhCurve) -> Vec<(usize, usize)> {
-    let starts = curve.branch_starts();
-    let mut branches = Vec::with_capacity(starts.len());
-    for (i, &s) in starts.iter().enumerate() {
-        let end = if i + 1 < starts.len() {
-            starts[i + 1] + 1
-        } else {
-            curve.len()
-        };
-        if end > s + 1 {
-            branches.push((s, end));
-        }
-    }
-    branches
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,15 +496,6 @@ mod tests {
     fn loop_closure_requires_enough_samples() {
         let curve = synthetic_loop(10.0, 1.0, 1.0, 10);
         assert!(loop_closure_error(&curve, 10_000).is_err());
-    }
-
-    #[test]
-    fn monotone_branches_cover_trace() {
-        let curve = synthetic_loop(10_000.0, 1000.0, 1.8, 300);
-        let branches = monotone_branches(&curve);
-        assert!(branches.len() >= 2);
-        assert_eq!(branches[0].0, 0);
-        assert_eq!(branches.last().unwrap().1, curve.len());
     }
 
     #[test]

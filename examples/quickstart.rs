@@ -11,12 +11,13 @@ use std::error::Error;
 use std::fs::File;
 
 use ja_repro::hdl_models::scenario::{run_batch, BackendKind, Excitation, ScenarioGrid};
+use ja_repro::ja_hysteresis::backend::HysteresisBackend;
 use ja_repro::ja_hysteresis::model::JilesAtherton;
-use ja_repro::ja_hysteresis::sweep::sweep_schedule;
 use ja_repro::magnetics::loop_analysis;
 use ja_repro::magnetics::material::JaParameters;
 use ja_repro::waveform::export::{ascii_plot, write_csv};
 use ja_repro::waveform::schedule::FieldSchedule;
+use ja_repro::waveform::trace::Trace;
 
 fn main() -> Result<(), Box<dyn Error>> {
     // The paper's material: k = 4000 A/m, c = 0.1, Msat = 1.6 MA/m,
@@ -37,9 +38,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     let mut model = JilesAtherton::new(params)?;
-    let result = sweep_schedule(&mut model, &schedule)?;
+    let curve = model.run_samples(&schedule.to_samples())?;
 
-    let metrics = loop_analysis::loop_metrics(result.curve())?;
+    let metrics = loop_analysis::loop_metrics(&curve)?;
     println!("\n== loop metrics (compare with Fig. 1 axes: +/-10 kA/m, ~+/-2 T) ==");
     println!("  B_max        = {:.3} T", metrics.b_max.as_tesla());
     println!(
@@ -58,30 +59,28 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
     println!(
         "  slope updates = {} over {} samples",
-        result.updates(),
-        result.samples()
+        model.statistics().updates,
+        curve.len()
     );
 
     // ASCII rendition of Fig. 1.
-    let h_kam: Vec<f64> = result
-        .curve()
+    let h_kam: Vec<f64> = curve
         .points()
         .iter()
         .map(|p| p.h.as_kiloamperes_per_meter())
         .collect();
-    let b: Vec<f64> = result
-        .curve()
-        .points()
-        .iter()
-        .map(|p| p.b.as_tesla())
-        .collect();
+    let b: Vec<f64> = curve.points().iter().map(|p| p.b.as_tesla()).collect();
     println!("\nBH curve (x: H in kA/m, y: B in T):");
     println!("{}", ascii_plot(&h_kam, &b, 72, 24)?);
 
-    // CSV export for external plotting.
+    // CSV export for external plotting (columns h, b, m).
+    let mut trace = Trace::with_capacity(["h", "b", "m"], curve.len());
+    for p in curve.points() {
+        trace.push_row(&[p.h.value(), p.b.as_tesla(), p.m.value()])?;
+    }
     std::fs::create_dir_all("target")?;
     let file = File::create("target/fig1_bh_curve.csv")?;
-    write_csv(result.trace(), file)?;
+    write_csv(&trace, file)?;
     println!("full trace written to target/fig1_bh_curve.csv");
 
     // The same experiment through the scenario engine: one grid, all four

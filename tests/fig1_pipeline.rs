@@ -2,15 +2,19 @@
 //! field schedule through the SystemC-style model to the loop metrics and
 //! export layer.
 
-use ja_repro::hdl_models::comparison::{fig1_schedule, fig1_systemc_curve, DEFAULT_STEP};
+use ja_repro::hdl_models::comparison::{fig1_outcome, fig1_schedule, DEFAULT_STEP};
+use ja_repro::hdl_models::scenario::BackendKind;
 use ja_repro::hdl_models::systemc::SystemCJaCore;
+use ja_repro::ja_hysteresis::backend::HysteresisBackend;
 use ja_repro::magnetics::loop_analysis;
 use ja_repro::waveform::export::{ascii_plot, write_csv};
 use ja_repro::waveform::trace::Trace;
 
 #[test]
 fn fig1_bh_curve_matches_paper_envelope() {
-    let curve = fig1_systemc_curve(DEFAULT_STEP).expect("schedule and kernel are well-formed");
+    let curve = fig1_outcome(BackendKind::SystemC, DEFAULT_STEP)
+        .expect("schedule and kernel are well-formed")
+        .curve;
     let metrics = loop_analysis::loop_metrics(&curve).expect("complete loop");
 
     // Fig. 1 axes: H spans ±10 kA/m and B roughly ±2 T.
@@ -31,9 +35,11 @@ fn fig1_bh_curve_matches_paper_envelope() {
 
 #[test]
 fn fig1_minor_loops_nest_inside_major_loop() {
-    let schedule = fig1_schedule(DEFAULT_STEP).expect("valid schedule");
+    let samples = fig1_schedule(DEFAULT_STEP)
+        .expect("valid schedule")
+        .to_samples();
     let mut core = SystemCJaCore::date2006().expect("well-formed module");
-    let curve = core.run_schedule(&schedule).expect("sweep");
+    let curve = core.run_samples(&samples).expect("sweep");
 
     // Peak of the whole trace comes from the major loop...
     let b_peak = curve.peak_flux_density().unwrap().as_tesla();
@@ -53,7 +59,9 @@ fn fig1_minor_loops_nest_inside_major_loop() {
 
 #[test]
 fn fig1_trace_exports_to_csv_and_ascii() {
-    let curve = fig1_systemc_curve(50.0).expect("coarse sweep");
+    let curve = fig1_outcome(BackendKind::SystemC, 50.0)
+        .expect("coarse sweep")
+        .curve;
     let mut trace = Trace::new(["h", "b"]);
     for p in curve.points() {
         trace.push_row(&[p.h.value(), p.b.as_tesla()]).unwrap();

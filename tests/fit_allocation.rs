@@ -23,7 +23,7 @@ fn warm_batch_objective_cost_calls_do_not_allocate() {
     let measured = {
         let mut model = JilesAtherton::new(JaParameters::date2006()).expect("material");
         let schedule = FieldSchedule::major_loop(10_000.0, 100.0, 2).expect("schedule");
-        model.run_schedule(&schedule).expect("sweep")
+        model.run_samples(&schedule.to_samples()).expect("sweep")
     };
     let target = loop_metrics(&measured).expect("closed loop");
     let options = FitOptions {

@@ -36,12 +36,13 @@ fn fig1_backends() -> Vec<Box<dyn HysteresisBackend>> {
 fn all_timeless_backends_agree_through_the_trait() {
     // Drive the SystemC-style, direct, and AMS-timeless backends through
     // the trait over the Fig. 1 schedule and compare sample by sample.
-    let schedule = FieldSchedule::nested_minor_loops(10_000.0, &[7_500.0, 5_000.0, 2_500.0], 10.0)
-        .expect("schedule");
+    let samples = FieldSchedule::nested_minor_loops(10_000.0, &[7_500.0, 5_000.0, 2_500.0], 10.0)
+        .expect("schedule")
+        .to_samples();
     let mut curves = Vec::new();
     for backend in &mut fig1_backends() {
-        let curve = backend.run_schedule(&schedule).expect("sweep");
-        assert_eq!(curve.len(), schedule.len(), "{}", backend.label());
+        let curve = backend.run_samples(&samples).expect("sweep");
+        assert_eq!(curve.len(), samples.len(), "{}", backend.label());
         assert!(backend.statistics().updates > 0, "{}", backend.label());
         curves.push((backend.label(), curve));
     }
@@ -111,13 +112,14 @@ fn reused_kernel_reproduces_the_systemc_curve_byte_for_byte() {
     // built module and re-running it on the *same* module after
     // `reset()` must produce byte-identical curves — the reused kernel
     // instance is indistinguishable from a new one.
-    let schedule = FieldSchedule::nested_minor_loops(10_000.0, &[7_500.0, 5_000.0, 2_500.0], 10.0)
-        .expect("schedule");
+    let samples = FieldSchedule::nested_minor_loops(10_000.0, &[7_500.0, 5_000.0, 2_500.0], 10.0)
+        .expect("schedule")
+        .to_samples();
     let mut module = SystemCJaCore::date2006().expect("module");
-    let fresh = module.run_schedule(&schedule).expect("first sweep");
+    let fresh = module.run_samples(&samples).expect("first sweep");
     for round in 0..2 {
         HysteresisBackend::reset(&mut module).expect("reset");
-        let reused = module.run_schedule(&schedule).expect("reused sweep");
+        let reused = module.run_samples(&samples).expect("reused sweep");
         assert_eq!(fresh.len(), reused.len());
         for (i, (a, b)) in fresh.points().iter().zip(reused.points()).enumerate() {
             assert_eq!(
@@ -136,11 +138,12 @@ fn reused_kernel_reproduces_the_systemc_curve_byte_for_byte() {
 
 #[test]
 fn timed_and_untimed_execution_of_the_same_module_agree() {
-    let schedule = FieldSchedule::major_loop(10_000.0, 100.0, 1).expect("schedule");
-    let samples = schedule.to_samples();
+    let samples = FieldSchedule::major_loop(10_000.0, 100.0, 1)
+        .expect("schedule")
+        .to_samples();
 
     let mut dc = SystemCJaCore::date2006().expect("module");
-    let dc_curve = dc.run_schedule(&schedule).expect("dc sweep");
+    let dc_curve = dc.run_samples(&samples).expect("dc sweep");
 
     let mut timed = SystemCJaCore::date2006().expect("module");
     let (timed_curve, _recorder) = timed.run_timed(&samples, 1e-6).expect("timed run");

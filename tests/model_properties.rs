@@ -1,9 +1,9 @@
 //! Cross-crate property-based tests: physical invariants of the timeless
 //! model under randomly generated excitations and materials.
 
+use ja_repro::ja_hysteresis::backend::HysteresisBackend;
 use ja_repro::ja_hysteresis::config::JaConfig;
 use ja_repro::ja_hysteresis::model::JilesAtherton;
-use ja_repro::ja_hysteresis::sweep::sweep_schedule;
 use ja_repro::magnetics::constants::MU0;
 use ja_repro::magnetics::material::JaParameters;
 use ja_repro::magnetics::units::Magnetisation;
@@ -44,9 +44,9 @@ proptest! {
     ) {
         let mut model = JilesAtherton::new(params).expect("valid material");
         let schedule = FieldSchedule::major_loop(peak, step, 2).expect("valid schedule");
-        let result = sweep_schedule(&mut model, &schedule).expect("sweep");
+        let curve = model.run_samples(&schedule.to_samples()).expect("sweep");
         let m_sat = params.m_sat.value();
-        for p in result.curve().points() {
+        for p in curve.points() {
             prop_assert!(p.m.value().abs() <= m_sat * (1.0 + 1e-6));
             let b_bound = MU0 * (p.h.value().abs() + m_sat) * (1.0 + 1e-6);
             prop_assert!(p.b.as_tesla().abs() <= b_bound);
@@ -65,8 +65,8 @@ proptest! {
         let schedule = FieldSchedule::nested_minor_loops(peak, &amplitudes, step)
             .expect("valid schedule");
         let mut model = JilesAtherton::new(JaParameters::date2006()).expect("valid material");
-        let result = sweep_schedule(&mut model, &schedule).expect("sweep");
-        prop_assert_eq!(result.curve().negative_slope_samples(), 0);
+        let curve = model.run_samples(&schedule.to_samples()).expect("sweep");
+        prop_assert_eq!(curve.negative_slope_samples(), 0);
     }
 
     /// Scaling ΔH_max between 5 and 50 A/m changes the loop envelope only
@@ -79,16 +79,16 @@ proptest! {
                 JaConfig::default().with_dh_max(5.0),
             ).expect("valid");
             let schedule = FieldSchedule::major_loop(10_000.0, 5.0, 2).expect("schedule");
-            sweep_schedule(&mut model, &schedule).expect("sweep")
-                .curve().peak_flux_density().expect("peak").as_tesla()
+            model.run_samples(&schedule.to_samples()).expect("sweep")
+                .peak_flux_density().expect("peak").as_tesla()
         };
         let mut model = JilesAtherton::with_config(
             JaParameters::date2006(),
             JaConfig::default().with_dh_max(step),
         ).expect("valid");
         let schedule = FieldSchedule::major_loop(10_000.0, step, 2).expect("schedule");
-        let b = sweep_schedule(&mut model, &schedule).expect("sweep")
-            .curve().peak_flux_density().expect("peak").as_tesla();
+        let b = model.run_samples(&schedule.to_samples()).expect("sweep")
+            .peak_flux_density().expect("peak").as_tesla();
         prop_assert!((b - reference).abs() / reference < 0.1,
             "B_max {b} vs reference {reference} at dh_max {step}");
     }
@@ -97,17 +97,21 @@ proptest! {
 #[test]
 fn demagnetisation_returns_the_core_near_the_origin() {
     let mut model = JilesAtherton::new(JaParameters::date2006()).expect("valid");
-    sweep_schedule(
-        &mut model,
-        &FieldSchedule::major_loop(10_000.0, 10.0, 1).expect("schedule"),
-    )
-    .expect("magnetising sweep");
+    model
+        .run_samples(
+            &FieldSchedule::major_loop(10_000.0, 10.0, 1)
+                .expect("schedule")
+                .to_samples(),
+        )
+        .expect("magnetising sweep");
     let before = model.flux_density().as_tesla();
-    sweep_schedule(
-        &mut model,
-        &FieldSchedule::demagnetisation(10_000.0, 20.0, 0.9, 10.0).expect("schedule"),
-    )
-    .expect("demagnetisation sweep");
+    model
+        .run_samples(
+            &FieldSchedule::demagnetisation(10_000.0, 20.0, 0.9, 10.0)
+                .expect("schedule")
+                .to_samples(),
+        )
+        .expect("demagnetisation sweep");
     let after = model.flux_density().as_tesla();
     assert!(before > 0.5);
     assert!(
