@@ -740,8 +740,10 @@ fn fit_config_fits_a_library_in_one_batch() {
 /// they cover the loop metrics of a grid, a loss beside `metrics: null`
 /// and a two-lane degauss lockstep job, the event-kernel backend across
 /// two thresholds, all four backends side by side with their worst
-/// pairwise |ΔB|, the lane fold of the fit objective, a library fit, and
-/// four loss lanes with their Steinmetz fit.
+/// pairwise |ΔB|, the lane fold of the fit objective, a library fit,
+/// four loss lanes with their Steinmetz fit, and the soft-ferrite inrush
+/// circuit under fixed and adaptive steps, whose Newton solves cycle
+/// between iterates in hundreds of steps.
 ///
 /// The bytes are pinned for x86-64 Linux, where CI runs, so the test runs
 /// only there: thermal scaling (`powf`), the fits' starting points and the
@@ -778,7 +780,7 @@ fn reports_match_the_golden_files() {
     let (grid, thermal) = (path("grid.conf"), path("grid_thermal.conf"));
     let systemc = path("grid_systemc.conf");
     let (measured, library) = (path("measured_loop.csv"), path("fit_library.conf"));
-    let cases: [(&str, &[&str]); 7] = [
+    let cases: [(&str, &[&str]); 9] = [
         ("batch_grid.json", &["batch", "--config", &grid]),
         ("batch_grid_thermal.json", &["batch", "--config", &thermal]),
         ("batch_grid_systemc.json", &["batch", "--config", &systemc]),
@@ -812,6 +814,27 @@ fn reports_match_the_golden_files() {
                 "--temperatures",
                 "25:75",
                 "--laminated",
+            ],
+        ),
+        (
+            "transient_soft_ferrite.json",
+            &[
+                "transient",
+                "--material",
+                "soft-ferrite",
+                "--format",
+                "json",
+            ],
+        ),
+        (
+            "transient_soft_ferrite_adaptive.json",
+            &[
+                "transient",
+                "--material",
+                "soft-ferrite",
+                "--format",
+                "json",
+                "--adaptive",
             ],
         ),
     ];
