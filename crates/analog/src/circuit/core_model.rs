@@ -13,7 +13,11 @@
 /// for testing and for linear-inductor comparisons.
 pub trait MagneticCoreModel {
     /// Evaluates a trial field `h_new` (A/m) from the last committed state,
-    /// returning `(B, dB/dH)` in (T, T·m/A).  Must not mutate history.
+    /// returning `(B, dB/dH)` in (T, T·m/A).  Must not mutate history, not
+    /// even through interior mutability: equal trial fields must give
+    /// equal results until the next commit, because the transient engine
+    /// settles a Newton solve that repeats an earlier iterate on the
+    /// assumption that it would cycle.
     fn evaluate(&self, h_new: f64) -> (f64, f64);
 
     /// Commits the step to `h_new`, updating the internal history.

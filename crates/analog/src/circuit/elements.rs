@@ -176,7 +176,10 @@ pub trait Element {
     }
 
     /// Stamps the element's linearised contribution for the step being
-    /// assembled.
+    /// assembled.  The stamp must be a pure function of the context (no
+    /// interior mutability): the transient engine settles a Newton solve
+    /// whose iterate repeats an earlier one bit for bit, on the assumption
+    /// that the iteration would cycle.
     fn stamp(&self, ctx: &mut StampContext<'_>);
 
     /// Commits internal state after the step has been accepted.

@@ -60,7 +60,9 @@ pub struct TransientAnalysis {
     pub dt: f64,
     /// End time in seconds (the run starts at `t = 0`).
     pub t_end: f64,
-    /// Maximum Newton iterations per time step.
+    /// Maximum Newton iterations per time step.  A run keeps the iterates
+    /// of the current solve, so it holds `max_newton_iterations − 1` rows
+    /// of unknowns in its workspace.
     pub max_newton_iterations: usize,
     /// Convergence tolerance on the solution update (per unknown, relative
     /// to `1 + |x|`).
@@ -180,7 +182,7 @@ impl TransientAnalysis {
     ) -> Result<TransientResult, SolverError> {
         // The fields are public, so `new`'s check may have been bypassed.
         let steps = fixed_step_count(self.dt, self.t_end)?;
-        let mut workspace = Workspace::new(layout.n_unknowns);
+        let mut workspace = Workspace::new(layout.n_unknowns, self.max_newton_iterations);
         let mut stats = TransientStats::default();
         let mut x_prev = vec![0.0; layout.n_unknowns];
         let mut times = Vec::with_capacity(steps + 1);
@@ -243,7 +245,7 @@ impl TransientAnalysis {
         // controller can also be injected through `with_step_control`.
         options.validate()?;
 
-        let mut workspace = Workspace::new(layout.n_unknowns);
+        let mut workspace = Workspace::new(layout.n_unknowns, self.max_newton_iterations);
         let mut stats = TransientStats::default();
         let mut x_prev = vec![0.0; layout.n_unknowns];
         let mut times = vec![0.0];
@@ -403,6 +405,17 @@ impl TransientAnalysis {
     /// and leaves the final iterate in `workspace.x`.  Does not mutate
     /// element state — rejection is free — and does not allocate: every
     /// iteration stamps, factorises and solves inside the workspace.
+    ///
+    /// Each iterate is a pure function of the one before (stamping reads
+    /// elements through `&self`, and a core's `evaluate` leaves its history
+    /// alone), so once an iterate x_i equals an earlier x_j bit for bit the
+    /// recurrence cycles with period i − j, and every transition of that
+    /// cycle has already failed the convergence test.  The solve then stops
+    /// and settles on x_{j + (cap − j) mod (i − j)}, the iterate the loop
+    /// would hold at the iteration cap, counting the cap − i iterations it
+    /// skipped as if it had run them.  The history starts at x_1: the step
+    /// from x_0 is tested with the stricter first-iteration clause, so a
+    /// cycle through x_0 could still converge on a later pass.
     #[allow(clippy::too_many_arguments)]
     fn newton_solve(
         &self,
@@ -420,9 +433,11 @@ impl TransientAnalysis {
             pivots,
             x,
             x_new,
+            history,
         } = workspace;
+        let (n, cap) = (x.len(), self.max_newton_iterations);
         x.copy_from_slice(x_prev);
-        for iteration in 0..self.max_newton_iterations {
+        for iteration in 0..cap {
             matrix.clear();
             rhs.iter_mut().for_each(|v| *v = 0.0);
             for (element, &offset) in circuit.elements().iter().zip(&layout.branch_offsets) {
@@ -459,10 +474,30 @@ impl TransientAnalysis {
                     iterations: iteration + 1,
                 });
             }
+            // `x` is x_i; the history holds x_1 … x_{i−1}, one row each.
+            let i = iteration + 1;
+            if i == cap {
+                break;
+            }
+            let repeat = history[..(i - 1) * n].chunks_exact(n).position(|row| {
+                row.iter()
+                    .zip(x.iter())
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+            });
+            if let Some(row) = repeat {
+                let j = row + 1;
+                let settled = j + (cap - j) % (i - j);
+                x.copy_from_slice(&history[(settled - 1) * n..settled * n]);
+                stats.newton_iterations += cap - i;
+                stats.lu_solves += cap - i;
+                stats.settled_iterations += cap - i;
+                break;
+            }
+            history[(i - 1) * n..i * n].copy_from_slice(x);
         }
         Ok(NewtonSolve {
             converged: false,
-            iterations: self.max_newton_iterations,
+            iterations: cap,
         })
     }
 }
@@ -539,25 +574,28 @@ impl SystemLayout {
     }
 }
 
-/// Per-run scratch of the Newton loop, sized once for the system: the
-/// assembled matrix (factorised in place), its right-hand side and pivots,
-/// and the current and next iterate.
+/// Per-run scratch of the Newton loop, sized once for the system and the
+/// iteration cap: the assembled matrix (factorised in place), its
+/// right-hand side and pivots, the current and next iterate, and the
+/// iterates x_1 … x_{cap−1} of the current solve, one row each.
 struct Workspace {
     matrix: Matrix,
     rhs: Vec<f64>,
     pivots: Vec<usize>,
     x: Vec<f64>,
     x_new: Vec<f64>,
+    history: Vec<f64>,
 }
 
 impl Workspace {
-    fn new(n: usize) -> Self {
+    fn new(n: usize, cap: usize) -> Self {
         Self {
             matrix: Matrix::zeros(n, n),
             rhs: vec![0.0; n],
             pivots: Vec::with_capacity(n),
             x: vec![0.0; n],
             x_new: vec![0.0; n],
+            history: vec![0.0; cap.saturating_sub(1) * n],
         }
     }
 }
@@ -583,10 +621,19 @@ fn commit_elements(circuit: &mut Circuit, layout: &SystemLayout, x: &[f64], t_ne
 /// baseline-comparison experiments report.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TransientStats {
-    /// Total Newton iterations over all steps (including rejected steps).
+    /// Total iterations of the Newton recurrence over all steps (including
+    /// rejected steps), settled ones included: a solve that cycles runs to
+    /// the iteration cap in this count whether or not it computed every
+    /// iteration.
     pub newton_iterations: usize,
-    /// Total LU factorisations + solves.
+    /// Total LU factorisations + solves of the Newton recurrence, counted
+    /// like `newton_iterations` (one per iteration, settled ones included).
     pub lu_solves: usize,
+    /// The part of `newton_iterations` that a bit-exact repeat of an
+    /// earlier iterate settled without solving: from the first repeat on,
+    /// the iterates cycle and cannot converge, so the solve returns the
+    /// iterate the cap would leave and counts the rest here.
+    pub settled_iterations: usize,
     /// Steps that hit the Newton iteration limit without converging.
     /// Both controllers accept such steps with the best iterate and count
     /// them here (shrinking the step raises a quantised core's companion
@@ -705,7 +752,7 @@ mod tests {
     use super::*;
     use crate::circuit::core_model::LinearCore;
     use crate::circuit::elements::{
-        Capacitor, Inductor, NonlinearInductor, Resistor, VoltageSource,
+        Capacitor, Element, Inductor, NonlinearInductor, Resistor, VoltageSource,
     };
     use magnetics::constants::MU0;
     use waveform::generator::Constant;
@@ -1094,6 +1141,129 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max);
         assert!(max_diff < 1e-4, "max difference {max_diff}");
+    }
+
+    /// A one-branch element whose branch equation is `i = next(i_guess)`,
+    /// with `next` looked up bit for bit in a fixed table: a circuit of
+    /// this element alone has one unknown, and its Newton iterates walk the
+    /// table.  The stamped coefficient takes the target's sign, so the
+    /// solve `i = rhs / coefficient` returns `-0.0` as well as `0.0`.
+    #[derive(Clone)]
+    struct IterateTable(Vec<(f64, f64)>);
+
+    impl IterateTable {
+        /// The table whose iterates from `x_0 = 0` are `x_1 … x_m` (the
+        /// `iterates`), after which `x_m` steps back to `x_back`.
+        fn cycle(iterates: &[f64], back: usize) -> Self {
+            let mut from = 0.0;
+            let mut table = Vec::with_capacity(iterates.len() + 1);
+            for &to in iterates.iter().chain([&iterates[back - 1]]) {
+                table.push((from, to));
+                from = to;
+            }
+            Self(table)
+        }
+    }
+
+    impl Element for IterateTable {
+        fn nodes(&self) -> Vec<Node> {
+            Vec::new()
+        }
+
+        fn branch_count(&self) -> usize {
+            1
+        }
+
+        fn stamp(&self, ctx: &mut StampContext<'_>) {
+            let guess = ctx.branch_current(0);
+            let &(_, next) = self
+                .0
+                .iter()
+                .find(|(from, _)| from.to_bits() == guess.to_bits())
+                .unwrap_or_else(|| panic!("iterate {guess:e} is not in the table"));
+            let sign = if next.is_sign_negative() { -1.0 } else { 1.0 };
+            ctx.stamp_branch_current(0, sign);
+            ctx.stamp_branch_rhs(0, sign * next);
+        }
+    }
+
+    /// One fixed step of the table's circuit under an iteration cap: the
+    /// run's statistics and the step's final iterate.
+    fn one_step(table: &IterateTable, cap: usize) -> (TransientStats, f64) {
+        let mut c = Circuit::new();
+        let index = c.add("T", table.clone()).unwrap();
+        let result = TransientAnalysis::new(1.0, 1.0)
+            .unwrap()
+            .with_max_newton_iterations(cap)
+            .run(&mut c)
+            .unwrap();
+        (result.stats(), result.branch_current(index, 0).unwrap()[1])
+    }
+
+    #[test]
+    fn a_cycling_solve_settles_on_the_iterate_the_cap_would_leave() {
+        let long: Vec<f64> = (1..=30).map(f64::from).collect();
+        let never: Vec<f64> = (1..=60).map(f64::from).collect();
+        // (iterates x_1 … x_m, the index j that x_m steps back to)
+        let cases: [(&[f64], usize); 5] = [
+            (&[3.0, -2.0], 1),
+            (&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], 3),
+            // `0.0 == -0.0`, but they are different iterates: x_4 repeats
+            // no earlier iterate of the history, x_5 = x_1 does.
+            (&[5.0, -0.0, 7.0, 0.0], 1),
+            (&long, 10),
+            // No repeat under any cap up to 50.
+            (&never, 1),
+        ];
+        for (iterates, back) in cases {
+            let table = IterateTable::cycle(iterates, back);
+            let m = iterates.len();
+            for cap in 1..=50 {
+                // The recurrence is periodic from x_back on, period m + 1 − back.
+                let held = if cap <= m {
+                    cap
+                } else {
+                    back + (cap - back) % (m + 1 - back)
+                };
+                let (stats, x) = one_step(&table, cap);
+                let case = format!("{iterates:?} back to x_{back}, cap {cap}");
+                assert_eq!(stats.non_converged_steps, 1, "{case}");
+                assert_eq!(stats.accepted_steps, 1, "{case}");
+                assert_eq!(stats.newton_iterations, cap, "{case}");
+                assert_eq!(stats.lu_solves, cap, "{case}");
+                assert_eq!(x.to_bits(), iterates[held - 1].to_bits(), "{case}: {x:e}");
+                // The first repeat is x_{m+1}: a cap up to it leaves nothing
+                // to settle, and every iteration past it is settled.
+                assert_eq!(
+                    stats.settled_iterations,
+                    cap.saturating_sub(m + 1),
+                    "{case}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_cycle_through_the_start_still_converges_on_the_looser_test() {
+        // x_0 = 0 → 5e-10 → 1 → 0 → 5e-10: the step from x_0 is within the
+        // tolerance but fails the first iteration's stricter clause, so the
+        // same step from x_3 = x_0 converges.  A history holding x_0 would
+        // settle at x_3 instead.
+        let table = IterateTable::cycle(&[5e-10, 1.0, 0.0], 1);
+        let tolerance = TransientAnalysis::new(1.0, 1.0).unwrap().tolerance;
+        assert!(5e-10 <= tolerance && 5e-10 > tolerance * 1e-3);
+        for cap in 1..=50 {
+            let (stats, x) = one_step(&table, cap);
+            assert_eq!(stats.settled_iterations, 0, "cap {cap}");
+            if cap < 4 {
+                assert_eq!(stats.non_converged_steps, 1, "cap {cap}");
+                assert_eq!(stats.newton_iterations, cap, "cap {cap}");
+            } else {
+                assert_eq!(stats.non_converged_steps, 0, "cap {cap}");
+                assert_eq!(stats.newton_iterations, 4, "cap {cap}");
+                assert_eq!(x, 5e-10, "cap {cap}");
+            }
+        }
     }
 
     #[test]

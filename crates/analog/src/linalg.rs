@@ -306,16 +306,6 @@ pub fn norm_inf(v: &[f64]) -> f64 {
     v.iter().map(|x| x.abs()).fold(0.0, f64::max)
 }
 
-/// `a − b` element-wise.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "vector length mismatch");
-    a.iter().zip(b).map(|(x, y)| x - y).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,11 +404,6 @@ mod tests {
         assert_eq!(a[(0, 0)], 0.0);
         assert_eq!(a.rows(), 2);
         assert_eq!(a.cols(), 2);
-    }
-
-    #[test]
-    fn vector_helpers() {
-        assert_eq!(sub(&[3.0, 2.0], &[1.0, 1.0]), vec![2.0, 1.0]);
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! accepted steps (asserted by `hdl_models::scenario` tests; measured
 //! here).
 //!
+//! The `soft_ferrite_fixed` row runs the fixed-step inrush on soft ferrite,
+//! whose Newton solves cycle between iterates in hundreds of steps: the
+//! solver settles each cycle at its first exact repeat, and the table
+//! prints the iterations it settled instead of solving.
+//!
 //! The `*_backends4` rows run the inrush circuit on all four backends as a
 //! one-worker batch: `shared` routes the four scenarios into one circuit
 //! job that solves once and replays the field samples through each
@@ -26,9 +31,13 @@ use ja_hysteresis::config::JaConfig;
 use magnetics::material::JaParameters;
 
 fn scenario(control: StepControl) -> Scenario {
+    scenario_on(JaParameters::date2006(), control)
+}
+
+fn scenario_on(params: JaParameters, control: StepControl) -> Scenario {
     Scenario::new(
         "circuit-inrush",
-        JaParameters::date2006(),
+        params,
         JaConfig::default(),
         BackendKind::DirectTimeless,
         Excitation::Circuit(CircuitExcitation::inrush().with_step_control(control)),
@@ -48,24 +57,30 @@ fn run_backends4(routing: SoaRouting) -> BatchReport {
         .run(scenarios)
 }
 
-fn controls() -> [(&'static str, StepControl); 2] {
+/// The single-scenario rows: the paper's core under both controllers, and
+/// soft ferrite under fixed steps.
+fn rows() -> [(&'static str, Scenario); 3] {
     [
-        ("fixed_step", StepControl::Fixed),
+        ("fixed_step", scenario(StepControl::Fixed)),
         (
             "adaptive",
-            StepControl::Adaptive(CircuitExcitation::adaptive_defaults()),
+            scenario(StepControl::Adaptive(CircuitExcitation::adaptive_defaults())),
+        ),
+        (
+            "soft_ferrite_fixed",
+            scenario_on(JaParameters::soft_ferrite(), StepControl::Fixed),
         ),
     ]
 }
 
 fn print_experiment() {
-    println!("== circuit transient: inrush circuit, fixed vs adaptive step control ==");
+    println!("== circuit transient: inrush circuit, fixed vs adaptive steps, soft ferrite ==");
     println!(
-        "{:<12} {:>9} {:>9} {:>9} {:>9} {:>10} {:>10}",
-        "control", "accepted", "rejected", "newton", "nonconv", "peakB[T]", "time[ms]"
+        "{:<18} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10} {:>10}",
+        "row", "accepted", "rejected", "newton", "settled", "nonconv", "peakB[T]", "time[ms]"
     );
-    for (label, control) in controls() {
-        let outcome = scenario(control).run().expect("scenario");
+    for (label, scenario) in rows() {
+        let outcome = scenario.run().expect("scenario");
         let stats = outcome.transient.expect("circuit scenario stats");
         let peak_b = outcome
             .curve
@@ -74,10 +89,11 @@ fn print_experiment() {
             .map(|p| p.b.as_tesla().abs())
             .fold(0.0, f64::max);
         println!(
-            "{label:<12} {:>9} {:>9} {:>9} {:>9} {:>10.4} {:>10.3}",
+            "{label:<18} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10.4} {:>10.3}",
             stats.accepted_steps,
             stats.rejected_steps,
             stats.newton_iterations,
+            stats.settled_iterations,
             stats.non_converged_steps,
             peak_b,
             outcome.runtime.as_secs_f64() * 1e3,
@@ -85,15 +101,14 @@ fn print_experiment() {
     }
     println!(
         "\n(equal-accuracy step economy is asserted by the scenario tests; this\n\
-         bench tracks the wall-clock of both controllers)\n"
+         bench tracks the wall-clock of every row)\n"
     );
 }
 
 fn benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("circuit_transient");
     group.sample_size(10);
-    for (label, control) in controls() {
-        let scenario = scenario(control);
+    for (label, scenario) in rows() {
         group.bench_function(label, move |b| {
             b.iter(|| black_box(scenario.run().expect("scenario")))
         });

@@ -42,7 +42,8 @@ OUTPUT:
     --format FORMAT    ascii | csv | json                      [default: ascii]
     --width N          ascii plot width                        [default: 72]
     --height N         ascii plot height                       [default: 24]
-    --timings          include runtime_ns in the JSON report
+    --timings          include runtime_ns and settled_newton_iterations
+                       in the JSON report
     --out PATH         write to PATH instead of stdout
 
 The transient engine simulates the circuit around the in-circuit core

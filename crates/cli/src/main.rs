@@ -125,6 +125,12 @@ REPORT SCHEMA (schema_version 1)
                                energy_per_cycle_j.  Deterministic (derived
                                from the BH trace), never gated behind
                                --timings.
+      settled_newton_iterations
+                  int          ONLY with --timings, and only for
+                               circuit-driven scenarios: the part of
+                               transient.newton_iterations the solver
+                               settled from a bit-exact repeat of an
+                               earlier iterate instead of solving.
       kernel      object       ONLY with --timings, and only for the
                                event-kernel backend: delta_cycles,
                                events_scheduled, process_activations.
@@ -174,7 +180,8 @@ REPORT SCHEMA (schema_version 1)
 
   transient object (keys mirror analog_solver::circuit::TransientStats):
     accepted_steps, rejected_steps, newton_iterations, lu_solves,
-    non_converged_steps
+    non_converged_steps (the Newton and LU counts are iterations of the
+    Newton recurrence, settled ones included)
 
   kind=sweep (ja sweep --format json): envelope + one entry (fields as in
     a batch entry).
@@ -336,6 +343,7 @@ mod tests {
             "rejected_updates",
             "wall_clock_ns",
             "delta_cycles",
+            "settled_newton_iterations",
             "events_scheduled",
             "process_activations",
             "m_sat_a_per_m",

@@ -191,11 +191,6 @@ impl TimeDomainBackend {
         })
     }
 
-    /// The material parameters.
-    pub fn params(&self) -> &JaParameters {
-        &self.params
-    }
-
     fn sample_at(&self, h: f64) -> BhPoint {
         let m_sat = self.params.m_sat.value();
         BhPoint::new(

@@ -7,7 +7,7 @@
 
 use magnetics::constants::MU0;
 use magnetics::material::JaParameters;
-use magnetics::units::{FieldStrength, FluxDensity, Magnetisation};
+use magnetics::units::{FluxDensity, Magnetisation};
 
 /// The state of one Jiles–Atherton core.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -55,11 +55,6 @@ impl JaState {
         FluxDensity::new(MU0 * (self.h + self.m_total * params.m_sat.value()))
     }
 
-    /// The applied field at the current state.
-    pub fn field(&self) -> FieldStrength {
-        FieldStrength::new(self.h)
-    }
-
     /// `true` when every state variable is finite.
     pub fn is_finite(&self) -> bool {
         self.m_irr.is_finite()
@@ -100,7 +95,6 @@ mod tests {
         let b = s.flux_density(&p);
         let expected = MU0 * (10_000.0 + 1.6e6);
         assert!((b.as_tesla() - expected).abs() < 1e-12);
-        assert_eq!(s.field().value(), 10_000.0);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! feature that makes this formulation fragile.
 
 use magnetics::anhysteretic::AnhystereticKind;
-use magnetics::constants::MU0;
 use magnetics::material::JaParameters;
 use waveform::Waveform;
 
@@ -47,11 +46,6 @@ impl<'a, W: Waveform> MagnetisationOde<'a, W> {
         })
     }
 
-    /// The applied field at time `t`.
-    pub fn field(&self, t: f64) -> f64 {
-        self.waveform.value(t)
-    }
-
     /// The time derivative of the normalised magnetisation at time `t` for
     /// the normalised magnetisation `m`.
     pub fn dm_dt(&self, t: f64, m: f64) -> f64 {
@@ -69,16 +63,6 @@ impl<'a, W: Waveform> MagnetisationOde<'a, W> {
             self.clamp_negative_slope,
         );
         dm_dh * dh_dt
-    }
-
-    /// Flux density for a given time and normalised magnetisation.
-    pub fn flux_density(&self, t: f64, m: f64) -> f64 {
-        MU0 * (self.waveform.value(t) + m * self.params.m_sat.value())
-    }
-
-    /// The material parameters.
-    pub fn params(&self) -> &JaParameters {
-        &self.params
     }
 }
 
@@ -109,15 +93,5 @@ mod tests {
         let ode = MagnetisationOde::new(p, &c, &w).unwrap();
         // Early in the cycle the triangular field rises.
         assert!(ode.dm_dt(0.05, 0.0) > 0.0);
-        assert_eq!(ode.field(0.25), 10_000.0);
-    }
-
-    #[test]
-    fn flux_density_uses_constitutive_relation() {
-        let (p, c, w) = paper_setup();
-        let ode = MagnetisationOde::new(p, &c, &w).unwrap();
-        let b = ode.flux_density(0.25, 0.5);
-        let expected = MU0 * (10_000.0 + 0.5 * 1.6e6);
-        assert!((b - expected).abs() < 1e-12);
     }
 }

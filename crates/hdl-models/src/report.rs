@@ -113,7 +113,9 @@ pub fn loss_value(loss: &CoreLoss) -> JsonValue {
 /// `loss` object (see [`loss_value`]) when the loss breakdown was
 /// computed.  With `timings`, adds `runtime_ns` (sweep
 /// only); for outcomes produced by a structure-of-arrays lockstep job,
-/// `backend_routing: "soa"` plus `lockstep_lanes`; and for event-driven
+/// `backend_routing: "soa"` plus `lockstep_lanes`; for circuit-driven
+/// outcomes, `settled_newton_iterations` (the part of the transient's
+/// `newton_iterations` settled from a repeated iterate); and for event-driven
 /// backends, a `kernel` object with the simulation kernel's cost counters
 /// (`delta_cycles`, `events_scheduled`, `process_activations`).
 pub fn outcome_value(outcome: &ScenarioOutcome, timings: bool) -> JsonValue {
@@ -152,6 +154,12 @@ pub fn outcome_value(outcome: &ScenarioOutcome, timings: bool) -> JsonValue {
         if let Some(lanes) = outcome.lockstep_lanes {
             obj.push("backend_routing", "soa");
             obj.push("lockstep_lanes", lanes);
+        }
+        // How much of `transient.newton_iterations` the solver settled
+        // from a repeated iterate instead of solving: a cost of the solver,
+        // not a step-control outcome, so it rides with the timing fields.
+        if let Some(transient) = &outcome.transient {
+            obj.push("settled_newton_iterations", transient.settled_iterations);
         }
         // Kernel counters are deterministic outcomes, but they describe the
         // simulation substrate's cost, not the physics, so they ride with

@@ -25,15 +25,6 @@ impl BhPoint {
     pub fn new(h: FieldStrength, b: FluxDensity, m: Magnetisation) -> Self {
         Self { h, b, m }
     }
-
-    /// Creates a sample from field and flux density only.
-    pub fn from_h_b(h: FieldStrength, b: FluxDensity) -> Self {
-        Self {
-            h,
-            b,
-            m: Magnetisation::zero(),
-        }
-    }
 }
 
 /// An ordered BH trace.
@@ -240,9 +231,10 @@ mod tests {
     fn push_and_len() {
         let mut curve = BhCurve::new();
         assert!(curve.is_empty());
-        curve.push(BhPoint::from_h_b(
+        curve.push(BhPoint::new(
             FieldStrength::new(1.0),
             FluxDensity::new(0.5),
+            Magnetisation::zero(),
         ));
         curve.push_raw(2.0, 1.0, 3.0);
         assert_eq!(curve.len(), 2);
@@ -290,8 +282,16 @@ mod tests {
     #[test]
     fn from_iterator_and_extend() {
         let pts = vec![
-            BhPoint::from_h_b(FieldStrength::new(0.0), FluxDensity::new(0.0)),
-            BhPoint::from_h_b(FieldStrength::new(1.0), FluxDensity::new(0.1)),
+            BhPoint::new(
+                FieldStrength::new(0.0),
+                FluxDensity::new(0.0),
+                Magnetisation::zero(),
+            ),
+            BhPoint::new(
+                FieldStrength::new(1.0),
+                FluxDensity::new(0.1),
+                Magnetisation::zero(),
+            ),
         ];
         let mut curve: BhCurve = pts.clone().into_iter().collect();
         curve.extend(pts);

@@ -8,7 +8,6 @@
 //! induced voltage (`v = N·A·dB/dt`).
 
 use crate::error::MagneticsError;
-use crate::units::{FluxDensity, MagneticFlux};
 
 /// Geometry of a magnetic core: effective cross-section area and effective
 /// magnetic path length.
@@ -69,11 +68,6 @@ impl CoreGeometry {
     pub fn volume_m3(&self) -> f64 {
         self.area_m2 * self.path_length_m
     }
-
-    /// Flux through the core for a given flux density.
-    pub fn flux(&self, b: FluxDensity) -> MagneticFlux {
-        b.flux_through(self.area_m2)
-    }
 }
 
 #[cfg(test)]
@@ -86,12 +80,5 @@ mod tests {
         assert!(CoreGeometry::new(1e-4, -1.0).is_err());
         assert!(CoreGeometry::new(f64::NAN, 0.1).is_err());
         assert!(CoreGeometry::new(1e-4, 0.1).is_ok());
-    }
-
-    #[test]
-    fn flux_through_core() {
-        let core = CoreGeometry::demo();
-        let phi = core.flux(FluxDensity::new(1.5));
-        assert!((phi.as_weber() - 1.5e-4).abs() < 1e-12);
     }
 }

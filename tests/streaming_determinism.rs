@@ -291,6 +291,9 @@ fn timings_report_keeps_its_exact_key_set() {
         if entry.get("backend_routing").is_some() {
             expected.extend(["backend_routing", "lockstep_lanes"]);
         }
+        if entry.get("transient").is_some() {
+            expected.push("settled_newton_iterations");
+        }
         if backend == BackendKind::SystemC.label() {
             expected.push("kernel");
         }
