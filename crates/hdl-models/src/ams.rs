@@ -309,6 +309,70 @@ mod tests {
         assert!(accepted > 100);
     }
 
+    /// A 128-bit digest of every curve point's `(h, b, m)` bit patterns.
+    fn curve_digest(curve: &BhCurve) -> u128 {
+        let mut digest = ja_hysteresis::json::StreamDigest::new();
+        for point in curve.points() {
+            for v in [point.h.value(), point.b.value(), point.m.value()] {
+                digest.update(&v.to_bits().to_le_bytes());
+            }
+        }
+        digest.value()
+    }
+
+    /// Pins the solver-integrated baseline bit for bit: a short triangular
+    /// sweep through every integration method, with the curve digest and
+    /// every solver counter.  No golden report reaches this baseline, so
+    /// this test is what keeps a change to the ODE integrators, the Newton
+    /// loop or the LU arithmetic from moving its bits unnoticed.
+    #[test]
+    fn baseline_bits_and_counters_are_pinned_for_every_method() {
+        let baseline =
+            SolverIntegratedBaseline::new(JaParameters::date2006(), JaConfig::default()).unwrap();
+        let waveform = paper_waveform();
+        // Expected values recorded from the parent of the change that
+        // moved `newton::solve` onto the in-place LU pair and dropped its
+        // damping factor.
+        let cases = [
+            (
+                SolverMethod::ForwardEuler,
+                0xcd71_2136_95dd_c1ab_49a4_76d1_a89b_839f_u128,
+                500,
+                0,
+                None,
+            ),
+            (
+                SolverMethod::BackwardEuler,
+                0x6bc3_ebc6_f69b_04e7_1120_c7a5_0063_791c,
+                3208,
+                736,
+                None,
+            ),
+            (
+                SolverMethod::Trapezoidal,
+                0xfef1_449a_65b6_fa5c_6cec_42e2_0363_8776,
+                2914,
+                638,
+                None,
+            ),
+            (
+                SolverMethod::AdaptiveRkf45 { rel_tol: 1e-4 },
+                0x7de0_a745_898e_cff6_42c6_6f72_4603_1439,
+                336,
+                0,
+                Some((32, 24)),
+            ),
+        ];
+        for (method, digest, rhs_evaluations, newton_iterations, adaptive_steps) in cases {
+            let result = baseline.run(&waveform, 1.0, 1.0 / 500.0, method).unwrap();
+            assert_eq!(curve_digest(&result.curve), digest, "{method:?}");
+            assert_eq!(result.rhs_evaluations, rhs_evaluations, "{method:?}");
+            assert_eq!(result.newton_iterations, newton_iterations, "{method:?}");
+            assert_eq!(result.non_converged_steps, 0, "{method:?}");
+            assert_eq!(result.adaptive_steps, adaptive_steps, "{method:?}");
+        }
+    }
+
     #[test]
     fn baseline_propagates_invalid_time_step() {
         let baseline =
