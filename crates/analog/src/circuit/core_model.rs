@@ -42,11 +42,6 @@ impl LinearCore {
     pub fn new(mu_r: f64) -> Self {
         Self { mu_r, h: 0.0 }
     }
-
-    /// The relative permeability.
-    pub fn mu_r(&self) -> f64 {
-        self.mu_r
-    }
 }
 
 impl MagneticCoreModel for LinearCore {
@@ -76,7 +71,6 @@ mod tests {
     #[test]
     fn linear_core_follows_mu() {
         let mut core = LinearCore::new(1000.0);
-        assert_eq!(core.mu_r(), 1000.0);
         let (b, db_dh) = core.evaluate(100.0);
         assert!((b - MU0 * 1000.0 * 100.0).abs() < 1e-12);
         assert!((db_dh - MU0 * 1000.0).abs() < 1e-12);

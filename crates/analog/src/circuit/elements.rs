@@ -342,34 +342,6 @@ impl<W: Waveform> Element for VoltageSource<W> {
     }
 }
 
-/// An independent current source driven by a [`Waveform`]; positive current
-/// flows out of node `a`, through the source, into node `b`.
-pub struct CurrentSource<W> {
-    a: Node,
-    b: Node,
-    waveform: W,
-}
-
-impl<W: Waveform> CurrentSource<W> {
-    /// Creates a current source pushing current from `a` to `b`.
-    pub fn new(a: Node, b: Node, waveform: W) -> Self {
-        Self { a, b, waveform }
-    }
-}
-
-impl<W: Waveform> Element for CurrentSource<W> {
-    fn nodes(&self) -> Vec<Node> {
-        vec![self.a, self.b]
-    }
-
-    fn stamp(&self, ctx: &mut StampContext<'_>) {
-        let i = self.waveform.value(ctx.time());
-        // Current i leaves `a` (a negative injection) and enters `b`.
-        ctx.stamp_injection(self.a, -i);
-        ctx.stamp_injection(self.b, i);
-    }
-}
-
 /// A wound magnetic core: `N` turns on a core of cross-section `area` and
 /// magnetic path length `path_length`, whose material behaviour is supplied
 /// by a [`MagneticCoreModel`].
@@ -423,12 +395,6 @@ impl<M: MagneticCoreModel> NonlinearInductor<M> {
             core,
             b_prev,
         })
-    }
-
-    /// Access to the underlying core model (e.g. to read its BH history
-    /// after a transient run).
-    pub fn core(&self) -> &M {
-        &self.core
     }
 
     /// Field strength corresponding to a winding current.
@@ -518,7 +484,6 @@ mod tests {
         )
         .unwrap();
         assert!((n.field_for_current(2.0) - 2000.0).abs() < 1e-9);
-        assert_eq!(n.core().mu_r(), 1.0);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! timeless technique against.
 //!
 //! * [`Node`] / [`Circuit`] — netlist construction;
-//! * [`elements`] — resistors, capacitors, inductors, independent sources
-//!   and the behavioural [`elements::NonlinearInductor`];
+//! * [`elements`] — resistors, capacitors, inductors, independent voltage
+//!   sources and the behavioural [`elements::NonlinearInductor`];
 //! * [`MagneticCoreModel`] — the hook a hysteresis model implements to sit
 //!   inside the nonlinear inductor;
 //! * [`transient`] — transient analysis with per-step Newton iteration,
@@ -21,9 +21,7 @@ pub mod elements;
 pub mod transient;
 
 pub use core_model::{LinearCore, MagneticCoreModel};
-pub use elements::{
-    Capacitor, CurrentSource, Element, Inductor, NonlinearInductor, Resistor, VoltageSource,
-};
+pub use elements::{Capacitor, Element, Inductor, NonlinearInductor, Resistor, VoltageSource};
 pub use transient::{StepControl, TransientAnalysis, TransientResult, TransientStats};
 
 use crate::error::SolverError;

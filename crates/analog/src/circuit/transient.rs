@@ -145,12 +145,6 @@ impl TransientAnalysis {
         self
     }
 
-    /// Overrides the convergence tolerance.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
-    }
-
     /// Runs the analysis on a circuit, consuming and returning the mutated
     /// circuit (element states advance as the transient progresses) along
     /// with the result traces.

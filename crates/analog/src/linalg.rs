@@ -2,9 +2,11 @@
 //!
 //! The MNA matrices of the circuits in this reproduction are tiny (a handful
 //! of nodes), so a straightforward dense row-major matrix with partial-pivot
-//! LU is the right tool — no sparse machinery needed.
+//! LU is the right tool — no sparse machinery needed.  The LU API is one
+//! in-place pair, [`Matrix::factorise_in_place`] and
+//! [`Matrix::solve_factored`], whose callers own every buffer, so a Newton
+//! loop that sizes them once factorises and solves without allocating.
 
-use std::fmt;
 use std::ops::{Index, IndexMut};
 
 use crate::error::SolverError;
@@ -27,50 +29,6 @@ impl Matrix {
         }
     }
 
-    /// Creates an identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Creates a matrix from a nested array of rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::DimensionMismatch`] when the rows have
-    /// different lengths.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self, SolverError> {
-        let n_rows = rows.len();
-        let n_cols = rows.first().map_or(0, Vec::len);
-        for row in rows {
-            if row.len() != n_cols {
-                return Err(SolverError::DimensionMismatch {
-                    context: "Matrix::from_rows",
-                    expected: n_cols,
-                    actual: row.len(),
-                });
-            }
-        }
-        Ok(Self {
-            rows: n_rows,
-            cols: n_cols,
-            data: rows.iter().flatten().copied().collect(),
-        })
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Sets every entry to zero (reuses the allocation between transient
     /// steps).
     pub fn clear(&mut self) {
@@ -86,60 +44,13 @@ impl Matrix {
         self[(row, col)] += value;
     }
 
-    /// Matrix–vector product `A·x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::DimensionMismatch`] when `x.len() != cols`.
-    pub fn mul_vec(&self, x: &[f64]) -> Result<Vec<f64>, SolverError> {
-        if x.len() != self.cols {
-            return Err(SolverError::DimensionMismatch {
-                context: "Matrix::mul_vec",
-                expected: self.cols,
-                actual: x.len(),
-            });
-        }
-        if self.cols == 0 {
-            return Ok(vec![0.0; self.rows]);
-        }
-        let result = self
-            .data
-            .chunks(self.cols)
-            .map(|row| row.iter().zip(x).map(|(a, b)| a * b).sum())
-            .collect();
-        Ok(result)
-    }
-
-    /// Infinity norm (maximum absolute row sum).
-    pub fn norm_inf(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| {
-                self.data[i * self.cols..(i + 1) * self.cols]
-                    .iter()
-                    .map(|v| v.abs())
-                    .sum::<f64>()
-            })
-            .fold(0.0, f64::max)
-    }
-
-    /// LU-factorises the matrix (with partial pivoting) and solves `A·x = b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::SingularMatrix`] when a pivot is numerically
-    /// zero, or [`SolverError::DimensionMismatch`] for a non-square matrix
-    /// or wrong-length right-hand side.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SolverError> {
-        let lu = LuFactorisation::new(self.clone())?;
-        lu.solve(b)
-    }
-
     /// LU-factorises the matrix in place with partial pivoting: afterwards
     /// it holds `L` (unit diagonal, below) and `U` (on and above the
     /// diagonal) of the row-permuted input, and `pivots[i]` is the input row
     /// that ended up in row `i`.  `pivots` is overwritten, so one buffer
-    /// serves every factorisation of a size without reallocating — the
-    /// allocation-free half of [`LuFactorisation::new`], which wraps it.
+    /// serves every factorisation of a size without reallocating, and one
+    /// factorisation serves any number of right-hand sides through
+    /// [`Matrix::solve_factored`].
     ///
     /// # Errors
     ///
@@ -149,7 +60,7 @@ impl Matrix {
     pub fn factorise_in_place(&mut self, pivots: &mut Vec<usize>) -> Result<(), SolverError> {
         if self.rows != self.cols {
             return Err(SolverError::DimensionMismatch {
-                context: "LuFactorisation::new (square matrix required)",
+                context: "Matrix::factorise_in_place (square matrix required)",
                 expected: self.rows,
                 actual: self.cols,
             });
@@ -193,8 +104,7 @@ impl Matrix {
     }
 
     /// Solves `A·x = b` into `x`, where `self` and `pivots` are the output
-    /// of [`Matrix::factorise_in_place`] — the allocation-free half of
-    /// [`LuFactorisation::solve`], which wraps it.
+    /// of [`Matrix::factorise_in_place`].
     ///
     /// # Errors
     ///
@@ -210,7 +120,7 @@ impl Matrix {
         for len in [b.len(), x.len()] {
             if len != n {
                 return Err(SolverError::DimensionMismatch {
-                    context: "LuFactorisation::solve",
+                    context: "Matrix::solve_factored",
                     expected: n,
                     actual: len,
                 });
@@ -254,53 +164,6 @@ impl IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-impl fmt::Display for Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                write!(f, "{:>12.4e} ", self[(i, j)])?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
-    }
-}
-
-/// An LU factorisation with partial pivoting, reusable for several
-/// right-hand sides.
-#[derive(Debug, Clone)]
-pub struct LuFactorisation {
-    lu: Matrix,
-    pivots: Vec<usize>,
-}
-
-impl LuFactorisation {
-    /// Factorises a square matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::DimensionMismatch`] for non-square input and
-    /// [`SolverError::SingularMatrix`] when a pivot column has no usable
-    /// pivot.
-    pub fn new(mut a: Matrix) -> Result<Self, SolverError> {
-        let mut pivots = Vec::new();
-        a.factorise_in_place(&mut pivots)?;
-        Ok(Self { lu: a, pivots })
-    }
-
-    /// Solves `A·x = b` using the stored factorisation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::DimensionMismatch`] when `b` has the wrong
-    /// length.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SolverError> {
-        let mut x = vec![0.0; b.len()];
-        self.lu.solve_factored(&self.pivots, b, &mut x)?;
-        Ok(x)
-    }
-}
-
 /// Infinity norm of a vector.
 pub fn norm_inf(v: &[f64]) -> f64 {
     v.iter().map(|x| x.abs()).fold(0.0, f64::max)
@@ -311,31 +174,37 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    #[test]
-    fn identity_solve_returns_rhs() {
-        let a = Matrix::identity(4);
-        let b = vec![1.0, -2.0, 3.0, 0.5];
-        assert_eq!(a.solve(&b).unwrap(), b);
+    /// A square matrix from its rows.
+    fn square(rows: &[&[f64]]) -> Matrix {
+        let mut a = Matrix::zeros(rows.len(), rows.len());
+        for (i, row) in rows.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                a[(i, j)] = v;
+            }
+        }
+        a
     }
 
-    #[test]
-    fn mul_vec_handles_zero_column_matrix() {
-        let empty = Matrix::zeros(0, 0);
-        assert_eq!(empty.mul_vec(&[]).unwrap(), Vec::<f64>::new());
-        let tall = Matrix::zeros(3, 0);
-        assert_eq!(tall.mul_vec(&[]).unwrap(), vec![0.0; 3]);
+    /// Factorises `a` and solves `a·x = b` through the in-place pair.
+    fn solve(mut a: Matrix, b: &[f64]) -> Result<Vec<f64>, SolverError> {
+        let mut pivots = Vec::new();
+        a.factorise_in_place(&mut pivots)?;
+        let mut x = vec![0.0; b.len()];
+        a.solve_factored(&pivots, b, &mut x)?;
+        Ok(x)
+    }
+
+    /// `a·x`, the residual check of the solve tests.
+    fn mul(a: &Matrix, x: &[f64]) -> Vec<f64> {
+        (0..x.len())
+            .map(|i| (0..x.len()).map(|j| a[(i, j)] * x[j]).sum())
+            .collect()
     }
 
     #[test]
     fn known_3x3_system() {
-        let a = Matrix::from_rows(&[
-            vec![2.0, 1.0, -1.0],
-            vec![-3.0, -1.0, 2.0],
-            vec![-2.0, 1.0, 2.0],
-        ])
-        .unwrap();
-        let b = vec![8.0, -11.0, -3.0];
-        let x = a.solve(&b).unwrap();
+        let a = square(&[&[2.0, 1.0, -1.0], &[-3.0, -1.0, 2.0], &[-2.0, 1.0, 2.0]]);
+        let x = solve(a, &[8.0, -11.0, -3.0]).unwrap();
         assert!((x[0] - 2.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
         assert!((x[2] + 1.0).abs() < 1e-12);
@@ -343,33 +212,30 @@ mod tests {
 
     #[test]
     fn pivoting_handles_zero_diagonal() {
-        let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
-        let x = a.solve(&[2.0, 3.0]).unwrap();
+        let x = solve(square(&[&[0.0, 1.0], &[1.0, 0.0]]), &[2.0, 3.0]).unwrap();
         assert!((x[0] - 3.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn singular_matrix_rejected() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]).unwrap();
         assert!(matches!(
-            a.solve(&[1.0, 2.0]),
+            solve(square(&[&[1.0, 2.0], &[2.0, 4.0]]), &[1.0, 2.0]),
             Err(SolverError::SingularMatrix { .. })
         ));
     }
 
     #[test]
     fn non_square_rejected() {
-        let a = Matrix::zeros(2, 3);
-        assert!(a.solve(&[1.0, 2.0]).is_err());
+        assert!(Matrix::zeros(2, 3)
+            .factorise_in_place(&mut Vec::new())
+            .is_err());
     }
 
     #[test]
     fn wrong_rhs_length_rejected() {
-        let a = Matrix::identity(3);
-        assert!(a.solve(&[1.0, 2.0]).is_err());
+        let mut lu = square(&[&[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0]]);
         let mut pivots = Vec::new();
-        let mut lu = a.clone();
         lu.factorise_in_place(&mut pivots).unwrap();
         assert!(lu
             .solve_factored(&pivots, &[1.0, 2.0, 3.0], &mut [0.0; 2])
@@ -380,21 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn from_rows_rejects_ragged_input() {
-        assert!(Matrix::from_rows(&[vec![1.0, 2.0], vec![1.0]]).is_err());
-    }
-
-    #[test]
-    fn mul_vec_and_norms() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, -4.0]]).unwrap();
-        let y = a.mul_vec(&[1.0, 1.0]).unwrap();
-        assert_eq!(y, vec![3.0, -1.0]);
-        assert!(a.mul_vec(&[1.0]).is_err());
-        assert_eq!(a.norm_inf(), 7.0);
-        assert_eq!(norm_inf(&[-3.0, 2.0]), 3.0);
-    }
-
-    #[test]
     fn stamp_add_and_clear() {
         let mut a = Matrix::zeros(2, 2);
         a.add(0, 0, 1.5);
@@ -402,24 +253,23 @@ mod tests {
         assert_eq!(a[(0, 0)], 2.0);
         a.clear();
         assert_eq!(a[(0, 0)], 0.0);
-        assert_eq!(a.rows(), 2);
-        assert_eq!(a.cols(), 2);
     }
 
     #[test]
-    fn display_formats_rows() {
-        let a = Matrix::identity(2);
-        let text = a.to_string();
-        assert_eq!(text.lines().count(), 2);
+    fn vector_infinity_norm() {
+        assert_eq!(norm_inf(&[-3.0, 2.0]), 3.0);
     }
 
     #[test]
     fn lu_reuse_for_multiple_rhs() {
-        let a = Matrix::from_rows(&[vec![4.0, 1.0], vec![1.0, 3.0]]).unwrap();
-        let lu = LuFactorisation::new(a.clone()).unwrap();
+        let a = square(&[&[4.0, 1.0], &[1.0, 3.0]]);
+        let mut lu = a.clone();
+        let mut pivots = Vec::new();
+        lu.factorise_in_place(&mut pivots).unwrap();
+        let mut x = [0.0; 2];
         for b in [[1.0, 0.0], [0.0, 1.0], [5.0, -2.0]] {
-            let x = lu.solve(&b).unwrap();
-            let back = a.mul_vec(&x).unwrap();
+            lu.solve_factored(&pivots, &b, &mut x).unwrap();
+            let back = mul(&a, &x);
             assert!((back[0] - b[0]).abs() < 1e-12);
             assert!((back[1] - b[1]).abs() < 1e-12);
         }
@@ -443,15 +293,15 @@ mod tests {
                 }
                 a[(i, i)] = row_sum + 1.0 + seed[i * 3 + i].abs();
             }
-            let b = a.mul_vec(&x_true).unwrap();
-            let x = a.solve(&b).unwrap();
+            let b = mul(&a, &x_true);
+            let x = solve(a, &b).unwrap();
             for (xs, xt) in x.iter().zip(&x_true) {
                 prop_assert!((xs - xt).abs() < 1e-8);
             }
         }
 
         #[test]
-        fn prop_in_place_pair_matches_the_wrapper_bit_for_bit(
+        fn prop_reused_workspace_matches_a_fresh_one_bit_for_bit(
             n in 1_usize..7,
             entries in proptest::collection::vec(-10.0_f64..10.0, 3 * 36),
             rhs in proptest::collection::vec(-5.0_f64..5.0, 3 * 6),
@@ -478,7 +328,7 @@ mod tests {
                     a[(row, i)] = off_diagonal + 1.0 + seed[i * 6 + i].abs();
                 }
                 let b = &rhs[system * 6..system * 6 + n];
-                let wrapped = a.solve(b).unwrap();
+                let fresh = solve(a.clone(), b).unwrap();
 
                 lu.clear();
                 for i in 0..n {
@@ -489,7 +339,7 @@ mod tests {
                 lu.factorise_in_place(&mut pivots).unwrap();
                 lu.solve_factored(&pivots, b, &mut x).unwrap();
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                prop_assert_eq!(bits(&x), bits(&wrapped));
+                prop_assert_eq!(bits(&x), bits(&fresh));
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Damped Newton–Raphson iteration for nonlinear algebraic systems.
+//! Newton–Raphson iteration for nonlinear algebraic systems.
 //!
 //! The transient engine calls this at every time point; its convergence (or
 //! failure to converge) is exactly the phenomenon the paper's experiments on
@@ -29,8 +29,6 @@ pub struct NewtonOptions {
     pub residual_tolerance: f64,
     /// Convergence threshold on the update infinity norm.
     pub step_tolerance: f64,
-    /// Damping factor in `(0, 1]` applied to every update (1 = full Newton).
-    pub damping: f64,
 }
 
 impl Default for NewtonOptions {
@@ -39,7 +37,6 @@ impl Default for NewtonOptions {
             max_iterations: 100,
             residual_tolerance: 1e-9,
             step_tolerance: 1e-12,
-            damping: 1.0,
         }
     }
 }
@@ -75,15 +72,13 @@ pub fn solve<S: NonlinearSystem>(
             actual: x0.len(),
         });
     }
-    if !(options.damping > 0.0 && options.damping <= 1.0) {
-        return Err(SolverError::InvalidStep {
-            name: "damping",
-            value: options.damping,
-        });
-    }
 
+    // The update's buffers are sized once per solve.
     let mut x = x0.to_vec();
     let mut residual = vec![0.0; n];
+    let mut neg_res = vec![0.0; n];
+    let mut dx = vec![0.0; n];
+    let mut pivots = Vec::with_capacity(n);
     let mut jacobian = Matrix::zeros(n, n);
 
     system.residual(&x, &mut residual);
@@ -99,15 +94,19 @@ pub fn solve<S: NonlinearSystem>(
         }
         jacobian.clear();
         system.jacobian(&x, &mut jacobian);
-        // Newton update: J·dx = -F
-        let neg_res: Vec<f64> = residual.iter().map(|r| -r).collect();
-        let dx = jacobian.solve(&neg_res)?;
+        // Newton update: J·dx = -F, factorised in place (the Jacobian is
+        // rebuilt from zero every iteration).
+        for (neg, r) in neg_res.iter_mut().zip(&residual) {
+            *neg = -r;
+        }
+        jacobian.factorise_in_place(&mut pivots)?;
+        jacobian.solve_factored(&pivots, &neg_res, &mut dx)?;
         for (xi, di) in x.iter_mut().zip(&dx) {
-            *xi += options.damping * di;
+            *xi += di;
         }
         system.residual(&x, &mut residual);
         res_norm = norm_inf(&residual);
-        if norm_inf(&dx) * options.damping <= options.step_tolerance
+        if norm_inf(&dx) <= options.step_tolerance
             && res_norm <= options.residual_tolerance.max(1e-6)
         {
             return Ok(NewtonSolution {
@@ -277,32 +276,6 @@ mod tests {
             solve(&Quadratic, &[1.0, 2.0], &NewtonOptions::default()),
             Err(SolverError::BadStateLength { .. })
         ));
-    }
-
-    #[test]
-    fn invalid_damping_rejected() {
-        let options = NewtonOptions {
-            damping: 0.0,
-            ..NewtonOptions::default()
-        };
-        assert!(matches!(
-            solve(&Quadratic, &[1.0], &options),
-            Err(SolverError::InvalidStep {
-                name: "damping",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn damped_newton_still_converges() {
-        let options = NewtonOptions {
-            damping: 0.5,
-            max_iterations: 200,
-            ..NewtonOptions::default()
-        };
-        let sol = solve(&Quadratic, &[10.0], &options).unwrap();
-        assert!((sol.x[0] - 2.0).abs() < 1e-8);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Explicit fixed-step integrators: forward Euler, Heun and classic RK4.
+//! The explicit fixed-step integrator: forward Euler.
 
 use crate::error::SolverError;
 use crate::ode::{validate_fixed_step, FixedStepIntegrator, OdeSystem, Trajectory};
@@ -8,14 +8,6 @@ use crate::ode::{validate_fixed_step, FixedStepIntegrator, OdeSystem, Trajectory
 /// the same order of accuracy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ForwardEuler;
-
-/// Heun's method (explicit trapezoidal / RK2).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Heun;
-
-/// The classic fourth-order Runge–Kutta method.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Rk4;
 
 impl FixedStepIntegrator for ForwardEuler {
     fn integrate<S: OdeSystem>(
@@ -51,92 +43,6 @@ impl FixedStepIntegrator for ForwardEuler {
     }
 }
 
-impl FixedStepIntegrator for Heun {
-    fn integrate<S: OdeSystem>(
-        &self,
-        system: &S,
-        y0: &[f64],
-        t0: f64,
-        t_end: f64,
-        dt: f64,
-    ) -> Result<Trajectory, SolverError> {
-        let steps = validate_fixed_step(system.dim(), y0, t0, t_end, dt)?;
-        let n = system.dim();
-        let mut times = Vec::with_capacity(steps + 1);
-        let mut states = Vec::with_capacity(steps + 1);
-        let mut y = y0.to_vec();
-        let (mut k1, mut k2, mut y_pred) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        let mut evals = 0usize;
-        times.push(t0);
-        states.push(y.clone());
-        let mut t = t0;
-        for _ in 0..steps {
-            let h = dt.min(t_end - t);
-            system.rhs(t, &y, &mut k1);
-            for i in 0..n {
-                y_pred[i] = y[i] + h * k1[i];
-            }
-            system.rhs(t + h, &y_pred, &mut k2);
-            evals += 2;
-            for i in 0..n {
-                y[i] += 0.5 * h * (k1[i] + k2[i]);
-            }
-            t += h;
-            times.push(t);
-            states.push(y.clone());
-        }
-        Ok(Trajectory::new(times, states, evals))
-    }
-}
-
-impl FixedStepIntegrator for Rk4 {
-    fn integrate<S: OdeSystem>(
-        &self,
-        system: &S,
-        y0: &[f64],
-        t0: f64,
-        t_end: f64,
-        dt: f64,
-    ) -> Result<Trajectory, SolverError> {
-        let steps = validate_fixed_step(system.dim(), y0, t0, t_end, dt)?;
-        let n = system.dim();
-        let mut times = Vec::with_capacity(steps + 1);
-        let mut states = Vec::with_capacity(steps + 1);
-        let mut y = y0.to_vec();
-        let (mut k1, mut k2, mut k3, mut k4) =
-            (vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        let mut scratch = vec![0.0; n];
-        let mut evals = 0usize;
-        times.push(t0);
-        states.push(y.clone());
-        let mut t = t0;
-        for _ in 0..steps {
-            let h = dt.min(t_end - t);
-            system.rhs(t, &y, &mut k1);
-            for i in 0..n {
-                scratch[i] = y[i] + 0.5 * h * k1[i];
-            }
-            system.rhs(t + 0.5 * h, &scratch, &mut k2);
-            for i in 0..n {
-                scratch[i] = y[i] + 0.5 * h * k2[i];
-            }
-            system.rhs(t + 0.5 * h, &scratch, &mut k3);
-            for i in 0..n {
-                scratch[i] = y[i] + h * k3[i];
-            }
-            system.rhs(t + h, &scratch, &mut k4);
-            evals += 4;
-            for i in 0..n {
-                y[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-            }
-            t += h;
-            times.push(t);
-            states.push(y.clone());
-        }
-        Ok(Trajectory::new(times, states, evals))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,18 +55,6 @@ mod tests {
         }
         fn rhs(&self, _t: f64, y: &[f64], dydt: &mut [f64]) {
             dydt[0] = -y[0];
-        }
-    }
-
-    /// Harmonic oscillator: y'' = -y  as first-order system.
-    struct Oscillator;
-    impl OdeSystem for Oscillator {
-        fn dim(&self) -> usize {
-            2
-        }
-        fn rhs(&self, _t: f64, y: &[f64], dydt: &mut [f64]) {
-            dydt[0] = y[1];
-            dydt[1] = -y[0];
         }
     }
 
@@ -182,40 +76,6 @@ mod tests {
     }
 
     #[test]
-    fn heun_second_order_accuracy() {
-        let exact = (-1.0_f64).exp();
-        let coarse = Heun.integrate(&Decay, &[1.0], 0.0, 1.0, 1e-2).unwrap();
-        let fine = Heun.integrate(&Decay, &[1.0], 0.0, 1.0, 1e-3).unwrap();
-        let err_coarse = (coarse.last_state()[0] - exact).abs();
-        let err_fine = (fine.last_state()[0] - exact).abs();
-        assert!(err_fine < err_coarse / 50.0);
-        assert_eq!(coarse.rhs_evaluations(), 200);
-    }
-
-    #[test]
-    fn rk4_is_very_accurate() {
-        let result = Rk4.integrate(&Decay, &[1.0], 0.0, 1.0, 1e-2).unwrap();
-        assert!((result.last_state()[0] - (-1.0_f64).exp()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rk4_conserves_oscillator_energy_approximately() {
-        let result = Rk4
-            .integrate(
-                &Oscillator,
-                &[1.0, 0.0],
-                0.0,
-                2.0 * std::f64::consts::PI,
-                1e-3,
-            )
-            .unwrap();
-        let last = result.last_state();
-        // After one full period the state returns to (1, 0).
-        assert!((last[0] - 1.0).abs() < 1e-8);
-        assert!(last[1].abs() < 1e-8);
-    }
-
-    #[test]
     fn trajectory_includes_initial_state_and_end_time() {
         let result = ForwardEuler
             .integrate(&Decay, &[1.0], 0.0, 0.55, 0.1)
@@ -230,7 +90,11 @@ mod tests {
         assert!(ForwardEuler
             .integrate(&Decay, &[1.0, 2.0], 0.0, 1.0, 0.1)
             .is_err());
-        assert!(Heun.integrate(&Decay, &[1.0], 0.0, 1.0, -0.1).is_err());
-        assert!(Rk4.integrate(&Decay, &[1.0], 1.0, 0.0, 0.1).is_err());
+        assert!(ForwardEuler
+            .integrate(&Decay, &[1.0], 0.0, 1.0, -0.1)
+            .is_err());
+        assert!(ForwardEuler
+            .integrate(&Decay, &[1.0], 1.0, 0.0, 0.1)
+            .is_err());
     }
 }

@@ -1,6 +1,6 @@
 //! Implicit fixed-step integrators: backward Euler and the trapezoidal rule.
 //!
-//! Each time step solves the nonlinear stage equation with damped Newton
+//! Each time step solves the nonlinear stage equation with Newton
 //! iteration using a finite-difference Jacobian, which is how a SPICE-class
 //! transient engine advances stiff circuit equations.  Their per-step
 //! Newton statistics are what the turning-point stability experiment (E4)
@@ -24,7 +24,6 @@ impl Default for BackwardEuler {
                 max_iterations: 50,
                 residual_tolerance: 1e-10,
                 step_tolerance: 1e-13,
-                damping: 1.0,
             },
         }
     }
@@ -267,7 +266,6 @@ mod tests {
                 max_iterations: 1,
                 residual_tolerance: 1e-16,
                 step_tolerance: 1e-18,
-                damping: 1.0,
             },
         };
         let (trajectory, stats) = integrator

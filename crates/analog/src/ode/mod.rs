@@ -4,9 +4,9 @@
 //! on: the conventional JA models convert `dM/dH` to `dM/dt` and let one of
 //! these integrators advance it in time.
 //!
-//! * [`explicit`] — forward Euler, Heun (RK2) and classic RK4;
+//! * [`explicit`] — forward Euler;
 //! * [`implicit`] — backward Euler and the trapezoidal rule, each solving
-//!   the per-step nonlinear equation with damped Newton iteration;
+//!   the per-step nonlinear equation with Newton iteration;
 //! * [`adaptive`] — an embedded Runge–Kutta–Fehlberg 4(5) pair with
 //!   proportional step-size control, the closest analogue of a commercial
 //!   simulator's variable-step transient engine.
@@ -24,19 +24,6 @@ pub trait OdeSystem {
 
     /// Evaluates the right-hand side `f(t, y)` into `dydt`.
     fn rhs(&self, t: f64, y: &[f64], dydt: &mut [f64]);
-}
-
-impl<F> OdeSystem for (usize, F)
-where
-    F: Fn(f64, &[f64], &mut [f64]),
-{
-    fn dim(&self) -> usize {
-        self.0
-    }
-
-    fn rhs(&self, t: f64, y: &[f64], dydt: &mut [f64]) {
-        (self.1)(t, y, dydt)
-    }
 }
 
 /// A time/state trajectory produced by an integrator.
@@ -153,18 +140,6 @@ pub(crate) fn validate_fixed_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn closure_systems_implement_ode_system() {
-        let sys = (2usize, |_t: f64, y: &[f64], dydt: &mut [f64]| {
-            dydt[0] = y[1];
-            dydt[1] = -y[0];
-        });
-        assert_eq!(sys.dim(), 2);
-        let mut out = [0.0, 0.0];
-        sys.rhs(0.0, &[1.0, 2.0], &mut out);
-        assert_eq!(out, [2.0, -1.0]);
-    }
 
     #[test]
     fn trajectory_accessors() {

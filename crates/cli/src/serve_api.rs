@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use hdl_models::exec::BatchRunner;
 use hdl_models::fit::{fit_batch, MultiStartOptions};
-use hdl_models::report::{fit_report_value, run_batch_report, write_ndjson_batch};
+use hdl_models::report::{fit_report_value, report_envelope, run_batch_report, write_ndjson_batch};
 use hdl_models::scenario::{Excitation, Scenario};
 use hdl_models::serve::{error_response, HttpRequest, HttpResponse, ResultCache};
 use ja_hysteresis::json::{content_hash, JsonValue, SCHEMA_VERSION, SCHEMA_VERSION_KEY};
@@ -95,10 +95,7 @@ pub fn handle_request(state: &ServeState<'_>, request: &HttpRequest) -> HttpResp
         },
         ("POST", "/v1/shutdown") => {
             state.shutdown.store(true, Ordering::Release);
-            let doc = JsonValue::object()
-                .with(SCHEMA_VERSION_KEY, SCHEMA_VERSION)
-                .with("kind", "shutdown")
-                .with("draining", true);
+            let doc = report_envelope("shutdown").with("draining", true);
             HttpResponse::json(200, doc.to_pretty_string())
         }
         (_, "/v1/health" | "/v1/eval" | "/v1/shutdown") => error_response(
@@ -117,9 +114,7 @@ pub fn handle_request(state: &ServeState<'_>, request: &HttpRequest) -> HttpResp
 
 fn health_response(state: &ServeState<'_>) -> HttpResponse {
     let stats = state.cache.stats();
-    let doc = JsonValue::object()
-        .with(SCHEMA_VERSION_KEY, SCHEMA_VERSION)
-        .with("kind", "health")
+    let doc = report_envelope("health")
         .with("status", "ok")
         .with("eval_workers", state.eval_workers)
         .with(

@@ -41,7 +41,7 @@ use crate::slope::{evaluate_total_slope, FieldDirection};
 pub struct KernelStatistics {
     /// Delta cycles executed.
     pub delta_cycles: u64,
-    /// Timed events scheduled (testbench stimulus plus process wake-ups).
+    /// Timed events scheduled (the testbench stimulus).
     pub events_scheduled: u64,
     /// Method-process activations executed.
     pub process_activations: u64,

@@ -143,66 +143,9 @@ impl JsonValue {
     /// compared byte-for-byte).
     pub fn to_pretty_string(&self) -> String {
         let mut out = String::new();
-        self.write_indented(&mut out, 0);
+        self.write(&mut out, Layout::Indented(0), false);
         out.push('\n');
         out
-    }
-
-    fn write_indented(&self, out: &mut String, level: usize) {
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Int(v) => {
-                out.push_str(&v.to_string());
-            }
-            JsonValue::Number(v) => {
-                if v.is_finite() {
-                    // `{:?}` prints the shortest decimal that round-trips.
-                    out.push_str(&format!("{v:?}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            JsonValue::String(s) => write_escaped(out, s),
-            JsonValue::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    out.push('\n');
-                    indent(out, level + 1);
-                    item.write_indented(out, level + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                }
-                out.push('\n');
-                indent(out, level);
-                out.push(']');
-            }
-            JsonValue::Object(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    out.push('\n');
-                    indent(out, level + 1);
-                    write_escaped(out, key);
-                    out.push_str(": ");
-                    value.write_indented(out, level + 1);
-                    if i + 1 < fields.len() {
-                        out.push(',');
-                    }
-                }
-                out.push('\n');
-                indent(out, level);
-                out.push('}');
-            }
-        }
     }
 
     /// Serialises the document in **canonical form**: object keys sorted
@@ -219,43 +162,8 @@ impl JsonValue {
     /// sort, so even degenerate documents canonicalise deterministically.
     pub fn canonical_string(&self) -> String {
         let mut out = String::new();
-        self.write_canonical(&mut out);
+        self.write(&mut out, Layout::Compact, true);
         out
-    }
-
-    fn write_canonical(&self, out: &mut String) {
-        match self {
-            JsonValue::Null | JsonValue::Bool(_) | JsonValue::Int(_) | JsonValue::Number(_) => {
-                // Scalars have no layout, so the pretty writer's forms are
-                // already canonical.
-                self.write_indented(out, 0);
-            }
-            JsonValue::String(s) => write_escaped(out, s),
-            JsonValue::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_canonical(out);
-                }
-                out.push(']');
-            }
-            JsonValue::Object(fields) => {
-                let mut order: Vec<&(String, JsonValue)> = fields.iter().collect();
-                order.sort_by(|a, b| a.0.cmp(&b.0));
-                out.push('{');
-                for (i, (key, value)) in order.into_iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, key);
-                    out.push(':');
-                    value.write_canonical(out);
-                }
-                out.push('}');
-            }
-        }
     }
 
     /// Serialises the document **compactly in insertion order**: no
@@ -273,37 +181,52 @@ impl JsonValue {
     /// [`to_pretty_string`]: Self::to_pretty_string
     pub fn to_compact_string(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write(&mut out, Layout::Compact, false);
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
+    /// The one recursive writer behind the three text forms: `layout`
+    /// places the whitespace, `sort_keys` orders each object's keys
+    /// bytewise (a stable sort) instead of by insertion.  Scalars and
+    /// strings are written the same way in every form.
+    fn write(&self, out: &mut String, layout: Layout, sort_keys: bool) {
         match self {
-            JsonValue::Null | JsonValue::Bool(_) | JsonValue::Int(_) | JsonValue::Number(_) => {
-                self.write_indented(out, 0);
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Int(v) => {
+                out.push_str(&v.to_string());
+            }
+            JsonValue::Number(v) => {
+                if v.is_finite() {
+                    // `{:?}` prints the shortest decimal that round-trips.
+                    out.push_str(&format!("{v:?}"));
+                } else {
+                    out.push_str("null");
+                }
             }
             JsonValue::String(s) => write_escaped(out, s),
             JsonValue::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_compact(out);
-                }
-                out.push(']');
+                layout.write_container(out, ('[', ']'), items.len(), |out, i, inner| {
+                    items[i].write(out, inner, sort_keys);
+                });
             }
             JsonValue::Object(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
+                let write_field = |out: &mut String, (key, value): &(String, JsonValue), inner| {
                     write_escaped(out, key);
-                    out.push(':');
-                    value.write_compact(out);
+                    out.push_str(layout.key_separator());
+                    value.write(out, inner, sort_keys);
+                };
+                if sort_keys {
+                    let mut order: Vec<&(String, JsonValue)> = fields.iter().collect();
+                    order.sort_by(|a, b| a.0.cmp(&b.0));
+                    layout.write_container(out, ('{', '}'), order.len(), |out, i, inner| {
+                        write_field(out, order[i], inner);
+                    });
+                } else {
+                    layout.write_container(out, ('{', '}'), fields.len(), |out, i, inner| {
+                        write_field(out, &fields[i], inner);
+                    });
                 }
-                out.push('}');
             }
         }
     }
@@ -389,9 +312,62 @@ impl From<Vec<JsonValue>> for JsonValue {
     }
 }
 
-fn indent(out: &mut String, level: usize) {
-    for _ in 0..level {
-        out.push_str("  ");
+/// Where the one JSON writer puts whitespace.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    /// One entry per line, indented two spaces per nesting level (the
+    /// value being written sits at this level), `": "` after keys.
+    Indented(usize),
+    /// No whitespace at all.
+    Compact,
+}
+
+impl Layout {
+    fn key_separator(self) -> &'static str {
+        match self {
+            Layout::Indented(_) => ": ",
+            Layout::Compact => ":",
+        }
+    }
+
+    /// Writes an array or object: `open`, then `len` comma-separated
+    /// entries, each written by `entry(out, index, layout of the entry)`,
+    /// then `close`.  An empty container is `open` and `close` alone in
+    /// every layout.
+    fn write_container(
+        self,
+        out: &mut String,
+        (open, close): (char, char),
+        len: usize,
+        mut entry: impl FnMut(&mut String, usize, Layout),
+    ) {
+        out.push(open);
+        if len > 0 {
+            let inner = match self {
+                Layout::Indented(level) => Layout::Indented(level + 1),
+                Layout::Compact => Layout::Compact,
+            };
+            for i in 0..len {
+                if i > 0 {
+                    out.push(',');
+                }
+                inner.line_break(out);
+                entry(out, i, inner);
+            }
+            self.line_break(out);
+        }
+        out.push(close);
+    }
+
+    /// Starts a new line at this layout's indentation (nothing when
+    /// compact).
+    fn line_break(self, out: &mut String) {
+        if let Layout::Indented(level) = self {
+            out.push('\n');
+            for _ in 0..level {
+                out.push_str("  ");
+            }
+        }
     }
 }
 
@@ -1126,6 +1102,102 @@ mod tests {
         }
     }
 
+    const DOC_INTS: [i64; 5] = [0, -1, 42, i64::MIN, i64::MAX];
+    const DOC_NUMBERS: [f64; 11] = [
+        0.0,
+        -0.0,
+        1.5,
+        -2.25e-300,
+        1e300,
+        0.1,
+        -7.0e15,
+        3.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    const DOC_STRINGS: [&str; 8] = [
+        "",
+        "a",
+        "quote\"",
+        "back\\slash",
+        "nl\n\ttab\r",
+        "\u{1}ctl\u{1f}",
+        "é ü",
+        "\u{2028}",
+    ];
+    /// Few keys, so objects often repeat one; "a" is listed twice.
+    const DOC_KEYS: [&str; 6] = ["b", "a", "", "a", "é", "k\"ey"];
+
+    /// A document built from a stream of choices: objects and arrays
+    /// nested three deep, duplicate keys, strings that need escaping,
+    /// `-0.0` and non-finite numbers.
+    fn document(choices: &mut impl Iterator<Item = usize>, depth: usize) -> JsonValue {
+        let Some(c) = choices.next() else {
+            return JsonValue::Null;
+        };
+        let pick = c / 8;
+        // The root is always a container; the next two levels may hold
+        // any kind, the fourth scalars only.
+        let kind = match depth {
+            0 => 6 + c % 2,
+            1..=2 => c % 8,
+            _ => c % 6,
+        };
+        match kind {
+            0 => JsonValue::Null,
+            1 => JsonValue::Bool(pick % 2 == 1),
+            2 => JsonValue::Int(DOC_INTS[pick % DOC_INTS.len()]),
+            3 => JsonValue::Number(DOC_NUMBERS[pick % DOC_NUMBERS.len()]),
+            4 | 5 => JsonValue::String(DOC_STRINGS[pick % DOC_STRINGS.len()].to_owned()),
+            6 => JsonValue::Array(
+                (0..pick % 4)
+                    .map(|_| document(choices, depth + 1))
+                    .collect(),
+            ),
+            _ => JsonValue::Object(
+                (0..pick % 4)
+                    .map(|i| {
+                        let key = DOC_KEYS[(pick / 4 + i) % DOC_KEYS.len()].to_owned();
+                        (key, document(choices, depth + 1))
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    /// The value a document's text parses back to: non-finite numbers are
+    /// written as `null`.
+    fn as_written(value: &JsonValue) -> JsonValue {
+        match value {
+            JsonValue::Number(v) if !v.is_finite() => JsonValue::Null,
+            JsonValue::Array(items) => JsonValue::Array(items.iter().map(as_written).collect()),
+            JsonValue::Object(fields) => JsonValue::Object(
+                fields
+                    .iter()
+                    .map(|(key, value)| (key.clone(), as_written(value)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
+    /// A copy with every object's keys stably sorted, at every level.
+    fn key_sorted(value: &JsonValue) -> JsonValue {
+        match value {
+            JsonValue::Array(items) => JsonValue::Array(items.iter().map(key_sorted).collect()),
+            JsonValue::Object(fields) => {
+                let mut fields: Vec<(String, JsonValue)> = fields
+                    .iter()
+                    .map(|(key, value)| (key.clone(), key_sorted(value)))
+                    .collect();
+                fields.sort_by(|a, b| a.0.cmp(&b.0));
+                JsonValue::Object(fields)
+            }
+            other => other.clone(),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
@@ -1137,6 +1209,24 @@ mod tests {
         #[test]
         fn parse_never_panics_on_token_soup(text in json_soup()) {
             assert_parse_is_total(&text);
+        }
+
+        /// The three text forms of one writer agree: pretty and compact
+        /// text parse back to the written value (`-0.0` keeps its sign,
+        /// which `==` alone would not show), and canonical text is the
+        /// compact text of the recursively key-sorted document.
+        #[test]
+        fn pretty_compact_and_canonical_text_agree(
+            choices in collection::vec(0usize..1 << 20, 0..48),
+        ) {
+            let doc = document(&mut choices.into_iter(), 0);
+            let written = as_written(&doc);
+            for text in [doc.to_pretty_string(), doc.to_compact_string()] {
+                let parsed = JsonValue::parse(&text).expect("writer output parses");
+                prop_assert_eq!(&parsed, &written, "{}", text);
+                prop_assert_eq!(parsed.to_compact_string(), written.to_compact_string());
+            }
+            prop_assert_eq!(doc.canonical_string(), key_sorted(&doc).to_compact_string());
         }
     }
 }

@@ -28,11 +28,11 @@ pub enum KernelError {
         /// The limit that was exceeded.
         limit: usize,
     },
-    /// A wake-up was scheduled in the past.
+    /// A timed run was asked to end before the current time.
     ScheduleInPast {
         /// Current simulation time.
         now: SimTime,
-        /// Requested wake-up time.
+        /// Requested end time.
         requested: SimTime,
     },
     /// A process body returned an error (wrapped as a string to keep the
@@ -61,7 +61,7 @@ impl fmt::Display for KernelError {
             ),
             KernelError::ScheduleInPast { now, requested } => write!(
                 f,
-                "wake-up requested at {requested} which is before current time {now}"
+                "run requested until {requested}, which is before current time {now}"
             ),
             KernelError::ProcessFailure { process, message } => {
                 write!(f, "process `{process}` failed: {message}")

@@ -155,8 +155,8 @@ impl Kernel {
         self.activations
     }
 
-    /// Number of timed events scheduled so far (testbench stimulus plus
-    /// process wake-ups).
+    /// Number of timed signal writes scheduled so far (the testbench
+    /// stimulus).
     pub fn events_scheduled(&self) -> u64 {
         self.events_scheduled
     }
@@ -190,20 +190,10 @@ impl Kernel {
         self.signals.write(id, value)
     }
 
-    /// Overwrites a signal immediately without generating an event.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::UnknownSignal`] for a foreign id.
-    pub fn force(&mut self, id: SignalId, value: Value) -> Result<(), KernelError> {
-        self.signals.force(id, value)
-    }
-
     /// Schedules a timed write (testbench stimulus).
     pub fn schedule_write(&mut self, at: SimTime, id: SignalId, value: Value) {
         self.events_scheduled += 1;
-        self.queue
-            .push(at, Event::SignalWrite { signal: id, value });
+        self.queue.push(at, Event { signal: id, value });
     }
 
     /// Runs delta cycles at the current time until no more signal changes
@@ -320,24 +310,12 @@ impl Kernel {
     #[inline]
     fn run_process(&mut self, pid: ProcessId) -> Result<(), KernelError> {
         self.activations += 1;
-        let now = self.now;
         let process = &mut self.processes[pid.index()];
-        let mut ctx = ProcessContext::new(&mut self.signals, now);
-        match (process.body)(&mut ctx) {
-            Ok(()) => {
-                // A wake requested by a failing process is discarded with
-                // the rest of the settle phase, so only the Ok path looks.
-                if let Some(delay) = ctx.take_wake_request() {
-                    self.events_scheduled += 1;
-                    self.queue.push(now + delay, Event::Wakeup { process: pid });
-                }
-                Ok(())
-            }
-            Err(err) => Err(KernelError::ProcessFailure {
-                process: process.name.clone(),
-                message: err.to_string(),
-            }),
-        }
+        let mut ctx = ProcessContext::new(&mut self.signals, self.now);
+        (process.body)(&mut ctx).map_err(|err| KernelError::ProcessFailure {
+            process: process.name.clone(),
+            message: err.to_string(),
+        })
     }
 
     /// Advances simulated time, processing every queued event up to and
@@ -367,24 +345,13 @@ impl Kernel {
             self.timed_events.clear();
             processed += self.queue.pop_into(t, &mut self.timed_events);
             for i in 0..self.timed_events.len() {
-                match self.timed_events[i] {
-                    Event::SignalWrite { signal, value } => {
-                        self.signals.write(signal, value)?;
-                    }
-                    Event::Wakeup { process } => {
-                        self.mark_ready(process);
-                    }
-                }
+                let Event { signal, value } = self.timed_events[i];
+                self.signals.write(signal, value)?;
             }
             self.settle_ready()?;
         }
         self.now = end;
         Ok(processed)
-    }
-
-    /// `true` when no timed events remain in the queue.
-    pub fn queue_is_empty(&self) -> bool {
-        self.queue.is_empty()
     }
 
     /// Returns the kernel to its construction-time state — signals back at
@@ -499,7 +466,8 @@ mod tests {
         // Continue to the end.
         k.run_until(SimTime::from_micros(10)).unwrap();
         assert_eq!(k.read_real(b).unwrap(), 5.0);
-        assert!(k.queue_is_empty());
+        // The queue is drained: running on processes no further event.
+        assert_eq!(k.run_until(SimTime::from_micros(20)).unwrap(), 0);
     }
 
     #[test]
@@ -510,24 +478,6 @@ mod tests {
             k.run_until(SimTime::from_micros(5)),
             Err(KernelError::ScheduleInPast { .. })
         ));
-    }
-
-    #[test]
-    fn self_rescheduling_process_acts_as_clock() {
-        let mut k = Kernel::new();
-        let tick = k.add_signal("tick", Value::Int(0));
-        k.add_process("clock", &[], move |ctx| {
-            let n = ctx.read_int(tick)?;
-            ctx.write_int(tick, n + 1)?;
-            ctx.wake_after(SimTime::from_micros(1));
-            Ok(())
-        })
-        .unwrap();
-        k.run_until(SimTime::from_micros(10)).unwrap();
-        // Initial run + one wake per microsecond.
-        let n = k.read(tick).unwrap().as_int().unwrap();
-        assert!((10..=11).contains(&n), "tick = {n}");
-        assert_eq!(k.events_scheduled(), n as u64);
     }
 
     #[test]
@@ -551,24 +501,6 @@ mod tests {
         let mut k = Kernel::new();
         let foreign = SignalId(42);
         assert!(k.add_process("p", &[foreign], |_| Ok(())).is_err());
-    }
-
-    #[test]
-    fn force_does_not_trigger() {
-        let mut k = Kernel::new();
-        let a = k.add_signal("a", Value::Real(0.0));
-        let count = k.add_signal("count", Value::Int(0));
-        k.add_process("counter", &[a], move |ctx| {
-            let n = ctx.read_int(count)?;
-            ctx.write_int(count, n + 1)
-        })
-        .unwrap();
-        k.settle().unwrap();
-        let baseline = k.read(count).unwrap().as_int().unwrap();
-        k.force(a, Value::Real(5.0)).unwrap();
-        k.settle().unwrap();
-        assert_eq!(k.read(count).unwrap().as_int().unwrap(), baseline);
-        assert_eq!(k.read_real(a).unwrap(), 5.0);
     }
 
     /// Builds the little combinational chain used by the reuse tests and
@@ -618,12 +550,13 @@ mod tests {
         k.add_process("idle", &[h], |_| Ok(())).unwrap();
         k.schedule_write(SimTime::from_micros(50), h, Value::Real(1.0));
         k.run_until(SimTime::from_micros(10)).unwrap();
-        assert!(!k.queue_is_empty());
         k.reset();
-        assert!(k.queue_is_empty());
         // Time travel back to zero is legal again after reset.
         k.run_until(SimTime::from_micros(1)).unwrap();
         assert_eq!(k.now(), SimTime::from_micros(1));
+        // The write queued before the reset is gone.
+        assert_eq!(k.run_until(SimTime::from_micros(100)).unwrap(), 0);
+        assert_eq!(k.read_real(h).unwrap(), 0.0);
     }
 
     #[test]

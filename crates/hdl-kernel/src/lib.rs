@@ -10,9 +10,10 @@
 //! * **method processes** with static sensitivity lists, re-triggered
 //!   whenever a signal they are sensitive to changes value ([`process`]);
 //! * a **scheduler** that runs delta cycles to quiescence and advances
-//!   simulated time between timed notifications ([`kernel`], [`scheduler`]);
-//! * a **recorder** that captures signal values over time for later
-//!   analysis ([`recorder`]).
+//!   simulated time between timed signal writes — the testbench stimulus
+//!   ([`kernel`], [`scheduler`]);
+//! * a **recorder** that samples chosen signals after each stimulus step
+//!   ([`recorder`]).
 //!
 //! The kernel is deliberately single-threaded and allocation-light; it is a
 //! behavioural-modelling substrate, not a general HDL simulator.

@@ -19,26 +19,17 @@ impl ProcessId {
 /// The view of the kernel a process body receives while it executes.
 ///
 /// Mirrors what a SystemC method process can do: read signals, write
-/// signals (visible after the next delta cycle), inspect the current time
-/// and request a timed re-trigger of itself (`next_trigger`).
+/// signals (visible after the next delta cycle) and inspect the current
+/// time.
 #[derive(Debug)]
 pub struct ProcessContext<'a> {
     signals: &'a mut SignalStore,
     now: SimTime,
-    wake_after: Option<SimTime>,
 }
 
 impl<'a> ProcessContext<'a> {
     pub(crate) fn new(signals: &'a mut SignalStore, now: SimTime) -> Self {
-        Self {
-            signals,
-            now,
-            wake_after: None,
-        }
-    }
-
-    pub(crate) fn take_wake_request(&mut self) -> Option<SimTime> {
-        self.wake_after.take()
+        Self { signals, now }
     }
 
     /// Current simulation time.
@@ -129,13 +120,6 @@ impl<'a> ProcessContext<'a> {
     pub fn write_int(&mut self, id: SignalId, value: i64) -> Result<(), KernelError> {
         self.signals.write(id, Value::Int(value))
     }
-
-    /// Requests that this process be re-triggered `delay` after the current
-    /// time, in addition to its static sensitivity (SystemC's
-    /// `next_trigger(delay)`).
-    pub fn wake_after(&mut self, delay: SimTime) {
-        self.wake_after = Some(delay);
-    }
 }
 
 /// The boxed body of a method process.
@@ -185,7 +169,7 @@ mod tests {
         ctx.write_real(a, 2.0).unwrap();
         // Still the old value inside the same evaluation.
         assert_eq!(ctx.read_real(a).unwrap(), 1.0);
-        store.update_into(&mut Vec::new());
+        store.commit_dirty(|_| {});
         assert_eq!(store.read(a).unwrap(), Value::Real(2.0));
     }
 
@@ -202,16 +186,6 @@ mod tests {
         ctx.write_int(i, 9).unwrap();
         ctx.write(i, Value::Int(10)).unwrap();
         assert_eq!(ctx.read(i).unwrap(), Value::Int(7));
-    }
-
-    #[test]
-    fn wake_request_is_captured() {
-        let mut store = SignalStore::new();
-        let mut ctx = ProcessContext::new(&mut store, SimTime::ZERO);
-        assert!(ctx.take_wake_request().is_none());
-        ctx.wake_after(SimTime::from_nanos(10));
-        assert_eq!(ctx.take_wake_request(), Some(SimTime::from_nanos(10)));
-        assert!(ctx.take_wake_request().is_none());
     }
 
     #[test]

@@ -18,45 +18,24 @@ use crate::value::Value;
 /// columns have grown to the stimulus length.
 #[derive(Debug, Clone)]
 pub struct Recorder {
-    labels: Vec<String>,
     signals: Vec<SignalId>,
     times: Vec<SimTime>,
     columns: Vec<Vec<Value>>,
 }
 
 impl Recorder {
-    /// Creates a recorder for the given `(label, signal)` pairs.
-    pub fn new(channels: Vec<(String, SignalId)>) -> Self {
-        let (labels, signals): (Vec<_>, Vec<_>) = channels.into_iter().unzip();
-        let columns = signals.iter().map(|_| Vec::new()).collect();
-        Self {
-            labels,
-            signals,
-            times: Vec::new(),
-            columns,
-        }
-    }
-
-    /// Convenience constructor from `&str` labels.
-    pub fn with_channels(channels: &[(&str, SignalId)]) -> Self {
-        Self::with_channel_capacity(channels, 0)
-    }
-
-    /// Like [`Recorder::with_channels`], but preallocates room for
+    /// Creates a recorder with one channel per signal, with room for
     /// `samples` calls to [`Recorder::sample`] — testbenches that know their
     /// stimulus length up front record without reallocating.
-    pub fn with_channel_capacity(channels: &[(&str, SignalId)], samples: usize) -> Self {
-        let mut recorder = Self::new(
-            channels
+    pub fn with_channel_capacity(signals: &[SignalId], samples: usize) -> Self {
+        Self {
+            signals: signals.to_vec(),
+            times: Vec::with_capacity(samples),
+            columns: signals
                 .iter()
-                .map(|(name, id)| ((*name).to_owned(), *id))
+                .map(|_| Vec::with_capacity(samples))
                 .collect(),
-        );
-        recorder.times.reserve(samples);
-        for column in &mut recorder.columns {
-            column.reserve(samples);
         }
-        recorder
     }
 
     /// Samples every channel from the kernel's current state.
@@ -88,32 +67,9 @@ impl Recorder {
         self.times.is_empty()
     }
 
-    /// Channel labels.
-    pub fn labels(&self) -> &[String] {
-        &self.labels
-    }
-
     /// The sampled times.
     pub fn times(&self) -> &[SimTime] {
         &self.times
-    }
-
-    /// Extracts one channel as a real-valued series.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::TypeMismatch`] if the channel holds
-    /// non-real values, or [`KernelError::UnknownSignal`] if the label does
-    /// not exist.
-    pub fn real_series(&self, label: &str) -> Result<Vec<f64>, KernelError> {
-        let idx =
-            self.labels
-                .iter()
-                .position(|l| l == label)
-                .ok_or(KernelError::UnknownSignal {
-                    id: SignalId(usize::MAX),
-                })?;
-        self.columns[idx].iter().map(Value::as_real).collect()
     }
 }
 
@@ -121,6 +77,10 @@ impl Recorder {
 mod tests {
     use super::*;
     use crate::kernel::Kernel;
+
+    fn reals(column: &[Value]) -> Vec<f64> {
+        column.iter().map(|v| v.as_real().unwrap()).collect()
+    }
 
     #[test]
     fn records_series_over_time() {
@@ -133,7 +93,7 @@ mod tests {
         })
         .unwrap();
 
-        let mut rec = Recorder::with_channels(&[("H", h), ("B", b)]);
+        let mut rec = Recorder::with_channel_capacity(&[h, b], 0);
         k.settle().unwrap();
         rec.sample(&k).unwrap();
         for i in 1..=3 {
@@ -143,8 +103,7 @@ mod tests {
         }
         assert_eq!(rec.len(), 4);
         assert!(!rec.is_empty());
-        assert_eq!(rec.labels(), &["H".to_string(), "B".to_string()]);
-        assert_eq!(rec.real_series("B").unwrap(), vec![0.0, 3.0, 6.0, 9.0]);
+        assert_eq!(reals(&rec.columns[1]), vec![0.0, 3.0, 6.0, 9.0]);
         assert_eq!(rec.times().len(), 4);
     }
 
@@ -152,16 +111,10 @@ mod tests {
     fn with_channel_capacity_records_normally() {
         let mut k = Kernel::new();
         let h = k.add_signal("h", Value::Real(1.5));
-        let mut rec = Recorder::with_channel_capacity(&[("H", h)], 8);
+        let mut rec = Recorder::with_channel_capacity(&[h], 8);
         k.settle().unwrap();
         rec.sample(&k).unwrap();
-        assert_eq!(rec.real_series("H").unwrap(), vec![1.5]);
-    }
-
-    #[test]
-    fn unknown_label_rejected() {
-        let rec = Recorder::with_channels(&[]);
-        assert!(rec.real_series("nope").is_err());
+        assert_eq!(reals(&rec.columns[0]), vec![1.5]);
     }
 
     #[test]
@@ -169,20 +122,10 @@ mod tests {
         let mut k = Kernel::new();
         let h = k.add_signal("h", Value::Real(1.0));
         let foreign = SignalId(42);
-        let mut rec = Recorder::new(vec![("H".to_owned(), h), ("X".to_owned(), foreign)]);
+        let mut rec = Recorder::with_channel_capacity(&[h, foreign], 0);
         k.settle().unwrap();
         assert!(rec.sample(&k).is_err());
         assert!(rec.is_empty(), "failed sample must not leave a torn row");
-        assert!(rec.real_series("H").unwrap().is_empty());
-    }
-
-    #[test]
-    fn type_mismatch_reported() {
-        let mut k = Kernel::new();
-        let flag = k.add_signal("flag", Value::Bit(false));
-        let mut rec = Recorder::with_channels(&[("flag", flag)]);
-        k.settle().unwrap();
-        rec.sample(&k).unwrap();
-        assert!(rec.real_series("flag").is_err());
+        assert!(rec.columns.iter().all(Vec::is_empty));
     }
 }

@@ -3,26 +3,17 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::process::ProcessId;
 use crate::signal::SignalId;
 use crate::time::SimTime;
 use crate::value::Value;
 
-/// A timed event.
+/// A timed event: a value written to a signal at the scheduled time.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Event {
-    /// Write a value to a signal at the scheduled time.
-    SignalWrite {
-        /// Target signal.
-        signal: SignalId,
-        /// Value to write.
-        value: Value,
-    },
-    /// Wake a process at the scheduled time (timed trigger).
-    Wakeup {
-        /// Process to trigger.
-        process: ProcessId,
-    },
+pub struct Event {
+    /// Target signal.
+    pub signal: SignalId,
+    /// Value to write.
+    pub value: Value,
 }
 
 /// One queued event with its ordering key.
@@ -128,6 +119,13 @@ impl EventQueue {
 mod tests {
     use super::*;
 
+    fn write(signal: usize, value: f64) -> Event {
+        Event {
+            signal: SignalId(signal),
+            value: Value::Real(value),
+        }
+    }
+
     fn drain_at(q: &mut EventQueue, time: SimTime) -> Vec<Event> {
         let mut out = Vec::new();
         q.pop_into(time, &mut out);
@@ -137,59 +135,30 @@ mod tests {
     #[test]
     fn events_pop_in_time_order() {
         let mut q = EventQueue::new();
-        let p = ProcessId(0);
-        q.push(SimTime::from_nanos(20), Event::Wakeup { process: p });
-        q.push(SimTime::from_nanos(10), Event::Wakeup { process: p });
+        q.push(SimTime::from_nanos(20), write(0, 2.0));
+        q.push(SimTime::from_nanos(10), write(0, 1.0));
         assert_eq!(q.len(), 2);
         assert_eq!(q.next_time(), Some(SimTime::from_nanos(10)));
         let first = drain_at(&mut q, SimTime::from_nanos(10));
-        assert_eq!(first.len(), 1);
+        assert_eq!(first, vec![write(0, 1.0)]);
         assert_eq!(q.next_time(), Some(SimTime::from_nanos(20)));
     }
 
     #[test]
     fn same_time_events_preserve_insertion_order() {
         let mut q = EventQueue::new();
-        let s = SignalId(3);
-        q.push(
-            SimTime::from_nanos(5),
-            Event::SignalWrite {
-                signal: s,
-                value: Value::Real(1.0),
-            },
-        );
-        q.push(
-            SimTime::from_nanos(5),
-            Event::SignalWrite {
-                signal: s,
-                value: Value::Real(2.0),
-            },
-        );
+        q.push(SimTime::from_nanos(5), write(3, 1.0));
+        q.push(SimTime::from_nanos(5), write(3, 2.0));
         let events = drain_at(&mut q, SimTime::from_nanos(5));
-        assert_eq!(events.len(), 2);
-        assert_eq!(
-            events[0],
-            Event::SignalWrite {
-                signal: s,
-                value: Value::Real(1.0)
-            }
-        );
-        assert_eq!(
-            events[1],
-            Event::SignalWrite {
-                signal: s,
-                value: Value::Real(2.0)
-            }
-        );
+        assert_eq!(events, vec![write(3, 1.0), write(3, 2.0)]);
         assert!(q.is_empty());
     }
 
     #[test]
     fn pop_into_appends_without_clearing() {
         let mut q = EventQueue::new();
-        let p = ProcessId(7);
-        q.push(SimTime::from_nanos(1), Event::Wakeup { process: p });
-        q.push(SimTime::from_nanos(2), Event::Wakeup { process: p });
+        q.push(SimTime::from_nanos(1), write(7, 1.0));
+        q.push(SimTime::from_nanos(2), write(7, 2.0));
         let mut out = Vec::new();
         assert_eq!(q.pop_into(SimTime::from_nanos(1), &mut out), 1);
         assert_eq!(q.pop_into(SimTime::from_nanos(2), &mut out), 1);
@@ -199,12 +168,7 @@ mod tests {
     #[test]
     fn pop_into_at_wrong_time_returns_nothing() {
         let mut q = EventQueue::new();
-        q.push(
-            SimTime::from_nanos(5),
-            Event::Wakeup {
-                process: ProcessId(1),
-            },
-        );
+        q.push(SimTime::from_nanos(5), write(1, 1.0));
         let mut out = Vec::new();
         assert_eq!(q.pop_into(SimTime::from_nanos(4), &mut out), 0);
         assert!(out.is_empty());
@@ -221,46 +185,15 @@ mod tests {
     #[test]
     fn clear_resets_the_sequence_counter() {
         let mut q = EventQueue::new();
-        let s = SignalId(0);
-        q.push(
-            SimTime::from_nanos(1),
-            Event::SignalWrite {
-                signal: s,
-                value: Value::Real(1.0),
-            },
-        );
+        q.push(SimTime::from_nanos(1), write(0, 1.0));
         q.clear();
         assert!(q.is_empty());
         // After clear, same-time insertion order starts from sequence 0
         // again — a reused queue is indistinguishable from a fresh one.
-        q.push(
-            SimTime::from_nanos(2),
-            Event::SignalWrite {
-                signal: s,
-                value: Value::Real(2.0),
-            },
-        );
-        q.push(
-            SimTime::from_nanos(2),
-            Event::SignalWrite {
-                signal: s,
-                value: Value::Real(3.0),
-            },
-        );
+        q.push(SimTime::from_nanos(2), write(0, 2.0));
+        q.push(SimTime::from_nanos(2), write(0, 3.0));
         let events = drain_at(&mut q, SimTime::from_nanos(2));
-        assert_eq!(
-            events,
-            vec![
-                Event::SignalWrite {
-                    signal: s,
-                    value: Value::Real(2.0)
-                },
-                Event::SignalWrite {
-                    signal: s,
-                    value: Value::Real(3.0)
-                },
-            ]
-        );
+        assert_eq!(events, vec![write(0, 2.0), write(0, 3.0)]);
     }
 
     #[test]
@@ -271,16 +204,12 @@ mod tests {
         let a = QueueEntry {
             time: SimTime::from_nanos(5),
             sequence: 0,
-            event: Event::Wakeup {
-                process: ProcessId(1),
-            },
+            event: write(1, 1.0),
         };
         let b = QueueEntry {
             time: SimTime::from_nanos(5),
             sequence: 0,
-            event: Event::Wakeup {
-                process: ProcessId(2),
-            },
+            event: write(2, 1.0),
         };
         assert_ne!(a, b, "equal keys but different payloads must differ");
         assert_eq!(
@@ -291,9 +220,7 @@ mod tests {
         let c = QueueEntry {
             time: SimTime::from_nanos(5),
             sequence: 0,
-            event: Event::Wakeup {
-                process: ProcessId(1),
-            },
+            event: write(1, 1.0),
         };
         assert_eq!(a, c);
     }

@@ -17,7 +17,7 @@ impl SignalId {
 /// Storage for all signals of a kernel.
 ///
 /// Writes performed during process evaluation are *pending* until
-/// [`SignalStore::update_into`] commits them — the core of the delta-cycle
+/// [`SignalStore::commit_dirty`] commits them — the core of the delta-cycle
 /// semantics the SystemC model relies on: `JA::core()` can read `H` and
 /// write `hchanged` without the write being observed in the same
 /// evaluation.
@@ -66,18 +66,6 @@ impl SignalStore {
     /// `true` when the store holds no signals.
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
-    }
-
-    /// Display name of a signal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::UnknownSignal`] for a foreign id.
-    pub fn name(&self, id: SignalId) -> Result<&str, KernelError> {
-        self.names
-            .get(id.0)
-            .map(String::as_str)
-            .ok_or(KernelError::UnknownSignal { id })
     }
 
     /// Current (committed) value of a signal.
@@ -154,43 +142,15 @@ impl SignalStore {
         Ok(())
     }
 
-    /// Overwrites the committed value immediately, bypassing the delta
-    /// cycle.  Intended for initialisation before the simulation starts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::UnknownSignal`] for a foreign id.
-    pub fn force(&mut self, id: SignalId, value: Value) -> Result<(), KernelError> {
-        let current = self
-            .currents
-            .get_mut(id.0)
-            .ok_or(KernelError::UnknownSignal { id })?;
-        *current = value;
-        self.pendings[id.0] = None;
-        Ok(())
-    }
-
-    /// Commits every pending write, collecting into `changed` the ids of the
-    /// signals whose committed value actually changed (writes of an
-    /// identical value do not generate events).
-    ///
-    /// `changed` is cleared first; the caller keeps and reuses the buffer,
-    /// so the per-delta-cycle update phase allocates nothing once the
-    /// buffer has grown to the store's size.
-    ///
-    /// `changed` lists the signals in first-write order, not id order; the
-    /// kernel sorts its ready set before every evaluate phase, so this order
-    /// never reaches process execution.
-    pub fn update_into(&mut self, changed: &mut Vec<SignalId>) {
-        changed.clear();
-        self.commit_dirty(|id| changed.push(id));
-    }
-
     /// Commits every pending write, invoking `on_changed` for each signal
-    /// whose committed value actually changed — the zero-buffer core of
-    /// [`update_into`](Self::update_into) the kernel's delta-cycle loop
-    /// drives directly, reacting to each change in place instead of
-    /// collecting ids first.
+    /// whose committed value actually changed (writes of an identical value
+    /// do not generate events).  The kernel's delta-cycle loop reacts to
+    /// each change in place, so the update phase needs no changed-id
+    /// buffer.
+    ///
+    /// Signals are reported in first-write order, not id order; the kernel
+    /// sorts its ready set before every evaluate phase, so this order never
+    /// reaches process execution.
     #[inline]
     pub fn commit_dirty(&mut self, mut on_changed: impl FnMut(SignalId)) {
         // Indexed loop, not an iterator: the dirty list and the value
@@ -198,8 +158,6 @@ impl SignalStore {
         // disjoint without moving the list out and back.
         for i in 0..self.dirty.len() {
             let id = self.dirty[i];
-            // `force` discards a pending write without touching the dirty
-            // list, so a stale entry can carry no pending value here.
             if let Some(next) = self.pendings[id.0].take() {
                 let current = &mut self.currents[id.0];
                 if next.differs_from(current) {
@@ -209,11 +167,6 @@ impl SignalStore {
             }
         }
         self.dirty.clear();
-    }
-
-    /// `true` when at least one write is waiting to be committed.
-    pub fn has_pending(&self) -> bool {
-        self.pendings.iter().any(Option::is_some)
     }
 
     /// Restores every signal to its construction-time initial value and
@@ -234,7 +187,7 @@ mod tests {
 
     fn update(store: &mut SignalStore) -> Vec<SignalId> {
         let mut changed = Vec::new();
-        store.update_into(&mut changed);
+        store.commit_dirty(|id| changed.push(id));
         changed
     }
 
@@ -244,29 +197,23 @@ mod tests {
         let a = store.add("a", Value::Real(0.0));
         assert_eq!(store.len(), 1);
         assert!(!store.is_empty());
-        assert_eq!(store.name(a).unwrap(), "a");
 
         store.write(a, Value::Real(5.0)).unwrap();
         // Not yet visible.
         assert_eq!(store.read(a).unwrap(), Value::Real(0.0));
-        assert!(store.has_pending());
 
         let changed = update(&mut store);
         assert_eq!(changed, vec![a]);
         assert_eq!(store.read(a).unwrap(), Value::Real(5.0));
-        assert!(!store.has_pending());
     }
 
     #[test]
-    fn update_into_reuses_and_clears_the_buffer() {
+    fn commit_reports_each_write_once() {
         let mut store = SignalStore::new();
         let a = store.add("a", Value::Int(0));
-        let mut changed = vec![SignalId(99)]; // stale content from a previous cycle
         store.write(a, Value::Int(1)).unwrap();
-        store.update_into(&mut changed);
-        assert_eq!(changed, vec![a]);
-        store.update_into(&mut changed);
-        assert!(changed.is_empty(), "no pending writes -> cleared buffer");
+        assert_eq!(update(&mut store), vec![a]);
+        assert!(update(&mut store).is_empty(), "no pending writes left");
     }
 
     #[test]
@@ -289,17 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn force_bypasses_delta() {
-        let mut store = SignalStore::new();
-        let a = store.add("a", Value::Real(0.0));
-        store.write(a, Value::Real(9.0)).unwrap();
-        store.force(a, Value::Real(1.0)).unwrap();
-        assert_eq!(store.read(a).unwrap(), Value::Real(1.0));
-        // The pending write was discarded by force().
-        assert!(update(&mut store).is_empty());
-    }
-
-    #[test]
     fn reset_restores_initial_values_and_drops_pending() {
         let mut store = SignalStore::new();
         let a = store.add("a", Value::Real(1.5));
@@ -310,8 +246,8 @@ mod tests {
         store.reset();
         assert_eq!(store.read(a).unwrap(), Value::Real(1.5));
         assert_eq!(store.read(b).unwrap(), Value::Bit(true));
-        assert!(!store.has_pending());
-        assert_eq!(store.name(a).unwrap(), "a", "signals survive reset");
+        assert!(update(&mut store).is_empty(), "pending write dropped");
+        assert_eq!(store.len(), 2, "signals survive reset");
     }
 
     #[test]
@@ -320,8 +256,6 @@ mod tests {
         let foreign = SignalId(17);
         assert!(store.read(foreign).is_err());
         assert!(store.write(foreign, Value::Bit(true)).is_err());
-        assert!(store.name(foreign).is_err());
-        assert!(store.force(foreign, Value::Bit(true)).is_err());
     }
 
     #[test]

@@ -15,11 +15,6 @@ impl SimTime {
     /// Time zero.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// Creates a time from picoseconds.
-    pub const fn from_picos(ps: u64) -> Self {
-        Self(ps)
-    }
-
     /// Creates a time from nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {
         Self(ns * 1_000)
@@ -42,11 +37,6 @@ impl SimTime {
             return Self(0);
         }
         Self((seconds * 1e12).round() as u64)
-    }
-
-    /// The value in picoseconds.
-    pub const fn as_picos(self) -> u64 {
-        self.0
     }
 
     /// The value in seconds as a float.
@@ -102,10 +92,10 @@ mod tests {
 
     #[test]
     fn constructors_scale_correctly() {
-        assert_eq!(SimTime::from_nanos(1).as_picos(), 1_000);
-        assert_eq!(SimTime::from_micros(1).as_picos(), 1_000_000);
-        assert_eq!(SimTime::from_millis(1).as_picos(), 1_000_000_000);
-        assert_eq!(SimTime::from_seconds(1.0).as_picos(), 1_000_000_000_000);
+        assert_eq!(SimTime::from_micros(1), SimTime::from_nanos(1_000));
+        assert_eq!(SimTime::from_millis(1), SimTime::from_micros(1_000));
+        assert_eq!(SimTime::from_seconds(1.0), SimTime::from_millis(1_000));
+        assert_eq!(SimTime::from_seconds(1e-9), SimTime::from_nanos(1));
         assert_eq!(SimTime::from_seconds(-1.0), SimTime::ZERO);
     }
 
@@ -119,18 +109,18 @@ mod tests {
     fn arithmetic_and_ordering() {
         let a = SimTime::from_nanos(5);
         let b = SimTime::from_nanos(3);
-        assert_eq!((a + b).as_picos(), 8_000);
-        assert_eq!((a - b).as_picos(), 2_000);
+        assert_eq!(a + b, SimTime::from_nanos(8));
+        assert_eq!(a - b, SimTime::from_nanos(2));
         assert_eq!(b.saturating_sub(a), SimTime::ZERO);
         assert!(b < a);
         let mut c = a;
         c += b;
-        assert_eq!(c.as_picos(), 8_000);
+        assert_eq!(c, SimTime::from_nanos(8));
     }
 
     #[test]
     fn display_uses_sensible_units() {
-        assert_eq!(SimTime::from_picos(5).to_string(), "5 ps");
+        assert_eq!(SimTime::from_seconds(5e-12).to_string(), "5 ps");
         assert_eq!(SimTime::from_nanos(5).to_string(), "5 ns");
         assert_eq!(SimTime::from_micros(5).to_string(), "5 us");
         assert_eq!(SimTime::from_millis(5).to_string(), "5 ms");

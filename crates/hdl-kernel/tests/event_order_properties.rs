@@ -29,7 +29,7 @@ proptest! {
         for (i, &bucket) in buckets.iter().enumerate() {
             queue.push(
                 SimTime::from_nanos(bucket as u64),
-                Event::SignalWrite {
+                Event {
                     signal: sig,
                     value: Value::Int(i as i64),
                 },
@@ -59,7 +59,7 @@ proptest! {
         let got: Vec<i64> = drained
             .iter()
             .map(|event| match event {
-                Event::SignalWrite { value: Value::Int(i), .. } => *i,
+                Event { value: Value::Int(i), .. } => *i,
                 other => panic!("unexpected event {other:?}"),
             })
             .collect();

@@ -1,74 +1,34 @@
-//! Equation-style (VHDL-AMS-like) implementations.
+//! The solver-integrated baseline of the equation-style (VHDL-AMS-like)
+//! comparison.
 //!
-//! Two models live here:
+//! The paper's technique in an AMS-style architecture samples the
+//! excitation at a fixed rate
+//! ([`Excitation::sampled`](crate::scenario::Excitation::sampled)) and
+//! feeds each sample to the timeless JA model, which does its own slope
+//! integration (the analogue solver never sees `dM/dH`).  That is exactly
+//! the library model stepped through the shared sweep loop, so
+//! [`BackendKind::AmsTimeless`](crate::scenario::BackendKind::AmsTimeless)
+//! builds a [`JilesAtherton`](ja_hysteresis::model::JilesAtherton) and
+//! only its label differs.
 //!
-//! * [`AmsTimelessModel`] — the paper's technique expressed as an AMS-style
-//!   architecture: the excitation waveform is sampled at a fixed rate
-//!   ([`Excitation::sampled`](crate::scenario::Excitation::sampled)) and
-//!   each sample is fed into the timeless JA model, which does its own
-//!   slope integration (the analogue solver never sees `dM/dH`).  It runs
-//!   through the [`HysteresisBackend`] sweep loop like every other
-//!   backend.
-//! * [`SolverIntegratedBaseline`] — the conventional approach of the prior
-//!   work the paper criticises ([4, 5] in its references): `dM/dH` is
-//!   converted to `dM/dt` and handed to the analogue solver's integrator
-//!   (forward Euler, backward Euler, trapezoidal or adaptive RKF45).  Its
-//!   failure modes — Newton non-convergence and step-size collapse around
-//!   the turning points — are exactly what experiments E4/E5 measure.
+//! [`SolverIntegratedBaseline`] is the conventional approach of the prior
+//! work the paper criticises ([4, 5] in its references): `dM/dH` is
+//! converted to `dM/dt` and handed to the analogue solver's integrator
+//! (forward Euler, backward Euler, trapezoidal or adaptive RKF45).  Its
+//! failure modes — Newton non-convergence and step-size collapse around
+//! the turning points — are exactly what experiments E4/E5 measure.
 
 use analog_solver::ode::adaptive::{AdaptiveOptions, Rkf45};
 use analog_solver::ode::explicit::ForwardEuler;
 use analog_solver::ode::implicit::{BackwardEuler, Trapezoidal};
 use analog_solver::ode::{FixedStepIntegrator, OdeSystem};
 use analog_solver::SolverError;
-use ja_hysteresis::backend::HysteresisBackend;
 use ja_hysteresis::config::JaConfig;
 use ja_hysteresis::error::JaError;
-use ja_hysteresis::model::{JaStatistics, JilesAtherton};
 use ja_hysteresis::time_domain::MagnetisationOde;
-use magnetics::bh::{BhCurve, BhPoint};
+use magnetics::bh::BhCurve;
 use magnetics::material::JaParameters;
 use waveform::Waveform;
-
-/// The timeless model embedded in an AMS-style fixed-step transient: the
-/// waveform's samples drive it through
-/// [`run_samples`](HysteresisBackend::run_samples).
-#[derive(Debug, Clone)]
-pub struct AmsTimelessModel {
-    model: JilesAtherton,
-}
-
-impl AmsTimelessModel {
-    /// Creates the model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JaError`] for invalid parameters or configuration.
-    pub fn new(params: JaParameters, config: JaConfig) -> Result<Self, JaError> {
-        Ok(Self {
-            model: JilesAtherton::with_config(params, config)?,
-        })
-    }
-}
-
-impl HysteresisBackend for AmsTimelessModel {
-    fn label(&self) -> &'static str {
-        "ams-timeless"
-    }
-
-    fn apply_field(&mut self, h: f64) -> Result<BhPoint, JaError> {
-        self.model.apply_field(h)
-    }
-
-    fn statistics(&self) -> JaStatistics {
-        self.model.statistics()
-    }
-
-    fn reset(&mut self) -> Result<(), JaError> {
-        self.model.reset();
-        Ok(())
-    }
-}
 
 /// Integration method used by the solver-integrated baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -249,8 +209,9 @@ mod tests {
 
     #[test]
     fn ams_timeless_transient_produces_loop() {
-        let mut model =
-            AmsTimelessModel::new(JaParameters::date2006(), JaConfig::default()).unwrap();
+        let mut model = crate::scenario::BackendKind::AmsTimeless
+            .build(JaParameters::date2006(), JaConfig::default())
+            .unwrap();
         let samples = crate::scenario::Excitation::sampled(&paper_waveform(), 2.0, 2.0 / 8000.0)
             .unwrap()
             .to_samples();

@@ -571,13 +571,7 @@ fn run_lockstep_group(
         lane_params,
         ..
     } = scratch;
-    let hit = samples
-        .as_ref()
-        .is_some_and(|(key, _)| key == &first.excitation);
-    if !hit {
-        *samples = Some((first.excitation.clone(), first.excitation.to_samples()));
-    }
-    let samples = &samples.as_ref().expect("cached above").1;
+    let samples = cached_samples(samples, &first.excitation);
     let batch = soa.as_mut().expect("constructed above");
 
     batch.assign(lane_params);
@@ -846,36 +840,18 @@ struct CachedBackend {
     backend: Box<dyn HysteresisBackend>,
 }
 
-/// The backend-cache lookup of [`RunScratch::backend_for`], free-standing so
-/// callers can keep borrowing the scratch's other fields alongside the
-/// returned backend.
-fn cached_backend_for<'s>(
-    cached: &'s mut Option<CachedBackend>,
-    scenario: &Scenario,
-) -> Result<&'s mut dyn HysteresisBackend, JaError> {
-    // The cache is keyed on the *resolved* (thermally derived) parameters:
-    // two scenarios at different operating temperatures run different
-    // materials even when their reference parameter sets match.
-    let params = scenario.resolved_params()?;
-    let reusable = cached.as_ref().is_some_and(|cached| {
-        cached.kind == scenario.backend
-            && cached.params == params
-            && cached.config == scenario.config
-    });
-    let cached = if reusable {
-        let cached = cached.as_mut().expect("checked above");
-        cached.backend.reset()?;
-        cached
-    } else {
-        let backend = scenario.backend.build(params, scenario.config)?;
-        cached.insert(CachedBackend {
-            kind: scenario.backend,
-            params,
-            config: scenario.config,
-            backend,
-        })
-    };
-    Ok(cached.backend.as_mut())
+/// The excitation-sample cache lookup shared by the scalar and lockstep
+/// paths: the flattened samples of `excitation`, recomputed only when it
+/// differs from the cached one.
+fn cached_samples<'s>(
+    samples: &'s mut Option<(Excitation, Vec<f64>)>,
+    excitation: &Excitation,
+) -> &'s [f64] {
+    let hit = samples.as_ref().is_some_and(|(key, _)| key == excitation);
+    if !hit {
+        *samples = Some((excitation.clone(), excitation.to_samples()));
+    }
+    &samples.as_ref().expect("cached above").1
 }
 
 impl RunScratch {
@@ -884,23 +860,12 @@ impl RunScratch {
         Self::default()
     }
 
-    /// A demagnetised backend for the scenario: the cached one when the
-    /// scenario matches it, a freshly built one otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend construction or reset failures.
-    pub fn backend_for(
-        &mut self,
-        scenario: &Scenario,
-    ) -> Result<&mut dyn HysteresisBackend, JaError> {
-        cached_backend_for(&mut self.cached, scenario)
-    }
-
-    /// Like [`RunScratch::backend_for`], plus the scenario's flattened
-    /// sample vector from the excitation cache (recomputed only when the
-    /// excitation changed; empty for circuit-driven excitations, whose
-    /// field sequence is material-dependent and solver-determined).
+    /// A demagnetised backend for the scenario — the cached one when the
+    /// scenario matches it, a freshly built one otherwise — and the
+    /// scenario's flattened sample vector from the excitation cache
+    /// (recomputed only when the excitation changed; empty for
+    /// circuit-driven excitations, whose field sequence is
+    /// material-dependent and solver-determined).
     ///
     /// # Errors
     ///
@@ -909,22 +874,37 @@ impl RunScratch {
         &mut self,
         scenario: &Scenario,
     ) -> Result<(&mut dyn HysteresisBackend, &[f64]), JaError> {
-        if matches!(scenario.excitation, Excitation::Circuit(_)) {
-            let backend = cached_backend_for(&mut self.cached, scenario)?;
-            return Ok((backend, &[]));
-        }
-        let hit = self
-            .samples
-            .as_ref()
-            .is_some_and(|(key, _)| key == &scenario.excitation);
-        if !hit {
-            self.samples = Some((
-                scenario.excitation.clone(),
-                scenario.excitation.to_samples(),
-            ));
-        }
-        let backend = cached_backend_for(&mut self.cached, scenario)?;
-        Ok((backend, &self.samples.as_ref().expect("cached above").1))
+        let RunScratch {
+            cached, samples, ..
+        } = self;
+        let samples: &[f64] = match scenario.excitation {
+            Excitation::Circuit(_) => &[],
+            _ => cached_samples(samples, &scenario.excitation),
+        };
+        // The backend cache is keyed on the *resolved* (thermally derived)
+        // parameters: two scenarios at different operating temperatures
+        // run different materials even when their reference parameter
+        // sets match.
+        let params = scenario.resolved_params()?;
+        let reusable = cached.as_ref().is_some_and(|cached| {
+            cached.kind == scenario.backend
+                && cached.params == params
+                && cached.config == scenario.config
+        });
+        let cached = if reusable {
+            let cached = cached.as_mut().expect("checked above");
+            cached.backend.reset()?;
+            cached
+        } else {
+            let backend = scenario.backend.build(params, scenario.config)?;
+            cached.insert(CachedBackend {
+                kind: scenario.backend,
+                params,
+                config: scenario.config,
+                backend,
+            })
+        };
+        Ok((cached.backend.as_mut(), samples))
     }
 }
 

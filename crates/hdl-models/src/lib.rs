@@ -8,11 +8,12 @@
 //! * [`systemc`] — a faithful port of the paper's SystemC listing
 //!   (`core`, `monitorH`, `Integral` processes, `hchanged`/`trig` handshake
 //!   signals) running on the [`hdl_kernel`] discrete-event kernel;
-//! * [`ams`] — the equation-style (VHDL-AMS-like) implementations: the
-//!   timeless model driven by a fixed-rate sampled waveform, and the
-//!   conventional solver-integrated baseline whose `dM/dt` is advanced by
-//!   the [`analog_solver`] ODE engines (the "previous work" the paper
-//!   criticises);
+//! * [`ams`] — the equation-style (VHDL-AMS-like) side: the conventional
+//!   solver-integrated baseline whose `dM/dt` is advanced by the
+//!   [`analog_solver`] ODE engines (the "previous work" the paper
+//!   criticises).  The paper's timeless model in that architecture is the
+//!   library model fed a fixed-rate sampled waveform, which
+//!   [`scenario::BackendKind::AmsTimeless`] builds;
 //! * [`circuit_adapter`] — glue that lets the timeless JA model act as the
 //!   [`analog_solver::circuit::MagneticCoreModel`] of a wound-core circuit
 //!   element, i.e. the model sitting inside a SPICE-style netlist;
@@ -59,7 +60,7 @@ pub mod scenario;
 pub mod serve;
 pub mod systemc;
 
-pub use ams::{AmsTimelessModel, SolverIntegratedBaseline, SolverMethod};
+pub use ams::{SolverIntegratedBaseline, SolverMethod};
 pub use circuit_adapter::JaCoreAdapter;
 pub use exec::{BatchRunner, ErrorPolicy, RunScratch};
 pub use fit::{fit_batch, FitJob, FitReport, LoopFit, MultiStartOptions, StartFit};

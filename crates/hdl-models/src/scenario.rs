@@ -31,7 +31,6 @@ use magnetics::thermal::ThermalCoefficients;
 use waveform::schedule::{FieldSchedule, MAX_SAMPLES};
 use waveform::Waveform;
 
-use crate::ams::AmsTimelessModel;
 use crate::circuit_adapter::JaCoreAdapter;
 use crate::exec::{BatchRunner, RunScratch};
 use crate::systemc::SystemCJaCore;
@@ -50,7 +49,10 @@ pub enum BackendKind {
     /// The SystemC-style port on the discrete-event kernel
     /// ([`SystemCJaCore`]).
     SystemC,
-    /// The equation-style AMS model ([`AmsTimelessModel`]).
+    /// The equation-style AMS architecture: the excitation sampled at a
+    /// fixed rate and fed to the timeless library model
+    /// ([`JilesAtherton`]) — the same model as
+    /// [`DirectTimeless`](BackendKind::DirectTimeless) under its own label.
     AmsTimeless,
     /// The conventional time-domain formulation driven per sample
     /// ([`TimeDomainBackend`]).
@@ -99,7 +101,7 @@ impl BackendKind {
         config: JaConfig,
     ) -> Result<Box<dyn HysteresisBackend>, JaError> {
         match self {
-            BackendKind::DirectTimeless => {
+            BackendKind::DirectTimeless | BackendKind::AmsTimeless => {
                 Ok(Box::new(JilesAtherton::with_config(params, config)?))
             }
             BackendKind::SystemC => {
@@ -122,7 +124,6 @@ impl BackendKind {
                     })?;
                 Ok(Box::new(core))
             }
-            BackendKind::AmsTimeless => Ok(Box::new(AmsTimelessModel::new(params, config)?)),
             BackendKind::TimeDomainBaseline => {
                 Ok(Box::new(TimeDomainBackend::new(params, config)?))
             }

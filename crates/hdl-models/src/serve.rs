@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
-use ja_hysteresis::json::{JsonValue, SCHEMA_VERSION, SCHEMA_VERSION_KEY};
+use crate::report::report_envelope;
 
 /// Maximum accepted length of the request line (method + path + version).
 const MAX_REQUEST_LINE: usize = 8 * 1024;
@@ -291,9 +291,7 @@ fn write_all_pair(out: &mut impl Write, first: &[u8], second: &[u8]) -> io::Resu
 /// Builds the versioned `kind:"error"` JSON document used by every
 /// non-200 response (see `docs/PROTOCOL.md`).
 pub fn error_body(status: u16, message: &str) -> String {
-    JsonValue::object()
-        .with(SCHEMA_VERSION_KEY, SCHEMA_VERSION)
-        .with("kind", "error")
+    report_envelope("error")
         .with("status", i64::from(status))
         .with("error", message)
         .to_pretty_string()

@@ -252,8 +252,7 @@ impl SystemCJaCore {
         samples: &[f64],
         dt_seconds: f64,
     ) -> Result<(BhCurve, Recorder), KernelError> {
-        let mut recorder =
-            Recorder::with_channel_capacity(&[("H", self.h), ("B", self.b_sig)], samples.len());
+        let mut recorder = Recorder::with_channel_capacity(&[self.h, self.b_sig], samples.len());
         let m_sat = self.vars.params.m_sat.value();
         let mut curve = BhCurve::with_capacity(samples.len());
         for (i, &h) in samples.iter().enumerate() {
@@ -282,8 +281,8 @@ impl SystemCJaCore {
         self.kernel.delta_cycles_run()
     }
 
-    /// Number of timed events scheduled so far (testbench stimulus plus
-    /// process wake-ups; zero for pure DC sweeps).
+    /// Number of timed events scheduled so far (the testbench stimulus;
+    /// zero for pure DC sweeps).
     pub fn events_scheduled(&self) -> u64 {
         self.kernel.events_scheduled()
     }

@@ -131,22 +131,6 @@ impl BhCurve {
         Ok(FieldStrength::new(peak))
     }
 
-    /// Range of `H` covered by the trace as `(min, max)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MagneticsError::InsufficientSamples`] on an empty curve.
-    pub fn field_range(&self) -> Result<(FieldStrength, FieldStrength), MagneticsError> {
-        self.require(1)?;
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for p in &self.points {
-            lo = lo.min(p.h.value());
-            hi = hi.max(p.h.value());
-        }
-        Ok((FieldStrength::new(lo), FieldStrength::new(hi)))
-    }
-
     /// Returns the number of samples at which `B` decreases while `H`
     /// increases (or vice versa) — i.e. samples exhibiting a locally
     /// negative differential permeability.  The paper's slope clamp is meant
@@ -253,15 +237,6 @@ mod tests {
         let curve = BhCurve::new();
         assert!(curve.peak_field().is_err());
         assert!(curve.peak_flux_density().is_err());
-        assert!(curve.field_range().is_err());
-    }
-
-    #[test]
-    fn field_range_covers_sweep() {
-        let curve = triangle_curve();
-        let (lo, hi) = curve.field_range().unwrap();
-        assert!(lo.value() <= -9.5);
-        assert!(hi.value() >= 9.5);
     }
 
     #[test]

@@ -7,16 +7,6 @@
 /// `B = µ0 · (H + M)`.
 pub const MU0: f64 = 4.0e-7 * std::f64::consts::PI;
 
-/// Reciprocal of [`MU0`], in A/(T·m). Handy when converting a flux density
-/// contribution back into an equivalent field strength.
-pub const INV_MU0: f64 = 1.0 / MU0;
-
-/// Conversion factor from kA/m to A/m (the paper's Fig. 1 x-axis is in kA/m).
-pub const KILO_AMPERE_PER_METER: f64 = 1.0e3;
-
-/// Conversion factor from MA/m to A/m (the paper quotes `Msat = 1.6 MA/m`).
-pub const MEGA_AMPERE_PER_METER: f64 = 1.0e6;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -27,15 +17,10 @@ mod tests {
     }
 
     #[test]
-    fn inv_mu0_is_reciprocal() {
-        assert!((MU0 * INV_MU0 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn saturation_flux_density_of_paper_material_is_about_two_tesla() {
         // Msat = 1.6 MA/m  =>  Bsat ~ µ0 * Msat ~ 2.01 T, matching the ±2 T
         // extent of Fig. 1 in the paper.
-        let b_sat = MU0 * 1.6 * MEGA_AMPERE_PER_METER;
+        let b_sat = MU0 * 1.6e6;
         assert!(b_sat > 1.9 && b_sat < 2.1);
     }
 }

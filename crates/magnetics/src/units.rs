@@ -2,8 +2,8 @@
 //!
 //! The hysteresis model juggles several physically distinct quantities that
 //! are all "just an `f64`" at the machine level: the applied field `H`
-//! (A/m), the magnetisation `M` (A/m), the flux density `B` (T) and the
-//! total flux `Φ` (Wb).  Mixing these up is one of the classic sources of
+//! (A/m), the magnetisation `M` (A/m) and the flux density `B` (T).  Mixing
+//! these up is one of the classic sources of
 //! silent modelling bugs, so this module gives each of them a newtype with
 //! the arithmetic that is physically meaningful and nothing more
 //! (C-NEWTYPE).
@@ -15,8 +15,6 @@
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
-
-use crate::constants::MU0;
 
 macro_rules! quantity {
     ($(#[$meta:meta])* $name:ident, $unit:literal, $accessor:ident) => {
@@ -200,22 +198,8 @@ quantity!(
     as_tesla
 );
 
-quantity!(
-    /// Magnetic flux `Φ`, in weber (Wb).
-    MagneticFlux,
-    "Wb",
-    as_weber
-);
-
 impl FieldStrength {
-    /// Constructs a field strength from a value in kA/m (the unit of the
-    /// paper's Fig. 1 x-axis).
-    #[inline]
-    pub fn from_kiloamperes_per_meter(value: f64) -> Self {
-        Self::new(value * 1.0e3)
-    }
-
-    /// Returns the value in kA/m.
+    /// Returns the value in kA/m (the unit of the paper's Fig. 1 x-axis).
     #[inline]
     pub fn as_kiloamperes_per_meter(self) -> f64 {
         self.value() / 1.0e3
@@ -239,65 +223,13 @@ impl Magnetisation {
     }
 }
 
-impl FluxDensity {
-    /// Computes `B = µ0 · (H + M)`, the constitutive relation the paper's
-    /// `JA::core()` process evaluates on every field update.
-    #[inline]
-    pub fn from_field_and_magnetisation(h: FieldStrength, m: Magnetisation) -> Self {
-        Self::new(MU0 * (h.value() + m.value()))
-    }
-
-    /// Converts the flux density to a total flux through an area in m².
-    #[inline]
-    pub fn flux_through(self, area_m2: f64) -> MagneticFlux {
-        MagneticFlux::new(self.value() * area_m2)
-    }
-}
-
-/// Relative permeability (dimensionless).
-#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
-pub struct RelativePermeability(f64);
-
-impl RelativePermeability {
-    /// Wraps a dimensionless relative permeability.
-    #[inline]
-    pub const fn new(value: f64) -> Self {
-        Self(value)
-    }
-
-    /// The raw dimensionless value.
-    #[inline]
-    pub const fn value(self) -> f64 {
-        self.0
-    }
-
-    /// Absolute permeability µ = µ0 · µr, in H/m.
-    #[inline]
-    pub fn absolute(self) -> f64 {
-        self.0 * MU0
-    }
-
-    /// Differential relative permeability implied by a slope `dB/dH`
-    /// expressed in T·m/A.
-    #[inline]
-    pub fn from_db_dh(db_dh: f64) -> Self {
-        Self(db_dh / MU0)
-    }
-}
-
-impl fmt::Display for RelativePermeability {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "µr = {}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn field_strength_kiloampere_roundtrip() {
-        let h = FieldStrength::from_kiloamperes_per_meter(10.0);
+        let h = FieldStrength::new(10_000.0);
         assert_eq!(h.as_amperes_per_meter(), 10_000.0);
         assert_eq!(h.as_kiloamperes_per_meter(), 10.0);
     }
@@ -307,22 +239,6 @@ mod tests {
         let m_sat = Magnetisation::from_megaamperes_per_meter(1.6);
         let m = Magnetisation::new(0.8e6);
         assert!((m.normalised(m_sat) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn flux_density_constitutive_relation() {
-        let h = FieldStrength::new(1000.0);
-        let m = Magnetisation::new(1.0e6);
-        let b = FluxDensity::from_field_and_magnetisation(h, m);
-        let expected = MU0 * (1000.0 + 1.0e6);
-        assert!((b.as_tesla() - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn flux_through_area() {
-        let b = FluxDensity::new(1.5);
-        let phi = b.flux_through(2.0e-4);
-        assert!((phi.as_weber() - 3.0e-4).abs() < 1e-15);
     }
 
     #[test]
@@ -374,14 +290,6 @@ mod tests {
     fn display_includes_unit() {
         assert_eq!(FluxDensity::new(1.5).to_string(), "1.5 T");
         assert_eq!(FieldStrength::new(3.0).to_string(), "3 A/m");
-    }
-
-    #[test]
-    fn relative_permeability_conversions() {
-        let mu_r = RelativePermeability::new(1000.0);
-        assert!((mu_r.absolute() - 1000.0 * MU0).abs() < 1e-12);
-        let back = RelativePermeability::from_db_dh(mu_r.absolute());
-        assert!((back.value() - 1000.0).abs() < 1e-9);
     }
 
     #[test]

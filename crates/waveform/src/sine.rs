@@ -1,4 +1,4 @@
-//! Sinusoidal and damped-sinusoidal waveforms.
+//! Sinusoidal waveforms.
 
 use crate::error::WaveformError;
 use crate::generator::Waveform;
@@ -82,70 +82,6 @@ impl Waveform for Sine {
     }
 }
 
-/// Exponentially decaying sine: `x(t) = A·e^(−t/τ)·sin(2π·f·t)`.
-///
-/// Useful as a demagnetisation ("degauss") excitation: sweeping the field
-/// with a decaying amplitude walks the magnetisation back towards the
-/// demagnetised state through a sequence of shrinking minor loops.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DampedSine {
-    amplitude: f64,
-    frequency: f64,
-    tau: f64,
-}
-
-impl DampedSine {
-    /// Creates a damped sine from initial amplitude, frequency (Hz) and
-    /// decay time constant τ (s).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WaveformError::InvalidParameter`] for non-finite or
-    /// non-positive frequency / τ, or negative amplitude.
-    pub fn new(amplitude: f64, frequency: f64, tau: f64) -> Result<Self, WaveformError> {
-        if !amplitude.is_finite() || amplitude < 0.0 {
-            return Err(WaveformError::InvalidParameter {
-                name: "amplitude",
-                value: amplitude,
-                requirement: "finite and >= 0",
-            });
-        }
-        if !frequency.is_finite() || frequency <= 0.0 {
-            return Err(WaveformError::InvalidParameter {
-                name: "frequency",
-                value: frequency,
-                requirement: "finite and > 0",
-            });
-        }
-        if !tau.is_finite() || tau <= 0.0 {
-            return Err(WaveformError::InvalidParameter {
-                name: "tau",
-                value: tau,
-                requirement: "finite and > 0",
-            });
-        }
-        Ok(Self {
-            amplitude,
-            frequency,
-            tau,
-        })
-    }
-}
-
-impl Waveform for DampedSine {
-    fn value(&self, t: f64) -> f64 {
-        self.amplitude
-            * (-t / self.tau).exp()
-            * (2.0 * std::f64::consts::PI * self.frequency * t).sin()
-    }
-
-    fn derivative(&self, t: f64) -> f64 {
-        let omega = 2.0 * std::f64::consts::PI * self.frequency;
-        let envelope = self.amplitude * (-t / self.tau).exp();
-        envelope * (omega * (omega * t).cos() - (omega * t).sin() / self.tau)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,33 +115,5 @@ mod tests {
         let w = Sine::new(3.0, 10.0).unwrap();
         let omega = 2.0 * std::f64::consts::PI * 10.0;
         assert!((w.derivative(0.0) - 3.0 * omega).abs() < 1e-9);
-    }
-
-    #[test]
-    fn damped_sine_decays() {
-        let w = DampedSine::new(100.0, 50.0, 0.05).unwrap();
-        let early: f64 = (0..20)
-            .map(|i| w.value(i as f64 * 1e-3).abs())
-            .fold(0.0, f64::max);
-        let late: f64 = (0..20)
-            .map(|i| w.value(0.3 + i as f64 * 1e-3).abs())
-            .fold(0.0, f64::max);
-        assert!(late < early * 0.01);
-    }
-
-    #[test]
-    fn damped_sine_rejects_bad_tau() {
-        assert!(DampedSine::new(1.0, 50.0, 0.0).is_err());
-        assert!(DampedSine::new(1.0, 50.0, f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn damped_sine_derivative_matches_fd() {
-        let w = DampedSine::new(10.0, 5.0, 0.1).unwrap();
-        for &t in &[0.01, 0.05, 0.2] {
-            let dt = 1e-8;
-            let fd = (w.value(t + dt) - w.value(t - dt)) / (2.0 * dt);
-            assert!((w.derivative(t) - fd).abs() < 1e-3);
-        }
     }
 }

@@ -99,31 +99,6 @@ impl Trace {
         }
         Some(self.columns.iter().map(|c| c[index]).collect())
     }
-
-    /// Adds a whole column at once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WaveformError::ColumnLengthMismatch`] when the new column's
-    /// length differs from the existing row count (unless the trace is
-    /// empty, in which case the column defines the row count).
-    pub fn add_column<S: Into<String>>(
-        &mut self,
-        name: S,
-        values: Vec<f64>,
-    ) -> Result<(), WaveformError> {
-        let name = name.into();
-        if !self.columns.is_empty() && !self.columns[0].is_empty() && values.len() != self.len() {
-            return Err(WaveformError::ColumnLengthMismatch {
-                column: name,
-                expected: self.len(),
-                actual: values.len(),
-            });
-        }
-        self.names.push(name);
-        self.columns.push(values);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -159,16 +134,6 @@ mod tests {
             t.column("y"),
             Err(WaveformError::UnknownColumn { .. })
         ));
-    }
-
-    #[test]
-    fn add_column_length_check() {
-        let mut t = Trace::new(["x"]);
-        t.push_row(&[1.0]).unwrap();
-        t.push_row(&[2.0]).unwrap();
-        assert!(t.add_column("y", vec![1.0]).is_err());
-        assert!(t.add_column("y", vec![1.0, 4.0]).is_ok());
-        assert_eq!(t.width(), 2);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`waveform`] — excitation generators and traces.
 //! * [`hdl_kernel`] — SystemC-like discrete-event kernel.
 //! * [`analog_solver`] — MNA analogue solver substrate.
-//! * [`hdl_models`] — the SystemC-style and AMS-style model implementations.
+//! * [`hdl_models`] — the SystemC-style port, the AMS-style comparison and
+//!   the scenario engine.
 //!
 //! The executable front door is the `ja` binary in `crates/cli` (`cargo run
 //! --release -p ja-cli -- --help`): sweeps, scenario batches, fitting,
