@@ -73,7 +73,6 @@ pub fn solve<S: NonlinearSystem>(
         });
     }
 
-    // The update's buffers are sized once per solve.
     let mut x = x0.to_vec();
     let mut residual = vec![0.0; n];
     let mut neg_res = vec![0.0; n];

@@ -291,9 +291,8 @@ mod tests {
         let baseline =
             SolverIntegratedBaseline::new(JaParameters::date2006(), JaConfig::default()).unwrap();
         let waveform = paper_waveform();
-        // Expected values recorded from the parent of the change that
-        // moved `newton::solve` onto the in-place LU pair and dropped its
-        // damping factor.
+        // Golden values, recorded once from the implementation: a change
+        // that moves any of them changes the baseline's arithmetic.
         let cases = [
             (
                 SolverMethod::ForwardEuler,
