@@ -743,7 +743,11 @@ fn fit_config_fits_a_library_in_one_batch() {
 /// pairwise |ΔB|, the lane fold of the fit objective, a library fit,
 /// four loss lanes with their Steinmetz fit, and the soft-ferrite inrush
 /// circuit under fixed and adaptive steps, whose Newton solves cycle
-/// between iterates in hundreds of steps.
+/// between iterates in hundreds of steps.  The NDJSON files pin the
+/// streamed records of the field, thermal and circuit grids, and
+/// `grid_partial.conf` pins an `ok` entry, a `metrics: null` entry and an
+/// `error` entry in both formats; that grid exits 1 after writing its
+/// report, so its stdout is compared.
 ///
 /// The bytes are pinned for x86-64 Linux, where CI runs, so the test runs
 /// only there: thermal scaling (`powf`), the fits' starting points and the
@@ -778,12 +782,39 @@ fn reports_match_the_golden_files() {
 
     let path = |name: &str| fixture(name).to_str().unwrap().to_owned();
     let (grid, thermal) = (path("grid.conf"), path("grid_thermal.conf"));
-    let systemc = path("grid_systemc.conf");
+    let (systemc, mixed) = (path("grid_systemc.conf"), path("grid_mixed.conf"));
+    let partial = path("grid_partial.conf");
     let (measured, library) = (path("measured_loop.csv"), path("fit_library.conf"));
-    let cases: [(&str, &[&str]); 9] = [
+    let targets = path("flux_targets.csv");
+    let cases: [(&str, &[&str]); 16] = [
         ("batch_grid.json", &["batch", "--config", &grid]),
         ("batch_grid_thermal.json", &["batch", "--config", &thermal]),
         ("batch_grid_systemc.json", &["batch", "--config", &systemc]),
+        (
+            "batch_grid.ndjson",
+            &["batch", "--config", &grid, "--format", "ndjson"],
+        ),
+        (
+            "batch_grid_thermal.ndjson",
+            &["batch", "--config", &thermal, "--format", "ndjson"],
+        ),
+        (
+            "batch_grid_mixed.ndjson",
+            &["batch", "--config", &mixed, "--format", "ndjson"],
+        ),
+        ("batch_grid_partial.json", &["batch", "--config", &partial]),
+        (
+            "batch_grid_partial.ndjson",
+            &["batch", "--config", &partial, "--format", "ndjson"],
+        ),
+        (
+            "sweep_fig1.json",
+            &["sweep", "--fig1", "--step", "50", "--format", "json"],
+        ),
+        (
+            "inverse_flux_targets.json",
+            &["inverse", "--input", &targets, "--format", "json"],
+        ),
         ("compare.json", &["compare", "--format", "json"]),
         (
             "fit_measured_loop.json",
@@ -841,7 +872,19 @@ fn reports_match_the_golden_files() {
     for (golden, args) in cases {
         let expected = std::fs::read_to_string(fixture(&format!("golden/{golden}")))
             .unwrap_or_else(|err| panic!("golden/{golden}: {err}"));
-        let actual = ja_ok(args);
+        let output = ja(args);
+        let exit = if golden.starts_with("batch_grid_partial") {
+            1
+        } else {
+            0
+        };
+        assert_eq!(
+            output.status.code(),
+            Some(exit),
+            "ja {args:?}: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let actual = String::from_utf8(output.stdout).expect("stdout is UTF-8");
         if let Some(difference) = first_difference(&expected, &actual) {
             panic!(
                 "`ja {}` departs from golden/{golden} at {difference}",
