@@ -45,7 +45,7 @@ fn stored_report(scenarios: &[Scenario]) -> String {
     let runner = BatchRunner::new().workers(2);
     let (report, summary) = run_batch_report(&runner, scenarios, false);
     assert_eq!(summary.failed, 0, "grid must succeed");
-    report.to_pretty_string()
+    report
 }
 
 fn stored_peak(scenarios: &[Scenario]) -> usize {

@@ -169,8 +169,8 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
                     return Err(CliError::usage(format!("--{opt} requires --format ndjson")));
                 }
             }
-            let (doc, summary) = run_batch_report(&runner, &scenarios, parsed.flag("timings"));
-            write_output(out_path, &doc.to_pretty_string())?;
+            let (report, summary) = run_batch_report(&runner, &scenarios, parsed.flag("timings"));
+            write_output(out_path, &report)?;
             scenarios_failed(summary.failed, summary.scenarios)
         }
         "ndjson" => run_ndjson(&parsed, &runner, &scenarios, out_path),

@@ -544,9 +544,7 @@ fn batch_eval(
         .soa_routing(options.run.routing);
     // Per-scenario failures are data, not a request failure: the report
     // carries their status — exactly like the offline exit-1-after-write.
-    Ok(run_batch_report(&runner, &scenarios, false)
-        .0
-        .to_pretty_string())
+    Ok(run_batch_report(&runner, &scenarios, false).0)
 }
 
 /// `kind:"batch_request"` with `options.stream` → the exact bytes of
@@ -881,6 +879,57 @@ mod tests {
         let stats = state.cache.stats();
         assert_eq!(stats.entries, 0);
         assert_eq!(stats.hits + stats.misses, 0);
+    }
+
+    /// A writer that takes its first write whole and fails every later
+    /// one, like a socket whose client hung up after the head arrived.
+    struct HungUp {
+        calls: usize,
+    }
+
+    impl std::io::Write for HungUp {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            match self.calls {
+                1 => Ok(buf.len()),
+                _ => Err(std::io::ErrorKind::BrokenPipe.into()),
+            }
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_stream_whose_client_hung_up_stops_at_the_first_failed_flush() {
+        // 40 entries, a stream of several 8 KiB buffers.
+        let dh_max: Vec<String> = (0..40).map(|i| format!("{}", 10 + i)).collect();
+        let request = BATCH_REQUEST
+            .replace(
+                r#""dh_max": [10]"#,
+                &format!(r#""dh_max": [{}]"#, dh_max.join(", ")),
+            )
+            .replace(
+                r#""options": {"routing": "auto", "cache_info": true}"#,
+                r#""options": {"stream": true}"#,
+            );
+        let response = post_eval(&state(0).1, &request);
+        assert!(response.is_streamed());
+        let mut whole = Vec::new();
+        response
+            .write_to(&mut whole)
+            .expect("a vector takes every write");
+        assert!(whole.len() > 2 * 8 * 1024, "{} bytes", whole.len());
+        let mut out = HungUp { calls: 0 };
+        let err = response
+            .write_to(&mut out)
+            .expect_err("writes fail after the head");
+        assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
+        // The head, the flush that failed, and the retry of the dropped
+        // buffer: the producer stopped at the error instead of rendering
+        // the rest of the grid into further failing flushes.
+        assert_eq!(out.calls, 3);
     }
 
     #[test]

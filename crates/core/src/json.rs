@@ -2,11 +2,17 @@
 //!
 //! The build environment has no registry access, so instead of `serde_json`
 //! this module provides the small subset the workspace needs: a document
-//! model ([`JsonValue`]) with a **deterministic** writer (insertion-ordered
-//! object keys, shortest-round-trip float formatting, fixed 2-space
-//! indentation) and a strict recursive-descent parser.  Determinism matters
-//! because the CLI's batch reports are asserted byte-identical across
-//! worker counts, and CI diffs bench medians across runs.
+//! model ([`JsonValue`]), one **deterministic** text writer ([`JsonWriter`]:
+//! insertion-ordered object keys, shortest-round-trip float formatting,
+//! fixed 2-space indentation) and a strict recursive-descent parser.
+//! Determinism matters because the CLI's batch reports are asserted
+//! byte-identical across worker counts, and CI diffs bench medians across
+//! runs.
+//!
+//! A document reaches text by events sent to a [`JsonSink`]: a
+//! [`JsonValue`] walks itself into the writer, and a report description
+//! can write straight into it without building a tree, or into a
+//! [`JsonBuilder`] when a caller wants the tree.
 //!
 //! # Report schema
 //!
@@ -28,7 +34,7 @@
 //! for them rather than producing an unparsable document.
 
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Version of the shared report schema.  Consumers (CI's `bench-gate`, the
 /// report tests) reject documents whose `schema_version` differs.
@@ -143,7 +149,7 @@ impl JsonValue {
     /// compared byte-for-byte).
     pub fn to_pretty_string(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Layout::Indented(0), false);
+        self.walk(&mut JsonWriter::indented(&mut out, 0), false);
         out.push('\n');
         out
     }
@@ -162,7 +168,7 @@ impl JsonValue {
     /// sort, so even degenerate documents canonicalise deterministically.
     pub fn canonical_string(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Layout::Compact, true);
+        self.walk(&mut JsonWriter::compact(&mut out), true);
         out
     }
 
@@ -181,52 +187,54 @@ impl JsonValue {
     /// [`to_pretty_string`]: Self::to_pretty_string
     pub fn to_compact_string(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Layout::Compact, false);
+        self.walk(&mut JsonWriter::compact(&mut out), false);
         out
     }
 
-    /// The one recursive writer behind the three text forms: `layout`
-    /// places the whitespace, `sort_keys` orders each object's keys
-    /// bytewise (a stable sort) instead of by insertion.  Scalars and
-    /// strings are written the same way in every form.
-    fn write(&self, out: &mut String, layout: Layout, sort_keys: bool) {
+    /// Builds a document from the events `describe` sends to a
+    /// [`JsonBuilder`] — the tree form of a description whose text form
+    /// goes to a [`JsonWriter`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `describe` does not send exactly one complete value.
+    pub fn build(describe: impl FnOnce(&mut JsonBuilder)) -> JsonValue {
+        let mut builder = JsonBuilder {
+            open: Vec::new(),
+            key: None,
+            done: None,
+        };
+        describe(&mut builder);
+        builder.finish()
+    }
+
+    /// Sends the document to `sink`, each object's keys in insertion order
+    /// or, with `sort_keys`, sorted bytewise (a stable sort).
+    fn walk<S: JsonSink>(&self, sink: &mut S, sort_keys: bool) {
         match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Int(v) => {
-                out.push_str(&v.to_string());
-            }
-            JsonValue::Number(v) => {
-                if v.is_finite() {
-                    // `{:?}` prints the shortest decimal that round-trips.
-                    out.push_str(&format!("{v:?}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            JsonValue::String(s) => write_escaped(out, s),
+            JsonValue::Null => sink.null(),
+            JsonValue::Bool(b) => sink.bool(*b),
+            JsonValue::Int(v) => sink.int(*v),
+            JsonValue::Number(v) => sink.number(*v),
+            JsonValue::String(s) => sink.string(s),
             JsonValue::Array(items) => {
-                layout.write_container(out, ('[', ']'), items.len(), |out, i, inner| {
-                    items[i].write(out, inner, sort_keys);
-                });
+                sink.begin_array();
+                for item in items {
+                    item.walk(sink, sort_keys);
+                }
+                sink.end_array();
             }
             JsonValue::Object(fields) => {
-                let write_field = |out: &mut String, (key, value): &(String, JsonValue), inner| {
-                    write_escaped(out, key);
-                    out.push_str(layout.key_separator());
-                    value.write(out, inner, sort_keys);
-                };
+                let mut order: Vec<&(String, JsonValue)> = fields.iter().collect();
                 if sort_keys {
-                    let mut order: Vec<&(String, JsonValue)> = fields.iter().collect();
                     order.sort_by(|a, b| a.0.cmp(&b.0));
-                    layout.write_container(out, ('{', '}'), order.len(), |out, i, inner| {
-                        write_field(out, order[i], inner);
-                    });
-                } else {
-                    layout.write_container(out, ('{', '}'), fields.len(), |out, i, inner| {
-                        write_field(out, &fields[i], inner);
-                    });
                 }
+                sink.begin_object();
+                for (key, value) in order {
+                    sink.key(key);
+                    value.walk(sink, sort_keys);
+                }
+                sink.end_object();
             }
         }
     }
@@ -312,84 +320,341 @@ impl From<Vec<JsonValue>> for JsonValue {
     }
 }
 
-/// Where the one JSON writer puts whitespace.
-#[derive(Debug, Clone, Copy)]
-enum Layout {
-    /// One entry per line, indented two spaces per nesting level (the
-    /// value being written sits at this level), `": "` after keys.
-    Indented(usize),
-    /// No whitespace at all.
-    Compact,
+/// Receives a JSON value as a sequence of events: the one interface a
+/// report description writes through.  [`JsonWriter`] renders the events
+/// as text, [`JsonBuilder`] assembles them into a [`JsonValue`], so one
+/// description yields both forms.
+///
+/// A container opens with [`begin_object`](Self::begin_object) or
+/// [`begin_array`](Self::begin_array) and closes with the matching
+/// [`end_object`](Self::end_object) or [`end_array`](Self::end_array);
+/// inside an object, each value follows its [`key`](Self::key).
+pub trait JsonSink {
+    /// Opens an object.
+    fn begin_object(&mut self);
+    /// Closes the innermost open container, an object.
+    fn end_object(&mut self);
+    /// Opens an array.
+    fn begin_array(&mut self);
+    /// Closes the innermost open container, an array.
+    fn end_array(&mut self);
+    /// Names the next value of the open object.
+    fn key(&mut self, key: &str);
+    /// `null`.
+    fn null(&mut self);
+    /// `true` / `false`.
+    fn bool(&mut self, value: bool);
+    /// An integer.
+    fn int(&mut self, value: i64);
+    /// A float; a non-finite one is written as `null`.
+    fn number(&mut self, value: f64);
+    /// A string.
+    fn string(&mut self, value: &str);
+
+    /// An object member holding a number, boolean or null, converted as
+    /// [`JsonValue::from`] converts it (so a `u64` beyond `i64::MAX` is a
+    /// float).
+    fn field(&mut self, key: &str, value: impl Into<JsonValue>)
+    where
+        Self: Sized,
+    {
+        self.key(key);
+        value.into().walk(self, false);
+    }
+
+    /// An object member holding a string.
+    fn field_str(&mut self, key: &str, value: &str) {
+        self.key(key);
+        self.string(value);
+    }
 }
 
-impl Layout {
-    fn key_separator(self) -> &'static str {
-        match self {
-            Layout::Indented(_) => ": ",
-            Layout::Compact => ":",
+/// The one JSON text formatter: renders [`JsonSink`] events into a
+/// `String`, compact or indented.  Every number, string and whitespace
+/// rule of the workspace's JSON text lives here:
+///
+/// * integers in decimal; floats as the shortest decimal that round-trips
+///   (`{:?}`, so `-0.0` keeps its sign and `1.0` its point); non-finite
+///   floats as `null`;
+/// * strings with `"`, `\`, `\n`, `\r` and `\t` escaped by name, other
+///   control characters as `\u00XX`, everything else passed through as
+///   UTF-8;
+/// * compact: no whitespace at all; indented: one member per line, two
+///   spaces per nesting level, `": "` after keys; in both, an empty
+///   container is its two brackets alone.
+///
+/// Numbers and escapes are formatted straight into the output string.
+#[derive(Debug)]
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    indented: bool,
+    /// The nesting level a value written at the top sits at.
+    base: usize,
+    /// The nesting level of the open container's members.
+    level: usize,
+    /// The open container has no member yet.
+    empty: bool,
+    /// A key was just written; the next value follows it.
+    after_key: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer appending compact text to `out`.
+    pub fn compact(out: &'a mut String) -> Self {
+        Self::new(out, false, 0)
+    }
+
+    /// A writer appending indented text to `out`, for a value that sits at
+    /// nesting `level` of its document (`0` for a whole document): the
+    /// text can be spliced with [`raw`](Self::raw) into a document written
+    /// at that level.
+    pub fn indented(out: &'a mut String, level: usize) -> Self {
+        Self::new(out, true, level)
+    }
+
+    fn new(out: &'a mut String, indented: bool, level: usize) -> Self {
+        Self {
+            out,
+            indented,
+            base: level,
+            level,
+            empty: true,
+            after_key: false,
         }
     }
 
-    /// Writes an array or object: `open`, then `len` comma-separated
-    /// entries, each written by `entry(out, index, layout of the entry)`,
-    /// then `close`.  An empty container is `open` and `close` alone in
-    /// every layout.
-    fn write_container(
-        self,
-        out: &mut String,
-        (open, close): (char, char),
-        len: usize,
-        mut entry: impl FnMut(&mut String, usize, Layout),
-    ) {
-        out.push(open);
-        if len > 0 {
-            let inner = match self {
-                Layout::Indented(level) => Layout::Indented(level + 1),
-                Layout::Compact => Layout::Compact,
+    /// Splices `text` — one value, rendered by a writer of the same layout
+    /// for this position's nesting level — as the next value.
+    pub fn raw(&mut self, text: &str) {
+        self.before_value();
+        self.out.push_str(text);
+    }
+
+    /// Places the separator and line break that precede a value: none
+    /// after a key or at the top, else those of a new container member.
+    fn before_value(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+        } else if self.level > self.base {
+            self.before_member();
+        }
+    }
+
+    fn before_member(&mut self) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.line_break();
+    }
+
+    /// Starts a new line at the current level (nothing when compact).
+    fn line_break(&mut self) {
+        if self.indented {
+            self.out.push('\n');
+            for _ in 0..self.level {
+                self.out.push_str("  ");
+            }
+        }
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.before_value();
+        self.out.push(bracket);
+        self.level += 1;
+        self.empty = true;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.level -= 1;
+        if !self.empty {
+            self.line_break();
+        }
+        self.out.push(bracket);
+        self.empty = false;
+    }
+
+    fn escaped(&mut self, s: &str) {
+        let out = &mut *self.out;
+        out.push('"');
+        // Bytes below 0x80 are whole characters, so every escaped byte and
+        // the byte after it start a character, and the runs between them
+        // are copied as they are.
+        let mut run = 0;
+        for (i, byte) in s.bytes().enumerate() {
+            let escape = match byte {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
             };
-            for i in 0..len {
-                if i > 0 {
-                    out.push(',');
-                }
-                inner.line_break(out);
-                entry(out, i, inner);
+            out.push_str(&s[run..i]);
+            if escape.is_empty() {
+                // Writing to a `String` cannot fail.
+                let _ = write!(out, "\\u{byte:04x}");
+            } else {
+                out.push_str(escape);
             }
-            self.line_break(out);
+            run = i + 1;
         }
-        out.push(close);
-    }
-
-    /// Starts a new line at this layout's indentation (nothing when
-    /// compact).
-    fn line_break(self, out: &mut String) {
-        if let Layout::Indented(level) = self {
-            out.push('\n');
-            for _ in 0..level {
-                out.push_str("  ");
-            }
-        }
+        out.push_str(&s[run..]);
+        out.push('"');
     }
 }
 
-/// Escapes `s` as a JSON string (including the surrounding quotes) into
-/// `out`: `"`, `\` and control characters are escaped, everything else is
-/// passed through as UTF-8.
-pub fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+impl JsonSink for JsonWriter<'_> {
+    fn begin_object(&mut self) {
+        self.open('{');
+    }
+
+    fn begin_array(&mut self) {
+        self.open('[');
+    }
+
+    fn end_object(&mut self) {
+        self.close('}');
+    }
+
+    fn end_array(&mut self) {
+        self.close(']');
+    }
+
+    fn key(&mut self, key: &str) {
+        self.before_member();
+        self.escaped(key);
+        self.out.push_str(if self.indented { ": " } else { ":" });
+        self.after_key = true;
+    }
+
+    fn null(&mut self) {
+        self.before_value();
+        self.out.push_str("null");
+    }
+
+    fn bool(&mut self, value: bool) {
+        self.before_value();
+        self.out.push_str(if value { "true" } else { "false" });
+    }
+
+    fn int(&mut self, value: i64) {
+        self.before_value();
+        let _ = write!(self.out, "{value}");
+    }
+
+    fn number(&mut self, value: f64) {
+        self.before_value();
+        if value.is_finite() {
+            // `{:?}` prints the shortest decimal that round-trips.
+            let _ = write!(self.out, "{value:?}");
+        } else {
+            self.out.push_str("null");
         }
     }
-    out.push('"');
+
+    fn string(&mut self, value: &str) {
+        self.before_value();
+        self.escaped(value);
+    }
+}
+
+/// Assembles [`JsonSink`] events into a [`JsonValue`]; see
+/// [`JsonValue::build`].
+#[derive(Debug)]
+pub struct JsonBuilder {
+    /// The open containers, innermost last, each with the key it will be
+    /// stored under in its parent object.
+    open: Vec<(Option<String>, JsonValue)>,
+    /// The key of the next member of the innermost open object.
+    key: Option<String>,
+    /// The finished top-level value.
+    done: Option<JsonValue>,
+}
+
+impl JsonBuilder {
+    fn finish(self) -> JsonValue {
+        assert!(
+            self.open.is_empty(),
+            "JsonBuilder: a container was left open"
+        );
+        self.done.expect("JsonBuilder: no value was described")
+    }
+
+    fn value(&mut self, value: JsonValue) {
+        let key = self.key.take();
+        match self.open.last_mut() {
+            Some((_, JsonValue::Object(fields))) => {
+                fields.push((
+                    key.expect("JsonBuilder: an object member needs a key"),
+                    value,
+                ));
+            }
+            Some((_, JsonValue::Array(items))) => items.push(value),
+            Some(_) => unreachable!("only containers are left open"),
+            None => {
+                assert!(self.done.is_none(), "JsonBuilder: a second top-level value");
+                self.done = Some(value);
+            }
+        }
+    }
+
+    fn open(&mut self, container: JsonValue) {
+        let key = self.key.take();
+        self.open.push((key, container));
+    }
+
+    fn close(&mut self) {
+        let (key, container) = self
+            .open
+            .pop()
+            .expect("JsonBuilder: a close without an open container");
+        self.key = key;
+        self.value(container);
+    }
+}
+
+impl JsonSink for JsonBuilder {
+    fn begin_object(&mut self) {
+        self.open(JsonValue::object());
+    }
+
+    fn end_object(&mut self) {
+        self.close();
+    }
+
+    fn begin_array(&mut self) {
+        self.open(JsonValue::Array(Vec::new()));
+    }
+
+    fn end_array(&mut self) {
+        self.close();
+    }
+
+    fn key(&mut self, key: &str) {
+        self.key = Some(key.to_owned());
+    }
+
+    fn null(&mut self) {
+        self.value(JsonValue::Null);
+    }
+
+    fn bool(&mut self, value: bool) {
+        self.value(JsonValue::Bool(value));
+    }
+
+    fn int(&mut self, value: i64) {
+        self.value(JsonValue::Int(value));
+    }
+
+    fn number(&mut self, value: f64) {
+        self.value(JsonValue::Number(value));
+    }
+
+    fn string(&mut self, value: &str) {
+        self.value(JsonValue::String(value.to_owned()));
+    }
 }
 
 /// A stable 128-bit content address of a JSON document: the FNV-1a hash of
@@ -766,6 +1031,51 @@ mod tests {
         let kind = a.find("kind").unwrap();
         assert!(version < kind, "insertion order preserved:\n{a}");
         assert!(a.ends_with("}\n"));
+    }
+
+    #[test]
+    fn writer_places_separators_indentation_and_spliced_values() {
+        let doc =
+            JsonValue::parse(r#"{"a": [], "b": {}, "c": [1, {"d": null, "e": [true]}], "f": "x"}"#)
+                .unwrap();
+        let pretty = "{\n  \"a\": [],\n  \"b\": {},\n  \"c\": [\n    1,\n    {\n      \
+                      \"d\": null,\n      \"e\": [\n        true\n      ]\n    }\n  ],\n  \
+                      \"f\": \"x\"\n}\n";
+        assert_eq!(doc.to_pretty_string(), pretty);
+        assert_eq!(
+            doc.to_compact_string(),
+            r#"{"a":[],"b":{},"c":[1,{"d":null,"e":[true]}],"f":"x"}"#
+        );
+
+        // `c`'s second item rendered on its own for its level, then spliced.
+        let mut item = String::new();
+        let mut writer = JsonWriter::indented(&mut item, 2);
+        doc.get("c").unwrap().as_array().unwrap()[1].walk(&mut writer, false);
+        let mut spliced = String::new();
+        let mut writer = JsonWriter::indented(&mut spliced, 0);
+        writer.begin_object();
+        for (key, value) in doc.as_object().unwrap() {
+            writer.key(key);
+            if key == "c" {
+                writer.begin_array();
+                writer.int(1);
+                writer.raw(&item);
+                writer.end_array();
+            } else {
+                value.walk(&mut writer, false);
+            }
+        }
+        writer.end_object();
+        assert_eq!(format!("{spliced}\n"), pretty);
+    }
+
+    #[test]
+    fn writer_escapes_quotes_backslashes_and_control_characters_only() {
+        let text = "\"\\\n\r\t\u{1}\u{1f} \u{7f}é😀\u{2028}";
+        assert_eq!(
+            JsonValue::from(text).to_compact_string(),
+            "\"\\\"\\\\\\n\\r\\t\\u0001\\u001f \u{7f}é😀\u{2028}\""
+        );
     }
 
     #[test]

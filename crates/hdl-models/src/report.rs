@@ -18,11 +18,13 @@
 //!   [`JaStatistics`] field names; both are part of the schema and only
 //!   change with a [`SCHEMA_VERSION`] bump.
 
+use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
+use ja_hysteresis::backend::KernelStatistics;
 use ja_hysteresis::error::JaError;
 use ja_hysteresis::json::{
-    content_hash, JsonValue, StreamDigest, SCHEMA_VERSION, SCHEMA_VERSION_KEY,
+    content_hash, JsonSink, JsonValue, JsonWriter, StreamDigest, SCHEMA_VERSION, SCHEMA_VERSION_KEY,
 };
 use ja_hysteresis::model::JaStatistics;
 use magnetics::loop_analysis::LoopMetrics;
@@ -33,12 +35,24 @@ use crate::exec::{speedup_estimate, BatchRunner, StreamSummary};
 use crate::fit::{FitReport, LoopFit, StartFit};
 use crate::scenario::{AgreementReport, BatchReport, Scenario, ScenarioOutcome, TransientStats};
 
+// Each batch-entry object is described once, by a function generic over
+// a `JsonSink`: a `JsonWriter` renders the description as text (NDJSON
+// records and the entries of a stored report), a `JsonBuilder` turns it
+// into the `JsonValue` the `*_value` functions return.
+
 /// A fresh report object carrying the shared envelope: `schema_version`
 /// first, then `kind`.
 pub fn report_envelope(kind: &str) -> JsonValue {
-    JsonValue::object()
-        .with(SCHEMA_VERSION_KEY, SCHEMA_VERSION)
-        .with("kind", kind)
+    JsonValue::build(|s| {
+        s.begin_object();
+        envelope_fields(s, kind);
+        s.end_object();
+    })
+}
+
+fn envelope_fields<S: JsonSink>(s: &mut S, kind: &str) {
+    s.field(SCHEMA_VERSION_KEY, SCHEMA_VERSION);
+    s.field_str("kind", kind);
 }
 
 /// Serialises loop metrics with the schema's unit-suffixed keys.
@@ -46,26 +60,31 @@ pub fn report_envelope(kind: &str) -> JsonValue {
 /// `negative_slope_samples` is written as an integer; the other five
 /// metrics as floats.
 pub fn metrics_value(metrics: &LoopMetrics) -> JsonValue {
-    let mut obj = JsonValue::object();
-    for (key, value) in metrics.named_values() {
-        if key == "negative_slope_samples" {
-            obj.push(key, value as i64);
-        } else {
-            obj.push(key, value);
-        }
-    }
-    obj
+    JsonValue::build(|s| describe_metrics(s, metrics))
 }
 
-/// Serialises the backend cost counters (keys mirror the
-/// [`JaStatistics`] field names).
-pub fn stats_value(stats: &JaStatistics) -> JsonValue {
-    JsonValue::object()
-        .with("samples", stats.samples)
-        .with("updates", stats.updates)
-        .with("slope_evaluations", stats.slope_evaluations)
-        .with("negative_slope_events", stats.negative_slope_events)
-        .with("rejected_updates", stats.rejected_updates)
+fn describe_metrics<S: JsonSink>(s: &mut S, metrics: &LoopMetrics) {
+    s.begin_object();
+    for (key, value) in metrics.named_values() {
+        if key == "negative_slope_samples" {
+            s.field(key, value as i64);
+        } else {
+            s.field(key, value);
+        }
+    }
+    s.end_object();
+}
+
+/// The backend cost counters (keys mirror the [`JaStatistics`] field
+/// names).
+fn describe_stats<S: JsonSink>(s: &mut S, stats: &JaStatistics) {
+    s.begin_object();
+    s.field("samples", stats.samples);
+    s.field("updates", stats.updates);
+    s.field("slope_evaluations", stats.slope_evaluations);
+    s.field("negative_slope_events", stats.negative_slope_events);
+    s.field("rejected_updates", stats.rejected_updates);
+    s.end_object();
 }
 
 /// Serialises the transient engine's step/Newton counters (keys mirror the
@@ -74,18 +93,32 @@ pub fn stats_value(stats: &JaStatistics) -> JsonValue {
 /// outcomes — deterministic across worker counts and machines — so they
 /// are NOT gated behind the opt-in timing fields.
 pub fn transient_value(stats: &TransientStats) -> JsonValue {
-    JsonValue::object()
-        .with("accepted_steps", stats.accepted_steps)
-        .with("rejected_steps", stats.rejected_steps)
-        .with("newton_iterations", stats.newton_iterations)
-        .with("lu_solves", stats.lu_solves)
-        .with("non_converged_steps", stats.non_converged_steps)
+    JsonValue::build(|s| describe_transient(s, stats))
+}
+
+fn describe_transient<S: JsonSink>(s: &mut S, stats: &TransientStats) {
+    s.begin_object();
+    s.field("accepted_steps", stats.accepted_steps);
+    s.field("rejected_steps", stats.rejected_steps);
+    s.field("newton_iterations", stats.newton_iterations);
+    s.field("lu_solves", stats.lu_solves);
+    s.field("non_converged_steps", stats.non_converged_steps);
+    s.end_object();
+}
+
+/// The simulation kernel's cost counters of an event-driven backend.
+fn describe_kernel<S: JsonSink>(s: &mut S, kernel: &KernelStatistics) {
+    s.begin_object();
+    s.field("delta_cycles", kernel.delta_cycles);
+    s.field("events_scheduled", kernel.events_scheduled);
+    s.field("process_activations", kernel.process_activations);
+    s.end_object();
 }
 
 /// A [`Duration`] as integer nanoseconds (saturating at `i64::MAX`, which
 /// is ~292 years — no real run gets there).
-pub fn duration_ns(duration: Duration) -> JsonValue {
-    JsonValue::Int(i64::try_from(duration.as_nanos()).unwrap_or(i64::MAX))
+fn nanos(duration: Duration) -> i64 {
+    i64::try_from(duration.as_nanos()).unwrap_or(i64::MAX)
 }
 
 /// Serialises a core-loss breakdown (keys mirror the [`CoreLoss`] field
@@ -94,11 +127,16 @@ pub fn duration_ns(duration: Duration) -> JsonValue {
 /// arithmetic over the trace — deterministic across worker counts and
 /// routing — so the object is NOT gated behind the opt-in timing fields.
 pub fn loss_value(loss: &CoreLoss) -> JsonValue {
-    JsonValue::object()
-        .with("hysteresis_w", loss.hysteresis_w)
-        .with("eddy_w", loss.eddy_w)
-        .with("total_w", loss.total_w)
-        .with("energy_per_cycle_j", loss.energy_per_cycle_j)
+    JsonValue::build(|s| describe_loss(s, loss))
+}
+
+fn describe_loss<S: JsonSink>(s: &mut S, loss: &CoreLoss) {
+    s.begin_object();
+    s.field("hysteresis_w", loss.hysteresis_w);
+    s.field("eddy_w", loss.eddy_w);
+    s.field("total_w", loss.total_w);
+    s.field("energy_per_cycle_j", loss.energy_per_cycle_j);
+    s.end_object();
 }
 
 /// Serialises one successful scenario outcome.
@@ -119,96 +157,116 @@ pub fn loss_value(loss: &CoreLoss) -> JsonValue {
 /// backends, a `kernel` object with the simulation kernel's cost counters
 /// (`delta_cycles`, `events_scheduled`, `process_activations`).
 pub fn outcome_value(outcome: &ScenarioOutcome, timings: bool) -> JsonValue {
-    let mut obj = JsonValue::object()
-        .with("scenario", outcome.name.as_str())
-        .with("status", "ok")
-        .with("backend", outcome.backend.label())
-        .with("samples", outcome.stats.samples)
-        .with(
-            "metrics",
-            outcome
-                .metrics
-                .as_ref()
-                .map_or(JsonValue::Null, metrics_value),
-        )
-        .with("stats", stats_value(&outcome.stats));
+    JsonValue::build(|s| {
+        s.begin_object();
+        outcome_fields(s, outcome, timings);
+        s.end_object();
+    })
+}
+
+/// The members of an [`outcome_value`] object, written into an open one.
+fn outcome_fields<S: JsonSink>(s: &mut S, outcome: &ScenarioOutcome, timings: bool) {
+    s.field_str("scenario", &outcome.name);
+    s.field_str("status", "ok");
+    s.field_str("backend", outcome.backend.label());
+    s.field("samples", outcome.stats.samples);
+    s.key("metrics");
+    match &outcome.metrics {
+        Some(metrics) => describe_metrics(s, metrics),
+        None => s.null(),
+    }
+    s.key("stats");
+    describe_stats(s, &outcome.stats);
     if let Some(transient) = &outcome.transient {
-        obj.push("transient", transient_value(transient));
+        s.key("transient");
+        describe_transient(s, transient);
     }
     if let Some(op) = &outcome.operating_point {
         if let Some(t_c) = op.temperature_c {
-            obj.push("temperature_c", t_c);
+            s.field("temperature_c", t_c);
         }
         if let Some(frequency) = op.frequency_hz {
-            obj.push("frequency_hz", frequency);
+            s.field("frequency_hz", frequency);
         }
     }
     if let Some(loss) = &outcome.loss {
-        obj.push("loss", loss_value(loss));
+        s.key("loss");
+        describe_loss(s, loss);
     }
     if timings {
-        obj.push("runtime_ns", duration_ns(outcome.runtime));
+        s.field("runtime_ns", nanos(outcome.runtime));
         // Routing is run-dependent scheduling detail, not result content
         // (SoA f64 lanes are bit-identical to scalar runs), so it rides
         // with the opt-in timing fields.
         if let Some(lanes) = outcome.lockstep_lanes {
-            obj.push("backend_routing", "soa");
-            obj.push("lockstep_lanes", lanes);
+            s.field_str("backend_routing", "soa");
+            s.field("lockstep_lanes", lanes);
         }
         // How much of `transient.newton_iterations` the solver settled
         // from a repeated iterate instead of solving: a cost of the solver,
         // not a step-control outcome, so it rides with the timing fields.
         if let Some(transient) = &outcome.transient {
-            obj.push("settled_newton_iterations", transient.settled_iterations);
+            s.field("settled_newton_iterations", transient.settled_iterations);
         }
         // Kernel counters are deterministic outcomes, but they describe the
         // simulation substrate's cost, not the physics, so they ride with
         // the opt-in timing fields to keep default reports byte-stable.
         if let Some(kernel) = &outcome.kernel {
-            obj.push(
-                "kernel",
-                JsonValue::object()
-                    .with("delta_cycles", kernel.delta_cycles)
-                    .with("events_scheduled", kernel.events_scheduled)
-                    .with("process_activations", kernel.process_activations),
-            );
+            s.key("kernel");
+            describe_kernel(s, kernel);
         }
     }
-    obj
 }
 
-/// Serialises one batch entry (outcome or failure) from its parts — the
-/// form the reduce step of [`BatchRunner::run_in_order`] renders on the
-/// worker, right before the outcome is dropped.
+/// The members of one batch entry (outcome or failure), written into an
+/// open object — the object a stored `kind: "batch"` report lists and an
+/// NDJSON record carries after its `index`.
 ///
 /// Failed entries get `status: "error"` (or `"cancelled"` for entries a
 /// fail-fast batch never ran) and an `error` message instead of the
 /// outcome fields.  With `timings`, adds `wall_clock_ns` (backend
 /// construction + sweep + metric extraction on the worker).
-pub fn entry_value(
+fn entry_fields<S: JsonSink>(
+    s: &mut S,
     name: &str,
     outcome: &Result<ScenarioOutcome, JaError>,
     wall_clock: Duration,
     timings: bool,
-) -> JsonValue {
-    let mut obj = match outcome {
-        Ok(outcome) => outcome_value(outcome, timings),
-        Err(err) => JsonValue::object()
-            .with("scenario", name)
-            .with(
-                "status",
-                if matches!(err, JaError::Cancelled) {
-                    "cancelled"
-                } else {
-                    "error"
-                },
-            )
-            .with("error", err.to_string()),
-    };
-    if timings {
-        obj.push("wall_clock_ns", duration_ns(wall_clock));
+) {
+    match outcome {
+        Ok(outcome) => outcome_fields(s, outcome, timings),
+        Err(err) => {
+            s.field_str("scenario", name);
+            let status = if matches!(err, JaError::Cancelled) {
+                "cancelled"
+            } else {
+                "error"
+            };
+            s.field_str("status", status);
+            s.field_str("error", &err.to_string());
+        }
     }
-    obj
+    if timings {
+        s.field("wall_clock_ns", nanos(wall_clock));
+    }
+}
+
+/// The text `write` appends to an empty string, as a string of exactly
+/// its length.
+///
+/// The text is written into a per-thread scratch string first, which
+/// keeps the capacity of the longest text rendered on its thread, so a
+/// warm render allocates only the string it returns.
+fn render(write: impl FnOnce(&mut String)) -> String {
+    thread_local! {
+        static SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
+    }
+    SCRATCH.with(|scratch| {
+        let mut scratch = scratch.borrow_mut();
+        scratch.clear();
+        write(&mut scratch);
+        scratch.as_str().to_owned()
+    })
 }
 
 /// One NDJSON record line (newline-terminated) for grid entry `index`.
@@ -225,15 +283,33 @@ pub fn ndjson_record(
     name: &str,
     outcome: &Result<ScenarioOutcome, JaError>,
 ) -> String {
-    let mut obj = JsonValue::object().with("index", index);
-    if let JsonValue::Object(fields) = entry_value(name, outcome, Duration::ZERO, false) {
-        for (key, value) in fields {
-            obj.push(key, value);
-        }
-    }
-    let mut line = obj.to_compact_string();
-    line.push('\n');
-    line
+    render(|out| {
+        let mut record = JsonWriter::compact(out);
+        record.begin_object();
+        record.field("index", index);
+        entry_fields(&mut record, name, outcome, Duration::ZERO, false);
+        record.end_object();
+        out.push('\n');
+    })
+}
+
+/// One entry of a stored `kind: "batch"` report, rendered as
+/// [`run_batch_report`] splices it into the `entries` array: indented for
+/// its place two levels deep (document, `entries`, entry), with no
+/// leading line break and no trailing separator.  Its compact form,
+/// `index` aside, is the entry's [`ndjson_record`].
+pub fn stored_entry(
+    name: &str,
+    outcome: &Result<ScenarioOutcome, JaError>,
+    wall_clock: Duration,
+    timings: bool,
+) -> String {
+    render(|out| {
+        let mut entry = JsonWriter::indented(out, 2);
+        entry.begin_object();
+        entry_fields(&mut entry, name, outcome, wall_clock, timings);
+        entry.end_object();
+    })
 }
 
 /// The final NDJSON manifest line (newline-terminated): a
@@ -464,73 +540,112 @@ where
 /// adds `workers`, `elapsed_ns`, `serial_ns` and `speedup` (all of which
 /// vary run to run, which is why they are opt-in).
 pub fn batch_report_value(report: &BatchReport, timings: bool) -> JsonValue {
-    batch_document(
-        report
-            .entries
-            .iter()
-            .map(|e| entry_value(&e.scenario.name, &e.outcome, e.wall_clock, timings))
-            .collect(),
-        report.successes().count(),
-        timings.then(|| (report.workers, report.elapsed, report.serial_runtime())),
-    )
+    JsonValue::build(|s| {
+        describe_batch(
+            s,
+            report.entries.len(),
+            report.successes().count(),
+            |s| {
+                for entry in &report.entries {
+                    s.begin_object();
+                    entry_fields(
+                        s,
+                        &entry.scenario.name,
+                        &entry.outcome,
+                        entry.wall_clock,
+                        timings,
+                    );
+                    s.end_object();
+                }
+            },
+            timings.then(|| (report.workers, report.elapsed, report.serial_runtime())),
+        );
+    })
 }
 
-/// Runs `scenarios` and serialises the run as the same `kind: "batch"`
-/// report [`batch_report_value`] builds from a [`BatchReport`] — but each
-/// entry is rendered on its worker by the reduce step of
-/// [`BatchRunner::run_in_order`], so only rendered entries are buffered,
-/// and no lockstep lane builds a curve or keeps a trajectory.  This is
-/// the stored-report path of `ja batch --format json` and of served
-/// `batch_request`s.
+/// Runs `scenarios` and renders the run as the same `kind: "batch"`
+/// report text that [`batch_report_value`] builds from a [`BatchReport`]
+/// (pretty form, trailing newline) — but each entry is rendered to text on
+/// its worker by the reduce step of [`BatchRunner::run_in_order`], so only
+/// rendered entries are buffered, and no lockstep lane builds a curve or
+/// keeps a trajectory.  This is the stored-report path of `ja batch
+/// --format json` and of served `batch_request`s.
 ///
-/// Returns the document and the run's [`StreamSummary`] (for the failure
+/// Returns the report and the run's [`StreamSummary`] (for the failure
 /// count that decides an exit status).
 pub fn run_batch_report(
     runner: &BatchRunner,
     scenarios: &[Scenario],
     timings: bool,
-) -> (JsonValue, StreamSummary) {
+) -> (String, StreamSummary) {
     let started = Instant::now();
     let (reduced, summary) = runner.run_reduced(scenarios, |index, outcome, wall_clock| {
-        let entry = entry_value(&scenarios[index].name, &outcome, wall_clock, timings);
+        let entry = stored_entry(&scenarios[index].name, &outcome, wall_clock, timings);
         (entry, wall_clock)
     });
     let serial = reduced.iter().map(|(_, wall_clock)| *wall_clock).sum();
     let elapsed = started.elapsed();
-    let entries = reduced.into_iter().map(|(entry, _)| entry).collect();
-    let document = batch_document(
-        entries,
+    let entries: Vec<String> = reduced.into_iter().map(|(entry, _)| entry).collect();
+    let report = batch_text(
+        &entries,
         summary.succeeded,
         timings.then_some((summary.workers, elapsed, serial)),
     );
-    (document, summary)
+    (report, summary)
 }
 
-/// The one `kind: "batch"` document builder: the envelope, the counts,
-/// the rendered `entries` and — given `(workers, elapsed, serial)` — the
-/// opt-in `timing` object.
-fn batch_document(
-    entries: Vec<JsonValue>,
+/// The `kind: "batch"` report text around `entries` rendered by
+/// [`stored_entry`] (pretty form, trailing newline).
+fn batch_text(
+    entries: &[String],
     succeeded: usize,
     timing: Option<(usize, Duration, Duration)>,
-) -> JsonValue {
-    let scenarios = entries.len();
-    let mut obj = report_envelope("batch")
-        .with("scenarios", scenarios)
-        .with("succeeded", succeeded)
-        .with("failed", scenarios - succeeded)
-        .with("entries", JsonValue::Array(entries));
+) -> String {
+    let mut report = String::with_capacity(entries.iter().map(String::len).sum());
+    describe_batch(
+        &mut JsonWriter::indented(&mut report, 0),
+        entries.len(),
+        succeeded,
+        |s| {
+            for entry in entries {
+                s.raw(entry);
+            }
+        },
+        timing,
+    );
+    report.push('\n');
+    report
+}
+
+/// The one `kind: "batch"` document description: the envelope, the
+/// counts, the `entries` that `entries` writes into the open array and —
+/// given `(workers, elapsed, serial)` — the opt-in `timing` object.
+fn describe_batch<S: JsonSink>(
+    s: &mut S,
+    scenarios: usize,
+    succeeded: usize,
+    entries: impl FnOnce(&mut S),
+    timing: Option<(usize, Duration, Duration)>,
+) {
+    s.begin_object();
+    envelope_fields(s, "batch");
+    s.field("scenarios", scenarios);
+    s.field("succeeded", succeeded);
+    s.field("failed", scenarios - succeeded);
+    s.key("entries");
+    s.begin_array();
+    entries(s);
+    s.end_array();
     if let Some((workers, elapsed, serial)) = timing {
-        obj.push(
-            "timing",
-            JsonValue::object()
-                .with("workers", workers)
-                .with("elapsed_ns", duration_ns(elapsed))
-                .with("serial_ns", duration_ns(serial))
-                .with("speedup", speedup_estimate(serial, elapsed)),
-        );
+        s.key("timing");
+        s.begin_object();
+        s.field("workers", workers);
+        s.field("elapsed_ns", nanos(elapsed));
+        s.field("serial_ns", nanos(serial));
+        s.field("speedup", speedup_estimate(serial, elapsed));
+        s.end_object();
     }
-    obj
+    s.end_object();
 }
 
 /// Serialises a backend-agreement comparison as a `kind: "compare"` report:
@@ -590,7 +705,7 @@ pub fn start_fit_value(entry: &StartFit, timings: bool) -> JsonValue {
         }
     }
     if timings {
-        obj.push("wall_clock_ns", duration_ns(entry.wall_clock));
+        obj.push("wall_clock_ns", nanos(entry.wall_clock));
     }
     obj
 }
@@ -664,8 +779,8 @@ pub fn fit_report_value(report: &FitReport, timings: bool) -> JsonValue {
     if timings {
         let mut timing = JsonValue::object()
             .with("workers", report.workers)
-            .with("elapsed_ns", duration_ns(report.elapsed))
-            .with("serial_ns", duration_ns(report.serial_runtime()))
+            .with("elapsed_ns", nanos(report.elapsed))
+            .with("serial_ns", nanos(report.serial_runtime()))
             .with("speedup", report.speedup());
         // Routing is run-dependent scheduling detail, not result content
         // (SoA f64 lanes are bit-identical to scalar evaluation), so it
@@ -1045,12 +1160,9 @@ mod tests {
     }
 
     #[test]
-    fn duration_ns_saturates() {
-        assert_eq!(
-            duration_ns(Duration::from_nanos(1500)),
-            JsonValue::Int(1500)
-        );
-        assert_eq!(duration_ns(Duration::MAX), JsonValue::Int(i64::MAX));
+    fn nanos_saturate() {
+        assert_eq!(nanos(Duration::from_nanos(1500)), 1500);
+        assert_eq!(nanos(Duration::MAX), i64::MAX);
     }
 
     /// Streams `scenarios` to a buffer with `workers`, no resume.
@@ -1340,6 +1452,184 @@ mod tests {
         #[test]
         fn checkpoint_parse_never_panics_on_corrupted_documents(text in checkpoint_text()) {
             assert_checkpoint_parse_is_total(&text);
+        }
+    }
+
+    /// Floats a report can meet beside arbitrary bit patterns: signed
+    /// zeros, non-finite values, subnormals and an integral value.
+    const FLOATS: [f64; 8] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        5e-324,
+        -1.5e-310,
+        1e21,
+    ];
+
+    /// Names and messages that need escaping or pass through as UTF-8.
+    const TEXTS: [&str; 6] = [
+        "quote\"",
+        "back\\slash",
+        "ctl\u{1}\u{1f}\u{7f}",
+        "nl\n\ttab\r",
+        "é ü µ 😀",
+        "\u{2028}major/t25",
+    ];
+
+    /// A stream of choices; once exhausted it yields zeros.
+    struct Choices(std::vec::IntoIter<usize>);
+
+    impl Choices {
+        fn next(&mut self) -> usize {
+            self.0.next().unwrap_or(0)
+        }
+
+        fn flag(&mut self) -> bool {
+            self.next() % 2 == 1
+        }
+
+        fn float(&mut self) -> f64 {
+            match self.next() {
+                c if c % 3 == 0 => FLOATS[c / 3 % FLOATS.len()],
+                c => f64::from_bits(c as u64),
+            }
+        }
+
+        /// A counter: small, just below `u64::MAX` (above `i64::MAX`), or
+        /// any value.
+        fn counter(&mut self) -> u64 {
+            match self.next() {
+                c if c % 3 == 0 => (c % 1000) as u64,
+                c if c % 3 == 1 => u64::MAX - (c % 1000) as u64,
+                c => c as u64,
+            }
+        }
+
+        fn text(&mut self) -> String {
+            let parts = 1 + self.next() % 3;
+            (0..parts)
+                .map(|_| TEXTS[self.next() % TEXTS.len()])
+                .collect()
+        }
+    }
+
+    /// An `ok`, `error` or `cancelled` entry's outcome, an `ok` one with or
+    /// without each optional part.
+    fn outcome(c: &mut Choices) -> Result<ScenarioOutcome, JaError> {
+        use magnetics::units::{FieldStrength, FluxDensity};
+        match c.next() % 4 {
+            0 => return Err(JaError::Cancelled),
+            1 => {
+                return Err(JaError::Backend {
+                    backend: "systemc-event-kernel",
+                    reason: c.text(),
+                })
+            }
+            _ => {}
+        }
+        let metrics = c.flag().then(|| LoopMetrics {
+            b_max: FluxDensity::new(c.float()),
+            h_max: FieldStrength::new(c.float()),
+            coercivity: FieldStrength::new(c.float()),
+            remanence: FluxDensity::new(c.float()),
+            loop_area: c.float(),
+            negative_slope_samples: c.counter() as usize,
+        });
+        let transient = c.flag().then(|| TransientStats {
+            newton_iterations: c.counter() as usize,
+            lu_solves: c.counter() as usize,
+            settled_iterations: c.counter() as usize,
+            non_converged_steps: c.counter() as usize,
+            accepted_steps: c.counter() as usize,
+            rejected_steps: c.counter() as usize,
+        });
+        let operating_point = c.flag().then(|| crate::scenario::OperatingPoint {
+            temperature_c: c.flag().then(|| c.float()),
+            frequency_hz: c.flag().then(|| c.float()),
+            ..Default::default()
+        });
+        let loss = c.flag().then(|| CoreLoss {
+            hysteresis_w: c.float(),
+            eddy_w: c.float(),
+            total_w: c.float(),
+            energy_per_cycle_j: c.float(),
+        });
+        let kernel = c.flag().then(|| KernelStatistics {
+            delta_cycles: c.counter(),
+            events_scheduled: c.counter(),
+            process_activations: c.counter(),
+        });
+        Ok(ScenarioOutcome {
+            name: c.text(),
+            backend: BackendKind::ALL[c.next() % BackendKind::ALL.len()],
+            curve: magnetics::bh::BhCurve::new(),
+            metrics,
+            loss,
+            operating_point,
+            stats: JaStatistics {
+                samples: c.counter(),
+                updates: c.counter(),
+                slope_evaluations: c.counter(),
+                negative_slope_events: c.counter(),
+                rejected_updates: c.counter(),
+            },
+            kernel,
+            transient,
+            runtime: Duration::from_nanos(c.counter()),
+            lockstep_lanes: c.flag().then(|| c.counter() as usize),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// One description feeds both sinks: the text writer's compact
+        /// records and indented stored report equal the compact and pretty
+        /// text of the tree the builder assembles from the same
+        /// description.
+        #[test]
+        fn text_and_tree_sinks_render_the_same_bytes(
+            choices in collection::vec(0usize..usize::MAX, 0..160),
+        ) {
+            let mut c = Choices(choices.into_iter());
+            let timings = c.flag();
+            let entries: Vec<_> = (0..c.next() % 4)
+                .map(|_| (c.text(), outcome(&mut c), Duration::from_nanos(c.counter())))
+                .collect();
+            for (index, (name, outcome, _)) in entries.iter().enumerate() {
+                let tree = JsonValue::build(|s| {
+                    s.begin_object();
+                    s.field("index", index);
+                    entry_fields(s, name, outcome, Duration::ZERO, false);
+                    s.end_object();
+                });
+                prop_assert_eq!(
+                    ndjson_record(index, name, outcome),
+                    format!("{}\n", tree.to_compact_string())
+                );
+            }
+
+            let succeeded = entries.iter().filter(|(_, outcome, _)| outcome.is_ok()).count();
+            let timing = timings.then(|| {
+                let (elapsed, serial) = (c.counter(), c.counter());
+                (c.next(), Duration::from_nanos(elapsed), Duration::from_nanos(serial))
+            });
+            let stored: Vec<String> = entries
+                .iter()
+                .map(|(name, outcome, wall_clock)| stored_entry(name, outcome, *wall_clock, timings))
+                .collect();
+            let tree = JsonValue::build(|s| {
+                describe_batch(s, entries.len(), succeeded, |s| {
+                    for (name, outcome, wall_clock) in &entries {
+                        s.begin_object();
+                        entry_fields(s, name, outcome, *wall_clock, timings);
+                        s.end_object();
+                    }
+                }, timing);
+            });
+            prop_assert_eq!(batch_text(&stored, succeeded, timing), tree.to_pretty_string());
         }
     }
 

@@ -30,7 +30,7 @@
 //! [`crate::exec::BatchRunner`] / [`crate::fit::fit_batch`].
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, IoSlice, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -167,8 +167,8 @@ impl HttpResponse {
     }
 
     /// A `200` response whose `application/x-ndjson` body is produced by
-    /// `producer` writing directly to the connection, one record at a
-    /// time, after the headers have gone out.
+    /// `producer` writing to the connection through a buffer, one record
+    /// at a time, after the headers have gone out.
     ///
     /// There is no `Content-Length`: the stream ends when the connection
     /// closes (`Connection: close` makes EOF-delimited bodies legal
@@ -252,13 +252,19 @@ impl HttpResponse {
     /// Serializes the response in as few writes as the protocol allows.
     /// A buffered response is one vectored write of its head and its body
     /// (the body is not copied); a streamed response writes its head in one
-    /// write, then its producer writes the body record by record.
+    /// write, then its producer writes the body through a [`BufWriter`], so
+    /// records leave in writes of up to its 8 KiB buffer.
+    ///
+    /// A write error, such as a client that hung up, reaches the producer
+    /// at the buffer flush it fails, at most 8 KiB of records later.
     pub fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
         let head = self.head();
         match &self.stream {
             Some(producer) => {
                 out.write_all(head.as_bytes())?;
-                producer(out)?;
+                let mut body = BufWriter::new(&mut *out);
+                producer(&mut body)?;
+                body.flush()?;
             }
             None => write_all_pair(out, head.as_bytes(), self.body.as_bytes())?,
         }
@@ -1088,19 +1094,77 @@ mod tests {
         }
     }
 
+    /// NDJSON record `index` of a test stream; lengths vary from 20 to
+    /// 116 bytes, so records do not pack a buffer evenly.
+    fn record(index: usize) -> String {
+        format!(
+            "{{\"index\":{index},\"pad\":\"{}\"}}\n",
+            "x".repeat(index % 97)
+        )
+    }
+
     #[test]
-    fn a_stream_head_is_one_write() {
-        let response = HttpResponse::ndjson_stream(|out| out.write_all(b"{\"index\":0}\n"));
-        assert_eq!(
-            written(&response, usize::MAX),
-            (
-                2,
-                "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n\
-                 {\"index\":0}\n"
-                    .to_string()
-            ),
-            "one write for the head, one for the record"
+    fn a_stream_leaves_in_buffer_sized_writes() {
+        const RECORDS: usize = 300;
+        let response = HttpResponse::ndjson_stream(|out| {
+            (0..RECORDS).try_for_each(|index| out.write_all(record(index).as_bytes()))
+        });
+        let head = "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+                    Connection: close\r\n\r\n";
+        let body: String = (0..RECORDS).map(record).collect();
+        let (calls, bytes) = written(&response, usize::MAX);
+        assert_eq!(bytes, format!("{head}{body}"));
+        // One write for the head, then one per filled 8 KiB buffer and one
+        // for the rest, never one per record.
+        let most = 1 + body.len().div_ceil(8 * 1024) + 1;
+        assert!(
+            (3..=most).contains(&calls),
+            "{calls} writes for a {}-byte body of {RECORDS} records",
+            body.len()
         );
+    }
+
+    /// A writer that takes its first write whole and fails every later
+    /// one, like a socket whose client hung up after the head arrived.
+    struct HungUp {
+        calls: usize,
+    }
+
+    impl Write for HungUp {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            match self.calls {
+                1 => Ok(buf.len()),
+                _ => Err(io::ErrorKind::BrokenPipe.into()),
+            }
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_stream_stops_within_one_buffer_of_a_failed_write() {
+        // Bytes of the records the producer handed over without an error.
+        let accepted = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&accepted);
+        let response = HttpResponse::ndjson_stream(move |out| {
+            for index in 0..10_000 {
+                let record = record(index);
+                out.write_all(record.as_bytes())?;
+                counter.fetch_add(record.len() as u64, Ordering::Relaxed);
+            }
+            Ok(())
+        });
+        let err = response
+            .write_to(&mut HungUp { calls: 0 })
+            .expect_err("the stream's writes fail after the head");
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        // The error surfaced at the first buffer flush: the producer got it
+        // within 8 KiB of records, not after its ~680 KB.
+        let accepted = accepted.load(Ordering::Relaxed);
+        assert!(accepted <= 8 * 1024, "{accepted} bytes accepted");
     }
 
     #[test]

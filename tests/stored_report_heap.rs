@@ -113,7 +113,7 @@ fn stored_report_peak_heap_does_not_grow_with_entries_times_samples() {
         peak_rise(|| {
             let (report, summary) = run_batch_report(&runner, scenarios, false);
             assert_eq!(summary.failed, 0);
-            report.to_pretty_string()
+            report
         })
     };
     // Warm up lazily initialised runtime state before measuring.
@@ -158,7 +158,7 @@ fn report_peak_heap_grows_only_by_the_workers_sample_vectors() {
         peak_rise(|| {
             let (report, summary) = run_batch_report(&runner, scenarios, false);
             assert_eq!(summary.failed, 0);
-            report.to_pretty_string()
+            report
         })
     };
     let ndjson = |scenarios: &[Scenario]| {
