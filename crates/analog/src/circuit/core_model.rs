@@ -25,9 +25,6 @@ pub trait MagneticCoreModel {
 
     /// Flux density at the last committed state (T).
     fn flux_density(&self) -> f64;
-
-    /// Field at the last committed state (A/m).
-    fn field(&self) -> f64;
 }
 
 /// A linear, non-hysteretic core: `B = µ0·µr·H`.
@@ -57,10 +54,6 @@ impl MagneticCoreModel for LinearCore {
     fn flux_density(&self) -> f64 {
         magnetics::constants::MU0 * self.mu_r * self.h
     }
-
-    fn field(&self) -> f64 {
-        self.h
-    }
 }
 
 #[cfg(test)]
@@ -75,9 +68,8 @@ mod tests {
         assert!((b - MU0 * 1000.0 * 100.0).abs() < 1e-12);
         assert!((db_dh - MU0 * 1000.0).abs() < 1e-12);
         // Evaluate does not change state.
-        assert_eq!(core.field(), 0.0);
+        assert_eq!(core.flux_density(), 0.0);
         core.commit(100.0);
-        assert_eq!(core.field(), 100.0);
         assert!((core.flux_density() - b).abs() < 1e-15);
     }
 }

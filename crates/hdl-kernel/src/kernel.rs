@@ -311,7 +311,7 @@ impl Kernel {
     fn run_process(&mut self, pid: ProcessId) -> Result<(), KernelError> {
         self.activations += 1;
         let process = &mut self.processes[pid.index()];
-        let mut ctx = ProcessContext::new(&mut self.signals, self.now);
+        let mut ctx = ProcessContext::new(&mut self.signals);
         (process.body)(&mut ctx).map_err(|err| KernelError::ProcessFailure {
             process: process.name.clone(),
             message: err.to_string(),

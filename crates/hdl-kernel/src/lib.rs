@@ -11,9 +11,7 @@
 //!   whenever a signal they are sensitive to changes value ([`process`]);
 //! * a **scheduler** that runs delta cycles to quiescence and advances
 //!   simulated time between timed signal writes — the testbench stimulus
-//!   ([`kernel`], [`scheduler`]);
-//! * a **recorder** that samples chosen signals after each stimulus step
-//!   ([`recorder`]).
+//!   ([`kernel`], [`scheduler`]).
 //!
 //! The kernel is deliberately single-threaded and allocation-light; it is a
 //! behavioural-modelling substrate, not a general HDL simulator.
@@ -48,7 +46,6 @@
 pub mod error;
 pub mod kernel;
 pub mod process;
-pub mod recorder;
 pub mod scheduler;
 pub mod signal;
 pub mod time;

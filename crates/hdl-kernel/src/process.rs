@@ -2,7 +2,6 @@
 
 use crate::error::KernelError;
 use crate::signal::{SignalId, SignalStore};
-use crate::time::SimTime;
 use crate::value::Value;
 
 /// Identifier of a process within a kernel.
@@ -18,23 +17,16 @@ impl ProcessId {
 
 /// The view of the kernel a process body receives while it executes.
 ///
-/// Mirrors what a SystemC method process can do: read signals, write
-/// signals (visible after the next delta cycle) and inspect the current
-/// time.
+/// Mirrors what a SystemC method process can do: read signals and write
+/// signals (visible after the next delta cycle).
 #[derive(Debug)]
 pub struct ProcessContext<'a> {
     signals: &'a mut SignalStore,
-    now: SimTime,
 }
 
 impl<'a> ProcessContext<'a> {
-    pub(crate) fn new(signals: &'a mut SignalStore, now: SimTime) -> Self {
-        Self { signals, now }
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.now
+    pub(crate) fn new(signals: &'a mut SignalStore) -> Self {
+        Self { signals }
     }
 
     /// Reads a signal's committed value.
@@ -142,11 +134,6 @@ impl Process {
             body: Box::new(body),
         }
     }
-
-    /// The display name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
 }
 
 impl std::fmt::Debug for Process {
@@ -163,8 +150,7 @@ mod tests {
     fn context_reads_and_writes_are_delta_separated() {
         let mut store = SignalStore::new();
         let a = store.add("a", Value::Real(1.0));
-        let mut ctx = ProcessContext::new(&mut store, SimTime::from_nanos(5));
-        assert_eq!(ctx.now(), SimTime::from_nanos(5));
+        let mut ctx = ProcessContext::new(&mut store);
         assert_eq!(ctx.read_real(a).unwrap(), 1.0);
         ctx.write_real(a, 2.0).unwrap();
         // Still the old value inside the same evaluation.
@@ -178,7 +164,7 @@ mod tests {
         let mut store = SignalStore::new();
         let b = store.add("b", Value::Bit(true));
         let i = store.add("i", Value::Int(7));
-        let mut ctx = ProcessContext::new(&mut store, SimTime::ZERO);
+        let mut ctx = ProcessContext::new(&mut store);
         assert!(ctx.read_bit(b).unwrap());
         assert_eq!(ctx.read_int(i).unwrap(), 7);
         assert!(ctx.read_real(b).is_err());
@@ -189,9 +175,8 @@ mod tests {
     }
 
     #[test]
-    fn process_debug_and_name() {
+    fn process_debug_shows_the_name() {
         let p = Process::new("core", |_ctx| Ok(()));
-        assert_eq!(p.name(), "core");
         assert!(format!("{p:?}").contains("core"));
     }
 }

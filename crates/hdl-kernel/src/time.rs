@@ -43,11 +43,6 @@ impl SimTime {
     pub fn as_seconds(self) -> f64 {
         self.0 as f64 * 1e-12
     }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: Self) -> Self {
-        Self(self.0.saturating_sub(rhs.0))
-    }
 }
 
 impl Add for SimTime {
@@ -111,7 +106,6 @@ mod tests {
         let b = SimTime::from_nanos(3);
         assert_eq!(a + b, SimTime::from_nanos(8));
         assert_eq!(a - b, SimTime::from_nanos(2));
-        assert_eq!(b.saturating_sub(a), SimTime::ZERO);
         assert!(b < a);
         let mut c = a;
         c += b;

@@ -77,10 +77,6 @@ impl MagneticCoreModel for JaCoreAdapter {
     fn flux_density(&self) -> f64 {
         self.model.flux_density().as_tesla()
     }
-
-    fn field(&self) -> f64 {
-        self.model.state().h
-    }
 }
 
 #[cfg(test)]
@@ -99,14 +95,14 @@ mod tests {
         assert_eq!(db1, db2);
         assert!(b1 > 0.0);
         assert!(db1 > 0.0);
-        assert_eq!(adapter.field(), 0.0);
+        assert_eq!(adapter.model().state().h, 0.0);
     }
 
     #[test]
     fn commit_advances_history() {
         let mut adapter = JaCoreAdapter::date2006().unwrap();
         adapter.commit(5_000.0);
-        assert_eq!(adapter.field(), 5_000.0);
+        assert_eq!(adapter.model().state().h, 5_000.0);
         assert!(adapter.flux_density() > 0.0);
         assert!(adapter.model().statistics().samples > 0);
     }

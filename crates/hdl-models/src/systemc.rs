@@ -26,10 +26,9 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use hdl_kernel::kernel::Kernel;
-use hdl_kernel::recorder::Recorder;
 use hdl_kernel::signal::SignalId;
 use hdl_kernel::value::Value;
-use hdl_kernel::KernelError;
+use hdl_kernel::{KernelError, SimTime};
 use ja_hysteresis::error::JaError;
 use magnetics::bh::{BhCurve, BhPoint};
 use magnetics::constants::MU0;
@@ -240,9 +239,10 @@ impl SystemCJaCore {
     }
 
     /// Runs a timed testbench: the field samples are scheduled as timed
-    /// writes `dt` apart and the kernel advances through them, recording `H`
-    /// and `B` after every event.  Demonstrates that the same module also
-    /// works under a conventional timed simulation.
+    /// writes `dt` apart and the kernel advances through them, tracing the
+    /// BH point and the simulation time after every event.  Demonstrates
+    /// that the same module also works under a conventional timed
+    /// simulation.
     ///
     /// # Errors
     ///
@@ -251,23 +251,23 @@ impl SystemCJaCore {
         &mut self,
         samples: &[f64],
         dt_seconds: f64,
-    ) -> Result<(BhCurve, Recorder), KernelError> {
-        let mut recorder = Recorder::with_channel_capacity(&[self.h, self.b_sig], samples.len());
+    ) -> Result<(BhCurve, Vec<SimTime>), KernelError> {
+        let mut times = Vec::with_capacity(samples.len());
         let m_sat = self.vars.params.m_sat.value();
         let mut curve = BhCurve::with_capacity(samples.len());
         for (i, &h) in samples.iter().enumerate() {
-            let at = hdl_kernel::SimTime::from_seconds((i + 1) as f64 * dt_seconds);
+            let at = SimTime::from_seconds((i + 1) as f64 * dt_seconds);
             self.kernel.schedule_write(at, self.h, Value::Real(h));
         }
         for (i, &h) in samples.iter().enumerate() {
-            let until = hdl_kernel::SimTime::from_seconds((i + 1) as f64 * dt_seconds);
+            let until = SimTime::from_seconds((i + 1) as f64 * dt_seconds);
             self.kernel.run_until(until)?;
-            recorder.sample(&self.kernel)?;
+            times.push(self.kernel.now());
             let b = self.kernel.read_real(self.b_sig)?;
             let m = self.kernel.read_real(self.m_sig)?;
             curve.push_raw(h, b, m * m_sat);
         }
-        Ok((curve, recorder))
+        Ok((curve, times))
     }
 
     /// Number of process activations executed so far (event-driven cost
@@ -441,7 +441,7 @@ mod tests {
         let dc_curve = dc.run_samples(&samples).unwrap();
 
         let mut timed = SystemCJaCore::date2006().unwrap();
-        let (timed_curve, recorder) = timed.run_timed(&samples, 1e-6).unwrap();
+        let (timed_curve, times) = timed.run_timed(&samples, 1e-6).unwrap();
 
         assert_eq!(dc_curve.len(), timed_curve.len());
         let max_diff = dc_curve
@@ -451,7 +451,7 @@ mod tests {
             .map(|(a, b)| (a.b.as_tesla() - b.b.as_tesla()).abs())
             .fold(0.0, f64::max);
         assert!(max_diff < 1e-9, "timed vs DC sweep differ by {max_diff}");
-        assert_eq!(recorder.len(), samples.len());
+        assert_eq!(times.len(), samples.len());
     }
 
     #[test]

@@ -40,16 +40,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     let excitation = Excitation::fig1(10.0)?;
     let samples: Vec<f64> = excitation.to_samples().into_iter().take(2_000).collect();
     let mut timed = SystemCJaCore::date2006()?;
-    let (timed_curve, recorder) = timed.run_timed(&samples, 1e-6)?;
+    let (timed_curve, times) = timed.run_timed(&samples, 1e-6)?;
     println!("\n== SystemC-style model, timed testbench ==");
-    println!("  events simulated   = {}", recorder.len());
+    println!("  events simulated   = {}", times.len());
     println!(
         "  final sim time     = {} us",
-        recorder
-            .times()
-            .last()
-            .map(|t| t.as_seconds() * 1e6)
-            .unwrap_or(0.0)
+        times.last().map(|t| t.as_seconds() * 1e6).unwrap_or(0.0)
     );
     println!(
         "  B at end           = {:.4} T",

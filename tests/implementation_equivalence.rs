@@ -146,7 +146,7 @@ fn timed_and_untimed_execution_of_the_same_module_agree() {
     let dc_curve = dc.run_samples(&samples).expect("dc sweep");
 
     let mut timed = SystemCJaCore::date2006().expect("module");
-    let (timed_curve, _recorder) = timed.run_timed(&samples, 1e-6).expect("timed run");
+    let (timed_curve, _times) = timed.run_timed(&samples, 1e-6).expect("timed run");
 
     assert_eq!(dc_curve.len(), timed_curve.len());
     for (a, b) in dc_curve.points().iter().zip(timed_curve.points()) {
