@@ -225,14 +225,17 @@ impl JsonValue {
                 sink.end_array();
             }
             JsonValue::Object(fields) => {
-                let mut order: Vec<&(String, JsonValue)> = fields.iter().collect();
-                if sort_keys {
-                    order.sort_by(|a, b| a.0.cmp(&b.0));
-                }
                 sink.begin_object();
-                for (key, value) in order {
+                let member = |(key, value): &(String, JsonValue)| {
                     sink.key(key);
                     value.walk(sink, sort_keys);
+                };
+                if sort_keys {
+                    let mut order: Vec<&(String, JsonValue)> = fields.iter().collect();
+                    order.sort_by(|a, b| a.0.cmp(&b.0));
+                    order.into_iter().for_each(member);
+                } else {
+                    fields.iter().for_each(member);
                 }
                 sink.end_object();
             }
