@@ -1162,7 +1162,7 @@ mod tests {
             .expect_err("the stream's writes fail after the head");
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
         // The error surfaced at the first buffer flush: the producer got it
-        // within 8 KiB of records, not after its ~680 KB.
+        // within 8 KiB of records, not after all 10 000 of them.
         let accepted = accepted.load(Ordering::Relaxed);
         assert!(accepted <= 8 * 1024, "{accepted} bytes accepted");
     }
