@@ -987,6 +987,42 @@ mod tests {
     }
 
     #[test]
+    fn a_second_run_continues_each_lane_like_the_scalar_model() {
+        // Run A stops mid-branch, and both runs step 7 A/m at ΔH_max 10,
+        // so run B's first gate reads run A's last update field: each lane
+        // must carry its whole state, not just its magnetisation, across
+        // runs without an `assign`.
+        let mut first = FieldSchedule::major_loop(3_000.0, 7.0, 1)
+            .expect("schedule")
+            .to_samples();
+        first.truncate(first.len() * 2 / 3);
+        let second = FieldSchedule::biased_minor_loop(600.0, 400.0, 2, 7.0)
+            .expect("schedule")
+            .to_samples();
+        let params = materials();
+        let config = JaConfig::default();
+
+        let mut batch = SoaBatch::new(config, SoaPrecision::F64).expect("valid config");
+        batch.assign(&params);
+        batch.run_samples(&first);
+        let mut curves = vec![BhCurve::new(); params.len()];
+        batch.run_samples_into_curves(&second, &mut curves);
+
+        for (lane, p) in params.iter().enumerate() {
+            let mut scalar = JilesAtherton::with_config(*p, config).expect("valid");
+            scalar.run_samples(&first).expect("scalar run A");
+            let reference = scalar.run_samples(&second).expect("scalar run B");
+            assert!(batch.lane_error(lane).is_none());
+            assert_eq!(
+                curve_bits(&curves[lane]),
+                curve_bits(&reference),
+                "lane {lane}: run B diverges from scalar bitwise"
+            );
+            assert_eq!(batch.lane_statistics(lane), scalar.statistics());
+        }
+    }
+
+    #[test]
     fn reassignment_reuses_lanes_and_resets_state() {
         let schedule = FieldSchedule::major_loop(5_000.0, 100.0, 1).expect("schedule");
         let samples = schedule.to_samples();
