@@ -36,8 +36,8 @@
 //! * [`time_domain`] — the conventional formulation's right-hand side
 //!   (`dM/dt = dM/dH · dH/dt`), the baseline the paper compares against;
 //! * [`soa`] — [`soa::SoaBatch`], the structure-of-arrays lockstep kernel
-//!   stepping many parameter sets through one field sequence at once
-//!   (bit-identical to the scalar model in `f64` mode);
+//!   stepping many parameter sets through one field sequence at once, on
+//!   the paper's configuration (bit-identical to the scalar model);
 //! * [`backend`] — the [`backend::HysteresisBackend`] trait unifying every
 //!   implementation style (direct, time-domain, and the HDL models of the
 //!   `hdl-models` crate) behind one polymorphic driving API, whose

@@ -9,40 +9,42 @@
 //! [`JilesAtherton`](crate::model::JilesAtherton) run of the same
 //! parameters, configuration and samples.
 //!
-//! Two kernels implement that contract:
+//! The batch runs the paper's configuration only: one forward-Euler step
+//! per field increment, on the modified (arctangent) Langevin law.
+//! [`SoaBatch::new`] refuses any other integration method, sub-division
+//! or anhysteretic law; the formulation, `ΔH_max` and the guards stay free.
 //!
-//! * the **lockstep kernel** (arctangent anhysteretic laws, i.e. the
-//!   paper's modified Langevin and the two-parameter blend): all lanes walk
-//!   the sample sequence together, and both steps of each sample run as
-//!   branch-light lane-inner loops over the flat columns.  The monitorH
-//!   gate and the forward-Euler update are masked per lane and evaluate
-//!   the scalar model's own `euler_substep` (Heun, RK4 and subdivided
-//!   increments fall back to a per-lane [`integrate_field_increment`]
-//!   call); the self-consistency fixed point runs under a convergence mask
-//!   and stops as soon as every live lane has converged.  The heavy
-//!   arctangents go through the shared polynomial
-//!   [`magnetics::fastmath::atan`], a fixed inlineable operation sequence,
-//!   so independent lanes pipeline and auto-vectorise instead of
-//!   serialising on an opaque libm call — this is where the SoA speedup
-//!   comes from.  Per lane the operation order is exactly the scalar
-//!   model's ([`advance_state`] shares the same constants and increment
-//!   functions), which keeps `f64` lanes bitwise equal;
-//! * the **per-lane fallback** (classic Langevin law): each lane walks the
-//!   whole sequence delegating every step to
-//!   [`advance_state`] itself — trivially
-//!   bit-identical, without the lane-parallel throughput.
+//! One kernel implements that contract.  All lanes walk the sample
+//! sequence together, and both steps of each sample run as branch-light
+//! lane-inner loops over the flat columns: the monitorH gate is a per-lane
+//! mask, and the update evaluates the scalar model's own `euler_substep`;
+//! the self-consistency fixed point runs under a convergence mask and stops
+//! as soon as every live lane has converged.  The anhysteretic law is
+//! [`magnetics::anhysteretic::modified_langevin`], the function the scalar
+//! law calls, and its arctangent is the shared polynomial
+//! [`magnetics::fastmath::atan`], a fixed inlineable operation sequence, so
+//! independent lanes pipeline and auto-vectorise instead of serialising on
+//! an opaque libm call — this is where the SoA speedup comes from.  Per
+//! lane the operation order is exactly the scalar model's
+//! ([`advance_state`](crate::timeless::advance_state) shares the same
+//! constants and increment functions), which keeps the lanes bitwise equal.
 //!
 //! On top of the kernel win, the batch removes everything around the math:
 //! per-sample dynamic dispatch, per-sample `Result`/sample-struct plumbing,
 //! per-lane schedule re-iteration and per-lane model construction.
 //!
-//! The lockstep kernel exists twice: the portable build, and the same
-//! source compiled with AVX2 enabled, which [`SoaBatch::run_samples`] picks
-//! at run time when the CPU has it.  The two are bit-identical: the kernel
-//! uses only operations IEEE 754 defines exactly (`+ − × ÷`, `abs`,
-//! `copysign`, compares), and Rust never contracts a multiply and an add
-//! into one FMA unless asked to, so wider registers change how many lanes
-//! one instruction steps, never a lane's result.
+//! The kernel exists twice: the portable build, and the same source
+//! compiled with AVX2 enabled, which [`SoaBatch::run_samples`] picks at run
+//! time when the CPU has it.  The two are bit-identical: the kernel uses
+//! only operations IEEE 754 defines exactly (`+ − × ÷`, `abs`, `copysign`,
+//! compares), and Rust never contracts a multiply and an add into one FMA
+//! unless asked to, so wider registers change how many lanes one
+//! instruction steps, never a lane's result.
+//!
+//! A lane's state is the four columns the kernel steps (`m_irr`, `m_total`,
+//! `m_an` and the field of the last update); they persist from one run to
+//! the next, so a second run continues each lane like a second sweep of a
+//! scalar model, until [`SoaBatch::assign`] resets them.
 //!
 //! A run builds no curves and, by default, keeps no trajectory: right
 //! after a lane's sample passes the finite-state check, the kernel feeds
@@ -51,18 +53,17 @@
 //! the core loss.  [`SoaBatch::lane_fold`] hands each lane's fold to the
 //! caller, so a lockstep job reduces straight to metrics and loss, and the
 //! fit objective to a cost.  [`SoaBatch::run_samples_into_curves`]
-//! additionally records each lane's stored `m_total` after every sample
-//! (8 bytes per lane-sample) and rebuilds the lanes' B–H curves from it.
+//! additionally records each lane's `m_total` after every sample (8 bytes
+//! per lane-sample) and rebuilds the lanes' B–H curves from it.
 //!
 //! Lanes are fully independent: a lane whose parameters fail validation or
 //! whose state diverges records its [`JaError`] and goes inactive without
 //! disturbing the other lanes — mirroring how each scenario of a scalar
 //! batch fails on its own.
 
-use magnetics::anhysteretic::AnhystereticKind;
+use magnetics::anhysteretic::modified_langevin;
 use magnetics::bh::BhCurve;
 use magnetics::constants::MU0;
-use magnetics::fastmath;
 use magnetics::loop_analysis::IncrementalLoopMetrics;
 use magnetics::material::JaParameters;
 use magnetics::units::Magnetisation;
@@ -73,8 +74,7 @@ use crate::model::JaStatistics;
 use crate::params::AnhystereticChoice;
 use crate::state::JaState;
 use crate::timeless::{
-    advance_state, euler_substep, integrate_field_increment, total_magnetisation,
-    FIXED_POINT_ITERATIONS, FIXED_POINT_TOLERANCE,
+    euler_substep, total_magnetisation, FIXED_POINT_ITERATIONS, FIXED_POINT_TOLERANCE,
 };
 
 /// Numeric storage of the per-lane state columns.  `f64` is the only
@@ -84,65 +84,6 @@ pub enum SoaPrecision {
     /// `f64` state columns — bit-identical to the scalar model.
     #[default]
     F64,
-}
-
-/// The six state fields of [`JaState`] as flat columns, plus the per-lane
-/// update counter.
-#[derive(Debug, Clone, Default)]
-struct StateColumns {
-    m_irr: Vec<f64>,
-    m_rev: Vec<f64>,
-    m_total: Vec<f64>,
-    m_an: Vec<f64>,
-    h: Vec<f64>,
-    h_last_update: Vec<f64>,
-    updates: Vec<u64>,
-}
-
-impl StateColumns {
-    /// Resets every column to `lanes` demagnetised entries, reusing the
-    /// existing allocations.
-    fn reset(&mut self, lanes: usize) {
-        for column in [
-            &mut self.m_irr,
-            &mut self.m_rev,
-            &mut self.m_total,
-            &mut self.m_an,
-            &mut self.h,
-            &mut self.h_last_update,
-        ] {
-            column.clear();
-            column.resize(lanes, 0.0);
-        }
-        self.updates.clear();
-        self.updates.resize(lanes, 0);
-    }
-
-    /// Gathers one lane into a scalar [`JaState`].
-    #[inline]
-    fn load(&self, lane: usize) -> JaState {
-        JaState {
-            m_irr: self.m_irr[lane],
-            m_rev: self.m_rev[lane],
-            m_total: self.m_total[lane],
-            m_an: self.m_an[lane],
-            h: self.h[lane],
-            h_last_update: self.h_last_update[lane],
-            updates: self.updates[lane],
-        }
-    }
-
-    /// Scatters a scalar [`JaState`] back into one lane.
-    #[inline]
-    fn store(&mut self, lane: usize, state: &JaState) {
-        self.m_irr[lane] = state.m_irr;
-        self.m_rev[lane] = state.m_rev;
-        self.m_total[lane] = state.m_total;
-        self.m_an[lane] = state.m_an;
-        self.h[lane] = state.h;
-        self.h_last_update[lane] = state.h_last_update;
-        self.updates[lane] = state.updates;
-    }
 }
 
 /// A batch of Jiles–Atherton lanes sharing one configuration and one
@@ -165,11 +106,15 @@ pub struct SoaBatch {
     k: Vec<f64>,
     alpha: Vec<f64>,
     c: Vec<f64>,
-    anhysteretic: Vec<AnhystereticKind>,
-    columns: StateColumns,
+    /// The lanes' state: normalised irreversible, total and anhysteretic
+    /// magnetisation, and the field of the last irreversible update.
+    m_irr: Vec<f64>,
+    m_total: Vec<f64>,
+    m_an: Vec<f64>,
+    h_last: Vec<f64>,
     stats: Vec<JaStatistics>,
     errors: Vec<Option<JaError>>,
-    scratch: LockstepScratch,
+    masks: LaneMasks,
     /// Each lane's fold of the last run.
     folds: Vec<IncrementalLoopMetrics>,
     /// The last recording run's `m_total` trajectory, sample-major (row `s`
@@ -178,34 +123,10 @@ pub struct SoaBatch {
     trajectory: Vec<f64>,
 }
 
-/// One run's view of a batch: the shared configuration and sample-invariant
-/// lane columns, and the per-lane state, statistics, errors and folds the
-/// kernels write, plus the trajectory when the run records one.
-struct Sweep<'x> {
-    config: &'x JaConfig,
-    anhysteretic: &'x [AnhystereticKind],
-    /// `m_sat, a, a2, k, alpha, c`.
-    params: [&'x [f64]; 6],
-    columns: &'x mut StateColumns,
-    work: &'x mut LockstepScratch,
-    stats: &'x mut [JaStatistics],
-    errors: &'x mut [Option<JaError>],
-    folds: &'x mut [IncrementalLoopMetrics],
-    /// The sample-major `m_total` rows to record, sized for the samples, or
-    /// `None` to record nothing.
-    trajectory: Option<&'x mut [f64]>,
-}
-
-/// Reusable working buffers of the lockstep kernel: the `f64` state fields
-/// every lane carries across one sample, plus the per-lane masks of the
-/// update phase and of the fixed point.  Kept on the batch so steady-state
-/// re-runs allocate nothing.
+/// The kernel's per-lane masks, kept on the batch so steady-state re-runs
+/// allocate nothing.
 #[derive(Debug, Clone, Default)]
-struct LockstepScratch {
-    m_irr: Vec<f64>,
-    m_total: Vec<f64>,
-    m_an: Vec<f64>,
-    h_last: Vec<f64>,
+struct LaneMasks {
     /// The lane has no error yet.
     live: Vec<bool>,
     /// The lane passed this sample's monitorH gate.
@@ -227,9 +148,23 @@ impl SoaBatch {
     /// Returns [`JaError::InvalidConfig`] for an invalid configuration —
     /// the same check (and error) a scalar
     /// [`JilesAtherton::with_config`](crate::model::JilesAtherton::with_config)
-    /// performs.
+    /// performs — and [`JaError::Backend`] for a valid configuration the
+    /// kernel does not run: any integration method but single-step
+    /// forward Euler, or any anhysteretic law but the modified Langevin.
     pub fn new(config: JaConfig, _precision: SoaPrecision) -> Result<Self, JaError> {
         config.validate()?;
+        if config.integration != SlopeIntegration::ForwardEuler
+            || config.subdivide_increment
+            || config.anhysteretic != AnhystereticChoice::ModifiedLangevin
+        {
+            return Err(JaError::Backend {
+                backend: "soa-lockstep",
+                reason: "the lockstep kernel runs the paper's discretisation only (one forward \
+                         Euler step per increment, modified Langevin law); run other \
+                         configurations on the scalar model"
+                    .to_owned(),
+            });
+        }
         Ok(Self {
             config,
             m_sat: Vec::new(),
@@ -238,11 +173,13 @@ impl SoaBatch {
             k: Vec::new(),
             alpha: Vec::new(),
             c: Vec::new(),
-            anhysteretic: Vec::new(),
-            columns: StateColumns::default(),
+            m_irr: Vec::new(),
+            m_total: Vec::new(),
+            m_an: Vec::new(),
+            h_last: Vec::new(),
             stats: Vec::new(),
             errors: Vec::new(),
-            scratch: LockstepScratch::default(),
+            masks: LaneMasks::default(),
             folds: Vec::new(),
             trajectory: Vec::new(),
         })
@@ -278,32 +215,31 @@ impl SoaBatch {
             column.clear();
             column.reserve(lanes);
         }
-        self.anhysteretic.clear();
-        self.anhysteretic.reserve(lanes);
-        self.stats.clear();
-        self.stats.resize(lanes, JaStatistics::default());
-        self.errors.clear();
-        self.errors.resize(lanes, None);
-        for (lane, p) in params.iter().enumerate() {
+        for p in params {
             self.m_sat.push(p.m_sat.value());
             self.a.push(p.a);
             self.a2.push(p.a2);
             self.k.push(p.k);
             self.alpha.push(p.alpha);
             self.c.push(p.c);
-            match p.validate() {
-                Ok(()) => self.anhysteretic.push(self.config.anhysteretic.build(p)),
-                Err(err) => {
-                    // The lane is inactive; park a law built from the
-                    // (always valid) paper preset so the column stays
-                    // aligned without evaluating the invalid shape.
-                    self.errors[lane] = Some(JaError::Material(err));
-                    self.anhysteretic
-                        .push(self.config.anhysteretic.build(&JaParameters::date2006()));
-                }
-            }
         }
-        self.columns.reset(lanes);
+        for column in [
+            &mut self.m_irr,
+            &mut self.m_total,
+            &mut self.m_an,
+            &mut self.h_last,
+        ] {
+            column.clear();
+            column.resize(lanes, 0.0);
+        }
+        self.stats.clear();
+        self.stats.resize(lanes, JaStatistics::default());
+        self.errors.clear();
+        self.errors.extend(
+            params
+                .iter()
+                .map(|p| p.validate().err().map(JaError::Material)),
+        );
         self.folds.clear();
         self.folds.resize(lanes, IncrementalLoopMetrics::new());
     }
@@ -353,48 +289,16 @@ impl SoaBatch {
     }
 
     /// Steps every active lane through `samples`, folding each lane afresh
-    /// and, when `record` is set, recording the trajectory.
+    /// and, when `record` is set, recording the trajectory: on the kernel's
+    /// AVX2 copy when the CPU has AVX2, and on its portable copy otherwise.
     fn run(&mut self, samples: &[f64], record: bool) {
-        let Self {
-            config,
-            m_sat,
-            a,
-            a2,
-            k,
-            alpha,
-            c,
-            anhysteretic,
-            columns,
-            stats,
-            errors,
-            scratch,
-            folds,
-            trajectory,
-        } = self;
-        let lanes = stats.len();
-        folds.fill(IncrementalLoopMetrics::new());
+        self.folds.fill(IncrementalLoopMetrics::new());
         if record {
-            trajectory.resize(lanes * samples.len(), 0.0);
+            self.trajectory.resize(self.lanes() * samples.len(), 0.0);
         }
-        if lanes == 0 {
-            return;
+        if !run_lanes_lockstep_avx2(self, samples, record) {
+            run_lanes_lockstep(self, samples, record);
         }
-        let law = lockstep_law(config, anhysteretic, a, a2, errors);
-        run_columns(
-            &mut Sweep {
-                config,
-                anhysteretic,
-                params: [m_sat, a, a2, k, alpha, c],
-                columns,
-                work: scratch,
-                stats,
-                errors,
-                folds,
-                trajectory: record.then_some(&mut trajectory[..]),
-            },
-            law.as_ref(),
-            samples,
-        );
     }
 
     /// Rebuilds one lane's B–H curve of the last recording run into
@@ -431,119 +335,6 @@ impl SoaBatch {
     }
 }
 
-/// The per-lane normalised anhysteretic evaluation of the lockstep kernel.
-/// Implementations must reproduce the corresponding
-/// [`Anhysteretic::normalised`](magnetics::anhysteretic::Anhysteretic)
-/// operation sequence exactly — that equivalence is what keeps the kernel
-/// bit-identical to the scalar model, and [`lockstep_law`] verifies the
-/// lane shapes against the built laws before selecting a kernel.
-trait LockstepMan {
-    /// Number of lanes the law's shape columns cover; the kernel asserts
-    /// this equals the batch width so lane indexing is provably in bounds.
-    fn lanes(&self) -> usize;
-    fn m_an(&self, lane: usize, h_effective: f64) -> f64;
-}
-
-/// The paper's modified Langevin, `(2/π)·atan(H_e/a)`, over a lane column.
-struct SingleAtanLanes<'x> {
-    a: &'x [f64],
-}
-
-impl LockstepMan for SingleAtanLanes<'_> {
-    #[inline(always)]
-    fn lanes(&self) -> usize {
-        self.a.len()
-    }
-
-    #[inline(always)]
-    fn m_an(&self, lane: usize, h_effective: f64) -> f64 {
-        std::f64::consts::FRAC_2_PI * fastmath::atan(h_effective / self.a[lane])
-    }
-}
-
-/// The two-parameter arctangent blend over lane columns.
-struct BlendAtanLanes<'x> {
-    a: &'x [f64],
-    a2: &'x [f64],
-    weight: f64,
-}
-
-impl LockstepMan for BlendAtanLanes<'_> {
-    #[inline(always)]
-    fn lanes(&self) -> usize {
-        self.a.len().min(self.a2.len())
-    }
-
-    #[inline(always)]
-    fn m_an(&self, lane: usize, h_effective: f64) -> f64 {
-        let t1 = fastmath::atan(h_effective / self.a[lane]);
-        let t2 = fastmath::atan(h_effective / self.a2[lane]);
-        std::f64::consts::FRAC_2_PI * (self.weight * t1 + (1.0 - self.weight) * t2)
-    }
-}
-
-/// The anhysteretic law the lockstep kernel will use, or `None` when the
-/// batch must take the per-lane fallback (classic Langevin, or any lane
-/// whose built law does not match its parameter columns — impossible for
-/// batches built by [`SoaBatch::assign`], but checked rather than assumed
-/// because bit-identity rides on it).
-enum LockstepLaw<'x> {
-    Single(SingleAtanLanes<'x>),
-    Blend(BlendAtanLanes<'x>),
-}
-
-fn lockstep_law<'x>(
-    config: &JaConfig,
-    anhysteretic: &[AnhystereticKind],
-    a: &'x [f64],
-    a2: &'x [f64],
-    errors: &[Option<JaError>],
-) -> Option<LockstepLaw<'x>> {
-    match config.anhysteretic {
-        AnhystereticChoice::ModifiedLangevin => {
-            for (lane, kind) in anhysteretic.iter().enumerate() {
-                let matches = matches!(kind, AnhystereticKind::ModifiedLangevin(f)
-                    if f.a().to_bits() == a[lane].to_bits());
-                if !matches && errors[lane].is_none() {
-                    return None;
-                }
-            }
-            Some(LockstepLaw::Single(SingleAtanLanes { a }))
-        }
-        AnhystereticChoice::DoubleArctan => {
-            let weight = 0.5_f64;
-            for (lane, kind) in anhysteretic.iter().enumerate() {
-                let matches = matches!(kind, AnhystereticKind::DoubleArctan(f)
-                    if f.a().to_bits() == a[lane].to_bits()
-                        && f.a2().to_bits() == a2[lane].to_bits()
-                        && f.weight().to_bits() == weight.to_bits());
-                if !matches && errors[lane].is_none() {
-                    return None;
-                }
-            }
-            Some(LockstepLaw::Blend(BlendAtanLanes { a, a2, weight }))
-        }
-        AnhystereticChoice::Langevin => None,
-    }
-}
-
-/// Runs the columns through the kernel selected by [`lockstep_law`].
-fn run_columns(sweep: &mut Sweep<'_>, law: Option<&LockstepLaw<'_>>, samples: &[f64]) {
-    match law {
-        Some(LockstepLaw::Single(man)) => run_lockstep(sweep, man, samples),
-        Some(LockstepLaw::Blend(man)) => run_lockstep(sweep, man, samples),
-        None => run_lanes(sweep, samples),
-    }
-}
-
-/// Runs the lockstep kernel's AVX2 copy when the CPU has AVX2, and its
-/// portable copy otherwise.
-fn run_lockstep<M: LockstepMan>(sweep: &mut Sweep<'_>, man: &M, samples: &[f64]) {
-    if !run_lanes_lockstep_avx2(sweep, man, samples) {
-        run_lanes_lockstep(sweep, man, samples);
-    }
-}
-
 /// Runs [`run_lanes_lockstep`] compiled with AVX2 enabled and returns
 /// `true`, or returns `false` without running anything on a CPU without
 /// AVX2 (every non-x86-64 target included).
@@ -554,11 +345,7 @@ fn run_lockstep<M: LockstepMan>(sweep: &mut Sweep<'_>, man: &M, samples: &[f64])
 /// function, which is undefined behaviour on a CPU without the feature —
 /// so the crate denies `unsafe_code` instead of forbidding it, and allows
 /// it here, right beside the run-time check that makes the call sound.
-fn run_lanes_lockstep_avx2<M: LockstepMan>(
-    sweep: &mut Sweep<'_>,
-    man: &M,
-    samples: &[f64],
-) -> bool {
+fn run_lanes_lockstep_avx2(batch: &mut SoaBatch, samples: &[f64], record: bool) -> bool {
     #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
     {
@@ -568,35 +355,33 @@ fn run_lanes_lockstep_avx2<M: LockstepMan>(
         ///
         /// The CPU running it must support AVX2.
         #[target_feature(enable = "avx2")]
-        unsafe fn kernel<M: LockstepMan>(sweep: &mut Sweep<'_>, man: &M, samples: &[f64]) {
-            run_lanes_lockstep(sweep, man, samples);
+        unsafe fn kernel(batch: &mut SoaBatch, samples: &[f64], record: bool) {
+            run_lanes_lockstep(batch, samples, record);
         }
 
         if is_x86_feature_detected!("avx2") {
             // SAFETY: the check above found AVX2 on this CPU, which is the
             // only requirement of `kernel`; its body is safe code.
-            unsafe { kernel(sweep, man, samples) };
+            unsafe { kernel(batch, samples, record) };
             return true;
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = (sweep, man, samples);
+    let _ = (batch, samples, record);
     false
 }
 
 /// The lockstep kernel: all lanes advance through each sample together.
 ///
-/// Per sample, three phases mirror [`advance_state`] exactly:
+/// Per sample, three phases mirror
+/// [`advance_state`](crate::timeless::advance_state) exactly:
 ///
-/// 1. **gate + irreversible update**: when the shared field has moved by
-///    `ΔH_max` since a lane's last update, the lane's irreversible
-///    magnetisation advances.  For single-step forward Euler (the paper's
-///    method and the default configuration) this phase is lane-inner: the
-///    gate is a mask, and every due sample evaluates the shared
-///    [`euler_substep`] — slope, clamp, `ΔH·slope` and the opposing-sign
-///    guard — over the flat columns, then bumps the per-lane counters.
-///    Heun, RK4 and subdivided increments fall back to a per-lane call of
-///    [`integrate_field_increment`], the routine the scalar model calls;
+/// 1. **gate + irreversible update** (lane-inner): when the shared field
+///    has moved by `ΔH_max` since a lane's last update, the lane's
+///    irreversible magnetisation advances.  The gate is a mask, and every
+///    due sample evaluates the shared [`euler_substep`] — slope, clamp,
+///    `ΔH·slope` and the opposing-sign guard — over the flat columns, then
+///    bumps the per-lane counters;
 /// 2. **self-consistency fixed point** (lane-inner, branch-light): the
 ///    [`FIXED_POINT_ITERATIONS`]-capped iteration runs over the flat
 ///    columns with a per-lane convergence mask replacing the scalar early
@@ -606,40 +391,72 @@ fn run_lanes_lockstep_avx2<M: LockstepMan>(
 ///    of adjacent lanes pipeline/vectorise.  Lanes with an error start out
 ///    done, and the iteration stops as soon as every lane is done: a done
 ///    lane's values no longer change, so stopping early changes no bits;
-/// 3. **finalise** (per live lane): count the sample, rebuild the
-///    reversible part, store the state in the columns, detect divergence,
-///    fold the sample's `(H, B)` point and, when recording, store
-///    `m_total` in the sample's trajectory row.
+/// 3. **finalise** (per live lane): count the sample, detect divergence on
+///    the scalar model's state (the reversible part rebuilt as
+///    `m_total − m_irr`), fold the sample's `(H, B)` point and, when
+///    recording, store `m_total` in the sample's trajectory row.
 ///
 /// Always inlined, so each caller — the portable dispatch and the AVX2
 /// `#[target_feature]` function — compiles its own copy with its own
-/// instruction set.  Expects at least one lane, and a trajectory, if any,
-/// sized for `samples`.
+/// instruction set.  Expects a trajectory, when `record` is set, sized for
+/// `samples`.
 #[inline(always)]
-fn run_lanes_lockstep<M: LockstepMan>(sweep: &mut Sweep<'_>, man: &M, samples: &[f64]) {
-    let config = sweep.config;
-    let anhysteretic = sweep.anhysteretic;
-    let columns = &mut *sweep.columns;
-    let work = &mut *sweep.work;
-    let stats = &mut *sweep.stats;
-    let errors = &mut *sweep.errors;
+fn run_lanes_lockstep(batch: &mut SoaBatch, samples: &[f64], record: bool) {
+    let SoaBatch {
+        config,
+        m_sat,
+        a,
+        a2,
+        k,
+        alpha,
+        c,
+        m_irr,
+        m_total,
+        m_an,
+        h_last,
+        stats,
+        errors,
+        masks,
+        folds,
+        trajectory,
+    } = batch;
+    let config: &JaConfig = config;
     let lanes = stats.len();
-    let folds = &mut sweep.folds[..lanes];
-    let mut rows = sweep
-        .trajectory
-        .as_deref_mut()
-        .map(|rows| rows.chunks_exact_mut(lanes));
-    assert_eq!(man.lanes(), lanes, "lockstep law must cover every lane");
+    if lanes == 0 {
+        return;
+    }
+    let mut rows = record.then(|| trajectory.chunks_exact_mut(lanes));
+    masks.live.clear();
+    masks.live.extend(errors.iter().map(Option::is_none));
+    for mask in [
+        &mut masks.due,
+        &mut masks.negative,
+        &mut masks.rejected,
+        &mut masks.done,
+    ] {
+        mask.clear();
+        mask.resize(lanes, false);
+    }
     // Exactly-sized slices let the optimiser prove every `[lane]` access in
     // the hot lane-inner loops is in bounds, which is what allows it to
     // vectorise them across lanes.
-    let [m_sat, a, a2, k, alpha, c] = sweep.params;
     let m_sat = &m_sat[..lanes];
     let a = &a[..lanes];
     let a2 = &a2[..lanes];
     let k = &k[..lanes];
     let alpha = &alpha[..lanes];
     let c = &c[..lanes];
+    let m_irr = &mut m_irr[..lanes];
+    let m_total = &mut m_total[..lanes];
+    let m_an = &mut m_an[..lanes];
+    let h_last = &mut h_last[..lanes];
+    let stats = &mut stats[..lanes];
+    let folds = &mut folds[..lanes];
+    let live = &mut masks.live[..lanes];
+    let due = &mut masks.due[..lanes];
+    let negative = &mut masks.negative[..lanes];
+    let rejected = &mut masks.rejected[..lanes];
+    let done = &mut masks.done[..lanes];
     let lane_params = |lane: usize| JaParameters {
         m_sat: Magnetisation::new(m_sat[lane]),
         a: a[lane],
@@ -648,55 +465,6 @@ fn run_lanes_lockstep<M: LockstepMan>(sweep: &mut Sweep<'_>, man: &M, samples: &
         alpha: alpha[lane],
         c: c[lane],
     };
-    let lane_inner_update =
-        config.integration == SlopeIntegration::ForwardEuler && !config.subdivide_increment;
-
-    for buffer in [
-        &mut work.m_irr,
-        &mut work.m_total,
-        &mut work.m_an,
-        &mut work.h_last,
-    ] {
-        buffer.clear();
-        buffer.reserve(lanes);
-    }
-    for lane in 0..lanes {
-        work.m_irr.push(columns.m_irr[lane]);
-        work.m_total.push(columns.m_total[lane]);
-        work.m_an.push(columns.m_an[lane]);
-        work.h_last.push(columns.h_last_update[lane]);
-    }
-    work.live.clear();
-    work.live.extend(errors.iter().map(Option::is_none));
-    for mask in [
-        &mut work.due,
-        &mut work.negative,
-        &mut work.rejected,
-        &mut work.done,
-    ] {
-        mask.clear();
-        mask.resize(lanes, false);
-    }
-    let LockstepScratch {
-        m_irr: w_m_irr,
-        m_total: w_m_total,
-        m_an: w_m_an,
-        h_last: w_h_last,
-        live: w_live,
-        due: w_due,
-        negative: w_negative,
-        rejected: w_rejected,
-        done: w_done,
-    } = work;
-    let w_m_irr = &mut w_m_irr[..lanes];
-    let w_m_total = &mut w_m_total[..lanes];
-    let w_m_an = &mut w_m_an[..lanes];
-    let w_h_last = &mut w_h_last[..lanes];
-    let w_live = &mut w_live[..lanes];
-    let w_due = &mut w_due[..lanes];
-    let w_negative = &mut w_negative[..lanes];
-    let w_rejected = &mut w_rejected[..lanes];
-    let w_done = &mut w_done[..lanes];
 
     for &h in samples {
         if !h.is_finite() {
@@ -709,81 +477,54 @@ fn run_lanes_lockstep<M: LockstepMan>(sweep: &mut Sweep<'_>, man: &M, samples: &
             }
             break;
         }
-        let mut m_totals = rows.as_mut().and_then(Iterator::next);
+        let mut row = rows.as_mut().and_then(Iterator::next);
 
         // Phase 1 — the paper's monitorH gate and irreversible update.
-        if lane_inner_update {
-            let mut any_due = false;
+        let mut any_due = false;
+        for lane in 0..lanes {
+            let is_due = live[lane] && (h - h_last[lane]).abs() >= config.dh_max;
+            due[lane] = is_due;
+            any_due |= is_due;
+        }
+        if any_due {
             for lane in 0..lanes {
-                let due = w_live[lane] && (h - w_h_last[lane]).abs() >= config.dh_max;
-                w_due[lane] = due;
-                any_due |= due;
+                let last = h_last[lane];
+                let before = m_irr[lane];
+                // A due lane's increment is never zero (`ΔH_max > 0`), so
+                // its sign is the scalar model's `FieldDirection`.
+                let dh = h - last;
+                let delta = if dh > 0.0 { 1.0 } else { -1.0 };
+                let step = euler_substep(
+                    |h_effective| modified_langevin(h_effective, a[lane]),
+                    &lane_params(lane),
+                    config,
+                    delta,
+                    last,
+                    dh,
+                    before,
+                    m_total[lane],
+                );
+                // The same `m_irr + (m_irr' − m_irr)` round trip as
+                // `advance_state` adding `IncrementResult::dm_irr`.
+                let is_due = due[lane];
+                m_irr[lane] = if is_due {
+                    before + (step.m_irr - before)
+                } else {
+                    before
+                };
+                h_last[lane] = if is_due { h } else { last };
+                negative[lane] = step.negative_slope;
+                rejected[lane] = step.rejected;
             }
-            if any_due {
-                for lane in 0..lanes {
-                    let h_last = w_h_last[lane];
-                    let m_irr = w_m_irr[lane];
-                    // A due lane's increment is never zero (`ΔH_max > 0`),
-                    // so its sign is the scalar model's `FieldDirection`.
-                    let dh = h - h_last;
-                    let delta = if dh > 0.0 { 1.0 } else { -1.0 };
-                    let step = euler_substep(
-                        |h_effective| man.m_an(lane, h_effective),
-                        &lane_params(lane),
-                        config,
-                        delta,
-                        h_last,
-                        dh,
-                        m_irr,
-                        w_m_total[lane],
-                    );
-                    // The same `m_irr + (m_irr' − m_irr)` round trip as
-                    // `advance_state` adding `IncrementResult::dm_irr`.
-                    let due = w_due[lane];
-                    w_m_irr[lane] = if due {
-                        m_irr + (step.m_irr - m_irr)
-                    } else {
-                        m_irr
-                    };
-                    w_h_last[lane] = if due { h } else { h_last };
-                    w_negative[lane] = step.negative_slope;
-                    w_rejected[lane] = step.rejected;
-                }
-                for lane in 0..lanes {
-                    if !w_due[lane] {
-                        continue;
-                    }
-                    columns.updates[lane] += 1;
-                    let lane_stats = &mut stats[lane];
-                    lane_stats.updates += 1;
-                    lane_stats.slope_evaluations += 1;
-                    lane_stats.negative_slope_events += u64::from(w_negative[lane]);
-                    lane_stats.rejected_updates += u64::from(w_rejected[lane]);
-                }
-            }
-        } else {
             for lane in 0..lanes {
-                let h_last = w_h_last[lane];
-                if !w_live[lane] || (h - h_last).abs() < config.dh_max {
+                if !due[lane] {
                     continue;
                 }
-                let result = integrate_field_increment(
-                    &lane_params(lane),
-                    &anhysteretic[lane],
-                    config,
-                    w_m_irr[lane],
-                    w_m_total[lane],
-                    h_last,
-                    h,
-                );
-                w_m_irr[lane] += result.dm_irr;
-                w_h_last[lane] = h;
-                columns.updates[lane] += 1;
                 let lane_stats = &mut stats[lane];
                 lane_stats.updates += 1;
-                lane_stats.slope_evaluations += u64::from(result.slope_evaluations);
-                lane_stats.negative_slope_events += u64::from(result.negative_slope_events);
-                lane_stats.rejected_updates += u64::from(result.rejected_updates);
+                lane_stats.slope_evaluations += 1;
+                lane_stats.negative_slope_events += u64::from(negative[lane]);
+                lane_stats.rejected_updates += u64::from(rejected[lane]);
             }
         }
 
@@ -792,111 +533,53 @@ fn run_lanes_lockstep<M: LockstepMan>(sweep: &mut Sweep<'_>, man: &M, samples: &
         // break; a converged lane carries its values unchanged, so the
         // per-lane operation sequence matches `advance_state` bit for bit,
         // and the sweep ends once no lane is left to converge.
-        for (done, &live) in w_done.iter_mut().zip(w_live.iter()) {
-            *done = !live;
+        for (is_done, &is_live) in done.iter_mut().zip(live.iter()) {
+            *is_done = !is_live;
         }
         for _ in 0..FIXED_POINT_ITERATIONS {
             let mut all_done = true;
             for lane in 0..lanes {
-                let m_total = w_m_total[lane];
-                let h_effective = h + alpha[lane] * m_sat[lane] * m_total;
-                let m_an = man.m_an(lane, h_effective);
-                let next = total_magnetisation(config.formulation, c[lane], m_an, w_m_irr[lane]);
-                let converged = (next - m_total).abs() < FIXED_POINT_TOLERANCE;
-                let done = w_done[lane];
-                w_m_an[lane] = if done { w_m_an[lane] } else { m_an };
-                w_m_total[lane] = if done { m_total } else { next };
-                w_done[lane] = done || converged;
-                all_done &= done || converged;
+                let current = m_total[lane];
+                let h_effective = h + alpha[lane] * m_sat[lane] * current;
+                let law = modified_langevin(h_effective, a[lane]);
+                let next = total_magnetisation(config.formulation, c[lane], law, m_irr[lane]);
+                let converged = (next - current).abs() < FIXED_POINT_TOLERANCE;
+                let was_done = done[lane];
+                m_an[lane] = if was_done { m_an[lane] } else { law };
+                m_total[lane] = if was_done { current } else { next };
+                done[lane] = was_done || converged;
+                all_done &= was_done || converged;
             }
             if all_done {
                 break;
             }
         }
 
-        // Phase 3 — finalise, store, fold, record.
+        // Phase 3 — finalise, fold, record.
         for lane in 0..lanes {
-            if !w_live[lane] {
+            if !live[lane] {
                 continue;
             }
             stats[lane].samples += 1;
             let state = JaState {
-                m_irr: w_m_irr[lane],
-                m_rev: w_m_total[lane] - w_m_irr[lane],
-                m_total: w_m_total[lane],
-                m_an: w_m_an[lane],
+                m_irr: m_irr[lane],
+                m_rev: m_total[lane] - m_irr[lane],
+                m_total: m_total[lane],
+                m_an: m_an[lane],
                 h,
-                h_last_update: w_h_last[lane],
-                updates: columns.updates[lane],
+                h_last_update: h_last[lane],
+                updates: stats[lane].updates,
             };
-            columns.store(lane, &state);
             if !state.is_finite() {
                 errors[lane] = Some(JaError::StateDiverged { at_field: h });
-                w_live[lane] = false;
+                live[lane] = false;
                 continue;
             }
             folds[lane].push(h, MU0 * (h + state.m_total * m_sat[lane]));
-            if let Some(m_totals) = &mut m_totals {
-                m_totals[lane] = state.m_total;
+            if let Some(row) = &mut row {
+                row[lane] = state.m_total;
             }
         }
-    }
-}
-
-/// The per-lane fallback sweep: every active lane walks the whole sample
-/// sequence with its state held in locals, delegating each step to the
-/// shared [`advance_state`].  Lane-major order keeps the per-lane state
-/// hot; the per-lane operation sequence is exactly the scalar model's,
-/// which is what makes the lanes bit-identical.  Each stepped sample is
-/// folded, and recorded into a trajectory, if any, sized for `samples`.
-fn run_lanes(sweep: &mut Sweep<'_>, samples: &[f64]) {
-    let Sweep {
-        config,
-        anhysteretic,
-        params: [m_sat, a, a2, k, alpha, c],
-        columns,
-        stats,
-        errors,
-        folds,
-        trajectory,
-        ..
-    } = sweep;
-    let lanes = stats.len();
-    for lane in 0..lanes {
-        if errors[lane].is_some() {
-            continue;
-        }
-        let lane_params = JaParameters {
-            m_sat: magnetics::units::Magnetisation::new(m_sat[lane]),
-            a: a[lane],
-            a2: a2[lane],
-            k: k[lane],
-            alpha: alpha[lane],
-            c: c[lane],
-        };
-        let lane_anhysteretic = &anhysteretic[lane];
-        let mut lane_stats = stats[lane];
-        let mut state = columns.load(lane);
-        for (row, &h) in samples.iter().enumerate() {
-            let step = advance_state(
-                &lane_params,
-                lane_anhysteretic,
-                config,
-                &mut state,
-                &mut lane_stats,
-                h,
-            );
-            if let Err(err) = step {
-                errors[lane] = Some(err);
-                break;
-            }
-            folds[lane].push(h, MU0 * (h + state.m_total * m_sat[lane]));
-            if let Some(rows) = trajectory {
-                rows[row * lanes + lane] = state.m_total;
-            }
-        }
-        columns.store(lane, &state);
-        stats[lane] = lane_stats;
     }
 }
 
@@ -1062,9 +745,8 @@ mod tests {
         // overflows and the lane diverges early; an invalid lane never
         // runs; a NaN sample mid-sweep fails every live lane like the
         // scalar model.  Each rebuilt curve is the scalar model's, and each
-        // lane's fold — recorded or not — is the fold of that curve, on
-        // the lockstep kernel (Euler lane-inner, Heun, RK4, subdivided) and
-        // on the classic-Langevin per-lane fallback alike.
+        // lane's fold — recorded or not — is the fold of that curve, with
+        // the guards on or off and in either formulation.
         let mut diverging = JaParameters::date2006();
         diverging.k = 1e-300;
         diverging.alpha = 0.0;
@@ -1081,23 +763,11 @@ mod tests {
             .to_samples();
         let cut = samples.len() * 3 / 4;
         samples[cut] = f64::NAN;
-        let mut configs = Vec::new();
-        for law in [
-            AnhystereticChoice::ModifiedLangevin,
-            AnhystereticChoice::Langevin,
-        ] {
-            for integration in [
-                SlopeIntegration::ForwardEuler,
-                SlopeIntegration::Heun,
-                SlopeIntegration::RungeKutta4,
-            ] {
-                let config = JaConfig::default()
-                    .with_anhysteretic(law)
-                    .with_integration(integration);
-                configs.extend([config, config.with_subdivision()]);
-            }
-        }
-        configs.push(JaConfig::default().with_formulation(Formulation::Classic));
+        let configs = [
+            JaConfig::default(),
+            JaConfig::default().without_guards(),
+            JaConfig::default().with_formulation(Formulation::Classic),
+        ];
 
         let mut curves = vec![BhCurve::new(); params.len()];
         for config in configs {
@@ -1202,44 +872,16 @@ mod tests {
             .collect()
     }
 
-    /// Runs a batch's assigned lanes through the portable copy of
+    /// Runs a fresh batch's assigned lanes through the portable copy of
     /// the lockstep kernel, or through the AVX2 copy, recording the
     /// trajectory when `record` is set; `false` when the AVX2 copy cannot
     /// run on this CPU.
     fn run_kernel_copy(batch: &mut SoaBatch, samples: &[f64], avx2: bool, record: bool) -> bool {
-        let SoaBatch {
-            config,
-            m_sat,
-            a,
-            a2,
-            k,
-            alpha,
-            c,
-            anhysteretic,
-            columns,
-            stats,
-            errors,
-            scratch,
-            folds,
-            trajectory,
-        } = batch;
-        trajectory.resize(stats.len() * samples.len(), 0.0);
-        let man = SingleAtanLanes { a };
-        let sweep = &mut Sweep {
-            config,
-            anhysteretic,
-            params: [m_sat, a, a2, k, alpha, c],
-            columns,
-            work: scratch,
-            stats,
-            errors,
-            folds,
-            trajectory: record.then_some(&mut trajectory[..]),
-        };
+        batch.trajectory.resize(batch.lanes() * samples.len(), 0.0);
         if avx2 {
-            run_lanes_lockstep_avx2(sweep, &man, samples)
+            run_lanes_lockstep_avx2(batch, samples, record)
         } else {
-            run_lanes_lockstep(sweep, &man, samples);
+            run_lanes_lockstep(batch, samples, record);
             true
         }
     }
@@ -1308,5 +950,25 @@ mod tests {
             SoaBatch::new(bad, SoaPrecision::F64),
             Err(JaError::InvalidConfig { .. })
         ));
+        // Valid configurations the kernel does not run are refused too,
+        // with the typed error that sends a caller to the scalar model.
+        for config in [
+            JaConfig::default().with_integration(SlopeIntegration::Heun),
+            JaConfig::default().with_integration(SlopeIntegration::RungeKutta4),
+            JaConfig::default().with_subdivision(),
+            JaConfig::default().with_anhysteretic(AnhystereticChoice::Langevin),
+            JaConfig::default().with_anhysteretic(AnhystereticChoice::DoubleArctan),
+        ] {
+            assert!(
+                matches!(
+                    SoaBatch::new(config, SoaPrecision::F64),
+                    Err(JaError::Backend {
+                        backend: "soa-lockstep",
+                        ..
+                    })
+                ),
+                "{config:?}"
+            );
+        }
     }
 }

@@ -44,7 +44,11 @@
 //! has it.  Lane parameters are the scenarios' **resolved** (thermally
 //! derived) parameters, the same values the scalar path runs, so SoA `f64`
 //! lanes stay bit-identical to the scalar model and routing never changes
-//! report content, only throughput.
+//! report content, only throughput.  The batch runs the paper's
+//! configuration only (one forward-Euler step per increment, modified
+//! Langevin law): a job whose configuration it refuses runs its members on
+//! the scalar path, so such a group reports exactly what `ForceScalar`
+//! does, and its entries carry no `lockstep_lanes`.
 //!
 //! Circuit-driven scenarios are routed — under the same [`SoaRouting`]
 //! modes — into **circuit jobs**.  A scenario's transient solve
@@ -107,9 +111,11 @@ pub enum ErrorPolicy {
 /// A group is split, in input order, into jobs of at most
 /// [`LOCKSTEP_LANES`] scenarios, and each job runs as one SoA sweep with
 /// one lane per scenario, on the kernel's AVX2 build when the CPU has it.
-/// In `f64` column mode every lane is bit-identical to the scalar run of
-/// the same scenario, so the routing decision never changes report content
-/// — only the timing fields.
+/// Every `f64` lane is bit-identical to the scalar run of the same
+/// scenario, so the routing decision never changes report content — only
+/// the timing fields.  A job whose configuration the batch refuses (any
+/// but the paper's forward Euler on the modified Langevin law) runs its
+/// members scalar under every mode.
 ///
 /// The same modes decide circuit-driven scenarios on any backend: those
 /// sharing bit-identical resolved parameters, a configuration and a circuit
@@ -530,10 +536,12 @@ type Deliver<'a> = &'a mut dyn FnMut(usize, Result<ScenarioOutcome, JaError>, Du
 /// columns); only the timing fields differ — each member's `runtime` is an
 /// equal share of the job's sweep, since the lanes genuinely ran together,
 /// and its `wall_clock` adds the lane's own metrics and loss.  A job
-/// whose shared configuration fails validation, or one of whose members
-/// has an operating point that does not resolve, falls back to the scalar
-/// path, which reports the exact per-scenario error the job would have
-/// masked (and still succeeds the valid members).
+/// whose shared configuration the batch refuses — an invalid one, or one
+/// the kernel does not run (see [`SoaBatch::new`]) — or one of whose
+/// members has an operating point that does not resolve, falls back to
+/// the scalar path, which runs the refused configuration or reports the
+/// exact per-scenario error the job would have masked (and still succeeds
+/// the valid members).
 fn run_lockstep_group(
     scenarios: &[Scenario],
     members: &[usize],
@@ -1135,6 +1143,39 @@ mod tests {
         }
         for entry in &scalar.entries {
             assert_eq!(entry.outcome.as_ref().expect("ok").lockstep_lanes, None);
+        }
+
+        // The same grid under each configuration the lockstep batch
+        // refuses: the job falls back to the scalar path, so every routing
+        // produces the reference outcomes and no entry ran as a lane.
+        use ja_hysteresis::config::SlopeIntegration;
+        use ja_hysteresis::params::AnhystereticChoice;
+        for config in [
+            JaConfig::default().with_integration(SlopeIntegration::Heun),
+            JaConfig::default().with_integration(SlopeIntegration::RungeKutta4),
+            JaConfig::default().with_subdivision(),
+            JaConfig::default().with_anhysteretic(AnhystereticChoice::Langevin),
+            JaConfig::default().with_anhysteretic(AnhystereticChoice::DoubleArctan),
+        ] {
+            let mut scenarios = multi_material_grid().scenarios().expect("grid");
+            for scenario in &mut scenarios {
+                scenario.config = config;
+            }
+            let scalar = BatchRunner::new()
+                .workers(1)
+                .soa_routing(SoaRouting::ForceScalar)
+                .run(scenarios.clone());
+            let auto = BatchRunner::new().workers(1).run(scenarios.clone());
+            let forced = BatchRunner::new()
+                .workers(2)
+                .soa_routing(SoaRouting::ForceSoa)
+                .run(scenarios);
+            assert_outcomes_bitwise_equal(&scalar, &auto);
+            assert_outcomes_bitwise_equal(&scalar, &forced);
+            for entry in auto.entries.iter().chain(&forced.entries) {
+                let outcome = entry.outcome.as_ref().expect("ok");
+                assert_eq!(outcome.lockstep_lanes, None, "{config:?}");
+            }
         }
     }
 

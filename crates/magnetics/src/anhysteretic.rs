@@ -113,13 +113,25 @@ impl ModifiedLangevin {
 
 impl Anhysteretic for ModifiedLangevin {
     fn normalised(&self, h_effective: f64) -> f64 {
-        std::f64::consts::FRAC_2_PI * crate::fastmath::atan(h_effective / self.a)
+        modified_langevin(h_effective, self.a)
     }
 
     fn derivative_normalised(&self, h_effective: f64) -> f64 {
         let x = h_effective / self.a;
         std::f64::consts::FRAC_2_PI / (self.a * (1.0 + x * x))
     }
+}
+
+/// The paper's modified Langevin law `m_an(H_e) = (2/π) · atan(H_e / a)`
+/// for a shape parameter `a` passed per call: the body of
+/// [`ModifiedLangevin::normalised`], and the law the lockstep SoA kernel
+/// evaluates with each lane's own `a`, so both run the same code.  No
+/// validation: an `a` that is not finite and positive yields a meaningless
+/// value, not a panic.
+#[inline(always)]
+#[must_use]
+pub fn modified_langevin(h_effective: f64, a: f64) -> f64 {
+    std::f64::consts::FRAC_2_PI * crate::fastmath::atan(h_effective / a)
 }
 
 /// Two-parameter arctangent blend giving a role to the paper's `a2`:

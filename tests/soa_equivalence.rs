@@ -2,14 +2,13 @@
 //! kernel (`ja_hysteresis::soa`): every lane must be **bit-identical** to
 //! a scalar [`JilesAtherton`] run of the same parameters, configuration
 //! and samples — curve, statistics and error — for every configuration
-//! the kernel branches on, and each lane's in-kernel fold must equal the
-//! fold of that curve: loop metrics and core loss, errors included.
+//! the kernel runs, and each lane's in-kernel fold must equal the fold of
+//! that curve: loop metrics and core loss, errors included.
 
 use ja_repro::ja_hysteresis::backend::HysteresisBackend;
-use ja_repro::ja_hysteresis::config::{Formulation, JaConfig, SlopeIntegration};
+use ja_repro::ja_hysteresis::config::{Formulation, JaConfig};
 use ja_repro::ja_hysteresis::error::JaError;
 use ja_repro::ja_hysteresis::model::{JaStatistics, JilesAtherton};
-use ja_repro::ja_hysteresis::params::AnhystereticChoice;
 use ja_repro::ja_hysteresis::soa::{SoaBatch, SoaPrecision};
 use ja_repro::magnetics::bh::BhCurve;
 use ja_repro::magnetics::error::MagneticsError;
@@ -111,35 +110,18 @@ fn assert_lanes_match_scalar(
     failed
 }
 
-const INTEGRATIONS: [SlopeIntegration; 3] = [
-    SlopeIntegration::ForwardEuler,
-    SlopeIntegration::Heun,
-    SlopeIntegration::RungeKutta4,
-];
-
 const FORMULATIONS: [Formulation; 2] = [Formulation::Date2006, Formulation::Classic];
 
-/// One of the configurations the kernel branches on: the integration
-/// method, sub-division, the formulation and the guards (only
-/// single-step forward Euler takes the lane-inner update).
-fn kernel_config(
-    law: AnhystereticChoice,
-    integration: SlopeIntegration,
-    subdivide: bool,
-    formulation: Formulation,
-    guards: bool,
-) -> JaConfig {
-    let mut config = JaConfig::default()
-        .with_anhysteretic(law)
-        .with_integration(integration)
-        .with_formulation(formulation);
-    if subdivide {
-        config = config.with_subdivision();
+/// One of the configurations the kernel runs: the paper's single-step
+/// forward Euler on the modified Langevin law, in either formulation,
+/// with the guards on or off.
+fn kernel_config(formulation: Formulation, guards: bool) -> JaConfig {
+    let config = JaConfig::default().with_formulation(formulation);
+    if guards {
+        config
+    } else {
+        config.without_guards()
     }
-    if !guards {
-        config = config.without_guards();
-    }
-    config
 }
 
 fn assert_curves_bit_identical(soa: &BhCurve, scalar: &BhCurve, label: &str) {
@@ -184,14 +166,6 @@ fn arbitrary_material() -> impl Strategy<Value = JaParameters> {
         })
 }
 
-/// Every anhysteretic law: the two arctangent laws run the lockstep
-/// kernel, the classic Langevin runs the per-lane fallback.
-const LAWS: [AnhystereticChoice; 3] = [
-    AnhystereticChoice::ModifiedLangevin,
-    AnhystereticChoice::DoubleArctan,
-    AnhystereticChoice::Langevin,
-];
-
 /// The excitation shapes the workspace exercises everywhere: the paper's
 /// Fig. 1 double cycle, a plain major loop, and a biased minor loop.
 fn schedule(kind: usize, peak: f64, step: f64) -> FieldSchedule {
@@ -212,29 +186,20 @@ proptest! {
 
     /// f64 lanes are bitwise equal to the scalar model — curve, statistics
     /// and error, and each lane's fold to the fold of its curve — for
-    /// random materials, every anhysteretic law, every schedule shape and
-    /// every configuration the kernel branches on.
+    /// random materials, every schedule shape and every configuration the
+    /// kernel runs.
     /// Steps from below ΔH_max (10 A/m) make the monitorH gate skip
     /// samples; without guards some lanes diverge.
     #[test]
     fn f64_lanes_are_bit_identical_to_scalar(
         materials in proptest::collection::vec(arbitrary_material(), 2..6),
-        law in 0usize..3,
         kind in 0usize..3,
         peak in 2_000.0_f64..30_000.0,
         step in 2.0_f64..250.0,
-        integration in 0usize..3,
-        subdivide in 0usize..2,
         formulation in 0usize..2,
         guards in 0usize..2,
     ) {
-        let config = kernel_config(
-            LAWS[law],
-            INTEGRATIONS[integration],
-            subdivide == 1,
-            FORMULATIONS[formulation],
-            guards == 1,
-        );
+        let config = kernel_config(FORMULATIONS[formulation], guards == 1);
         let mut samples = schedule(kind, peak, step).to_samples();
         samples.truncate(MAX_SAMPLES);
         assert_lanes_match_scalar(&materials, config, &samples, &format!("{config:?} kind {kind}"));
@@ -261,22 +226,11 @@ fn every_kernel_configuration_matches_scalar_on_the_thermal_grid_shape() {
         .expect("schedule")
         .to_samples();
     let mut diverged = 0;
-    for law in LAWS {
-        for integration in INTEGRATIONS {
-            for subdivide in [false, true] {
-                for formulation in FORMULATIONS {
-                    for guards in [true, false] {
-                        let config =
-                            kernel_config(law, integration, subdivide, formulation, guards);
-                        diverged += assert_lanes_match_scalar(
-                            &materials,
-                            config,
-                            &samples,
-                            &format!("{config:?}"),
-                        );
-                    }
-                }
-            }
+    for formulation in FORMULATIONS {
+        for guards in [true, false] {
+            let config = kernel_config(formulation, guards);
+            diverged +=
+                assert_lanes_match_scalar(&materials, config, &samples, &format!("{config:?}"));
         }
     }
     assert!(diverged > 0, "some unguarded lane must diverge mid-sweep");
