@@ -35,7 +35,8 @@ OPTIONS:
     --h-peak A_PER_M      measurement's peak field
                           [default: max |H| of each input]
     --starts N            starting points per loop (1 = the plain initial
-                          guess; more escape local minima)   [default: 1]
+                          guess; more escape local minima; at most
+                          65536)                             [default: 1]
     --seed S              starting-point seed                [default: 42]
     --workers W           worker threads; 0 = one per core   [default: 0]
     --routing MODE        candidate evaluation routing       [default: auto]

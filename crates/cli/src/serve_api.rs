@@ -988,6 +988,17 @@ mod tests {
                 "`h` has 2 samples but `b` has 1",
             ),
             (
+                r#"{"schema_version": 1, "kind": "fit_request", "options": {"starts": 65537},
+                   "loops": [{"name": "l", "h": [1, 2], "b": [1, 2]}]}"#,
+                "<= 65536 starting points",
+            ),
+            (
+                r#"{"schema_version": 1, "kind": "fit_request",
+                   "options": {"starts": 1099511627776},
+                   "loops": [{"name": "l", "h": [1, 2], "b": [1, 2]}]}"#,
+                "<= 65536 starting points",
+            ),
+            (
                 r#"{"schema_version": 1, "kind": "transient_request",
                    "excitation": {"kind": "fig1", "step": 500}}"#,
                 "requires a `circuit` excitation",

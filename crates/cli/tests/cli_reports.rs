@@ -1047,6 +1047,8 @@ fn usage_errors_exit_with_code_2() {
     for args in [
         &["fit", "--input", input, "--passes", "0"] as &[&str],
         &["fit", "--input", input, "--starts", "0"],
+        &["fit", "--input", input, "--starts", "65537"],
+        &["fit", "--input", input, "--starts", "1099511627776"],
         &["fit", "--input", input, "--config", "x.conf"],
     ] {
         let output = ja(args);

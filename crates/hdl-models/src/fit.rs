@@ -35,12 +35,17 @@ use magnetics::material::JaParameters;
 
 use crate::exec::{parallel_map, SoaRouting};
 
+/// The most starting points one measured loop may take.  At the cap, a
+/// loop's starting points and their stratification columns take under
+/// 10 MB; far above it, the allocation alone could abort the process.
+pub const MAX_STARTS: usize = 1 << 16;
+
 /// Options of a multi-start fit batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiStartOptions {
-    /// Number of starting points per measured loop (start 0 is the
-    /// deterministic initial guess, the rest are seeded latin-hypercube
-    /// perturbations).
+    /// Number of starting points per measured loop, at most
+    /// [`MAX_STARTS`] (start 0 is the deterministic initial guess, the rest
+    /// are seeded latin-hypercube perturbations).
     pub starts: usize,
     /// Seed of the starting-point stream.  The same `(seed, loop index)`
     /// always generates the same starts, so reports are reproducible.
@@ -77,16 +82,23 @@ impl MultiStartOptions {
     ///
     /// # Errors
     ///
-    /// Returns [`JaError::InvalidConfig`] for `starts == 0`, a seed beyond
-    /// `i64::MAX` (the versioned report serialises the seed as a JSON
-    /// integer, so larger seeds could not be recorded faithfully), or
-    /// invalid local-search options.
+    /// Returns [`JaError::InvalidConfig`] for `starts == 0` or above
+    /// [`MAX_STARTS`], a seed beyond `i64::MAX` (the versioned report
+    /// serialises the seed as a JSON integer, so larger seeds could not be
+    /// recorded faithfully), or invalid local-search options.
     pub fn validate(&self) -> Result<(), JaError> {
         if self.starts == 0 {
             return Err(JaError::InvalidConfig {
                 name: "starts",
                 value: 0.0,
                 requirement: ">= 1 starting point",
+            });
+        }
+        if self.starts > MAX_STARTS {
+            return Err(JaError::InvalidConfig {
+                name: "starts",
+                value: self.starts as f64,
+                requirement: "<= 65536 starting points",
             });
         }
         if i64::try_from(self.seed).is_err() {
@@ -416,13 +428,20 @@ mod tests {
         let err = fit_batch(Vec::new(), &MultiStartOptions::default()).unwrap_err();
         assert!(matches!(err, JaError::EmptyGrid { axis: "loops" }));
 
-        let options = MultiStartOptions {
-            starts: 0,
-            ..MultiStartOptions::default()
-        };
-        let job = FitJob::with_auto_peak("x", measured_loop(JaParameters::date2006(), 250.0));
-        let err = fit_batch(vec![job], &options).unwrap_err();
-        assert!(matches!(err, JaError::InvalidConfig { name: "starts", .. }));
+        // No start, and more starts than the cap: refused before any
+        // starting point is allocated (2^40 would ask for 48 TiB).
+        for starts in [0, MAX_STARTS + 1, 1 << 40] {
+            let options = MultiStartOptions {
+                starts,
+                ..MultiStartOptions::default()
+            };
+            let job = FitJob::with_auto_peak("x", measured_loop(JaParameters::date2006(), 250.0));
+            let err = fit_batch(vec![job], &options).unwrap_err();
+            assert!(
+                matches!(err, JaError::InvalidConfig { name: "starts", .. }),
+                "{starts}: {err}"
+            );
+        }
 
         // A non-loop input is fatal for the whole batch, up front.
         let mut ramp = BhCurve::new();
