@@ -420,7 +420,6 @@ fn run_lanes_lockstep(batch: &mut SoaBatch, samples: &[f64], record: bool) {
         folds,
         trajectory,
     } = batch;
-    let config: &JaConfig = config;
     let lanes = stats.len();
     if lanes == 0 {
         return;
