@@ -34,15 +34,15 @@ OPTIONS:
                          auto    timeless non-circuit scenarios sharing a
                                  config and an excitation (whatever their
                                  material and operating point) split, in
-                                 grid order, into jobs of up to 8 lanes;
+                                 grid order, into jobs of up to 16 lanes;
                                  each job of >= 2 runs as one
-                                 structure-of-arrays lockstep sweep (AVX2
-                                 when the CPU has it); circuit scenarios
-                                 on any backend sharing resolved material
-                                 parameters, a config and a circuit solve
-                                 the circuit once and replay its field
-                                 through each backend; everything else
-                                 runs scalar
+                                 structure-of-arrays lockstep sweep
+                                 (AVX-512 or AVX2 when the CPU has it);
+                                 circuit scenarios on any backend sharing
+                                 resolved material parameters, a config
+                                 and a circuit solve the circuit once and
+                                 replay its field through each backend;
+                                 everything else runs scalar
                          soa     lockstep even for 1-lane jobs; circuits
                                  shared as under auto
                          scalar  always one scenario at a time (every

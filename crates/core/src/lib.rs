@@ -67,8 +67,8 @@
 //! # }
 //! ```
 
-// Denied rather than forbidden: the run-time AVX2 dispatch of the SoA
-// lockstep kernel (`soa::run_lanes_lockstep_avx2`) allows it in one block.
+// Denied rather than forbidden: the run-time AVX-512/AVX2 dispatch of the
+// SoA lockstep kernel (`soa::SoaBatch::run`) allows it in one block.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

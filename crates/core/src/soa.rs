@@ -15,17 +15,21 @@
 //! or anhysteretic law; the formulation, `ΔH_max` and the guards stay free.
 //!
 //! One kernel implements that contract.  All lanes walk the sample
-//! sequence together, and both steps of each sample run as branch-light
-//! lane-inner loops over the flat columns: the monitorH gate is a per-lane
-//! mask, and the update evaluates the scalar model's own `euler_substep`;
-//! the self-consistency fixed point runs under a convergence mask and stops
-//! as soon as every live lane has converged.  The anhysteretic law is
+//! sequence together.  Per sample, the monitorH gate and the update run as
+//! branch-light lane-inner loops over the flat columns: the gate is a
+//! per-lane mask, and the update evaluates the scalar model's own
+//! `euler_substep`.  The self-consistency fixed point then runs in
+//! **register blocks**: each block loads its lanes' state and parameters
+//! into locals, iterates under a per-lane convergence mask, stops as soon
+//! as every lane of that block has converged, and stores the result back.
+//! A converged lane never changes again, so a block that stops before its
+//! neighbours changes no bits.  The anhysteretic law is
 //! [`magnetics::anhysteretic::modified_langevin`], the function the scalar
 //! law calls, and its arctangent is the shared polynomial
 //! [`magnetics::fastmath::atan`], a fixed inlineable operation sequence, so
-//! independent lanes pipeline and auto-vectorise instead of serialising on
-//! an opaque libm call — this is where the SoA speedup comes from.  Per
-//! lane the operation order is exactly the scalar model's
+//! a block's lanes run as independent register chains instead of
+//! serialising on an opaque libm call — this is where the SoA speedup
+//! comes from.  Per lane the operation order is exactly the scalar model's
 //! ([`advance_state`](crate::timeless::advance_state) shares the same
 //! constants and increment functions), which keeps the lanes bitwise equal.
 //!
@@ -33,13 +37,16 @@
 //! per-sample dynamic dispatch, per-sample `Result`/sample-struct plumbing,
 //! per-lane schedule re-iteration and per-lane model construction.
 //!
-//! The kernel exists twice: the portable build, and the same source
-//! compiled with AVX2 enabled, which [`SoaBatch::run_samples`] picks at run
-//! time when the CPU has it.  The two are bit-identical: the kernel uses
-//! only operations IEEE 754 defines exactly (`+ − × ÷`, `abs`, `copysign`,
-//! compares), and Rust never contracts a multiply and an add into one FMA
-//! unless asked to, so wider registers change how many lanes one
-//! instruction steps, never a lane's result.
+//! One source, compiled three times: the portable build and an AVX2 build,
+//! both in register blocks of 8 lanes, and an AVX-512 build in blocks of
+//! 16, whose 32 zmm registers hold a block's fixed point where AVX2's 16
+//! ymm registers would spill it.  A run takes the widest copy the CPU has;
+//! that one dispatch holds the crate's only `unsafe` code.  The copies are
+//! bit-identical: the kernel uses only operations IEEE 754 defines exactly
+//! (`+ − × ÷`, `abs`, `copysign`, compares), and Rust never contracts a
+//! multiply and an add into one FMA unless asked to, so wider registers and
+//! blocks change how many lanes one instruction steps, never a lane's
+//! result.
 //!
 //! A lane's state is the four columns the kernel steps (`m_irr`, `m_total`,
 //! `m_an` and the field of the last update); they persist from one run to
@@ -68,7 +75,7 @@ use magnetics::loop_analysis::IncrementalLoopMetrics;
 use magnetics::material::JaParameters;
 use magnetics::units::Magnetisation;
 
-use crate::config::{JaConfig, SlopeIntegration};
+use crate::config::{Formulation, JaConfig, SlopeIntegration};
 use crate::error::JaError;
 use crate::model::JaStatistics;
 use crate::params::AnhystereticChoice;
@@ -135,8 +142,19 @@ struct LaneMasks {
     negative: Vec<bool>,
     /// This sample's update was rejected by the opposing-sign guard.
     rejected: Vec<bool>,
-    /// The lane's fixed point has converged (or the lane is not live).
-    done: Vec<bool>,
+}
+
+/// The compiled copies of the lockstep kernel, narrowest first; see
+/// [`SoaBatch::run`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum KernelCopy {
+    /// The portable build, in register blocks of 8 lanes.
+    Portable,
+    /// Compiled with AVX2, in register blocks of 8 lanes.
+    Avx2,
+    /// Compiled with AVX-512 (`avx512f` + `avx512vl`), in register blocks
+    /// of 16 lanes.
+    Avx512,
 }
 
 impl SoaBatch {
@@ -249,7 +267,7 @@ impl SoaBatch {
     /// no trajectory is recorded and no curve is built.  A lane whose state
     /// diverges records its error and stops; the remaining lanes continue.
     pub fn run_samples(&mut self, samples: &[f64]) {
-        self.run(samples, false);
+        self.run(samples, false, KernelCopy::Avx512);
     }
 
     /// [`run_samples`](SoaBatch::run_samples), also recording the
@@ -269,7 +287,7 @@ impl SoaBatch {
             self.lanes(),
             "one output curve per lane is required"
         );
-        self.run(samples, true);
+        self.run(samples, true, KernelCopy::Avx512);
         for (lane, curve) in curves.iter_mut().enumerate() {
             self.lane_curve_into(lane, samples, curve);
         }
@@ -289,16 +307,58 @@ impl SoaBatch {
     }
 
     /// Steps every active lane through `samples`, folding each lane afresh
-    /// and, when `record` is set, recording the trajectory: on the kernel's
-    /// AVX2 copy when the CPU has AVX2, and on its portable copy otherwise.
-    fn run(&mut self, samples: &[f64], record: bool) {
+    /// and, when `record` is set, recording the trajectory, on the widest
+    /// copy of the kernel that is no wider than `widest` and that this CPU
+    /// runs, which it returns: the AVX-512 copy, then the AVX2 copy (both
+    /// on x86-64 only), then the portable one.
+    ///
+    /// The copies are bit-identical (see the module docs).  This is the
+    /// crate's only `unsafe` code — each call of a `#[target_feature]`
+    /// function, which is undefined behaviour on a CPU without the
+    /// feature — so the crate denies `unsafe_code` instead of forbidding
+    /// it, and allows it here, each call right beside the run-time check
+    /// that makes it sound.
+    fn run(&mut self, samples: &[f64], record: bool, widest: KernelCopy) -> KernelCopy {
         self.folds.fill(IncrementalLoopMetrics::new());
         if record {
             self.trajectory.resize(self.lanes() * samples.len(), 0.0);
         }
-        if !run_lanes_lockstep_avx2(self, samples, record) {
-            run_lanes_lockstep(self, samples, record);
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        {
+            /// The lockstep kernel compiled for AVX-512, in register blocks
+            /// of 16 lanes: 32 zmm registers hold a block's fixed point.
+            #[target_feature(enable = "avx512f,avx512vl")]
+            fn avx512(batch: &mut SoaBatch, samples: &[f64], record: bool) {
+                run_lanes_lockstep::<16>(batch, samples, record);
+            }
+            /// The lockstep kernel compiled for AVX2, in register blocks of
+            /// 8 lanes: a block of 16 would spill its 16 ymm registers.
+            #[target_feature(enable = "avx2")]
+            fn avx2(batch: &mut SoaBatch, samples: &[f64], record: bool) {
+                run_lanes_lockstep::<8>(batch, samples, record);
+            }
+
+            if widest >= KernelCopy::Avx512
+                && is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512vl")
+            {
+                // SAFETY: the checks above found both features `avx512`
+                // enables on this CPU; its body is safe code.
+                unsafe { avx512(self, samples, record) };
+                return KernelCopy::Avx512;
+            }
+            if widest >= KernelCopy::Avx2 && is_x86_feature_detected!("avx2") {
+                // SAFETY: the check above found AVX2 on this CPU, the one
+                // feature `avx2` enables; its body is safe code.
+                unsafe { avx2(self, samples, record) };
+                return KernelCopy::Avx2;
+            }
         }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = widest;
+        run_lanes_lockstep::<8>(self, samples, record);
+        KernelCopy::Portable
     }
 
     /// Rebuilds one lane's B–H curve of the last recording run into
@@ -335,42 +395,6 @@ impl SoaBatch {
     }
 }
 
-/// Runs [`run_lanes_lockstep`] compiled with AVX2 enabled and returns
-/// `true`, or returns `false` without running anything on a CPU without
-/// AVX2 (every non-x86-64 target included).
-///
-/// The copy is bit-identical to the portable one (see the module docs): the
-/// same source, with twice the `f64` lanes per vector instruction.  This is
-/// the crate's only `unsafe` code — the call of a `#[target_feature]`
-/// function, which is undefined behaviour on a CPU without the feature —
-/// so the crate denies `unsafe_code` instead of forbidding it, and allows
-/// it here, right beside the run-time check that makes the call sound.
-fn run_lanes_lockstep_avx2(batch: &mut SoaBatch, samples: &[f64], record: bool) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)]
-    {
-        /// The lockstep kernel, compiled for AVX2.
-        ///
-        /// # Safety
-        ///
-        /// The CPU running it must support AVX2.
-        #[target_feature(enable = "avx2")]
-        unsafe fn kernel(batch: &mut SoaBatch, samples: &[f64], record: bool) {
-            run_lanes_lockstep(batch, samples, record);
-        }
-
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: the check above found AVX2 on this CPU, which is the
-            // only requirement of `kernel`; its body is safe code.
-            unsafe { kernel(batch, samples, record) };
-            return true;
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (batch, samples, record);
-    false
-}
-
 /// The lockstep kernel: all lanes advance through each sample together.
 ///
 /// Per sample, three phases mirror
@@ -382,26 +406,24 @@ fn run_lanes_lockstep_avx2(batch: &mut SoaBatch, samples: &[f64], record: bool) 
 ///    due sample evaluates the shared [`euler_substep`] — slope, clamp,
 ///    `ΔH·slope` and the opposing-sign guard — over the flat columns, then
 ///    bumps the per-lane counters;
-/// 2. **self-consistency fixed point** (lane-inner, branch-light): the
-///    [`FIXED_POINT_ITERATIONS`]-capped iteration runs over the flat
-///    columns with a per-lane convergence mask replacing the scalar early
-///    `break` — converged lanes keep their values through selects, so per
-///    lane the applied operation sequence is unchanged while the loop body
-///    stays free of data-dependent branches and the polynomial arctangents
-///    of adjacent lanes pipeline/vectorise.  Lanes with an error start out
-///    done, and the iteration stops as soon as every lane is done: a done
-///    lane's values no longer change, so stopping early changes no bits;
+/// 2. **self-consistency fixed point** (register blocks): the lanes settle
+///    in blocks of `W`, one [`FixedPoint::settle_block`] each, which holds
+///    its lanes' state and parameters in locals for the whole
+///    [`FIXED_POINT_ITERATIONS`]-capped iteration, so the polynomial
+///    arctangents of a block's lanes run as independent register chains.
+///    The lanes left after the full blocks run as one more block, of 8
+///    when at most 8 remain, whose spare slots are inert;
 /// 3. **finalise** (per live lane): count the sample, detect divergence on
 ///    the scalar model's state (the reversible part rebuilt as
 ///    `m_total − m_irr`), fold the sample's `(H, B)` point and, when
 ///    recording, store `m_total` in the sample's trajectory row.
 ///
-/// Always inlined, so each caller — the portable dispatch and the AVX2
-/// `#[target_feature]` function — compiles its own copy with its own
-/// instruction set.  Expects a trajectory, when `record` is set, sized for
-/// `samples`.
+/// Always inlined, so each caller — the portable dispatch and the two
+/// `#[target_feature]` functions of [`SoaBatch::run`] — compiles
+/// its own copy with its own instruction set and block width.  Expects a
+/// trajectory, when `record` is set, sized for `samples`.
 #[inline(always)]
-fn run_lanes_lockstep(batch: &mut SoaBatch, samples: &[f64], record: bool) {
+fn run_lanes_lockstep<const W: usize>(batch: &mut SoaBatch, samples: &[f64], record: bool) {
     let SoaBatch {
         config,
         m_sat,
@@ -427,12 +449,7 @@ fn run_lanes_lockstep(batch: &mut SoaBatch, samples: &[f64], record: bool) {
     let mut rows = record.then(|| trajectory.chunks_exact_mut(lanes));
     masks.live.clear();
     masks.live.extend(errors.iter().map(Option::is_none));
-    for mask in [
-        &mut masks.due,
-        &mut masks.negative,
-        &mut masks.rejected,
-        &mut masks.done,
-    ] {
+    for mask in [&mut masks.due, &mut masks.negative, &mut masks.rejected] {
         mask.clear();
         mask.resize(lanes, false);
     }
@@ -455,7 +472,6 @@ fn run_lanes_lockstep(batch: &mut SoaBatch, samples: &[f64], record: bool) {
     let due = &mut masks.due[..lanes];
     let negative = &mut masks.negative[..lanes];
     let rejected = &mut masks.rejected[..lanes];
-    let done = &mut masks.done[..lanes];
     let lane_params = |lane: usize| JaParameters {
         m_sat: Magnetisation::new(m_sat[lane]),
         a: a[lane],
@@ -528,30 +544,32 @@ fn run_lanes_lockstep(batch: &mut SoaBatch, samples: &[f64], record: bool) {
         }
 
         // Phase 2 — the paper's core(): the self-consistency fixed point,
-        // in lockstep.  The convergence mask replaces the scalar early
-        // break; a converged lane carries its values unchanged, so the
-        // per-lane operation sequence matches `advance_state` bit for bit,
-        // and the sweep ends once no lane is left to converge.
-        for (is_done, &is_live) in done.iter_mut().zip(live.iter()) {
-            *is_done = !is_live;
+        // one register block at a time.
+        let mut fixed_point = FixedPoint {
+            h,
+            formulation: config.formulation,
+            m_sat,
+            alpha,
+            a,
+            c,
+            m_irr,
+            live,
+            m_total,
+            m_an,
+        };
+        let mut first = 0;
+        while lanes - first >= W {
+            fixed_point.settle_block::<W>(first, W);
+            first += W;
         }
-        for _ in 0..FIXED_POINT_ITERATIONS {
-            let mut all_done = true;
-            for lane in 0..lanes {
-                let current = m_total[lane];
-                let h_effective = h + alpha[lane] * m_sat[lane] * current;
-                let law = modified_langevin(h_effective, a[lane]);
-                let next = total_magnetisation(config.formulation, c[lane], law, m_irr[lane]);
-                let converged = (next - current).abs() < FIXED_POINT_TOLERANCE;
-                let was_done = done[lane];
-                m_an[lane] = if was_done { m_an[lane] } else { law };
-                m_total[lane] = if was_done { current } else { next };
-                done[lane] = was_done || converged;
-                all_done &= was_done || converged;
-            }
-            if all_done {
-                break;
-            }
+        // A last block of exactly 8 lanes (the fit objective's starts, the
+        // last job of a thermal grid's group) gets its own arm: with the
+        // count a constant, the block compiles without spare slots.
+        match lanes - first {
+            0 => {}
+            8 => fixed_point.settle_block::<8>(first, 8),
+            rest @ 1..=7 => fixed_point.settle_block::<8>(first, rest),
+            rest => fixed_point.settle_block::<W>(first, rest),
         }
 
         // Phase 3 — finalise, fold, record.
@@ -577,6 +595,91 @@ fn run_lanes_lockstep(batch: &mut SoaBatch, samples: &[f64], record: bool) {
             folds[lane].push(h, MU0 * (h + state.m_total * m_sat[lane]));
             if let Some(row) = &mut row {
                 row[lane] = state.m_total;
+            }
+        }
+    }
+}
+
+/// Phase 2's view of the lane columns at one sample: the parameters and
+/// the irreversible magnetisation it reads, the live flags, and the total
+/// and anhysteretic magnetisation it settles.
+struct FixedPoint<'a> {
+    /// The sample's applied field.
+    h: f64,
+    formulation: Formulation,
+    m_sat: &'a [f64],
+    alpha: &'a [f64],
+    a: &'a [f64],
+    c: &'a [f64],
+    m_irr: &'a [f64],
+    live: &'a [bool],
+    m_total: &'a mut [f64],
+    m_an: &'a mut [f64],
+}
+
+impl FixedPoint<'_> {
+    /// Settles lanes `first..first + count`, `1 ≤ count ≤ W`, as one
+    /// register block: loads their state and parameters into `[f64; W]`
+    /// locals, runs the [`FIXED_POINT_ITERATIONS`]-capped iteration on
+    /// them, and stores `m_total` and `m_an` back.
+    ///
+    /// Per lane the expressions are [`advance_state`]'s, in its order
+    /// (`alpha * m_sat * m_total` rounds `α·M_sat` first, so loading it
+    /// once changes no bits).  A converged lane carries its values through
+    /// selects in place of the scalar early `break`, and the block stops
+    /// once all of its own lanes are done; a done lane never changes, so
+    /// that changes no bits either.  A spare slot (`slot ≥ count`) repeats
+    /// the last lane's inputs, starts done and is never stored.
+    ///
+    /// [`advance_state`]: crate::timeless::advance_state
+    #[inline(always)]
+    fn settle_block<const W: usize>(&mut self, first: usize, count: usize) {
+        let lanes = first..first + count;
+        let (m_sat, alpha) = (&self.m_sat[lanes.clone()], &self.alpha[lanes.clone()]);
+        let (a, c) = (&self.a[lanes.clone()], &self.c[lanes.clone()]);
+        let (m_irr, live) = (&self.m_irr[lanes.clone()], &self.live[lanes.clone()]);
+        let m_total = &mut self.m_total[lanes.clone()];
+        let m_an = &mut self.m_an[lanes];
+        let mut block_alpha_m_sat = [0.0; W];
+        let mut block_a = [0.0; W];
+        let mut block_c = [0.0; W];
+        let mut block_m_irr = [0.0; W];
+        let mut block_m_total = [0.0; W];
+        let mut block_m_an = [0.0; W];
+        let mut done = [true; W];
+        for slot in 0..W {
+            let lane = slot.min(count - 1);
+            block_alpha_m_sat[slot] = alpha[lane] * m_sat[lane];
+            block_a[slot] = a[lane];
+            block_c[slot] = c[lane];
+            block_m_irr[slot] = m_irr[lane];
+            block_m_total[slot] = m_total[lane];
+            block_m_an[slot] = m_an[lane];
+            done[slot] = slot >= count || !live[lane];
+        }
+        for _ in 0..FIXED_POINT_ITERATIONS {
+            let mut all_done = true;
+            for slot in 0..W {
+                let current = block_m_total[slot];
+                let h_effective = self.h + block_alpha_m_sat[slot] * current;
+                let law = modified_langevin(h_effective, block_a[slot]);
+                let next =
+                    total_magnetisation(self.formulation, block_c[slot], law, block_m_irr[slot]);
+                let converged = (next - current).abs() < FIXED_POINT_TOLERANCE;
+                let was_done = done[slot];
+                block_m_an[slot] = if was_done { block_m_an[slot] } else { law };
+                block_m_total[slot] = if was_done { current } else { next };
+                done[slot] = was_done || converged;
+                all_done &= was_done || converged;
+            }
+            if all_done {
+                break;
+            }
+        }
+        for slot in 0..W {
+            if slot < count {
+                m_total[slot] = block_m_total[slot];
+                m_an[slot] = block_m_an[slot];
             }
         }
     }
@@ -833,8 +936,9 @@ mod tests {
     }
 
     /// `lanes` lanes shaped like the thermal grid's: the presets in turn,
-    /// each at its own temperature, with lane 5 invalid and lane 6 pinned
-    /// so weakly that it diverges, so both error paths are compared too.
+    /// each at its own temperature 5 °C above the last lane's, with lane 5
+    /// invalid and lane 6 pinned so weakly that it diverges, so both error
+    /// paths are compared too.
     fn thermal_lanes(lanes: usize) -> Vec<JaParameters> {
         use magnetics::thermal::ThermalCoefficients;
         let presets = [
@@ -855,7 +959,7 @@ mod tests {
         (0..lanes)
             .map(|lane| {
                 let (params, thermal) = &presets[lane % presets.len()];
-                let t_c = -40.0 + 10.0 * lane as f64;
+                let t_c = -40.0 + 5.0 * lane as f64;
                 let mut params = params
                     .at_temperature(t_c, thermal)
                     .expect("below the Curie point");
@@ -871,72 +975,93 @@ mod tests {
             .collect()
     }
 
-    /// Runs a fresh batch's assigned lanes through the portable copy of
-    /// the lockstep kernel, or through the AVX2 copy, recording the
-    /// trajectory when `record` is set; `false` when the AVX2 copy cannot
-    /// run on this CPU.
-    fn run_kernel_copy(batch: &mut SoaBatch, samples: &[f64], avx2: bool, record: bool) -> bool {
-        batch.trajectory.resize(batch.lanes() * samples.len(), 0.0);
-        if avx2 {
-            run_lanes_lockstep_avx2(batch, samples, record)
-        } else {
-            run_lanes_lockstep(batch, samples, record);
-            true
-        }
+    /// Runs a batch's assigned lanes through the `copy` of the lockstep
+    /// kernel, recording the trajectory when `record` is set; `false` when
+    /// this CPU cannot run that copy (a narrower one ran instead).
+    fn run_kernel_copy(
+        batch: &mut SoaBatch,
+        samples: &[f64],
+        copy: KernelCopy,
+        record: bool,
+    ) -> bool {
+        batch.run(samples, record, copy) == copy
     }
 
     #[test]
-    fn avx2_copy_of_the_lockstep_kernel_is_bit_identical_to_the_portable_copy() {
-        let whole = FieldSchedule::major_loop(2_000.0, 5.0, 1)
+    fn every_copy_of_the_lockstep_kernel_is_bit_identical_to_the_portable_copy() {
+        let whole = FieldSchedule::major_loop(1_000.0, 5.0, 1)
             .expect("schedule")
             .to_samples();
         let mut truncated = whole.clone();
         truncated[whole.len() * 7 / 8] = f64::NAN;
-        // 1 to 17 lanes: an AVX2 vector body plus every remainder length,
-        // over the whole sweep and one a NaN field truncates.
+        let bits = |batch: &SoaBatch| -> Vec<u64> {
+            batch
+                .trajectory
+                .iter()
+                .map(|value| value.to_bits())
+                .collect()
+        };
+        // Debug text, because a NaN field never compares equal.
+        let errors = |batch: &SoaBatch| format!("{:?}", batch.errors);
+        let mut skipped = Vec::new();
+        // 1 to 40 lanes: full register blocks of 8 and of 16, every length
+        // of a last block, short ones with spare slots, over the whole
+        // sweep and one a NaN field truncates.
         for samples in [&whole, &truncated] {
-            for lanes in 1..=17 {
+            for lanes in 1..=40 {
                 let params = thermal_lanes(lanes);
-                let mut portable =
+                let mut reference =
                     SoaBatch::new(JaConfig::default(), SoaPrecision::F64).expect("ok");
-                portable.assign(&params);
-                let mut avx2 = portable.clone();
-                let mut unrecorded = portable.clone();
-                assert!(run_kernel_copy(&mut portable, samples, false, true));
-                if !run_kernel_copy(&mut avx2, samples, true, true) {
-                    eprintln!("note: this CPU has no AVX2, so only the portable copy ran");
-                    return;
-                }
-                assert!(run_kernel_copy(&mut unrecorded, samples, true, false));
-                let bits = |batch: &SoaBatch| -> Vec<u64> {
-                    batch
-                        .trajectory
-                        .iter()
-                        .map(|value| value.to_bits())
-                        .collect()
-                };
-                assert_eq!(bits(&avx2), bits(&portable), "{lanes} lanes: trajectory");
-                // Debug text, because a NaN field never compares equal.
-                let errors = |batch: &SoaBatch| format!("{:?}", batch.errors);
-                assert_eq!(avx2.stats, portable.stats, "{lanes} lanes: statistics");
-                assert_eq!(errors(&avx2), errors(&portable), "{lanes} lanes: errors");
-                assert_eq!(unrecorded.stats, avx2.stats, "{lanes} lanes: statistics");
-                assert_eq!(errors(&unrecorded), errors(&avx2), "{lanes} lanes: errors");
-                // Each copy's folds are the folds of the curves it rebuilds.
+                reference.assign(&params);
+                let assigned = reference.clone();
+                assert!(run_kernel_copy(
+                    &mut reference,
+                    samples,
+                    KernelCopy::Portable,
+                    true
+                ));
                 let mut curve = BhCurve::new();
-                for lane in 0..lanes {
-                    portable.lane_curve_into(lane, samples, &mut curve);
-                    let folded = fold_bits(&IncrementalLoopMetrics::of(&curve));
-                    let label = format!("{lanes} lanes: lane {lane}");
-                    assert_eq!(fold_bits(portable.lane_fold(lane)), folded, "{label}");
-                    assert_eq!(fold_bits(avx2.lane_fold(lane)), folded, "{label}");
-                    assert_eq!(fold_bits(unrecorded.lane_fold(lane)), folded, "{label}");
-                }
+                let folded: Vec<FoldBits> = (0..lanes)
+                    .map(|lane| {
+                        reference.lane_curve_into(lane, samples, &mut curve);
+                        fold_bits(&IncrementalLoopMetrics::of(&curve))
+                    })
+                    .collect();
                 if lanes > 6 {
                     assert!(matches!(
-                        avx2.lane_error(6),
+                        reference.lane_error(6),
                         Some(JaError::StateDiverged { .. })
                     ));
+                }
+                for copy in [KernelCopy::Portable, KernelCopy::Avx2, KernelCopy::Avx512] {
+                    if skipped.contains(&copy) {
+                        continue;
+                    }
+                    let mut unrecorded = assigned.clone();
+                    if !run_kernel_copy(&mut unrecorded, samples, copy, false) {
+                        eprintln!("note: this CPU cannot run the {copy:?} copy, so it was skipped");
+                        skipped.push(copy);
+                        continue;
+                    }
+                    let recorded = if copy == KernelCopy::Portable {
+                        reference.clone()
+                    } else {
+                        let mut recorded = assigned.clone();
+                        assert!(run_kernel_copy(&mut recorded, samples, copy, true));
+                        recorded
+                    };
+                    let label = format!("{copy:?}, {lanes} lanes");
+                    assert_eq!(bits(&recorded), bits(&reference), "{label}: trajectory");
+                    for batch in [&recorded, &unrecorded] {
+                        assert_eq!(batch.stats, reference.stats, "{label}: statistics");
+                        assert_eq!(errors(batch), errors(&reference), "{label}: errors");
+                        // Each run's folds are the folds of the curves the
+                        // portable copy rebuilds.
+                        for (lane, folded) in folded.iter().enumerate() {
+                            let fold = fold_bits(batch.lane_fold(lane));
+                            assert_eq!(&fold, folded, "{label}: lane {lane}");
+                        }
+                    }
                 }
             }
         }

@@ -40,8 +40,8 @@
 //! parameters and the per-member loss, so a grid's temperatures share a
 //! group, and since [`ScenarioGrid`](crate::scenario::ScenarioGrid) puts
 //! the operating point innermost, a job's lanes are one material at
-//! neighbouring temperatures.  The kernel runs its AVX2 build when the CPU
-//! has it.  Lane parameters are the scenarios' **resolved** (thermally
+//! neighbouring temperatures.  The kernel runs its widest build the CPU
+//! has: AVX-512, then AVX2, then portable.  Lane parameters are the scenarios' **resolved** (thermally
 //! derived) parameters, the same values the scalar path runs, so SoA `f64`
 //! lanes stay bit-identical to the scalar model and routing never changes
 //! report content, only throughput.  The batch runs the paper's
@@ -110,7 +110,7 @@ pub enum ErrorPolicy {
 /// (non-circuit) stimulus — whatever their material and operating point.
 /// A group is split, in input order, into jobs of at most
 /// [`LOCKSTEP_LANES`] scenarios, and each job runs as one SoA sweep with
-/// one lane per scenario, on the kernel's AVX2 build when the CPU has it.
+/// one lane per scenario, on the kernel's widest build the CPU has.
 /// Every `f64` lane is bit-identical to the scalar run of the same
 /// scenario, so the routing decision never changes report content — only
 /// the timing fields.  A job whose configuration the batch refuses (any
@@ -417,11 +417,16 @@ pub struct StreamSummary {
     pub workers: usize,
 }
 
-/// The most lanes one lockstep job steps together.  AVX2 holds four `f64`
-/// values per register and LLVM unrolls the kernel's lane loops by two, so
-/// eight lanes fill the vector body exactly.  On a 2-core AVX-512 Xeon,
-/// 16-lane jobs ran the `thermal_grid` benchmark ~18% slower.
-pub const LOCKSTEP_LANES: usize = 8;
+/// The most lanes one lockstep job steps together: one register block of
+/// the kernel's AVX-512 copy, whose fixed point holds 16 lanes in 32 zmm
+/// registers (two blocks of 8 on AVX2 and on the portable copy).  On a
+/// 2-core AVX-512 Xeon, 16-lane jobs on register blocks cut the
+/// `thermal_grid` benchmark's `wall_s` by 29% against 8-lane jobs on the
+/// memory-column kernel; with only the AVX2 copy, `ja batch --workers 2`
+/// on the same grid ran 12% faster.  The cost: a lone group of 9–16
+/// members runs as one job, so on 2 workers it no longer splits across
+/// both.
+pub const LOCKSTEP_LANES: usize = 16;
 
 /// One unit of parallel work: a single scenario on the scalar path, the
 /// scenario indices of one SoA lockstep sweep, or the scenario indices of
@@ -1214,10 +1219,11 @@ mod tests {
     }
 
     #[test]
-    fn route_jobs_splits_groups_into_eight_lane_jobs_in_input_order() {
+    fn route_jobs_splits_groups_into_sixteen_lane_jobs_in_input_order() {
         use crate::scenario::OperatingPoint;
         // 4 materials × 34 temperatures: one (config, excitation) group of
-        // 136 members, which splits into 17 jobs of 8 in input order.
+        // 136 members, which splits into 8 jobs of 16 and one of 8, in
+        // input order.
         let grid = (0..34).fold(
             multi_material_grid().material("ferrite", JaParameters::soft_ferrite()),
             |grid, step| {
@@ -1229,14 +1235,15 @@ mod tests {
         assert_eq!(scenarios.len(), 136);
         let expected: Vec<Job> = (0..136)
             .step_by(LOCKSTEP_LANES)
-            .map(|first| Job::Lockstep((first..first + LOCKSTEP_LANES).collect()))
+            .map(|first| Job::Lockstep((first..136.min(first + LOCKSTEP_LANES)).collect()))
             .collect();
-        assert_eq!(expected.len(), 17);
+        assert_eq!(expected.len(), 9);
+        assert_eq!(expected[8], Job::Lockstep((128..136).collect()));
         assert_eq!(route_jobs(&scenarios, SoaRouting::Auto), expected);
 
         // A job's tail shorter than two lanes runs scalar under Auto.
-        let jobs = route_jobs(&scenarios[..9], SoaRouting::Auto);
-        assert_eq!(jobs, [Job::Lockstep((0..8).collect()), Job::Scalar(8)]);
+        let jobs = route_jobs(&scenarios[..17], SoaRouting::Auto);
+        assert_eq!(jobs, [Job::Lockstep((0..16).collect()), Job::Scalar(16)]);
 
         // ForceSoa keeps singleton groups as 1-lane lockstep jobs.
         let scenarios = small_grid().scenarios().expect("grid");

@@ -17,7 +17,7 @@ use std::io;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use ja_bench::CountingAllocator;
-use ja_repro::hdl_models::exec::BatchRunner;
+use ja_repro::hdl_models::exec::{BatchRunner, LOCKSTEP_LANES};
 use ja_repro::hdl_models::report::{run_batch_report, write_ndjson_batch};
 use ja_repro::hdl_models::scenario::{
     BackendKind, Excitation, OperatingPoint, Scenario, ScenarioGrid,
@@ -51,7 +51,7 @@ fn peak_rise<T>(work: impl FnOnce() -> T) -> usize {
 
 /// Four materials at `temperatures` 50 Hz operating points, all on one
 /// major loop stepped at `step` A/m: auto routing splits the one (config,
-/// excitation) group into eight-lane lockstep jobs of neighbouring
+/// excitation) group into sixteen-lane lockstep jobs of neighbouring
 /// temperatures, and every entry carries a loss object.
 fn thermal_grid(temperatures: usize, step: f64) -> Vec<Scenario> {
     let mut grid = ScenarioGrid::new()
@@ -144,10 +144,11 @@ fn stored_report_peak_heap_does_not_grow_with_entries_times_samples() {
 #[test]
 fn report_peak_heap_grows_only_by_the_workers_sample_vectors() {
     let _measuring = measuring();
-    // The same 16 entries — two eight-lane lockstep jobs — at 10 and at
-    // 2.5 A/m, so four times the samples per entry.
-    let coarse = thermal_grid(4, 10.0);
-    let fine = thermal_grid(4, 2.5);
+    // The same 32 entries — two sixteen-lane lockstep jobs, one per
+    // worker — at 10 and at 2.5 A/m, so four times the samples per entry.
+    let coarse = thermal_grid(8, 10.0);
+    let fine = thermal_grid(8, 2.5);
+    assert_eq!(coarse.len(), 2 * LOCKSTEP_LANES);
     assert_eq!(coarse.len(), fine.len());
     assert!(samples_per_entry(&fine) > 3 * samples_per_entry(&coarse));
     let extra_samples = samples_per_entry(&fine) - samples_per_entry(&coarse);
@@ -172,8 +173,8 @@ fn report_peak_heap_grows_only_by_the_workers_sample_vectors() {
     // Each worker caches its job's flattened samples (8 B per sample).
     // The slack covers what does not scale with samples: the rendered
     // entries' digits and allocator rounding.  A lockstep job that kept
-    // its trajectory (8 lanes × 8 B) and a lane's curve (24 B) would add
-    // 88 B per sample per worker.
+    // its trajectory (16 lanes × 8 B) and a lane's curve (24 B) would add
+    // 152 B per sample per worker.
     let allowed = workers * 8 * extra_samples + 16 * 1024;
     for (path, measure) in [
         ("stored", &stored as &dyn Fn(&[Scenario]) -> usize),
