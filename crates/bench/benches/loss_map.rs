@@ -24,7 +24,7 @@ const FREQUENCIES: [f64; 3] = [50.0, 100.0, 200.0];
 
 /// The loss-map grid: 2 materials x 1 backend x 1 config x 1 excitation
 /// x 9 operating points = 18 scenarios, one (config, excitation) group
-/// that runs as lockstep jobs of 8, 8 and 2 lanes.
+/// that runs as lockstep jobs of 16 and 2 lanes.
 fn scenarios() -> Vec<Scenario> {
     let mut grid = ScenarioGrid::new()
         .material_with_thermal(

@@ -10,11 +10,12 @@
 //! covers the performance side and prints the scalar-vs-SoA speedup at 16
 //! lanes, the acceptance threshold tracked by the CI bench gate.
 //!
-//! The `thermal8` pair runs one job the way `ja batch` routes a thermal
-//! grid: eight lanes of one material at neighbouring temperatures, stepped
-//! at 5 A/m.  The SoA arm does what a report path does with the job: one
-//! sweep that folds every lane, then each lane's loop metrics from its
-//! fold; the scalar arm builds each lane's curve.
+//! The `thermal16` and `thermal8` pairs each run one job the way `ja
+//! batch` routes a thermal grid: 16 lanes of one material at neighbouring
+//! temperatures (a full job), or 8 (the last job of a 136-member group),
+//! stepped at 5 A/m.  The SoA arm does what a report path does with the
+//! job: one sweep that folds every lane, then each lane's loop metrics from
+//! its fold; the scalar arm builds each lane's curve.
 
 use std::time::Instant;
 
@@ -30,8 +31,8 @@ use waveform::schedule::FieldSchedule;
 
 const LANE_COUNTS: [usize; 3] = [4, 16, 64];
 
-/// Lanes of one thermal-grid job.
-const THERMAL_LANES: usize = 8;
+/// Lanes of the thermal-grid jobs: a group's last job and a full one.
+const THERMAL_LANES: [usize; 2] = [8, 16];
 
 fn samples() -> Vec<f64> {
     FieldSchedule::major_loop(10_000.0, 50.0, 2)
@@ -60,11 +61,11 @@ fn lane_materials(lanes: usize) -> Vec<JaParameters> {
         .collect()
 }
 
-/// One thermal-grid job: the paper material at eight neighbouring
+/// One thermal-grid job: the paper material at `lanes` neighbouring
 /// temperatures, on a ±8 kA/m major loop at the grid's 5 A/m step.
-fn thermal_job() -> (Vec<JaParameters>, Vec<f64>) {
+fn thermal_job(lanes: usize) -> (Vec<JaParameters>, Vec<f64>) {
     let thermal = ThermalCoefficients::date2006();
-    let lanes = (0..THERMAL_LANES)
+    let lanes = (0..lanes)
         .map(|lane| {
             JaParameters::date2006()
                 .at_temperature(-40.0 + 5.0 * lane as f64, &thermal)
@@ -143,20 +144,22 @@ fn benches(c: &mut Criterion) {
     let samples = samples();
     let mut group = c.benchmark_group("soa_lockstep");
     group.sample_size(10);
-    let (thermal, thermal_samples) = thermal_job();
-    group.bench_function(format!("scalar_thermal{THERMAL_LANES}"), |b| {
-        b.iter(|| black_box(run_scalar(&thermal, &thermal_samples)))
-    });
-    let mut batch = SoaBatch::new(JaConfig::default(), SoaPrecision::F64).expect("batch");
-    group.bench_function(format!("soa_thermal{THERMAL_LANES}"), |b| {
-        b.iter(|| {
-            batch.assign(&thermal);
-            batch.run_samples(&thermal_samples);
-            for lane in 0..THERMAL_LANES {
-                black_box(batch.lane_fold(lane).finish().expect("closed loop"));
-            }
-        })
-    });
+    for lanes in THERMAL_LANES {
+        let (thermal, thermal_samples) = thermal_job(lanes);
+        group.bench_function(format!("scalar_thermal{lanes}"), |b| {
+            b.iter(|| black_box(run_scalar(&thermal, &thermal_samples)))
+        });
+        let mut batch = SoaBatch::new(JaConfig::default(), SoaPrecision::F64).expect("batch");
+        group.bench_function(format!("soa_thermal{lanes}"), |b| {
+            b.iter(|| {
+                batch.assign(&thermal);
+                batch.run_samples(&thermal_samples);
+                for lane in 0..lanes {
+                    black_box(batch.lane_fold(lane).finish().expect("closed loop"));
+                }
+            })
+        });
+    }
     for lanes in LANE_COUNTS {
         let materials = lane_materials(lanes);
         group.bench_function(format!("scalar_lanes{lanes}"), |b| {

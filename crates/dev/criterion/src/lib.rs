@@ -218,7 +218,7 @@ impl Criterion {
 
 fn median_of_sorted(sorted: &[f64]) -> f64 {
     let mid = sorted.len() / 2;
-    if sorted.len() % 2 == 0 {
+    if sorted.len().is_multiple_of(2) {
         (sorted[mid - 1] + sorted[mid]) / 2.0
     } else {
         sorted[mid]
