@@ -41,14 +41,15 @@
 //! group, and since [`ScenarioGrid`](crate::scenario::ScenarioGrid) puts
 //! the operating point innermost, a job's lanes are one material at
 //! neighbouring temperatures.  The kernel runs its widest build the CPU
-//! has: AVX-512, then AVX2, then portable.  Lane parameters are the scenarios' **resolved** (thermally
-//! derived) parameters, the same values the scalar path runs, so SoA `f64`
-//! lanes stay bit-identical to the scalar model and routing never changes
-//! report content, only throughput.  The batch runs the paper's
-//! configuration only (one forward-Euler step per increment, modified
-//! Langevin law): a job whose configuration it refuses runs its members on
-//! the scalar path, so such a group reports exactly what `ForceScalar`
-//! does, and its entries carry no `lockstep_lanes`.
+//! has: AVX-512, then AVX2, then portable.  Lane parameters are the
+//! scenarios' **resolved** (thermally derived) parameters, the same values
+//! the scalar path runs, so SoA `f64` lanes stay bit-identical to the
+//! scalar model and routing never changes report content, only
+//! throughput.  The batch runs the paper's configuration only (one
+//! forward-Euler step per increment, modified Langevin law): a job whose
+//! configuration it refuses runs its members on the scalar path, so such a
+//! group reports exactly what `ForceScalar` does, and its entries carry no
+//! `lockstep_lanes`.
 //!
 //! Circuit-driven scenarios are routed — under the same [`SoaRouting`]
 //! modes — into **circuit jobs**.  A scenario's transient solve

@@ -144,8 +144,9 @@ fn stored_report_peak_heap_does_not_grow_with_entries_times_samples() {
 #[test]
 fn report_peak_heap_grows_only_by_the_workers_sample_vectors() {
     let _measuring = measuring();
-    // The same 32 entries — two sixteen-lane lockstep jobs, one per
-    // worker — at 10 and at 2.5 A/m, so four times the samples per entry.
+    // The same 32 entries — two sixteen-lane lockstep jobs, one for each
+    // worker to claim — at 10 and at 2.5 A/m, so four times the samples
+    // per entry.
     let coarse = thermal_grid(8, 10.0);
     let fine = thermal_grid(8, 2.5);
     assert_eq!(coarse.len(), 2 * LOCKSTEP_LANES);
