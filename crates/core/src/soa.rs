@@ -677,6 +677,9 @@ impl FixedPoint<'_> {
                 break;
             }
         }
+        // Every loop over the block runs all `W` slots, even where only
+        // `count` matter, so each local is indexed by constants only; a
+        // store loop to `count` ran `soa_thermal16` 15 % slower.
         for slot in 0..W {
             if slot < count {
                 m_total[slot] = block_m_total[slot];
