@@ -39,14 +39,17 @@
 //!
 //! One source, compiled three times: the portable build and an AVX2 build,
 //! both in register blocks of 8 lanes, and an AVX-512 build in blocks of
-//! 16, whose 32 zmm registers hold a block's fixed point where AVX2's 16
-//! ymm registers would spill it.  A run takes the widest copy the CPU has;
-//! that one dispatch holds the crate's only `unsafe` code.  The copies are
-//! bit-identical: the kernel uses only operations IEEE 754 defines exactly
-//! (`+ − × ÷`, `abs`, `copysign`, compares), and Rust never contracts a
-//! multiply and an add into one FMA unless asked to, so wider registers and
-//! blocks change how many lanes one instruction steps, never a lane's
-//! result.
+//! 16.  In every copy a block's lanes step as independent scalar chains
+//! that the CPU overlaps; the AVX-512 copy's 32 vector registers also keep
+//! the arctangent's polynomial constants, which the AVX2 copy reloads from
+//! memory for every lane.  A batch of more than 8 lanes runs on the widest
+//! copy the CPU has; one of at most 8 lanes, which the AVX-512 copy steps
+//! no faster, stops at AVX2.  That one dispatch holds the crate's only
+//! `unsafe` code.  The copies are bit-identical: the kernel uses only
+//! operations IEEE 754 defines exactly (`+ − × ÷`, `abs`, `copysign`,
+//! compares), and Rust never contracts a multiply and an add into one FMA
+//! unless asked to, so the instruction set and the block width change how
+//! the operations are scheduled, never a lane's result.
 //!
 //! A lane's state is the four columns the kernel steps (`m_irr`, `m_total`,
 //! `m_an` and the field of the last update); they persist from one run to
@@ -156,6 +159,20 @@ enum KernelCopy {
     /// Compiled with AVX-512 (`avx512f` + `avx512vl`), in register blocks
     /// of 16 lanes.
     Avx512,
+}
+
+impl KernelCopy {
+    /// The widest copy worth running `lanes` lanes on.  The AVX-512 copy
+    /// gains only on blocks of 16: on a 2-lane batch (126 samples of a
+    /// 5 kA/m loop, 2-core AVX-512 Xeon) it took 87 µs where the AVX2 copy
+    /// took 72, and on 8 lanes the two ran alike.
+    fn widest_for(lanes: usize) -> Self {
+        if lanes > 8 {
+            Self::Avx512
+        } else {
+            Self::Avx2
+        }
+    }
 }
 
 impl SoaBatch {
@@ -268,7 +285,7 @@ impl SoaBatch {
     /// no trajectory is recorded and no curve is built.  A lane whose state
     /// diverges records its error and stops; the remaining lanes continue.
     pub fn run_samples(&mut self, samples: &[f64]) {
-        self.run(samples, false, KernelCopy::Avx512);
+        self.run(samples, false, KernelCopy::widest_for(self.lanes()));
     }
 
     /// [`run_samples`](SoaBatch::run_samples), also recording the
@@ -288,7 +305,7 @@ impl SoaBatch {
             self.lanes(),
             "one output curve per lane is required"
         );
-        self.run(samples, true, KernelCopy::Avx512);
+        self.run(samples, true, KernelCopy::widest_for(self.lanes()));
         for (lane, curve) in curves.iter_mut().enumerate() {
             self.lane_curve_into(lane, samples, curve);
         }
@@ -328,13 +345,13 @@ impl SoaBatch {
         #[allow(unsafe_code)]
         {
             /// The lockstep kernel compiled for AVX-512, in register blocks
-            /// of 16 lanes: 32 zmm registers hold a block's fixed point.
+            /// of 16 lanes.
             #[target_feature(enable = "avx512f,avx512vl")]
             fn avx512(batch: &mut SoaBatch, samples: &[f64], record: bool) {
                 run_lanes_lockstep::<16>(batch, samples, record);
             }
             /// The lockstep kernel compiled for AVX2, in register blocks of
-            /// 8 lanes: a block of 16 would spill its 16 ymm registers.
+            /// 8 lanes.
             #[target_feature(enable = "avx2")]
             fn avx2(batch: &mut SoaBatch, samples: &[f64], record: bool) {
                 run_lanes_lockstep::<8>(batch, samples, record);
@@ -411,9 +428,10 @@ impl SoaBatch {
 ///    in blocks of `W`, one [`FixedPoint::settle_block`] each, which holds
 ///    its lanes' state and parameters in locals for the whole
 ///    [`FIXED_POINT_ITERATIONS`]-capped iteration, so the polynomial
-///    arctangents of a block's lanes run as independent register chains.
-///    The lanes left after the full blocks run as one more block, of 8
-///    when at most 8 remain, whose spare slots are inert;
+///    arctangents of a block's lanes run as independent chains.  The
+///    lanes left after the full blocks run as one more block: of their own
+///    width when 1 or 2 remain, else of 8 when at most 8 remain, else of
+///    `W`, whose spare slots are inert;
 /// 3. **finalise** (per live lane): count the sample, detect divergence on
 ///    the scalar model's state (the reversible part rebuilt as
 ///    `m_total − m_irr`), fold the sample's `(H, B)` point and, when
@@ -564,12 +582,15 @@ fn run_lanes_lockstep<const W: usize>(batch: &mut SoaBatch, samples: &[f64], rec
             first += W;
         }
         // A last block of exactly 8 lanes (the fit objective's starts, the
-        // last job of a thermal grid's group) gets its own arm: with the
-        // count a constant, the block compiles without spare slots.
+        // last job of a thermal grid's group), 2 (a served request's pair
+        // of materials) or 1 gets its own arm: with the count a constant,
+        // the block compiles without spare slots.
         match lanes - first {
             0 => {}
+            1 => fixed_point.settle_block::<1>(first, 1),
+            2 => fixed_point.settle_block::<2>(first, 2),
             8 => fixed_point.settle_block::<8>(first, 8),
-            rest @ 1..=7 => fixed_point.settle_block::<8>(first, rest),
+            rest @ 3..=7 => fixed_point.settle_block::<8>(first, rest),
             rest => fixed_point.settle_block::<W>(first, rest),
         }
 
@@ -940,9 +961,10 @@ mod tests {
     }
 
     /// `lanes` lanes shaped like the thermal grid's: the presets in turn,
-    /// each at its own temperature 5 °C above the last lane's, with lane 5
-    /// invalid and lane 6 pinned so weakly that it diverges, so both error
-    /// paths are compared too.
+    /// each at its own temperature 10 °C above the last lane's (from lane
+    /// 24 on the temperatures repeat, so every lane stays below soft
+    /// ferrite's 220 °C Curie point), with lane 5 invalid and lane 6 pinned
+    /// so weakly that it diverges, so both error paths are compared too.
     fn thermal_lanes(lanes: usize) -> Vec<JaParameters> {
         use magnetics::thermal::ThermalCoefficients;
         let presets = [
@@ -963,7 +985,7 @@ mod tests {
         (0..lanes)
             .map(|lane| {
                 let (params, thermal) = &presets[lane % presets.len()];
-                let t_c = -40.0 + 5.0 * lane as f64;
+                let t_c = -40.0 + 10.0 * (lane % 24) as f64;
                 let mut params = params
                     .at_temperature(t_c, thermal)
                     .expect("below the Curie point");
@@ -993,7 +1015,7 @@ mod tests {
 
     #[test]
     fn every_copy_of_the_lockstep_kernel_is_bit_identical_to_the_portable_copy() {
-        let whole = FieldSchedule::major_loop(1_000.0, 5.0, 1)
+        let whole = FieldSchedule::major_loop(2_000.0, 5.0, 1)
             .expect("schedule")
             .to_samples();
         let mut truncated = whole.clone();
