@@ -150,7 +150,6 @@ struct LaneMasks {
 /// The compiled copies of the lockstep kernel, narrowest first; see
 /// [`SoaBatch::run`].  Only x86-64 builds run the two wider copies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 enum KernelCopy {
     /// The portable build, in register blocks of 8 lanes.
     Portable,

@@ -419,14 +419,16 @@ pub struct StreamSummary {
 }
 
 /// The most lanes one lockstep job steps together: one register block of
-/// the kernel's AVX-512 copy, whose fixed point holds 16 lanes in 32 zmm
-/// registers (two blocks of 8 on AVX2 and on the portable copy).  On a
+/// the kernel's AVX-512 copy (two blocks of 8 on AVX2 and on the portable
+/// copy).  On a
 /// 2-core AVX-512 Xeon, 16-lane jobs on register blocks cut the
 /// `thermal_grid` benchmark's `wall_s` by 29% against 8-lane jobs on the
 /// memory-column kernel; with only the AVX2 copy, `ja batch --workers 2`
-/// on the same grid ran 12% faster.  The cost: a lone group of 9–16
+/// on the same grid ran 12% faster.  The costs: a lone group of 9–16
 /// members runs as one job, so on 2 workers it no longer splits across
-/// both.
+/// both; and in the `serve_mix` benchmark, cache hits and misses served
+/// alongside a stream's 16-lane jobs took about 10% longer than beside
+/// 8-lane ones, which moved its median request latency by about 5%.
 pub const LOCKSTEP_LANES: usize = 16;
 
 /// One unit of parallel work: a single scenario on the scalar path, the
