@@ -27,11 +27,13 @@
 //! [`magnetics::anhysteretic::modified_langevin`], the function the scalar
 //! law calls, and its arctangent is the shared polynomial
 //! [`magnetics::fastmath::atan`], a fixed inlineable operation sequence, so
-//! a block's lanes run as independent register chains instead of
-//! serialising on an opaque libm call — this is where the SoA speedup
-//! comes from.  Per lane the operation order is exactly the scalar model's
+//! a block's lanes run in vector registers instead of serialising on an
+//! opaque libm call — this is where the SoA speedup comes from.  Per lane
+//! the operation order is exactly the scalar model's
 //! ([`advance_state`](crate::timeless::advance_state) shares the same
 //! constants and increment functions), which keeps the lanes bitwise equal.
+//! Last, the sample's finite-state check, B and loop-metrics fold run as
+//! two more lane-inner passes.
 //!
 //! On top of the kernel win, the batch removes everything around the math:
 //! per-sample dynamic dispatch, per-sample `Result`/sample-struct plumbing,
@@ -39,32 +41,38 @@
 //!
 //! One source, compiled three times: the portable build and an AVX2 build,
 //! both in register blocks of 8 lanes, and an AVX-512 build in blocks of
-//! 16.  In every copy a block's lanes step as independent scalar chains
-//! that the CPU overlaps; the AVX-512 copy's 32 vector registers also keep
-//! the arctangent's polynomial constants, which the AVX2 copy reloads from
-//! memory for every lane.  A batch of more than 8 lanes runs on the widest
-//! copy the CPU has; one of at most 8 lanes, which the AVX-512 copy steps
-//! no faster, stops at AVX2.  That one dispatch holds the crate's only
-//! `unsafe` code.  The copies are bit-identical: the kernel uses only
-//! operations IEEE 754 defines exactly (`+ − × ÷`, `abs`, `copysign`,
-//! compares), and Rust never contracts a multiply and an add into one FMA
-//! unless asked to, so the instruction set and the block width change how
-//! the operations are scheduled, never a lane's result.
+//! 16.  Each copy settles a block in packed vector registers, divisions
+//! included: 2 lanes to a register in the portable (SSE2) copy, 4 with
+//! AVX2 and 8 with AVX-512.  The AVX-512 copy also keeps the convergence
+//! mask in a mask register, divides `1 / |x|` under it, and reads the
+//! arctangent's polynomial constants as broadcast memory operands, which
+//! the AVX2 copy loads into a register before each use (rustc 1.95, read
+//! from `objdump -d` of the release `ja`).  A batch of more than 8 lanes
+//! runs on the widest copy the CPU has; one of at most 8 lanes, which the
+//! AVX-512 copy steps no faster, stops at AVX2.  That one dispatch holds
+//! the crate's only `unsafe` code.  The copies are bit-identical: the
+//! kernel uses only operations IEEE 754 defines exactly (`+ − × ÷`,
+//! `abs`, `copysign`, compares), and Rust never contracts a multiply and
+//! an add into one FMA unless asked to, so the instruction set and the
+//! block width change how the operations are scheduled, never a lane's
+//! result.
 //!
 //! A lane's state is the four columns the kernel steps (`m_irr`, `m_total`,
 //! `m_an` and the field of the last update); they persist from one run to
 //! the next, so a second run continues each lane like a second sweep of a
 //! scalar model, until [`SoaBatch::assign`] resets them.
 //!
-//! A run builds no curves and, by default, keeps no trajectory: right
-//! after a lane's sample passes the finite-state check, the kernel feeds
-//! its `(H, B)` point — the scalar model's own expression — to that lane's
-//! [`IncrementalLoopMetrics`], the one fold behind the loop metrics and
-//! the core loss.  [`SoaBatch::lane_fold`] hands each lane's fold to the
-//! caller, so a lockstep job reduces straight to metrics and loss, and the
-//! fit objective to a cost.  [`SoaBatch::run_samples_into_curves`]
-//! additionally records each lane's `m_total` after every sample (8 bytes
-//! per lane-sample) and rebuilds the lanes' B–H curves from it.
+//! A run builds no curves and, by default, keeps no trajectory: once a
+//! sample has passed the finite-state check, the kernel folds every lane's
+//! `(H, B)` point — the scalar model's own expression — into a
+//! [`LaneLoopMetrics`], the column form of [`IncrementalLoopMetrics`], the
+//! one fold behind the loop metrics and the core loss.  When a lane fails,
+//! and when the run ends, the kernel copies the lane's fold out, and
+//! [`SoaBatch::lane_fold`] hands it to the caller, so a lockstep job
+//! reduces straight to metrics and loss, and the fit objective to a cost.
+//! [`SoaBatch::run_samples_into_curves`] additionally records each lane's
+//! `m_total` after every sample (8 bytes per lane-sample) and rebuilds the
+//! lanes' B–H curves from it.
 //!
 //! Lanes are fully independent: a lane whose parameters fail validation or
 //! whose state diverges records its [`JaError`] and goes inactive without
@@ -74,7 +82,7 @@
 use magnetics::anhysteretic::modified_langevin;
 use magnetics::bh::BhCurve;
 use magnetics::constants::MU0;
-use magnetics::loop_analysis::IncrementalLoopMetrics;
+use magnetics::loop_analysis::{IncrementalLoopMetrics, LaneLoopMetrics};
 use magnetics::material::JaParameters;
 use magnetics::units::Magnetisation;
 
@@ -125,6 +133,14 @@ pub struct SoaBatch {
     stats: Vec<JaStatistics>,
     errors: Vec<Option<JaError>>,
     masks: LaneMasks,
+    /// This run's per-lane counters, added to `stats` when a lane fails or
+    /// the run ends.
+    counters: RunCounters,
+    /// Every lane's B at the current sample.
+    flux: Vec<f64>,
+    /// Every lane's running fold in this run, copied to `folds` when the
+    /// lane fails or the run ends.
+    running: LaneLoopMetrics,
     /// Each lane's fold of the last run.
     folds: Vec<IncrementalLoopMetrics>,
     /// The last recording run's `m_total` trajectory, sample-major (row `s`
@@ -141,10 +157,41 @@ struct LaneMasks {
     live: Vec<bool>,
     /// The lane passed this sample's monitorH gate.
     due: Vec<bool>,
-    /// This sample's update saw a negative raw slope.
-    negative: Vec<bool>,
-    /// This sample's update was rejected by the opposing-sign guard.
-    rejected: Vec<bool>,
+}
+
+/// One run's per-lane [`JaStatistics`] counters of phase 1, as columns
+/// the kernel bumps without a branch; the samples a lane steps are the
+/// run's, so they need no column.
+#[derive(Debug, Clone, Default)]
+struct RunCounters {
+    /// Irreversible updates, each one slope evaluation.
+    updates: Vec<u64>,
+    negative_slope_events: Vec<u64>,
+    rejected_updates: Vec<u64>,
+}
+
+impl RunCounters {
+    /// Zeroes every counter of `lanes` lanes, reusing the columns.
+    fn reset(&mut self, lanes: usize) {
+        for column in [
+            &mut self.updates,
+            &mut self.negative_slope_events,
+            &mut self.rejected_updates,
+        ] {
+            column.clear();
+            column.resize(lanes, 0);
+        }
+    }
+
+    /// Adds `lane`'s counts and the `samples` it stepped to its
+    /// cumulative statistics.
+    fn add_to(&self, lane: usize, samples: u64, stats: &mut JaStatistics) {
+        stats.samples += samples;
+        stats.updates += self.updates[lane];
+        stats.slope_evaluations += self.updates[lane];
+        stats.negative_slope_events += self.negative_slope_events[lane];
+        stats.rejected_updates += self.rejected_updates[lane];
+    }
 }
 
 /// The compiled copies of the lockstep kernel, narrowest first; see
@@ -215,6 +262,9 @@ impl SoaBatch {
             stats: Vec::new(),
             errors: Vec::new(),
             masks: LaneMasks::default(),
+            counters: RunCounters::default(),
+            flux: Vec::new(),
+            running: LaneLoopMetrics::new(),
             folds: Vec::new(),
             trajectory: Vec::new(),
         })
@@ -431,10 +481,17 @@ impl SoaBatch {
 ///    lanes left after the full blocks run as one more block: of their own
 ///    width when 1 or 2 remain, else of 8 when at most 8 remain, else of
 ///    `W`, whose spare slots are inert;
-/// 3. **finalise** (per live lane): count the sample, detect divergence on
-///    the scalar model's state (the reversible part rebuilt as
-///    `m_total − m_irr`), fold the sample's `(H, B)` point and, when
-///    recording, store `m_total` in the sample's trajectory row.
+/// 3. **finalise** (lane-inner): pass A checks every lane's state the
+///    way the scalar model does (the reversible part rebuilt as
+///    `m_total − m_irr`) and computes its B.  A lane that has just
+///    diverged (rare) keeps its fold of the samples before and its
+///    statistics, and goes inactive.  Pass B folds every lane's `(H, B)`
+///    point into the run's [`LaneLoopMetrics`]; when recording, each live
+///    lane's `m_total` goes into the sample's trajectory row.
+///
+/// The statistics' counters run as per-run columns, phase 1 bumping them
+/// without a branch; they reach each lane's [`JaStatistics`], as its fold
+/// reaches [`SoaBatch::lane_fold`], when it fails or when the run ends.
 ///
 /// Always inlined, so each caller — the portable dispatch and the two
 /// `#[target_feature]` functions of [`SoaBatch::run`] — compiles
@@ -457,6 +514,9 @@ fn run_lanes_lockstep<const W: usize>(batch: &mut SoaBatch, samples: &[f64], rec
         stats,
         errors,
         masks,
+        counters,
+        flux,
+        running,
         folds,
         trajectory,
     } = batch;
@@ -467,10 +527,12 @@ fn run_lanes_lockstep<const W: usize>(batch: &mut SoaBatch, samples: &[f64], rec
     let mut rows = record.then(|| trajectory.chunks_exact_mut(lanes));
     masks.live.clear();
     masks.live.extend(errors.iter().map(Option::is_none));
-    for mask in [&mut masks.due, &mut masks.negative, &mut masks.rejected] {
-        mask.clear();
-        mask.resize(lanes, false);
-    }
+    masks.due.clear();
+    masks.due.resize(lanes, false);
+    counters.reset(lanes);
+    flux.clear();
+    flux.resize(lanes, 0.0);
+    running.reset(lanes);
     // Exactly-sized slices let the optimiser prove every `[lane]` access in
     // the hot lane-inner loops is in bounds, which is what allows it to
     // vectorise them across lanes.
@@ -488,8 +550,7 @@ fn run_lanes_lockstep<const W: usize>(batch: &mut SoaBatch, samples: &[f64], rec
     let folds = &mut folds[..lanes];
     let live = &mut masks.live[..lanes];
     let due = &mut masks.due[..lanes];
-    let negative = &mut masks.negative[..lanes];
-    let rejected = &mut masks.rejected[..lanes];
+    let flux = &mut flux[..lanes];
     let lane_params = |lane: usize| JaParameters {
         m_sat: Magnetisation::new(m_sat[lane]),
         a: a[lane],
@@ -498,6 +559,8 @@ fn run_lanes_lockstep<const W: usize>(batch: &mut SoaBatch, samples: &[f64], rec
         alpha: alpha[lane],
         c: c[lane],
     };
+    // Samples every live lane has stepped in this run.
+    let mut stepped = 0;
 
     for &h in samples {
         if !h.is_finite() {
@@ -510,6 +573,7 @@ fn run_lanes_lockstep<const W: usize>(batch: &mut SoaBatch, samples: &[f64], rec
             }
             break;
         }
+        stepped += 1;
         let mut row = rows.as_mut().and_then(Iterator::next);
 
         // Phase 1 — the paper's monitorH gate and irreversible update.
@@ -520,6 +584,9 @@ fn run_lanes_lockstep<const W: usize>(batch: &mut SoaBatch, samples: &[f64], rec
             any_due |= is_due;
         }
         if any_due {
+            let updates = &mut counters.updates[..lanes];
+            let negative = &mut counters.negative_slope_events[..lanes];
+            let rejected = &mut counters.rejected_updates[..lanes];
             for lane in 0..lanes {
                 let last = h_last[lane];
                 let before = m_irr[lane];
@@ -546,18 +613,9 @@ fn run_lanes_lockstep<const W: usize>(batch: &mut SoaBatch, samples: &[f64], rec
                     before
                 };
                 h_last[lane] = if is_due { h } else { last };
-                negative[lane] = step.negative_slope;
-                rejected[lane] = step.rejected;
-            }
-            for lane in 0..lanes {
-                if !due[lane] {
-                    continue;
-                }
-                let lane_stats = &mut stats[lane];
-                lane_stats.updates += 1;
-                lane_stats.slope_evaluations += 1;
-                lane_stats.negative_slope_events += u64::from(negative[lane]);
-                lane_stats.rejected_updates += u64::from(rejected[lane]);
+                updates[lane] += u64::from(is_due);
+                negative[lane] += u64::from(is_due & step.negative_slope);
+                rejected[lane] += u64::from(is_due & step.rejected);
             }
         }
 
@@ -593,30 +651,55 @@ fn run_lanes_lockstep<const W: usize>(batch: &mut SoaBatch, samples: &[f64], rec
             rest => fixed_point.settle_block::<W>(first, rest),
         }
 
-        // Phase 3 — finalise, fold, record.
-        for lane in 0..lanes {
-            if !live[lane] {
-                continue;
-            }
-            stats[lane].samples += 1;
-            let state = JaState {
+        // Phase 3 — finalise, fold, record.  Pass A checks every lane's
+        // state the way the scalar model does (the reversible part rebuilt
+        // as `m_total − m_irr`; `is_finite` reads no counter) and computes
+        // its B, the scalar model's expression.
+        let diverged = |lane: usize| {
+            !JaState {
                 m_irr: m_irr[lane],
                 m_rev: m_total[lane] - m_irr[lane],
                 m_total: m_total[lane],
                 m_an: m_an[lane],
                 h,
                 h_last_update: h_last[lane],
-                updates: stats[lane].updates,
-            };
-            if !state.is_finite() {
-                errors[lane] = Some(JaError::StateDiverged { at_field: h });
-                live[lane] = false;
-                continue;
+                updates: 0,
             }
-            folds[lane].push(h, MU0 * (h + state.m_total * m_sat[lane]));
-            if let Some(row) = &mut row {
-                row[lane] = state.m_total;
+            .is_finite()
+        };
+        let mut any_diverged = false;
+        for lane in 0..lanes {
+            flux[lane] = MU0 * (h + m_total[lane] * m_sat[lane]);
+            any_diverged |= live[lane] & diverged(lane);
+        }
+        // A lane that has just diverged keeps, as the scalar model does, its
+        // fold of the samples before this one and statistics that count
+        // this one, and goes inactive.
+        if any_diverged {
+            for lane in 0..lanes {
+                if live[lane] && diverged(lane) {
+                    folds[lane] = running.lane(lane);
+                    counters.add_to(lane, stepped, &mut stats[lane]);
+                    errors[lane] = Some(JaError::StateDiverged { at_field: h });
+                    live[lane] = false;
+                }
             }
+        }
+        // Pass B folds every lane, a failed one's into columns nothing
+        // reads again.
+        running.push(h, flux);
+        if let Some(row) = &mut row {
+            for lane in 0..lanes {
+                if live[lane] {
+                    row[lane] = m_total[lane];
+                }
+            }
+        }
+    }
+    for lane in 0..lanes {
+        if live[lane] {
+            folds[lane] = running.lane(lane);
+            counters.add_to(lane, stepped, &mut stats[lane]);
         }
     }
 }
@@ -962,8 +1045,10 @@ mod tests {
     /// `lanes` lanes shaped like the thermal grid's: the presets in turn,
     /// each at its own temperature 10 °C above the last lane's (from lane
     /// 24 on the temperatures repeat, so every lane stays below soft
-    /// ferrite's 220 °C Curie point), with lane 5 invalid and lane 6 pinned
-    /// so weakly that it diverges, so both error paths are compared too.
+    /// ferrite's 220 °C Curie point), with lane 5 invalid, and lanes 6 and
+    /// 21 pinned so weakly that they diverge, in different 16-lane register
+    /// blocks and at different samples (the first and the second field
+    /// reversal of the 2 kA/m sweep), so both error paths are compared too.
     fn thermal_lanes(lanes: usize) -> Vec<JaParameters> {
         use magnetics::thermal::ThermalCoefficients;
         let presets = [
@@ -993,6 +1078,10 @@ mod tests {
                 }
                 if lane == 6 {
                     params.k = 1e-300;
+                    params.alpha = 0.0;
+                }
+                if lane == 21 {
+                    params.k = 1e-150;
                     params.alpha = 0.0;
                 }
                 params
@@ -1052,11 +1141,15 @@ mod tests {
                         fold_bits(&IncrementalLoopMetrics::of(&curve))
                     })
                     .collect();
-                if lanes > 6 {
+                for diverging in [6, 21].into_iter().filter(|&lane| lane < lanes) {
                     assert!(matches!(
-                        reference.lane_error(6),
+                        reference.lane_error(diverging),
                         Some(JaError::StateDiverged { .. })
                     ));
+                }
+                if lanes > 21 {
+                    let stepped = |lane| reference.lane_statistics(lane).samples;
+                    assert!(stepped(6) < stepped(21), "lane 21 diverges later");
                 }
                 for copy in [KernelCopy::Portable, KernelCopy::Avx2, KernelCopy::Avx512] {
                     if skipped.contains(&copy) {

@@ -55,14 +55,15 @@ impl JaState {
         FluxDensity::new(MU0 * (self.h + self.m_total * params.m_sat.value()))
     }
 
-    /// `true` when every state variable is finite.
+    /// `true` when every state variable is finite.  Evaluates every
+    /// check without branching, so a loop over many states vectorises.
     pub fn is_finite(&self) -> bool {
         self.m_irr.is_finite()
-            && self.m_rev.is_finite()
-            && self.m_total.is_finite()
-            && self.m_an.is_finite()
-            && self.h.is_finite()
-            && self.h_last_update.is_finite()
+            & self.m_rev.is_finite()
+            & self.m_total.is_finite()
+            & self.m_an.is_finite()
+            & self.h.is_finite()
+            & self.h_last_update.is_finite()
     }
 }
 

@@ -16,8 +16,11 @@
 //! folds a stored curve through it, the core-loss estimate of
 //! [`crate::losses`] reads its loop area and peak |B|, and the scenario
 //! engine and the fit objective fold their samples through it as they are
-//! produced.  [`loop_area`] is a cheap standalone trapezoid for callers
-//! that want the area alone.
+//! produced.  [`LaneLoopMetrics`] is the same fold for many B traces over
+//! one shared H trace, kept as columns; both forms evaluate each window
+//! through the same private helpers, and it hands out each lane's fold as
+//! an [`IncrementalLoopMetrics`].  [`loop_area`] is a cheap standalone
+//! trapezoid for callers that want the area alone.
 
 use crate::bh::BhCurve;
 use crate::error::MagneticsError;
@@ -145,31 +148,28 @@ impl IncrementalLoopMetrics {
         self.b_abs_max = self.b_abs_max.max(b.abs());
         self.h_abs_max = self.h_abs_max.max(h.abs());
         if let Some((ph, pb)) = self.prev {
-            // Trapezoidal ∮ H dB, one window at a time — the operand order
-            // of `loop_area`.
-            let h_mid = 0.5 * (ph + h);
+            let window = FieldWindow::new(ph, h);
             let db = b - pb;
-            self.area += h_mid * db;
-            // Negative differential permeability, as counted by
-            // `BhCurve::negative_slope_samples`.
-            let dh = h - ph;
-            if dh != 0.0 && db / dh < 0.0 {
-                self.negative_slope_samples += 1;
-            }
+            self.area += window.area_term(db);
+            self.negative_slope_samples += usize::from(window.falls(db));
             // The two zero-crossing means: B = 0 crossings sampled in H
             // (coercivity), H = 0 crossings sampled in B (remanence).
-            crossing_step(
-                (pb, ph),
-                (b, h),
-                &mut self.coercivity_sum,
-                &mut self.coercivity_count,
-            );
-            crossing_step(
-                (ph, pb),
-                (h, b),
-                &mut self.remanence_sum,
-                &mut self.remanence_count,
-            );
+            if let Some(t) = zero_crossing(pb, b) {
+                add_crossing(
+                    t,
+                    (ph, h),
+                    &mut self.coercivity_sum,
+                    &mut self.coercivity_count,
+                );
+            }
+            if let Some(t) = window.zero_crossing {
+                add_crossing(
+                    t,
+                    (pb, b),
+                    &mut self.remanence_sum,
+                    &mut self.remanence_count,
+                );
+            }
         }
         self.prev = Some((h, b));
     }
@@ -226,27 +226,271 @@ impl IncrementalLoopMetrics {
     }
 }
 
-/// The zero-crossing rule over one `(previous, current)` window: when the
-/// abscissa `x` crosses zero (a window that starts and ends at zero does
-/// not count), the ordinate `y` is interpolated linearly to the crossing,
-/// and its |value| joins the running mean unless it is within
-/// `f64::EPSILON` of zero (which screens out degenerate crossings, e.g.
-/// the origin).
-fn crossing_step((px, py): (f64, f64), (x, y): (f64, f64), sum: &mut f64, count: &mut usize) {
-    if px == 0.0 && x == 0.0 {
-        return;
+/// [`IncrementalLoopMetrics`] for many lanes in lockstep: one fold per
+/// lane, all over the **same** H samples, kept as columns.
+///
+/// [`push`](Self::push) feeds every lane its B at the next shared H.  It
+/// computes what the lanes share once per sample — the sample count, the
+/// peak |H|, the H window's midpoint and step, and where H crosses zero —
+/// and updates every lane's columns in one unmasked pass, with the
+/// expressions [`IncrementalLoopMetrics::push`] evaluates, so
+/// [`lane`](Self::lane) is bit for bit the scalar fold of the same points.
+/// A B = 0 crossing (coercivity) is rare: the pass only flags one, and the
+/// lanes are interpolated afterwards, on the samples where some lane
+/// crossed.
+///
+/// Every column reuses its capacity across [`reset`](Self::reset)s, so a
+/// caller that re-runs the same lane count allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct LaneLoopMetrics {
+    /// Samples pushed so far, the same for every lane.
+    samples: usize,
+    /// Running `fold(0.0, f64::max)` over |H|.
+    h_abs_max: f64,
+    /// The previous sample's H (meaningless before the first sample).
+    prev_h: f64,
+    /// Per lane: running `fold(0.0, f64::max)` over |B|.
+    b_abs_max: Vec<f64>,
+    /// Per lane: the previous sample's B.
+    prev_b: Vec<f64>,
+    /// Per lane: signed trapezoidal `∮ H dB`.
+    area: Vec<f64>,
+    negative_slope_samples: Vec<usize>,
+    coercivity_sum: Vec<f64>,
+    coercivity_count: Vec<usize>,
+    remanence_sum: Vec<f64>,
+    remanence_count: Vec<usize>,
+}
+
+impl LaneLoopMetrics {
+    /// An accumulator of no lanes; [`reset`](Self::reset) sizes it.
+    pub fn new() -> Self {
+        Self::default()
     }
-    if (px <= 0.0 && x > 0.0) || (px >= 0.0 && x < 0.0) {
-        let t = if (x - px).abs() > f64::EPSILON {
+
+    /// Empties the fold and gives it `lanes` lanes.
+    pub fn reset(&mut self, lanes: usize) {
+        self.samples = 0;
+        self.h_abs_max = 0.0;
+        self.prev_h = 0.0;
+        for column in [
+            &mut self.b_abs_max,
+            &mut self.prev_b,
+            &mut self.area,
+            &mut self.coercivity_sum,
+            &mut self.remanence_sum,
+        ] {
+            column.clear();
+            column.resize(lanes, 0.0);
+        }
+        for column in [
+            &mut self.negative_slope_samples,
+            &mut self.coercivity_count,
+            &mut self.remanence_count,
+        ] {
+            column.clear();
+            column.resize(lanes, 0);
+        }
+    }
+
+    /// Number of lanes.
+    pub fn lanes(&self) -> usize {
+        self.b_abs_max.len()
+    }
+
+    /// Feeds every lane one sample: the shared field `h` (A/m) and lane
+    /// `i`'s flux density `b[i]` (T).  Always inlined, so a caller compiled
+    /// for a wider instruction set folds the lanes with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `b` holds fewer values than there are lanes.
+    #[inline(always)]
+    pub fn push(&mut self, h: f64, b: &[f64]) {
+        // Exactly-sized slices let the optimiser prove every `[lane]`
+        // access in bounds, so it can fold the lanes in vector registers.
+        let lanes = self.lanes();
+        let b = &b[..lanes];
+        let b_abs_max = &mut self.b_abs_max[..lanes];
+        if self.samples > 0 {
+            let ph = self.prev_h;
+            let window = FieldWindow::new(ph, h);
+            let any_b_crossing = fold_windows(
+                &window,
+                b,
+                &self.prev_b[..lanes],
+                b_abs_max,
+                &mut self.area[..lanes],
+                &mut self.negative_slope_samples[..lanes],
+            );
+            if any_b_crossing {
+                self.add_b_crossings((ph, h), b);
+            }
+            if let Some(t) = window.zero_crossing {
+                self.add_h_crossings(t, b);
+            }
+        } else {
+            for lane in 0..lanes {
+                b_abs_max[lane] = b_abs_max[lane].max(b[lane].abs());
+            }
+        }
+        self.prev_b.copy_from_slice(b);
+        self.samples += 1;
+        self.h_abs_max = self.h_abs_max.max(h.abs());
+        self.prev_h = h;
+    }
+
+    /// Adds the B = 0 crossing (coercivity) of every lane whose B crossed
+    /// zero from `prev_b` to `b`, while H went from `ph` to `h`.  Rare, so
+    /// it stays out of line, out of each caller's hot loop.
+    #[cold]
+    fn add_b_crossings(&mut self, (ph, h): (f64, f64), b: &[f64]) {
+        for (lane, &b) in b.iter().enumerate() {
+            if let Some(t) = zero_crossing(self.prev_b[lane], b) {
+                add_crossing(
+                    t,
+                    (ph, h),
+                    &mut self.coercivity_sum[lane],
+                    &mut self.coercivity_count[lane],
+                );
+            }
+        }
+    }
+
+    /// Adds every lane's H = 0 crossing (remanence), at the fraction `t` of
+    /// its window from `prev_b` to `b`.  Rare, like
+    /// [`add_b_crossings`](Self::add_b_crossings).
+    #[cold]
+    fn add_h_crossings(&mut self, t: f64, b: &[f64]) {
+        for (lane, &b) in b.iter().enumerate() {
+            add_crossing(
+                t,
+                (self.prev_b[lane], b),
+                &mut self.remanence_sum[lane],
+                &mut self.remanence_count[lane],
+            );
+        }
+    }
+
+    /// Lane `lane`'s fold of the samples so far.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane` is out of range.
+    pub fn lane(&self, lane: usize) -> IncrementalLoopMetrics {
+        IncrementalLoopMetrics {
+            samples: self.samples,
+            b_abs_max: self.b_abs_max[lane],
+            h_abs_max: self.h_abs_max,
+            prev: (self.samples > 0).then(|| (self.prev_h, self.prev_b[lane])),
+            area: self.area[lane],
+            coercivity_sum: self.coercivity_sum[lane],
+            coercivity_count: self.coercivity_count[lane],
+            remanence_sum: self.remanence_sum[lane],
+            remanence_count: self.remanence_count[lane],
+            negative_slope_samples: self.negative_slope_samples[lane],
+        }
+    }
+}
+
+/// The fold pass of [`LaneLoopMetrics::push`] over every lane's window,
+/// `prev_b[i]` to `b[i]` at the shared H `window`: the |B| peak, the area
+/// and the negative-slope count.  Returns whether some lane's B crossed
+/// zero.  The columns are parameters so the optimiser knows they do not
+/// overlap.
+#[inline(always)]
+fn fold_windows(
+    window: &FieldWindow,
+    b: &[f64],
+    prev_b: &[f64],
+    b_abs_max: &mut [f64],
+    area: &mut [f64],
+    negative_slope_samples: &mut [usize],
+) -> bool {
+    let lanes = b.len();
+    let (prev_b, b_abs_max) = (&prev_b[..lanes], &mut b_abs_max[..lanes]);
+    let (area, negative) = (&mut area[..lanes], &mut negative_slope_samples[..lanes]);
+    let mut any_b_crossing = false;
+    for lane in 0..lanes {
+        let (pb, b) = (prev_b[lane], b[lane]);
+        let db = b - pb;
+        b_abs_max[lane] = b_abs_max[lane].max(b.abs());
+        area[lane] += window.area_term(db);
+        negative[lane] += usize::from(window.falls(db));
+        any_b_crossing |= crosses_zero(pb, b);
+    }
+    any_b_crossing
+}
+
+/// The H side of one `(previous, current)` window: what every fold over the
+/// same H samples shares.
+#[derive(Debug, Clone, Copy)]
+struct FieldWindow {
+    /// `0.5 (H' + H)`, the trapezoid's H.
+    mid: f64,
+    /// `H − H'`.
+    dh: f64,
+    /// Where H crosses zero in the window ([`zero_crossing`]).
+    zero_crossing: Option<f64>,
+}
+
+impl FieldWindow {
+    #[inline(always)]
+    fn new(ph: f64, h: f64) -> Self {
+        Self {
+            mid: 0.5 * (ph + h),
+            dh: h - ph,
+            zero_crossing: zero_crossing(ph, h),
+        }
+    }
+
+    /// The window's trapezoidal `∮ H dB` term, in the operand order of
+    /// [`loop_area`].
+    #[inline(always)]
+    fn area_term(&self, db: f64) -> f64 {
+        self.mid * db
+    }
+
+    /// Negative differential permeability over the window, as counted by
+    /// [`BhCurve::negative_slope_samples`].
+    #[inline(always)]
+    fn falls(&self, db: f64) -> bool {
+        self.dh != 0.0 && db / self.dh < 0.0
+    }
+}
+
+/// Whether the abscissa crosses zero over a `(px, x)` window; a window
+/// that starts and ends at zero does not count.
+#[inline(always)]
+fn crosses_zero(px: f64, x: f64) -> bool {
+    !(px == 0.0 && x == 0.0) && ((px <= 0.0 && x > 0.0) || (px >= 0.0 && x < 0.0))
+}
+
+/// Where the abscissa crosses zero over a `(px, x)` window, as the fraction
+/// `t` of the window at which the ordinate is interpolated (the midpoint
+/// when the window is within `f64::EPSILON` of flat), or `None` when it
+/// does not cross ([`crosses_zero`]).
+#[inline(always)]
+fn zero_crossing(px: f64, x: f64) -> Option<f64> {
+    crosses_zero(px, x).then(|| {
+        if (x - px).abs() > f64::EPSILON {
             -px / (x - px)
         } else {
             0.5
-        };
-        let value = py + t * (y - py);
-        if value.abs() > f64::EPSILON {
-            *sum += value.abs();
-            *count += 1;
         }
+    })
+}
+
+/// Interpolates the ordinate linearly to a zero crossing at fraction `t`
+/// of its `(py, y)` window; its |value| joins the running mean unless it
+/// is within `f64::EPSILON` of zero (which screens out degenerate
+/// crossings, e.g. the origin).
+#[inline(always)]
+fn add_crossing(t: f64, (py, y): (f64, f64), sum: &mut f64, count: &mut usize) {
+    let value = py + t * (y - py);
+    if value.abs() > f64::EPSILON {
+        *sum += value.abs();
+        *count += 1;
     }
 }
 
@@ -660,7 +904,160 @@ mod tests {
         );
     }
 
+    /// What a caller keeps of a fold, as bits: its length, its loop metrics
+    /// (or error), its loop area and peak |B|, and its core loss (or error)
+    /// on the demo core.
+    type FoldBits = (
+        usize,
+        Result<[u64; 6], MagneticsError>,
+        u64,
+        u64,
+        Result<[u64; 4], MagneticsError>,
+    );
+
+    fn fold_bits(fold: &IncrementalLoopMetrics) -> FoldBits {
+        use crate::geometry::CoreGeometry;
+        use crate::losses::{core_loss_of, LaminationSpec};
+        let lamination = Some(LaminationSpec::silicon_steel_0p35mm());
+        let loss = core_loss_of(fold, &CoreGeometry::demo(), 50.0, lamination);
+        (
+            fold.len(),
+            fold.finish()
+                .map(|metrics| metrics.named_values().map(|(_, value)| value.to_bits())),
+            fold.loop_area().to_bits(),
+            fold.peak_flux_density().as_tesla().to_bits(),
+            loss.map(|loss| {
+                [
+                    loss.hysteresis_w,
+                    loss.eddy_w,
+                    loss.total_w,
+                    loss.energy_per_cycle_j,
+                ]
+                .map(f64::to_bits)
+            }),
+        )
+    }
+
+    /// Folds the shared `h` trace's first `run` samples in lockstep, lane
+    /// `i` reading `b(sample, i)`, and takes lane `i`'s fold after
+    /// `stops[i]` samples (or at the end of the run), the way the lockstep
+    /// kernel takes a lane's fold when the lane fails.  A lane reads NaN
+    /// once it has stopped, like a failed lane's garbage.  Asserts every
+    /// lane's fold equals a scalar fold of its own prefix.
+    fn assert_lanes_match_scalar_folds(
+        h: &[f64],
+        b: impl Fn(usize, usize) -> f64,
+        lanes: usize,
+        stops: &[usize],
+        run: usize,
+    ) {
+        let mut folds = LaneLoopMetrics::new();
+        folds.reset(lanes);
+        let mut taken: Vec<Option<IncrementalLoopMetrics>> = vec![None; lanes];
+        let mut column = vec![0.0; lanes];
+        for (sample, &field) in h[..run].iter().enumerate() {
+            for lane in 0..lanes {
+                if stops[lane] == sample {
+                    taken[lane] = Some(folds.lane(lane));
+                }
+                column[lane] = if taken[lane].is_some() {
+                    f64::NAN
+                } else {
+                    b(sample, lane)
+                };
+            }
+            folds.push(field, &column);
+        }
+        for (lane, taken) in taken.into_iter().enumerate() {
+            let mut fold = taken.unwrap_or_else(|| folds.lane(lane));
+            let mut scalar = IncrementalLoopMetrics::new();
+            for (sample, &field) in h[..stops[lane].min(run)].iter().enumerate() {
+                scalar.push(field, b(sample, lane));
+            }
+            assert_eq!(
+                fold_bits(&fold),
+                fold_bits(&scalar),
+                "lane {lane} of {lanes}"
+            );
+            // One more sample reads the previous point each fold kept.
+            fold.push(-3.0, 0.75);
+            scalar.push(-3.0, 0.75);
+            assert_eq!(
+                fold_bits(&fold),
+                fold_bits(&scalar),
+                "lane {lane} of {lanes}, pushed on"
+            );
+        }
+    }
+
+    /// Values that reach every branch of the window rules: exact and
+    /// signed zeros, the smallest subnormals (so a difference is
+    /// subnormal, and `db / dh` underflows to zero), values within
+    /// `f64::EPSILON` of zero, and ordinary magnitudes.
+    const EDGE_VALUES: [f64; 14] = [
+        0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-17, -1e-17, 1.0, -1.0, 2.5, -2.5, 1e4, -1e4,
+    ];
+
+    /// An edge value, or `fraction · scale` for an index past them.
+    fn pick((index, fraction): (usize, f64), scale: f64) -> f64 {
+        EDGE_VALUES.get(index).copied().unwrap_or(fraction * scale)
+    }
+
+    #[test]
+    fn lane_fold_matches_scalar_folds_on_edge_windows() {
+        // H: a flat start (dh = 0), a crossing from -0.0 to a window
+        // narrower than `f64::EPSILON` (t = 0.5), zero to zero, then a
+        // loop.  Lane 0's B steps from 0 to the smallest negative
+        // subnormal while H rises by 1e4, so `db / dh` underflows to -0.0
+        // and the window does not count as a negative slope.
+        let h = [
+            0.0, 0.0, -0.0, 1e-17, -1e-17, 0.0, 0.0, 1e4, 5e3, -5e3, -1e4, 0.0, 1e4, 1e4,
+        ];
+        let b = |sample: usize, lane: usize| match lane {
+            0 => [
+                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -5e-324, 1.5, -0.5, -1.5, -1.0, 1.5, 1.5,
+            ][sample],
+            1 => [
+                0.0, -0.0, 1e-17, -1e-17, 2.0, -2.0, 0.0, 1.5, 1.0, -1.0, -1.5, -0.5, 1.5, 0.0,
+            ][sample],
+            lane => (lane as f64 - 2.0) * h[sample] * 1e-4 - 0.25 * (sample % 3) as f64,
+        };
+        assert_eq!((-5e-324_f64 - 0.0) / 1e4, 0.0);
+        let lanes = 5;
+        for stops in [[99; 5], [0, 1, 7, 8, 13], [13, 8, 7, 1, 0]] {
+            for run in [0, 1, 7, 8, h.len()] {
+                assert_lanes_match_scalar_folds(&h, b, lanes, &stops, run);
+            }
+        }
+    }
+
     proptest! {
+        /// Lockstep folds of random finite traces on 1–40 lanes, each
+        /// lane taken at its own stop, over a run that may stop early,
+        /// equal scalar folds of each lane's prefix bit for bit.  The
+        /// traces mix edge values (zeros, signed zeros, subnormals, values
+        /// within `f64::EPSILON` of zero) with ordinary ones, and repeat H.
+        #[test]
+        fn lane_fold_matches_scalar_folds_on_random_traces(
+            lanes in 1_usize..41,
+            fields in proptest::collection::vec((0_usize..24, -1.0_f64..1.0, 0_usize..4), 0..48),
+            flux in proptest::collection::vec((0_usize..24, -1.0_f64..1.0), 40 * 48),
+            stops in proptest::collection::vec(0_usize..56, 40),
+            cut in 0_usize..56,
+        ) {
+            let mut h: Vec<f64> = Vec::with_capacity(fields.len());
+            for &(index, fraction, repeat) in &fields {
+                let field = match h.last() {
+                    // A repeated H: a window with dh = 0.
+                    Some(&last) if repeat == 0 => last,
+                    _ => pick((index, fraction), 1e4),
+                };
+                h.push(field);
+            }
+            let b = |sample: usize, lane: usize| pick(flux[sample * 40 + lane], 2.5);
+            assert_lanes_match_scalar_folds(&h, b, lanes, &stops, cut.min(h.len()));
+        }
+
         /// Random traces — including short, degenerate and non-loop shapes —
         /// reduce to bit-identical metrics (or the identical error) whether
         /// folded or computed in six passes.
